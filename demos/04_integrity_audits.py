@@ -4,6 +4,7 @@ Builds a small corpus on disk, anchors every record's commitment in the
 registry, then runs the three audit protocols against it.
 """
 
+import atexit
 import json
 import random
 import shutil
@@ -14,6 +15,7 @@ from slideprov import Ledger, SlideKey, canonical_uri, commit_record, load_corpu
 from slideprov.integrity import compare_runs, tamper_experiment, time_gaps, verify_corpus
 
 workdir = Path(tempfile.mkdtemp(prefix="provenance-demo-"))
+atexit.register(shutil.rmtree, workdir, ignore_errors=True)
 print("working in", workdir)
 
 # -- build a 2x4 corpus on disk ---------------------------------------------

@@ -55,7 +55,6 @@ from .ledger import (
     Ledger,
     RegistrationReceipt,
     SlideRecord,
-    SlideRegisteredEvent,
     canonical_uri,
     dev_accounts,
     estimate_gas,

@@ -6,6 +6,11 @@ single-node dev chain: one block sealed per transaction, monotonically
 increasing modeled timestamps, a multiplicative base-fee adjustment per
 block, and a parametric near-constant gas model per registration.
 
+The ordered registration log is the only ledger state: the per-slide
+index and the chain cursor are derived from it, and a ledger file is
+loaded by replaying its log through the same checks a live registration
+passes, then rejected unless its derived sections match the replay.
+
 Fee arithmetic uses exact rationals so replays are bit-identical across
 platforms; nothing here touches a real network.
 """
@@ -19,8 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .commitment import StorageKey, storage_key
-from .errors import AlreadyRegistered, CorruptLedgerFile, InvalidLecture, InvalidSlide
+from .errors import AlreadyRegistered, CorruptLedgerFile, InvalidLecture, InvalidSlide, LedgerError
 from .keccak import keccak256
 from .records import SlideKey
 
@@ -164,7 +168,7 @@ class FeeConfig:
 
 @dataclass(frozen=True)
 class SlideRecord:
-    """Stored registry entry; timestamp > 0 once registered."""
+    """One registration, as log entry and stored entry alike; timestamp > 0."""
 
     lecture_id: int
     slide_id: int
@@ -172,16 +176,6 @@ class SlideRecord:
     uri: str
     timestamp: int
     registrant: bytes
-
-
-@dataclass(frozen=True)
-class SlideRegisteredEvent:
-    lecture_id: int
-    slide_id: int
-    slide_hash: str
-    uri: str
-    registrant: bytes
-    timestamp: int
 
 
 @dataclass(frozen=True)
@@ -220,11 +214,15 @@ def canonical_uri(key: SlideKey) -> str:
 
 
 class Ledger:
-    """Append-only slide registry with single-writer mutation.
+    """Append-only slide registry held as one ordered registration log.
 
-    Reads never mutate; registrations must be serialized by the caller
-    (the CLI and batch helpers do).  ``wall_clock=True`` stamps blocks
-    with real time instead of modeled genesis + i * interval.
+    ``events`` lists every registration in block order and is the only
+    state.  ``records`` indexes it by ``SlideKey``; the next block number
+    and timestamps follow from its length and last entry; the base fee is
+    folded forward over each entry's gas as it is appended.  Reads never
+    mutate; registrations must be serialized by the caller (the CLI and
+    batch helpers do).  ``wall_clock=True`` stamps blocks with real time
+    instead of modeled genesis + i * interval.
     """
 
     def __init__(
@@ -236,32 +234,63 @@ class Ledger:
         self.fee_config = fee_config or FeeConfig()
         self.gas_config = gas_config or GasConfig()
         self.wall_clock = wall_clock
-        self.records: dict[StorageKey, SlideRecord] = {}
-        self.events: list[SlideRegisteredEvent] = []
-        self.next_block_number = 1
-        self.next_timestamp = self.fee_config.genesis_time + self.fee_config.block_interval
+        self.events: list[SlideRecord] = []
+        self.records: dict[SlideKey, SlideRecord] = {}
         self.base_fee_wei = self.fee_config.initial_base_fee_wei
-        self._last_timestamp = self.fee_config.genesis_time
 
     @property
     def base_fee(self) -> Fraction:
         """Current base fee in gwei."""
         return Fraction(self.base_fee_wei, WEI_PER_GWEI)
 
+    @property
+    def next_block_number(self) -> int:
+        return len(self.events) + 1
+
+    @property
+    def last_timestamp(self) -> int:
+        return self.events[-1].timestamp if self.events else self.fee_config.genesis_time
+
+    @property
+    def next_timestamp(self) -> int:
+        return self.last_timestamp + self.fee_config.block_interval
+
     # -- reads ---------------------------------------------------------
 
     def get_slide(self, key: SlideKey) -> SlideRecord | None:
-        return self.records.get(storage_key(key))
+        return self.records.get(key)
 
     def is_registered(self, key: SlideKey) -> bool:
-        return storage_key(key) in self.records
+        return key in self.records
 
     # -- writes ----------------------------------------------------------
 
-    def _block_timestamp(self) -> int:
-        if self.wall_clock:
-            return max(int(time.time()), self._last_timestamp + 1)
-        return self.next_timestamp
+    def _append(self, record: SlideRecord) -> int:
+        """Check ``record`` as the next block, append it, return its gas.
+
+        The only mutation: live registrations and file replays both pass
+        through here, so both reject the same entries, and a rejected
+        entry leaves the state untouched.
+        """
+        key = SlideKey(record.lecture_id, record.slide_id)
+        if key.lecture_id < 1:
+            raise InvalidLecture("lectureId must be > 0")
+        if key.slide_id < 1:
+            raise InvalidSlide("slideId must be > 0")
+        if key in self.records:
+            raise AlreadyRegistered(f"slide already registered: {key}")
+        if not isinstance(record.registrant, bytes) or len(record.registrant) != 20:
+            raise ValueError("registrant must be a 20-byte account identifier")
+        # timestamps rise block by block and stay > 0 (0 reads as unregistered)
+        if record.timestamp <= max(self.last_timestamp, 0) or not (
+            self.wall_clock or record.timestamp == self.next_timestamp
+        ):
+            raise ValueError(f"block {self.next_block_number} has out-of-rule timestamp {record.timestamp}")
+        gas_used = estimate_gas(record.slide_hash, record.uri, self.gas_config)
+        self.events.append(record)
+        self.records[key] = record
+        self.base_fee_wei = self.fee_config.next_base_fee_wei(self.base_fee_wei, gas_used)
+        return gas_used
 
     def register_slide(
         self,
@@ -273,45 +302,25 @@ class Ledger:
         """Register one slide, seal one block, and return the receipt.
 
         Raises InvalidLecture/InvalidSlide for non-positive ids and
-        AlreadyRegistered when the storage key exists; failed calls leave
-        the state untouched.
+        AlreadyRegistered when the key exists; failed calls leave the
+        state untouched.
         """
-        if key.lecture_id < 1:
-            raise InvalidLecture("lectureId must be > 0")
-        if key.slide_id < 1:
-            raise InvalidSlide("slideId must be > 0")
-        skey = storage_key(key)
-        if skey in self.records:
-            raise AlreadyRegistered(f"slide already registered: {key}")
         if registrant is None:
             registrant = _dev_account_set()[0]
-        if not isinstance(registrant, bytes) or len(registrant) != 20:
-            raise ValueError("registrant must be a 20-byte account identifier")
-
-        gas_used = estimate_gas(slide_hash, uri, self.gas_config)
-        block_number = self.next_block_number
-        timestamp = self._block_timestamp()
-        price = Fraction(self.base_fee_wei + self.fee_config.priority_tip_wei, WEI_PER_GWEI)
-
-        record = SlideRecord(key.lecture_id, key.slide_id, slide_hash, uri, timestamp, registrant)
-        self.records[skey] = record
-        self.events.append(
-            SlideRegisteredEvent(key.lecture_id, key.slide_id, slide_hash, uri, registrant, timestamp)
-        )
-
-        # seal the block and move the chain cursor
-        self.next_block_number += 1
-        self.next_timestamp = timestamp + self.fee_config.block_interval
-        self._last_timestamp = timestamp
-        self.base_fee_wei = self.fee_config.next_base_fee_wei(self.base_fee_wei, gas_used)
-
+        if self.wall_clock:
+            timestamp = max(int(time.time()), self.last_timestamp + 1)
+        else:
+            timestamp = self.next_timestamp
+        base_fee_wei = self.base_fee_wei
+        gas_used = self._append(SlideRecord(key.lecture_id, key.slide_id, slide_hash, uri, timestamp, registrant))
+        price = Fraction(base_fee_wei + self.fee_config.priority_tip_wei, WEI_PER_GWEI)
         cost_eth = gas_used * price * GWEI
         return RegistrationReceipt(
             lecture_id=key.lecture_id,
             slide_id=key.slide_id,
             gas_used=gas_used,
             effective_gas_price=price,
-            block_number=block_number,
+            block_number=len(self.events),
             timestamp=timestamp,
             tx_cost_eth=cost_eth,
             tx_cost_usd=cost_eth * self.fee_config.eth_usd_rate,
@@ -350,6 +359,7 @@ class Ledger:
     # -- persistence -----------------------------------------------------
 
     def to_document(self) -> dict:
+        """The log plus its derived ``records`` and ``chain`` copies, for readers."""
         fee = self.fee_config
         gas = self.gas_config
         return {
@@ -357,7 +367,7 @@ class Ledger:
             "chain": {
                 "next_block_number": self.next_block_number,
                 "next_timestamp": self.next_timestamp,
-                "last_timestamp": self._last_timestamp,
+                "last_timestamp": self.last_timestamp,
                 "base_fee_wei": self.base_fee_wei,
                 "wall_clock": self.wall_clock,
             },
@@ -376,28 +386,8 @@ class Ledger:
                 "zero_byte": gas.zero_byte,
                 "exec_base": gas.exec_base,
             },
-            "records": [
-                {
-                    "lectureId": r.lecture_id,
-                    "slideId": r.slide_id,
-                    "slideHash": r.slide_hash,
-                    "uri": r.uri,
-                    "timestamp": r.timestamp,
-                    "registrant": account_hex(r.registrant),
-                }
-                for r in sorted(self.records.values(), key=lambda r: (r.lecture_id, r.slide_id))
-            ],
-            "events": [
-                {
-                    "lectureId": e.lecture_id,
-                    "slideId": e.slide_id,
-                    "slideHash": e.slide_hash,
-                    "uri": e.uri,
-                    "registrant": account_hex(e.registrant),
-                    "timestamp": e.timestamp,
-                }
-                for e in self.events
-            ],
+            "records": [_entry_document(r) for _, r in sorted(self.records.items())],
+            "events": [_entry_document(e) for e in self.events],
         }
 
     def export_bytes(self) -> bytes:
@@ -407,12 +397,17 @@ class Ledger:
 
     @classmethod
     def from_document(cls, doc: object) -> "Ledger":
+        """Rebuild a ledger by replaying the document's ``events``.
+
+        Each event passes the checks of a live registration, and the
+        rebuilt ledger must export exactly ``doc``; anything else raises
+        CorruptLedgerFile.
+        """
         if not isinstance(doc, dict) or doc.get("format") != LEDGER_FORMAT:
             raise CorruptLedgerFile("unrecognized ledger format")
         try:
             fee_doc = doc["fee_config"]
             gas_doc = doc["gas_config"]
-            chain = doc["chain"]
             fee = FeeConfig(
                 initial_base_fee=Fraction(fee_doc["initial_base_fee_gwei"]),
                 priority_tip=Fraction(fee_doc["priority_tip_gwei"]),
@@ -428,39 +423,22 @@ class Ledger:
                 zero_byte=int(gas_doc["zero_byte"]),
                 exec_base=int(gas_doc["exec_base"]),
             )
-            ledger = cls(fee, gas, wall_clock=bool(chain["wall_clock"]))
-            ledger.next_block_number = int(chain["next_block_number"])
-            ledger.next_timestamp = int(chain["next_timestamp"])
-            ledger._last_timestamp = int(chain["last_timestamp"])
-            ledger.base_fee_wei = int(chain["base_fee_wei"])
-            for entry in doc["records"]:
-                record = SlideRecord(
+            ledger = cls(fee, gas, wall_clock=bool(doc["chain"]["wall_clock"]))
+            for entry in doc["events"]:
+                ledger._append(SlideRecord(
                     lecture_id=int(entry["lectureId"]),
                     slide_id=int(entry["slideId"]),
                     slide_hash=str(entry["slideHash"]),
                     uri=str(entry["uri"]),
                     timestamp=int(entry["timestamp"]),
                     registrant=_parse_account(entry["registrant"]),
-                )
-                if record.timestamp <= 0:
-                    raise CorruptLedgerFile("registered record with non-positive timestamp")
-                key = SlideKey(record.lecture_id, record.slide_id)
-                ledger.records[storage_key(key)] = record
-            for entry in doc["events"]:
-                ledger.events.append(
-                    SlideRegisteredEvent(
-                        lecture_id=int(entry["lectureId"]),
-                        slide_id=int(entry["slideId"]),
-                        slide_hash=str(entry["slideHash"]),
-                        uri=str(entry["uri"]),
-                        registrant=_parse_account(entry["registrant"]),
-                        timestamp=int(entry["timestamp"]),
-                    )
-                )
+                ))
         except CorruptLedgerFile:
             raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise CorruptLedgerFile(f"ledger document does not match schema: {exc}") from exc
+        except (LedgerError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise CorruptLedgerFile(f"ledger document rejected: {exc}") from exc
+        if ledger.to_document() != doc:
+            raise CorruptLedgerFile("ledger records or chain disagree with its event log")
         return ledger
 
     def save(self, path: Path | str) -> None:
@@ -483,12 +461,19 @@ class Ledger:
             self.fee_config == other.fee_config
             and self.gas_config == other.gas_config
             and self.wall_clock == other.wall_clock
-            and self.records == other.records
             and self.events == other.events
-            and self.next_block_number == other.next_block_number
-            and self.next_timestamp == other.next_timestamp
-            and self.base_fee_wei == other.base_fee_wei
         )
+
+
+def _entry_document(r: SlideRecord) -> dict:
+    return {
+        "lectureId": r.lecture_id,
+        "slideId": r.slide_id,
+        "slideHash": r.slide_hash,
+        "uri": r.uri,
+        "timestamp": r.timestamp,
+        "registrant": account_hex(r.registrant),
+    }
 
 
 def _parse_account(text: object) -> bytes:

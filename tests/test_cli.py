@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import shutil
+import stat
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,15 @@ class TestRegister:
         summary = json.loads((Path(env["out"]) / "register_summary.json").read_text())
         assert summary["registered"] == 0
         assert summary["skipped_existing"] == 6
+
+    def test_files_follow_umask(self, env):
+        old = os.umask(0o022)
+        try:
+            assert run("register", env) == 0
+        finally:
+            os.umask(old)
+        for path in (Path(env["ledger"]), Path(env["out"]) / "receipts.csv"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_missing_corpus_exit_3(self, env):
         env = dict(env, corpus=str(env["tmp"] / "nowhere"))

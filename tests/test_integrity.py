@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import register_corpus, synthetic_document, write_corpus
 from slideprov import (
+    CorruptLedgerFile,
     DisjointCorpora,
     Ledger,
     ProvenanceWarning,
@@ -68,21 +69,39 @@ class TestVerifySlide:
         ledger.register_slide(key, commit_record(corpus[key]).hex.upper().replace("0X", "0x"), "u")
         assert verify_slide(corpus[key], ledger).verdict == MATCH
 
+    @staticmethod
+    def _flip_stored_hash(doc, sections):
+        """Flip the last hex digit of the first slide's hash in ``sections``."""
+        first = doc["records"][0]
+        bad_key = SlideKey(first["lectureId"], first["slideId"])
+        for section in sections:
+            for entry in doc[section]:
+                if SlideKey(entry["lectureId"], entry["slideId"]) == bad_key:
+                    tail = entry["slideHash"][-1]
+                    entry["slideHash"] = entry["slideHash"][:-1] + ("0" if tail != "0" else "1")
+        return bad_key
+
     def test_tampered_export_surfaces_on_verification(self, registered):
         # flip one hex character of a stored hash inside an exported ledger,
-        # re-import, and check the corruption shows up as exactly one Mismatch
+        # consistently in the log and the records index, re-import, and
+        # check the corruption shows up as exactly one Mismatch
         corpus, ledger = registered
         doc = json.loads(ledger.export_bytes())
-        entry = doc["records"][0]
-        bad_key = SlideKey(entry["lectureId"], entry["slideId"])
-        tail = entry["slideHash"][-1]
-        entry["slideHash"] = entry["slideHash"][:-1] + ("0" if tail != "0" else "1")
+        bad_key = self._flip_stored_hash(doc, ("records", "events"))
         reimported = Ledger.from_document(doc)
 
         verdicts = {r.key: r.verdict for r in
                     (verify_slide(corpus[k], reimported) for k in sorted(corpus))}
         assert verdicts.pop(bad_key) == MISMATCH
         assert all(v == MATCH for v in verdicts.values())
+
+    @pytest.mark.parametrize("section", ["records", "events"])
+    def test_hash_flipped_in_one_section_rejected(self, registered, section):
+        _, ledger = registered
+        doc = json.loads(ledger.export_bytes())
+        self._flip_stored_hash(doc, (section,))
+        with pytest.raises(CorruptLedgerFile):
+            Ledger.from_document(doc)
 
 
 class TestTamperRecord:

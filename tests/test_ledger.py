@@ -218,6 +218,62 @@ class TestExportImport:
             Ledger.from_document(doc)
 
 
+class TestReplay:
+    """Loading replays ``events``; ``records`` and ``chain`` must agree with it."""
+
+    @pytest.fixture
+    def doc(self):
+        ledger = Ledger()
+        for i in range(1, 6):
+            ledger.register_slide(SlideKey(1, i), HASH66, URI30)
+        return json.loads(ledger.export_bytes())
+
+    def test_truncated_log_with_edited_cursor_rejected(self, doc):
+        doc["events"] = doc["events"][:3]
+        doc["chain"]["next_block_number"] = 4
+        with pytest.raises(CorruptLedgerFile, match="disagree"):
+            Ledger.from_document(doc)
+
+    # each edit below keeps records and chain in step with the edited log,
+    # so only the replay's registration checks can reject it
+
+    def test_zero_id_rejected_like_a_live_call(self, doc):
+        for section in ("events", "records"):
+            doc[section][0]["lectureId"] = 0
+        with pytest.raises(CorruptLedgerFile, match="lectureId must be > 0"):
+            Ledger.from_document(doc)
+
+    def test_duplicate_rejected_like_a_live_call(self, doc):
+        chain = doc["chain"]
+        doc["events"].append(dict(doc["events"][0], timestamp=chain["next_timestamp"]))
+        doc["records"].insert(1, doc["events"][-1])
+        chain["base_fee_wei"] = FeeConfig().next_base_fee_wei(chain["base_fee_wei"], estimate_gas(HASH66, URI30))
+        for name in ("next_block_number", "next_timestamp", "last_timestamp"):
+            chain[name] += 1
+        with pytest.raises(CorruptLedgerFile, match="already registered"):
+            Ledger.from_document(doc)
+
+    def test_timestamp_off_the_sealing_rule_rejected(self, doc):
+        for section in ("events", "records"):
+            doc[section][-1]["timestamp"] += 1
+        for name in ("next_timestamp", "last_timestamp"):
+            doc["chain"][name] += 1
+        with pytest.raises(CorruptLedgerFile, match="out-of-rule timestamp"):
+            Ledger.from_document(doc)
+
+    def test_replayed_cursor_continues_the_chain(self, doc):
+        ledger = Ledger.from_document(doc)
+        assert (ledger.next_block_number, ledger.next_timestamp) == (6, 6)
+        receipt = ledger.register_slide(SlideKey(2, 1), HASH66, URI30)
+        assert (receipt.block_number, receipt.timestamp) == (6, 6)
+
+    def test_wall_clock_log_round_trips(self):
+        ledger = Ledger(wall_clock=True)
+        for i in (1, 2, 3):
+            ledger.register_slide(SlideKey(1, i), HASH66, "u")
+        assert Ledger.from_document(json.loads(ledger.export_bytes())) == ledger
+
+
 def test_dev_accounts_fixed_and_distinct():
     accounts = dev_accounts()
     assert len(accounts) == 20

@@ -63,12 +63,15 @@ corpus = {
     }),
 }
 
+# One pass reads every model's sets; all the metrics below start from it.
+by_slide = corpus_disagreement(corpus)
+
 print("per-slide disagreement (union of all models' sets):")
-for key, d in corpus_disagreement(corpus).items():
+for key, d in by_slide.items():
     print(f"  ({key.lecture_id},{key.slide_id}): "
           f"{d.concept_union_size} concepts, {d.triple_union_size} triples")
 
-matrix, _ = pairwise_jaccard(corpus, "concepts")
+matrix, _ = pairwise_jaccard(by_slide, "concepts")
 print("\nmean pairwise concept Jaccard:")
 print("             " + "  ".join(f"{m:>7}" for m in matrix.models))
 for i, name in enumerate(matrix.models):
@@ -76,19 +79,19 @@ for i, name in enumerate(matrix.models):
     print(f"  {name:>10} {row}")
 
 print("\nlecture-level mean disagreement:")
-for agg in lecture_aggregate(corpus).values():
+for agg in lecture_aggregate(by_slide).values():
     print(f"  Lecture {agg.lecture_id}: concepts {agg.mean_concept_disagreement:.2f},"
           f" triples {agg.mean_triple_disagreement:.2f} over {agg.slide_count} slides")
 
 print("\nstability bands from concept-disagreement quartiles:")
-for label in classify_stability(corpus):
+for label in classify_stability(by_slide):
     print(f"  ({label.key.lecture_id},{label.key.slide_id}) d={label.d_concept}: {label.label}")
 
-footprints = model_footprint(corpus)
+footprints = model_footprint(by_slide)
 print("\nmean concepts per model:",
       {m: round(f.mean_concepts, 2) for m, f in footprints.items()})
 
-report = coverage_loss(corpus)  # defaults to the densest model as baseline
+report = coverage_loss(by_slide)  # defaults to the densest model as baseline
 print(f"\ncoverage loss vs single-model baseline {report.baseline_model!r}:")
 print(f"  mean concept loss {report.concept_mean:.2%}, median {report.concept_median:.2%}")
 print("  even the densest model misses what the other extractors contribute.")

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .ledger import CANONICAL_REGISTRATION_GAS, FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
 from .records import CorpusLoadResult, load_corpus
-from .reports import write_csv, write_json, write_table
+from .reports import write_json, write_table
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -171,12 +171,10 @@ def _write_matrix(path: Path, matrix: metrics.JaccardMatrix, fmt: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    result = _load(args)
-    corpus = result.records
+    by_slide = metrics.corpus_disagreement(_load(args).records)
     out = _out_dir(args)
     fmt = args.format
 
-    by_slide = metrics.corpus_disagreement(corpus)
     write_table(
         out / "disagreement",
         ["lecture_id", "slide_id", "d_concept", "d_triple"],
@@ -187,12 +185,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     try:
         for kind in ("concepts", "triples"):
-            matrix, _ = metrics.pairwise_jaccard(corpus, kind)
+            matrix, _ = metrics.pairwise_jaccard(by_slide, kind)
             _write_matrix(out / f"jaccard_{kind}", matrix, fmt)
     except InsufficientModels as exc:
         print(f"note: Jaccard matrices skipped: {exc}", file=sys.stderr)
 
-    aggregates = metrics.lecture_aggregate(corpus)
+    aggregates = metrics.lecture_aggregate(by_slide)
     write_table(
         out / "lecture_aggregates",
         ["lecture_id", "slide_count", "mean_d_concept", "mean_d_triple"],
@@ -202,7 +200,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     try:
-        labels = metrics.classify_stability(corpus)
+        labels = metrics.classify_stability(by_slide)
         write_table(
             out / "stability",
             ["lecture_id", "slide_id", "d_concept", "label"],
@@ -212,7 +210,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except TooFewSlides as exc:
         print(f"note: stability classification skipped: {exc}", file=sys.stderr)
 
-    report = metrics.coverage_loss(corpus, args.baseline_model)
+    report = metrics.coverage_loss(by_slide, args.baseline_model)
     write_table(
         out / "coverage_loss",
         ["lecture_id", "slide_id", "baseline_model", "concept_loss", "triple_loss"],
@@ -222,7 +220,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     print(
-        f"analyzed {len(corpus)} slides, {len(metrics.corpus_models(corpus))} models;"
+        f"analyzed {len(by_slide)} slides, {len(metrics.corpus_models(by_slide))} models;"
         f" coverage baseline {report.baseline_model}"
         f" (mean concept loss {report.concept_mean:.3f})"
     )
@@ -364,7 +362,7 @@ def _add_common(parser: argparse.ArgumentParser, *, corpus: bool = True, ledger:
                         help="output directory for report files (default reports/)")
     parser.add_argument("--format", choices=["csv", "json"], default=_env("format", "csv"),
                         help="tabular report format (default csv)")
-    parser.add_argument("--seed", type=int, default=int(_env("seed", "0")),
+    parser.add_argument("--seed", type=int, default=_env("seed", "0"),
                         help="seed for all randomized protocols (default 0)")
 
 
@@ -375,10 +373,10 @@ def _add_fee_flags(parser: argparse.ArgumentParser) -> None:
                         help="initial base fee in gwei (default 0.77)")
     parser.add_argument("--tip-gwei", default=_env("tip_gwei", "1.0"),
                         help="priority tip in gwei (default 1.0)")
-    parser.add_argument("--block-interval", type=int, default=int(_env("block_interval", "1")),
+    parser.add_argument("--block-interval", type=int, default=_env("block_interval", "1"),
                         help="modeled seconds per block (default 1)")
     parser.add_argument("--gas-exec-base", type=int,
-                        default=int(_env("gas_exec_base", str(GasConfig().exec_base))),
+                        default=_env("gas_exec_base", str(GasConfig().exec_base)),
                         help="execution-gas calibration constant")
 
 

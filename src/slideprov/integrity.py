@@ -3,33 +3,37 @@
 Tampering operates on in-memory copies only; persisting a tampered
 record back to disk is an explicit, separate step used by destructive
 demos.  All randomized choices flow from a caller-supplied seed so every
-experiment replays exactly.
+experiment replays exactly.  Each tamper kind is one table row.  Time
+gaps from file mtimes list the corpus files without loading them.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .commitment import Commitment, commit_record
-from .errors import DisjointCorpora, ProvenanceWarning, UnregisteredCorpus
+from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
 from .ledger import Ledger
 from .metrics import jaccard
 from .records import (
     Concept,
     Corpus,
+    ModelExtraction,
     ProvenanceRecord,
     SlideKey,
     Triple,
     canonical_bytes,
     load_corpus,
+    load_json_entries,
     record_path,
+    scan_slide_files,
 )
 
 MATCH = "Match"
@@ -82,25 +86,70 @@ class TamperOp:
     payload: str  # replacement or injected text ("" for deletions)
 
 
+def _fresh(rng: random.Random, taken: frozenset, make: Callable[[int], tuple]) -> tuple:
+    """First ``make(n)`` outside ``taken``, drawing n = rng.randrange(10**6)."""
+    while (identity := make(rng.randrange(10**6))) in taken:
+        pass
+    return identity
+
+
+def _set_at(items: tuple, index: int, value: object) -> tuple:
+    return items[:index] + (value,) + items[index + 1:]
+
+
+def _modify_concept_term(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
+    idx = rng.randrange(len(ext.concepts))
+    old = ext.concepts[idx]
+    _, term = _fresh(rng, ext.concept_identities(),
+                     lambda n: (old.category, f"{old.term} tampered {n}"))
+    concepts = _set_at(ext.concepts, idx, Concept(old.category, term, old.evidence))
+    return {"concepts": concepts}, f"concepts/{idx}/term", term
+
+
+def _alter_triple(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
+    idx = rng.randrange(len(ext.triples))
+    old = ext.triples[idx]
+    _, _, o = _fresh(rng, ext.triple_identities(), lambda n: (old.s, old.p, f"{old.o} tampered {n}"))
+    triples = _set_at(ext.triples, idx, Triple(old.s, old.p, o, old.confidence))
+    return {"triples": triples}, f"triples/{idx}/o", o
+
+
+def _delete_triple(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
+    idx = rng.randrange(len(ext.triples))
+    return {"triples": ext.triples[:idx] + ext.triples[idx + 1:]}, f"triples/{idx}", ""
+
+
+def _inject_spurious_element(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
+    if rng.random() < 0.5:
+        _, term = _fresh(rng, ext.concept_identities(), lambda n: ("tampered", f"spurious {n}"))
+        return {"concepts": ext.concepts + (Concept("tampered", term),)}, "concepts/+", term
+    triple = Triple(*_fresh(rng, ext.triple_identities(),
+                            lambda n: (f"spurious {n}", "relates to", "tampered target")))
+    return {"triples": ext.triples + (triple,)}, "triples/+", triple.s
+
+
+def _edit_evidence(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
+    idx = rng.randrange(len(ext.evidence))
+    edited = f"{ext.evidence[idx]} [tampered {rng.randrange(10**6)}]"
+    return {"evidence": _set_at(ext.evidence, idx, edited)}, f"evidence/{idx}", edited
+
+
+# kind -> (extraction field a model needs non-empty, or None for any model;
+#          edit(ext, rng) -> (field changes, target below models/<name>/, payload))
+_TAMPERS = {
+    TamperKind.MODIFY_CONCEPT_TERM: ("concepts", _modify_concept_term),
+    TamperKind.ALTER_TRIPLE: ("triples", _alter_triple),
+    TamperKind.DELETE_TRIPLE: ("triples", _delete_triple),
+    TamperKind.INJECT_SPURIOUS_ELEMENT: (None, _inject_spurious_element),
+    TamperKind.EDIT_EVIDENCE: ("evidence", _edit_evidence),
+}
+
+
 def applicable_kinds(record: ProvenanceRecord) -> list[TamperKind]:
     """Tamper kinds that have material to act on in this record."""
-    kinds = [TamperKind.INJECT_SPURIOUS_ELEMENT]
-    if any(ext.concepts for ext in record.models.values()):
-        kinds.append(TamperKind.MODIFY_CONCEPT_TERM)
-    if any(ext.triples for ext in record.models.values()):
-        kinds.append(TamperKind.ALTER_TRIPLE)
-        kinds.append(TamperKind.DELETE_TRIPLE)
-    if any(ext.evidence for ext in record.models.values()):
-        kinds.append(TamperKind.EDIT_EVIDENCE)
+    kinds = [kind for kind, (field, _) in _TAMPERS.items()
+             if field is None or any(getattr(ext, field) for ext in record.models.values())]
     return sorted(kinds, key=lambda k: k.value)
-
-
-def _models_with(record: ProvenanceRecord, attr: str) -> list[str]:
-    return sorted(name for name, ext in record.models.items() if getattr(ext, attr))
-
-
-def _fresh_suffix(rng: random.Random) -> str:
-    return f"tampered {rng.randrange(10**6)}"
 
 
 def tamper_record(
@@ -113,91 +162,16 @@ def tamper_record(
     """
     if kind not in applicable_kinds(record):
         raise ValueError(f"{kind.value} not applicable to record {record.key}")
-    tampered = copy.deepcopy(record)
-
-    if kind is TamperKind.MODIFY_CONCEPT_TERM:
-        name = rng.choice(_models_with(tampered, "concepts"))
-        ext = tampered.models[name]
-        idx = rng.randrange(len(ext.concepts))
-        old = ext.concepts[idx]
-        identities = ext.concept_identities()
-        while True:
-            new_term = f"{old.term} {_fresh_suffix(rng)}"
-            if (old.category, new_term) not in identities:
-                break
-        concepts = list(ext.concepts)
-        concepts[idx] = Concept(old.category, new_term, old.evidence)
-        tampered.models[name] = _replace_ext(ext, concepts=tuple(concepts))
-        op = TamperOp(kind, f"models/{name}/concepts/{idx}/term", new_term)
-
-    elif kind is TamperKind.ALTER_TRIPLE:
-        name = rng.choice(_models_with(tampered, "triples"))
-        ext = tampered.models[name]
-        idx = rng.randrange(len(ext.triples))
-        old = ext.triples[idx]
-        identities = ext.triple_identities()
-        while True:
-            new_o = f"{old.o} {_fresh_suffix(rng)}"
-            if (old.s, old.p, new_o) not in identities:
-                break
-        triples = list(ext.triples)
-        triples[idx] = Triple(old.s, old.p, new_o, old.confidence)
-        tampered.models[name] = _replace_ext(ext, triples=tuple(triples))
-        op = TamperOp(kind, f"models/{name}/triples/{idx}/o", new_o)
-
-    elif kind is TamperKind.DELETE_TRIPLE:
-        name = rng.choice(_models_with(tampered, "triples"))
-        ext = tampered.models[name]
-        idx = rng.randrange(len(ext.triples))
-        triples = list(ext.triples)
-        del triples[idx]
-        tampered.models[name] = _replace_ext(ext, triples=tuple(triples))
-        op = TamperOp(kind, f"models/{name}/triples/{idx}", "")
-
-    elif kind is TamperKind.INJECT_SPURIOUS_ELEMENT:
-        name = rng.choice(sorted(tampered.models))
-        ext = tampered.models[name]
-        if rng.random() < 0.5:
-            identities = ext.concept_identities()
-            while True:
-                term = f"spurious {rng.randrange(10**6)}"
-                if ("tampered", term) not in identities:
-                    break
-            injected = Concept("tampered", term)
-            tampered.models[name] = _replace_ext(ext, concepts=ext.concepts + (injected,))
-            op = TamperOp(kind, f"models/{name}/concepts/+", term)
-        else:
-            identities = ext.triple_identities()
-            while True:
-                subject = f"spurious {rng.randrange(10**6)}"
-                if (subject, "relates to", "tampered target") not in identities:
-                    break
-            injected_t = Triple(subject, "relates to", "tampered target")
-            tampered.models[name] = _replace_ext(ext, triples=ext.triples + (injected_t,))
-            op = TamperOp(kind, f"models/{name}/triples/+", subject)
-
-    elif kind is TamperKind.EDIT_EVIDENCE:
-        name = rng.choice(_models_with(tampered, "evidence"))
-        ext = tampered.models[name]
-        idx = rng.randrange(len(ext.evidence))
-        edited = ext.evidence[idx] + f" [{_fresh_suffix(rng)}]"
-        evidence = list(ext.evidence)
-        evidence[idx] = edited
-        tampered.models[name] = _replace_ext(ext, evidence=tuple(evidence))
-        op = TamperOp(kind, f"models/{name}/evidence/{idx}", edited)
-
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown tamper kind {kind}")
-
+    field, edit = _TAMPERS[kind]
+    name = rng.choice(sorted(model for model, ext in record.models.items()
+                             if field is None or getattr(ext, field)))
+    ext = record.models[name]
+    changes, target, payload = edit(ext, rng)
+    tampered = replace(record, models={**record.models, name: replace(ext, **changes)})
+    op = TamperOp(kind, f"models/{name}/{target}", payload)
     if canonical_bytes(tampered) == canonical_bytes(record):
         raise AssertionError(f"tamper op {op} produced identical canonical bytes")
     return tampered, op
-
-
-def _replace_ext(ext, **changes):
-    from dataclasses import replace
-
-    return replace(ext, **changes)
 
 
 @dataclass(frozen=True)
@@ -289,6 +263,8 @@ def time_gaps(
     ordering anomalies.  Every slide in ``local_times`` must be
     registered.
     """
+    if not local_times:
+        raise ValueError("time gaps need at least one slide")
     missing = [key for key in sorted(local_times) if not ledger.is_registered(key)]
     if missing:
         raise UnregisteredCorpus(f"{len(missing)} slides unregistered, first: {missing[0]}")
@@ -310,30 +286,26 @@ def time_gaps(
 
 
 def local_mtimes(root: Path | str) -> dict[SlideKey, float]:
-    """Filesystem mtimes of each slide file under the corpus layout."""
-    result = load_corpus(root)
-    return {
-        key: record_path(root, key).stat().st_mtime for key in sorted(result.records)
-    }
+    """Filesystem mtimes of every slide file in the corpus layout.
+
+    Files are listed, not loaded: a file that no longer parses is still
+    listed.  Raises EmptyCorpus when the layout holds no slide file.
+    """
+    files = scan_slide_files(root)
+    if not files:
+        raise EmptyCorpus(f"no slide files found under {root}")
+    return {key: path.stat().st_mtime for key, path in files}
 
 
 def load_time_manifest(path: Path | str) -> dict[SlideKey, float]:
     """Read local creation times from a JSON manifest.
 
-    Format: a list of objects with lecture_id, slide_id, and t_local
-    (seconds).  Manifests make time-gap experiments reproducible where
-    mtimes are not portable.
+    Format: a non-empty list of objects with lecture_id, slide_id, and
+    t_local (seconds).  Manifests make time-gap experiments reproducible
+    where mtimes are not portable.  A malformed manifest raises ValueError.
     """
-    import json
-
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(entries, list):
-        raise ValueError("time manifest must be a JSON list")
-    result: dict[SlideKey, float] = {}
-    for entry in entries:
-        key = SlideKey(int(entry["lecture_id"]), int(entry["slide_id"]))
-        result[key] = float(entry["t_local"])
-    return result
+    return dict(load_json_entries(path, "time manifest", lambda e: (
+        SlideKey(int(e["lecture_id"]), int(e["slide_id"])), float(e["t_local"]))))
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,9 @@ All metrics operate on exact post-normalization identities: concepts as
 (category, term) pairs and triples as (s, p, o).  Nothing here scores
 correctness; the numbers describe how much the models' outputs overlap
 and diverge.
+
+One pass builds every input: corpus_disagreement reads each model's
+identity sets once per slide, and every other metric takes its output.
 """
 
 from __future__ import annotations
@@ -36,44 +39,49 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
-def _model_set(record: ProvenanceRecord, model: str, kind: SetKind) -> frozenset:
-    ext = record.models.get(model)
-    if ext is None:
-        return frozenset()  # missing model contributes an empty set
-    return ext.concept_identities() if kind == "concepts" else ext.triple_identities()
-
-
-def corpus_models(corpus: Corpus) -> list[str]:
-    """All model names appearing anywhere in the corpus, sorted."""
-    names: set[str] = set()
-    for record in corpus.values():
-        names.update(record.models)
-    return sorted(names)
-
-
 # --------------------------------------------------------------------------
-# disagreement
+# the per-slide pass
 
 
 @dataclass(frozen=True)
 class SlideDisagreement:
+    """One slide's identity sets: each model's, and their union per kind."""
+
     key: SlideKey
-    concept_union_size: int
-    triple_union_size: int
+    concepts: dict[str, frozenset]  # model name -> concept identities
+    triples: dict[str, frozenset]   # model name -> triple identities
+    concept_union: frozenset
+    triple_union: frozenset
+
+    @property
+    def concept_union_size(self) -> int:
+        return len(self.concept_union)
+
+    @property
+    def triple_union_size(self) -> int:
+        return len(self.triple_union)
+
+
+BySlide = dict[SlideKey, SlideDisagreement]
 
 
 def disagreement(record: ProvenanceRecord) -> SlideDisagreement:
-    """Size of the union of all models' sets: total semantic breadth."""
-    concepts: set = set()
-    triples: set = set()
-    for ext in record.models.values():
-        concepts |= ext.concept_identities()
-        triples |= ext.triple_identities()
-    return SlideDisagreement(record.key, len(concepts), len(triples))
+    """Each model's identity sets and their unions; union size is total semantic breadth."""
+    concepts = {name: ext.concept_identities() for name, ext in record.models.items()}
+    triples = {name: ext.triple_identities() for name, ext in record.models.items()}
+    return SlideDisagreement(record.key, concepts, triples,
+                             frozenset().union(*concepts.values()),
+                             frozenset().union(*triples.values()))
 
 
-def corpus_disagreement(corpus: Corpus) -> dict[SlideKey, SlideDisagreement]:
+def corpus_disagreement(corpus: Corpus) -> BySlide:
+    """The one pass over the corpus: per-slide summaries in key order."""
     return {key: disagreement(corpus[key]) for key in sorted(corpus)}
+
+
+def corpus_models(by_slide: BySlide) -> list[str]:
+    """All model names appearing on any slide, sorted."""
+    return sorted({name for d in by_slide.values() for name in d.concepts})
 
 
 # --------------------------------------------------------------------------
@@ -91,7 +99,7 @@ class JaccardMatrix:
 
 
 def pairwise_jaccard(
-    corpus: Corpus, kind: SetKind
+    by_slide: BySlide, kind: SetKind
 ) -> tuple[JaccardMatrix, dict[tuple[str, str], dict[SlideKey, float]]]:
     """Per-slide Jaccard for every unordered model pair plus per-pair means.
 
@@ -99,11 +107,11 @@ def pairwise_jaccard(
     contributes an empty set.  Raises InsufficientModels when fewer than
     two models appear corpus-wide.
     """
-    models = corpus_models(corpus)
+    models = corpus_models(by_slide)
     if len(models) < 2:
         raise InsufficientModels(f"pairwise similarity needs >= 2 models, found {len(models)}")
 
-    keys = sorted(corpus)
+    sets = {key: d.concepts if kind == "concepts" else d.triples for key, d in by_slide.items()}
     per_slide: dict[tuple[str, str], dict[SlideKey, float]] = {}
     n = len(models)
     values = np.eye(n)
@@ -111,12 +119,11 @@ def pairwise_jaccard(
         for j in range(i + 1, n):
             pair = (models[i], models[j])
             slide_values = {
-                key: jaccard(_model_set(corpus[key], models[i], kind),
-                             _model_set(corpus[key], models[j], kind))
-                for key in keys
+                key: jaccard(model_sets.get(pair[0], frozenset()), model_sets.get(pair[1], frozenset()))
+                for key, model_sets in sets.items()
             }
             per_slide[pair] = slide_values
-            mean = sum(slide_values.values()) / len(keys)
+            mean = sum(slide_values.values()) / len(by_slide)
             values[i, j] = values[j, i] = mean
     return JaccardMatrix(models=models, values=values, kind=kind), per_slide
 
@@ -133,11 +140,11 @@ class LectureAggregate:
     mean_triple_disagreement: float
 
 
-def lecture_aggregate(corpus: Corpus) -> dict[int, LectureAggregate]:
+def lecture_aggregate(by_slide: BySlide) -> dict[int, LectureAggregate]:
     """Arithmetic mean of per-slide disagreement within each lecture."""
     by_lecture: dict[int, list[SlideDisagreement]] = {}
-    for key in sorted(corpus):
-        by_lecture.setdefault(key.lecture_id, []).append(disagreement(corpus[key]))
+    for key, d in by_slide.items():
+        by_lecture.setdefault(key.lecture_id, []).append(d)
     return {
         lecture_id: LectureAggregate(
             lecture_id=lecture_id,
@@ -166,19 +173,18 @@ def stability_bands(values: list[int]) -> tuple[float, float]:
     return float(q1), float(q3)
 
 
-def classify_stability(corpus: Corpus) -> list[StabilityLabel]:
+def classify_stability(by_slide: BySlide) -> list[StabilityLabel]:
     """Three-band labels from quartiles of concept disagreement.
 
     d <= Q1 is Stable, d > Q3 is Unstable, anything between is Moderate;
     every slide receives exactly one label.
     """
-    if len(corpus) < 4:
-        raise TooFewSlides(f"stability classification needs >= 4 slides, got {len(corpus)}")
-    keys = sorted(corpus)
-    d_values = [disagreement(corpus[key]).concept_union_size for key in keys]
+    if len(by_slide) < 4:
+        raise TooFewSlides(f"stability classification needs >= 4 slides, got {len(by_slide)}")
+    d_values = [d.concept_union_size for d in by_slide.values()]
     q1, q3 = stability_bands(d_values)
     labels = []
-    for key, d in zip(keys, d_values):
+    for key, d in zip(by_slide, d_values):
         if d <= q1:
             label = STABLE
         elif d > q3:
@@ -200,47 +206,34 @@ class ModelFootprint:
     mean_triples: float
 
 
-def model_footprint(corpus: Corpus) -> dict[str, ModelFootprint]:
+def model_footprint(by_slide: BySlide) -> dict[str, ModelFootprint]:
     """Per-model mean concept/triple counts over all slides.
 
     A model missing from a slide counts as zero on that slide; one
     warning is emitted per model with missing slides.
     """
-    models = corpus_models(corpus)
-    keys = sorted(corpus)
     result: dict[str, ModelFootprint] = {}
-    for model in models:
-        concept_counts = []
-        triple_counts = []
-        missing = 0
-        for key in keys:
-            ext = corpus[key].models.get(model)
-            if ext is None:
-                missing += 1
-                concept_counts.append(0)
-                triple_counts.append(0)
-            else:
-                concept_counts.append(len(ext.concepts))
-                triple_counts.append(len(ext.triples))
+    for model in corpus_models(by_slide):
+        missing = sum(1 for d in by_slide.values() if model not in d.concepts)
         if missing:
             warnings.warn(
-                f"model {model!r} missing from {missing} of {len(keys)} slides; counted as 0",
+                f"model {model!r} missing from {missing} of {len(by_slide)} slides; counted as 0",
                 ProvenanceWarning,
                 stacklevel=2,
             )
         result[model] = ModelFootprint(
             model=model,
-            mean_concepts=sum(concept_counts) / len(keys),
-            mean_triples=sum(triple_counts) / len(keys),
+            mean_concepts=sum(len(d.concepts.get(model, ())) for d in by_slide.values()) / len(by_slide),
+            mean_triples=sum(len(d.triples.get(model, ())) for d in by_slide.values()) / len(by_slide),
         )
     return result
 
 
-def densest_model(corpus: Corpus) -> str:
+def densest_model(by_slide: BySlide) -> str:
     """Model with the highest mean concept count (ties break lexicographically)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ProvenanceWarning)
-        footprints = model_footprint(corpus)
+        footprints = model_footprint(by_slide)
     return max(sorted(footprints), key=lambda m: footprints[m].mean_concepts)
 
 
@@ -266,30 +259,25 @@ class CoverageReport:
     triple_median: float
 
 
-def coverage_loss(corpus: Corpus, baseline_model: str | None = None) -> CoverageReport:
+def coverage_loss(by_slide: BySlide, baseline_model: str | None = None) -> CoverageReport:
     """Fraction of the multi-model union missed by a single baseline model.
 
     loss = |U \\ S_baseline| / |U| per slide, defined 0 when U is empty.
     The default baseline is the densest model by mean concept count.
     """
     if baseline_model is None:
-        baseline_model = densest_model(corpus)
-    elif baseline_model not in corpus_models(corpus):
+        baseline_model = densest_model(by_slide)
+    elif baseline_model not in corpus_models(by_slide):
         raise UnknownBaselineModel(f"baseline model {baseline_model!r} not present in corpus")
 
-    losses: list[CoverageLoss] = []
-    for key in sorted(corpus):
-        record = corpus[key]
-        concept_union: set = set()
-        triple_union: set = set()
-        for ext in record.models.values():
-            concept_union |= ext.concept_identities()
-            triple_union |= ext.triple_identities()
-        base_concepts = _model_set(record, baseline_model, "concepts")
-        base_triples = _model_set(record, baseline_model, "triples")
-        c_loss = len(concept_union - base_concepts) / len(concept_union) if concept_union else 0.0
-        t_loss = len(triple_union - base_triples) / len(triple_union) if triple_union else 0.0
-        losses.append(CoverageLoss(key, c_loss, t_loss, baseline_model))
+    def loss(union: frozenset, model_sets: dict[str, frozenset]) -> float:
+        return len(union - model_sets.get(baseline_model, frozenset())) / len(union) if union else 0.0
+
+    losses = [
+        CoverageLoss(key, loss(d.concept_union, d.concepts), loss(d.triple_union, d.triples),
+                     baseline_model)
+        for key, d in by_slide.items()
+    ]
 
     c_vals = [l.concept_loss for l in losses]
     t_vals = [l.triple_loss for l in losses]

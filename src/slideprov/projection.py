@@ -7,20 +7,25 @@ tables are bit-stable across platforms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .ledger import CANONICAL_REGISTRATION_GAS
+from .records import load_json_entries
 
 ETH_PER_GWEI = Decimal("1e-9")
 
 
-def _as_decimal(value: object) -> Decimal:
-    if isinstance(value, Decimal):
-        return value
-    return Decimal(str(value))
+def _as_decimal(value: object, name: str = "value") -> Decimal:
+    """Exact decimal of a finite number; anything else raises ValueError."""
+    try:
+        number = value if isinstance(value, Decimal) else Decimal(str(value))
+    except InvalidOperation:
+        raise ValueError(f"{name} is not a number: {value!r}") from None
+    if not number.is_finite():
+        raise ValueError(f"{name} is not a finite number: {value!r}")
+    return number
 
 
 def _plain(value: Decimal) -> Decimal:
@@ -40,7 +45,7 @@ class NetworkProfile:
     gas_price_gwei: Decimal
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gas_price_gwei", _as_decimal(self.gas_price_gwei))
+        object.__setattr__(self, "gas_price_gwei", _as_decimal(self.gas_price_gwei, "gas_price_gwei"))
         if self.gas_price_gwei <= 0:
             raise ValueError("gas price must be positive")
 
@@ -56,10 +61,9 @@ def preset_profiles() -> list[NetworkProfile]:
 
 def load_profiles(path: Path | str) -> list[NetworkProfile]:
     """Read custom profiles from a JSON list of {name, gas_price_gwei}."""
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("profile config must be a non-empty JSON list")
-    return [NetworkProfile(str(e["name"]), _as_decimal(e["gas_price_gwei"])) for e in entries]
+    return load_json_entries(
+        path, "profile config", lambda e: NetworkProfile(str(e["name"]), e["gas_price_gwei"])
+    )
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ def project(
         raise ValueError("n must be >= 1")
     if mean_gas < 1:
         raise ValueError("mean_gas must be >= 1")
-    rate = _as_decimal(eth_usd)
-    speed = _as_decimal(throughput)
+    rate = _as_decimal(eth_usd, "eth_usd")
+    speed = _as_decimal(throughput, "throughput")
     if rate <= 0 or speed <= 0:
         raise ValueError("eth_usd and throughput must be positive")
     profiles = profiles if profiles is not None else preset_profiles()

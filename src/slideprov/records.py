@@ -14,6 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import EmptyCorpus, MalformedDocument, MissingKey, ProvenanceWarning
 
@@ -192,11 +193,36 @@ def canonical_bytes(record: ProvenanceRecord) -> bytes:
     return _dumps(to_document(record)).encode("utf-8")
 
 
+def _layout_base(root: Path | str) -> Path:
+    """``root/by_slide`` when that directory exists, else ``root`` itself."""
+    root = Path(root)
+    return root / "by_slide" if (root / "by_slide").is_dir() else root
+
+
 def record_path(root: Path | str, key: SlideKey) -> Path:
     """On-disk location of a slide record under the corpus layout."""
-    root = Path(root)
-    base = root / "by_slide" if (root / "by_slide").is_dir() else root
-    return base / f"Lecture {key.lecture_id}" / f"Slide{key.slide_id}.json"
+    return _layout_base(root) / f"Lecture {key.lecture_id}" / f"Slide{key.slide_id}.json"
+
+
+def scan_slide_files(root: Path | str) -> list[tuple[SlideKey, Path]]:
+    """Every ``Lecture <n>/Slide<m>.json`` file under the corpus layout, by key.
+
+    Only names are read: no file is opened or parsed.
+    """
+    base = _layout_base(root)
+    slide_files: list[tuple[SlideKey, Path]] = []
+    if base.is_dir():
+        for lecture_dir in base.iterdir():
+            match = _LECTURE_DIR.match(lecture_dir.name)
+            if not match or not lecture_dir.is_dir():
+                continue
+            lecture_id = int(match.group(1))
+            for slide_file in lecture_dir.iterdir():
+                s_match = _SLIDE_FILE.match(slide_file.name)
+                if s_match:
+                    slide_files.append((SlideKey(lecture_id, int(s_match.group(1))), slide_file))
+    slide_files.sort(key=lambda item: item[0])
+    return slide_files
 
 
 # --------------------------------------------------------------------------
@@ -382,25 +408,9 @@ def load_corpus(root: Path | str) -> CorpusLoadResult:
     result instead of aborting the batch.  Raises EmptyCorpus when no
     record loads at all.
     """
-    root = Path(root)
-    base = root / "by_slide" if (root / "by_slide").is_dir() else root
-
-    slide_files: list[tuple[SlideKey, Path]] = []
-    if base.is_dir():
-        for lecture_dir in base.iterdir():
-            match = _LECTURE_DIR.match(lecture_dir.name)
-            if not match or not lecture_dir.is_dir():
-                continue
-            lecture_id = int(match.group(1))
-            for slide_file in lecture_dir.iterdir():
-                s_match = _SLIDE_FILE.match(slide_file.name)
-                if s_match:
-                    slide_files.append((SlideKey(lecture_id, int(s_match.group(1))), slide_file))
-    slide_files.sort(key=lambda item: item[0])
-
     records: Corpus = {}
     failures: list[LoadFailure] = []
-    for key, path in slide_files:
+    for key, path in scan_slide_files(root):
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -416,6 +426,30 @@ def load_corpus(root: Path | str) -> CorpusLoadResult:
         detail = f" ({len(failures)} files failed to parse)" if failures else ""
         raise EmptyCorpus(f"no provenance records loaded from {root}{detail}")
     return CorpusLoadResult(records=records, failures=failures)
+
+
+def load_json_entries(path: Path | str, what: str, parse: Callable[[dict], object]) -> list:
+    """Parse each object of a non-empty JSON list file with ``parse``.
+
+    A malformed file or entry raises ValueError naming the file and the
+    entry's index, so a bad config file is a usage error.
+    """
+    try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{path}: {what} must be a non-empty JSON list")
+    parsed = []
+    for index, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, dict):
+                raise TypeError(f"expected an object, got {type(entry).__name__}")
+            parsed.append(parse(entry))
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}: {what} entry {index}: {detail}") from None
+    return parsed
 
 
 def write_record(record: ProvenanceRecord, root: Path | str) -> Path:

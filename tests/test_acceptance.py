@@ -256,13 +256,13 @@ def test_criterion_08_metric_oracles():
             ok &= (d.concept_union_size, d.triple_union_size) == expected
 
         for kind in ("concepts", "triples"):
-            matrix, per_slide = pairwise_jaccard(corpus, kind)
+            matrix, per_slide = pairwise_jaccard(corpus_disagreement(corpus), kind)
             for pair, (mean, values) in oracle_pair_means(corpus, kind).items():
                 ok &= _rel_ok(matrix.pair_mean(*pair), mean)
                 for key, value in values.items():
                     ok &= _rel_ok(per_slide[pair][key], value)
 
-        for lecture_id, agg in lecture_aggregate(corpus).items():
+        for lecture_id, agg in lecture_aggregate(corpus_disagreement(corpus)).items():
             exp_c, exp_t = oracle_lecture_means(corpus)[lecture_id]
             ok &= _rel_ok(agg.mean_concept_disagreement, exp_c)
             ok &= _rel_ok(agg.mean_triple_disagreement, exp_t)
@@ -271,11 +271,11 @@ def test_criterion_08_metric_oracles():
         d_values = [oracle_disagreement(corpus[k])[0] for k in sorted(corpus)]
         q1, q3 = stability_bands(d_values)
         ok &= _rel_ok(q1, exp_q1) and _rel_ok(q3, exp_q3)
-        for label in classify_stability(corpus):
+        for label in classify_stability(corpus_disagreement(corpus)):
             ok &= label.label == expected_labels[label.key]
 
         baseline = rng.choice(sorted({m for r in corpus.values() for m in r.models}))
-        report = coverage_loss(corpus, baseline)
+        report = coverage_loss(corpus_disagreement(corpus), baseline)
         expected_losses = oracle_coverage(corpus, baseline)
         for loss in report.losses:
             exp_c, exp_t = expected_losses[loss.key]

@@ -1,0 +1,177 @@
+"""Malformed config input is a usage error at the command line.
+
+``main()`` is driven with generated malformed time manifests, profiles
+files, ``--eth-usd`` values and non-integer ``SLIDEPROV_*`` integers.
+Each run must exit 2 without a traceback; a bad file must be named in
+a single ``error:`` line together with the offending entry.
+"""
+
+import contextlib
+import io
+import json
+import os
+from decimal import Decimal
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from conftest import write_corpus
+from slideprov.cli import main
+
+SLIDES = [(lecture, slide) for lecture in (1, 2) for slide in (1, 2, 3)]
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def run_main(argv, env=None):
+    """(exit code, stderr) of one in-process run; argparse exits count too."""
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_config_error(code, err, path=None):
+    lines = err.splitlines()
+    assert code == 2, lines
+    assert "Traceback" not in err
+    if path is not None:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert str(path) in lines[0], lines
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("config-errors")
+    corpus = write_corpus(tmp / "corpus", n_lectures=2, slides_per_lecture=3)
+    ledger = tmp / "ledger.json"
+    code, err = run_main(["register", "--corpus", str(corpus), "--ledger", str(ledger),
+                          "--out", str(tmp / "reports")])
+    assert code == 0, err
+    return {"tmp": tmp, "corpus": corpus, "ledger": ledger}
+
+
+def _parses(convert, text):
+    try:
+        convert(text)
+    except (ValueError, ArithmeticError):
+        return False
+    return True
+
+
+def _positive_decimal(text):
+    number = Decimal(text)
+    if not number.is_finite() or number <= 0:
+        raise ValueError(text)
+
+
+not_an_object = st.one_of(st.none(), st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=2))
+not_an_int = st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                       st.text(max_size=6).filter(lambda s: not _parses(int, s)))
+not_a_float = st.one_of(st.none(), st.lists(st.integers(), max_size=2),
+                        st.text(max_size=6).filter(lambda s: not _parses(float, s)))
+not_a_price = st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.integers(max_value=0),
+                        st.sampled_from(["NaN", "Infinity", "-1.5", "0"]),
+                        st.text(max_size=6).filter(lambda s: not _parses(_positive_decimal, s)))
+
+
+@st.composite
+def malformed_entries(draw, valid, bad_values):
+    """A JSON text: a valid list of entries with one entry broken, or a broken list.
+
+    Any field of an entry may be dropped; ``bad_values`` maps the fields
+    that can also hold a wrong value to a strategy for one.
+    """
+    entries = [dict(entry) for entry in valid]
+    kind = draw(st.sampled_from(["drop-field", "bad-value", "not-object", "empty", "not-list", "not-json"]))
+    i = draw(st.integers(0, len(entries) - 1))
+    if kind == "drop-field":
+        del entries[i][draw(st.sampled_from(sorted(entries[i])))]
+    elif kind == "bad-value":
+        name = draw(st.sampled_from(sorted(bad_values)))
+        entries[i][name] = draw(bad_values[name])
+    elif kind == "not-object":
+        entries[i] = draw(not_an_object)
+    elif kind == "empty":
+        entries = []
+    elif kind == "not-list":
+        entries = draw(st.one_of(st.none(), st.integers(), st.text(max_size=5), st.just({"a": 1})))
+    else:
+        return draw(st.sampled_from(["", "[", "{\"a\":", "[1,]", "\x00"]))
+    return json.dumps(entries)
+
+
+VALID_MANIFEST = [{"lecture_id": l, "slide_id": s, "t_local": 0} for l, s in SLIDES]
+MANIFEST_BAD_VALUES = {"lecture_id": not_an_int, "slide_id": not_an_int, "t_local": not_a_float}
+VALID_PROFILES = [{"name": "l1", "gas_price_gwei": 30}, {"name": "l2", "gas_price_gwei": "0.5"}]
+PROFILE_BAD_VALUES = {"gas_price_gwei": not_a_price}
+
+
+@FUZZ
+@given(text=malformed_entries(VALID_MANIFEST, MANIFEST_BAD_VALUES))
+def test_malformed_time_manifest_exit_2(workspace, text):
+    path = workspace["tmp"] / "times.json"
+    path.write_text(text, encoding="utf-8")
+    code, err = run_main(["time-gaps", "--corpus", str(workspace["corpus"]),
+                          "--ledger", str(workspace["ledger"]), "--manifest", str(path),
+                          "--out", str(workspace["tmp"] / "out")])
+    assert_config_error(code, err, path)
+
+
+@FUZZ
+@given(text=malformed_entries(VALID_PROFILES, PROFILE_BAD_VALUES))
+def test_malformed_profiles_exit_2(workspace, text):
+    path = workspace["tmp"] / "profiles.json"
+    path.write_text(text, encoding="utf-8")
+    code, err = run_main(["project", "--profiles", str(path), "--out", str(workspace["tmp"] / "out")])
+    assert_config_error(code, err, path)
+
+
+@FUZZ
+@given(rate=st.text(min_size=1, max_size=8).filter(lambda s: not _parses(_positive_decimal, s)))
+def test_bad_eth_usd_exit_2(workspace, rate):
+    code, err = run_main(["project", f"--eth-usd={rate}", "--out", str(workspace["tmp"] / "out")])
+    assert_config_error(code, err)
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+@FUZZ
+@given(name=st.sampled_from(["SEED", "BLOCK_INTERVAL", "GAS_EXEC_BASE"]),
+       value=st.text(max_size=6).filter(lambda s: "\x00" not in s and not _parses(int, s)))
+def test_non_integer_env_exit_2(workspace, name, value):
+    code, err = run_main(["register", "--corpus", str(workspace["corpus"]),
+                          "--ledger", str(workspace["tmp"] / "unused.json"),
+                          "--out", str(workspace["tmp"] / "out")],
+                         env={f"SLIDEPROV_{name}": value})
+    assert_config_error(code, err)
+    assert f"--{name.lower().replace('_', '-')}" in err
+    assert not (workspace["tmp"] / "unused.json").exists()
+
+
+@pytest.mark.parametrize("entry, detail", [
+    ({"lecture_id": 1, "t_local": 0}, "missing 'slide_id'"),
+    (1, "entry 0"),
+])
+def test_manifest_messages_name_the_entry(tmp_path, workspace, entry, detail):
+    path = tmp_path / "times.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    code, err = run_main(["time-gaps", "--corpus", str(workspace["corpus"]),
+                          "--ledger", str(workspace["ledger"]), "--manifest", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert_config_error(code, err, path)
+    assert detail in err
+
+
+def test_empty_manifest_message(tmp_path, workspace):
+    path = tmp_path / "times.json"
+    path.write_text("[]", encoding="utf-8")
+    code, err = run_main(["time-gaps", "--corpus", str(workspace["corpus"]),
+                          "--ledger", str(workspace["ledger"]), "--manifest", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert_config_error(code, err, path)
+    assert "zero-size" not in err

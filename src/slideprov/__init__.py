@@ -6,7 +6,7 @@ disagreement analytics, tamper and reproducibility audits, and
 multi-network cost projection.
 """
 
-from .commitment import Commitment, StorageKey, commit, commit_record, parse_commitment, storage_key
+from .commitment import Commitment, StorageKey, commit, commit_record, commit_records, parse_commitment, storage_key
 from .errors import (
     AlreadyRegistered,
     CorruptLedgerFile,
@@ -44,9 +44,10 @@ from .integrity import (
     tamper_record,
     time_gaps,
     verify_corpus,
+    verify_records,
     verify_slide,
 )
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_many
 from .ledger import (
     CANONICAL_REGISTRATION_GAS,
     BatchSummary,

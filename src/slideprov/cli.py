@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import integrity, metrics, projection
-from .commitment import commit_record
+from .commitment import commit_records
 from .errors import (
     CorruptLedgerFile,
     DisjointCorpora,
@@ -89,13 +89,11 @@ def cmd_register(args: argparse.Namespace) -> int:
     result = _load(args)
     ledger = _open_ledger(args, create=True)
 
-    items = []
-    skipped = 0
-    for key in sorted(result.records):
-        if args.skip_existing and ledger.is_registered(key):
-            skipped += 1
-            continue
-        items.append((key, commit_record(result.records[key]).hex, canonical_uri(key)))
+    keys = [key for key in sorted(result.records)
+            if not (args.skip_existing and ledger.is_registered(key))]
+    skipped = len(result.records) - len(keys)
+    commitments = commit_records(result.records[key] for key in keys)
+    items = [(key, c.hex, canonical_uri(key)) for key, c in zip(keys, commitments)]
 
     receipts, summary = ledger.batch_register(items)
     ledger.save(args.ledger)
@@ -351,6 +349,14 @@ def cmd_project(args: argparse.Namespace) -> int:
 # parser
 
 
+def _report_format(text: str) -> str:
+    # a type, not choices: argparse checks choices only on the command line,
+    # while a type also converts an environment-supplied default
+    if text not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'csv', 'json')")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser, *, corpus: bool = True, ledger: bool = False) -> None:
     if corpus:
         parser.add_argument("--corpus", default=_env("corpus"), required=_env("corpus") is None,
@@ -360,8 +366,8 @@ def _add_common(parser: argparse.ArgumentParser, *, corpus: bool = True, ledger:
                             help="ledger export file (default ledger.json)")
     parser.add_argument("--out", default=_env("out", "reports"),
                         help="output directory for report files (default reports/)")
-    parser.add_argument("--format", choices=["csv", "json"], default=_env("format", "csv"),
-                        help="tabular report format (default csv)")
+    parser.add_argument("--format", type=_report_format, metavar="{csv,json}",
+                        default=_env("format", "csv"), help="tabular report format (default csv)")
     parser.add_argument("--seed", type=int, default=_env("seed", "0"),
                         help="seed for all randomized protocols (default 0)")
 

@@ -1,6 +1,8 @@
 """Keccak-256 commitments over canonical record bytes and storage keys.
 
-The registry stores commitments as 0x-prefixed lowercase hex text;
+``commit_records`` hashes many records through the batched Keccak and
+encodes each record's canonical bytes only when its batch is taken.  The
+registry stores commitments as 0x-prefixed lowercase hex text;
 storage keys hash the packed 64-byte (lecture_id, slide_id) encoding,
 matching ``keccak256(abi.encodePacked(uint256, uint256))``.
 """
@@ -9,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_many
 from .records import ProvenanceRecord, SlideKey, canonical_bytes
 
 # A storage key is exactly 32 bytes.
@@ -46,6 +49,11 @@ def commit(data: bytes) -> Commitment:
 def commit_record(record: ProvenanceRecord) -> Commitment:
     """Commitment over a record's canonical bytes."""
     return commit(canonical_bytes(record))
+
+
+def commit_records(records: Iterable[ProvenanceRecord]) -> list[Commitment]:
+    """Commitments over many records' canonical bytes, in order."""
+    return [Commitment(d) for d in keccak256_many(canonical_bytes(r) for r in records)]
 
 
 def parse_commitment(text: str) -> Commitment:

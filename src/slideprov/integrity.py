@@ -9,16 +9,17 @@ gaps from file mtimes list the corpus files without loading them.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .commitment import Commitment, commit_record
+from .commitment import Commitment, commit_records
 from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
 from .ledger import Ledger
 from .metrics import jaccard
@@ -49,22 +50,31 @@ class VerificationResult:
     verdict: str
 
 
-def verify_slide(record: ProvenanceRecord, ledger: Ledger) -> VerificationResult:
-    """Recompute the record's commitment and compare with the stored hash.
+def verify_records(records: Sequence[ProvenanceRecord], ledger: Ledger) -> list[VerificationResult]:
+    """Recompute each record's commitment and compare with the stored hash.
 
-    Hex comparison is case-insensitive; absence of a registry entry is a
-    value (Unregistered), not an error.
+    Commitments are computed in one batch.  Hex comparison is
+    case-insensitive; absence of a registry entry is a value
+    (Unregistered), not an error.
     """
-    recomputed = commit_record(record)
-    stored = ledger.get_slide(record.key)
-    if stored is None:
-        return VerificationResult(record.key, recomputed, None, UNREGISTERED)
-    verdict = MATCH if recomputed.matches_hex(stored.slide_hash) else MISMATCH
-    return VerificationResult(record.key, recomputed, stored.slide_hash, verdict)
+    results = []
+    for record, recomputed in zip(records, commit_records(records)):
+        stored = ledger.get_slide(record.key)
+        if stored is None:
+            results.append(VerificationResult(record.key, recomputed, None, UNREGISTERED))
+            continue
+        verdict = MATCH if recomputed.matches_hex(stored.slide_hash) else MISMATCH
+        results.append(VerificationResult(record.key, recomputed, stored.slide_hash, verdict))
+    return results
+
+
+def verify_slide(record: ProvenanceRecord, ledger: Ledger) -> VerificationResult:
+    """``verify_records`` of one record."""
+    return verify_records([record], ledger)[0]
 
 
 def verify_corpus(corpus: Corpus, ledger: Ledger) -> list[VerificationResult]:
-    return [verify_slide(corpus[key], ledger) for key in sorted(corpus)]
+    return verify_records([corpus[key] for key in sorted(corpus)], ledger)
 
 
 # --------------------------------------------------------------------------
@@ -216,13 +226,13 @@ def tamper_experiment(corpus: Corpus, ledger: Ledger, n: int, seed: int) -> Tamp
 
     rng = random.Random(seed)
     chosen = rng.sample(sorted(corpus), n)
-    trials: list[TamperTrial] = []
+    tampered = []
     for key in chosen:
         record = corpus[key]
-        kind = rng.choice(applicable_kinds(record))
-        tampered, op = tamper_record(record, kind, rng)
-        result = verify_slide(tampered, ledger)
-        trials.append(TamperTrial(key, op, result.verdict, tampered))
+        tampered.append(tamper_record(record, rng.choice(applicable_kinds(record)), rng))
+    results = verify_records([record for record, _ in tampered], ledger)
+    trials = [TamperTrial(key, op, result.verdict, record)
+              for key, (record, op), result in zip(chosen, tampered, results)]
     return TamperReport(trials=trials, seed=seed)
 
 
@@ -274,14 +284,17 @@ def time_gaps(
         delta = float(stored.timestamp - local_times[key])
         gaps.append(TimeGap(key, delta, delta < 0))
     deltas = np.array([g.delta_seconds for g in gaps])
-    summary = TimeGapSummary(
-        count=len(gaps),
-        mean=float(deltas.mean()),
-        minimum=float(deltas.min()),
-        maximum=float(deltas.max()),
-        stddev=float(deltas.std()),  # population stddev
-        anomalies=sum(1 for g in gaps if g.anomaly),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        summary = TimeGapSummary(
+            count=len(gaps),
+            mean=float(deltas.mean()),
+            minimum=float(deltas.min()),
+            maximum=float(deltas.max()),
+            stddev=float(deltas.std()),  # population stddev
+            anomalies=sum(1 for g in gaps if g.anomaly),
+        )
+    if not all(map(math.isfinite, (summary.mean, summary.maximum, summary.minimum, summary.stddev))):
+        raise ValueError("time gaps exceed the floating-point range")
     return gaps, summary
 
 
@@ -302,10 +315,18 @@ def load_time_manifest(path: Path | str) -> dict[SlideKey, float]:
 
     Format: a non-empty list of objects with lecture_id, slide_id, and
     t_local (seconds).  Manifests make time-gap experiments reproducible
-    where mtimes are not portable.  A malformed manifest raises ValueError.
+    where mtimes are not portable.  A malformed manifest, or a t_local
+    that is not finite, raises ValueError.
     """
     return dict(load_json_entries(path, "time manifest", lambda e: (
-        SlideKey(int(e["lecture_id"]), int(e["slide_id"])), float(e["t_local"]))))
+        SlideKey(int(e["lecture_id"]), int(e["slide_id"])), _finite(e["t_local"], "t_local"))))
+
+
+def _finite(value: object, name: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} is not a finite number: {value!r}")
+    return number
 
 
 # --------------------------------------------------------------------------

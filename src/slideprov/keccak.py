@@ -2,13 +2,27 @@
 
 This is the original Keccak submission with multi-rate pad10*1 (domain
 byte 0x01), NOT the standardized SHA-3 variant (domain byte 0x06), so
-``keccak256(b"") != hashlib.sha3_256(b"").digest()``.  Pure Python with
-a straight-line permutation (the rho/pi/chi data flow is unrolled with
-the standard rotation and lane-permutation tables baked in); fast
-enough for desk-scale corpora.
+``keccak256(b"") != hashlib.sha3_256(b"").digest()``.
+
+``keccak256`` hashes one message in pure Python with a straight-line
+permutation (the rho/pi/chi data flow is unrolled with the standard
+rotation and lane-permutation tables baked in).  It is the reference
+and the path for single inputs.
+
+``keccak256_many`` hashes many messages at once, the multi-instance
+idea of XKCP's ``KeccakP-1600-times{2,4,8}`` done with numpy lanes: the
+state is a ``(25, N)`` uint64 array whose column j is message j's state,
+so each step of the permutation is one array operation over all N
+messages.  Messages are taken from the input in batches of ``_BATCH``,
+so only one batch's bytes are held at a time.
 """
 
 from __future__ import annotations
+
+from itertools import count, islice
+from typing import Iterable
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _RATE = 136  # 1088-bit rate / 512-bit capacity for 256-bit output
@@ -121,15 +135,138 @@ def _permute(state: list[int]) -> None:
 def keccak256(data: bytes) -> bytes:
     """Return the 32-byte Keccak-256 digest of ``data``."""
     state = [0] * 25
-    pad_len = _RATE - len(data) % _RATE
-    padded = data + b"\x01" + b"\x00" * (pad_len - 1)
-    padded = padded[:-1] + bytes((padded[-1] | 0x80,))
+    padded = _pad(data)
     for off in range(0, len(padded), _RATE):
         block = padded[off:off + _RATE]
         for lane in range(17):
             state[lane] ^= int.from_bytes(block[lane * 8:lane * 8 + 8], "little")
         _permute(state)
-    out = bytearray()
-    for lane in range(4):
-        out += state[lane].to_bytes(8, "little")
-    return bytes(out)
+    return _squeeze(state)
+
+
+def _pad(data: bytes) -> bytes:
+    """pad10*1 with the 0x01 domain byte, to a whole number of blocks."""
+    pad_len = _RATE - len(data) % _RATE
+    if pad_len == 1:
+        return data + b"\x81"
+    return data + b"\x01" + bytes(pad_len - 2) + b"\x80"
+
+
+def _squeeze(lanes: list[int]) -> bytes:
+    """The 32-byte digest: the first four lanes, little-endian."""
+    return b"".join(lane.to_bytes(8, "little") for lane in lanes[:4])
+
+
+# --------------------------------------------------------------------------
+# many messages at once
+
+# Messages per batch: bounds the batch's padded bytes, and keeps the
+# (25, N) state and its temporaries in cache.
+_BATCH = 256
+_LANES_PER_BLOCK = _RATE // 8
+
+
+def _lane_tables() -> tuple[list[int], list[int]]:
+    """(source lane, rho rotation) for each lane of the pi-permuted state."""
+    rho = [0] * 25
+    x, y = 1, 0
+    for t in range(24):
+        rho[x + 5 * y] = (t + 1) * (t + 2) // 2 % 64
+        x, y = y, (2 * x + 3 * y) % 5
+    source = [0] * 25
+    for i in range(25):
+        x, y = i % 5, i // 5
+        source[y + 5 * ((2 * x + 3 * y) % 5)] = i
+    return source, [rho[i] for i in source]
+
+
+_PI_SOURCE, _ROT = _lane_tables()
+# Every shift count and constant is np.uint64, so numpy 1.x and 2.x promote alike.
+_ROT_LEFT = np.array(_ROT, dtype=np.uint64).reshape(25, 1)
+# A rotation by 0 shifts right by 0, not by 64 (undefined): the OR then
+# gives the lane back unchanged.
+_ROT_RIGHT = np.array([(64 - r) % 64 for r in _ROT], dtype=np.uint64).reshape(25, 1)
+_PI_TAKE = np.array(_PI_SOURCE, dtype=np.intp)
+_CHI_NEXT = np.array([(i + 1) % 5 + i - i % 5 for i in range(25)], dtype=np.intp)
+_CHI_NEXT2 = np.array([(i + 2) % 5 + i - i % 5 for i in range(25)], dtype=np.intp)
+_COL_NEXT = np.array([1, 2, 3, 4, 0], dtype=np.intp)
+_COL_PREV = np.array([4, 0, 1, 2, 3], dtype=np.intp)
+_ONE = np.uint64(1)
+_SIXTY_THREE = np.uint64(63)
+_RC_LANES = np.array(_ROUND_CONSTANTS, dtype=np.uint64)
+
+
+def _permute_lanes(a: np.ndarray) -> None:
+    """Keccak-f[1600] in place on a C-contiguous (25, m) uint64 state."""
+    m = a.shape[1]
+    rows = a.reshape(5, 5, m)  # rows[y, x] is lane x + 5*y
+    c = np.empty((5, m), np.uint64)
+    d = np.empty((5, m), np.uint64)
+    t5 = np.empty((5, m), np.uint64)
+    b = np.empty((25, m), np.uint64)
+    t = np.empty((25, m), np.uint64)
+    u = np.empty((25, m), np.uint64)
+    for rc in _RC_LANES:
+        # theta: d[x] = c[x-1] ^ rotl(c[x+1], 1) folded into every lane of column x
+        np.bitwise_xor.reduce(rows, axis=0, out=c)
+        np.take(c, _COL_NEXT, axis=0, out=t5, mode="wrap")
+        np.left_shift(t5, _ONE, out=d)
+        np.right_shift(t5, _SIXTY_THREE, out=t5)
+        np.bitwise_or(d, t5, out=d)
+        np.take(c, _COL_PREV, axis=0, out=t5, mode="wrap")
+        np.bitwise_xor(d, t5, out=d)
+        np.bitwise_xor(rows, d, out=rows)
+        # rho and pi: b[j] = rotl(a[source[j]], rot[j])
+        np.take(a, _PI_TAKE, axis=0, out=b, mode="wrap")
+        np.left_shift(b, _ROT_LEFT, out=t)
+        np.right_shift(b, _ROT_RIGHT, out=b)
+        np.bitwise_or(b, t, out=b)
+        # chi: a = b ^ (~b[x+1] & b[x+2]) within each row
+        np.take(b, _CHI_NEXT, axis=0, out=t, mode="wrap")
+        np.invert(t, out=t)
+        np.take(b, _CHI_NEXT2, axis=0, out=u, mode="wrap")
+        np.bitwise_and(t, u, out=t)
+        np.bitwise_xor(b, t, out=a)
+        # iota
+        a[0] ^= rc
+
+
+def _hash_batch(batch: list[bytes]) -> list[bytes]:
+    """Digests of one batch, in input order."""
+    blocks = [len(data) // _RATE + 1 for data in batch]
+    # Longest first: the lanes still absorbing at block k are then a prefix.
+    order = sorted(range(len(batch)), key=blocks.__getitem__, reverse=True)
+    blocks = [blocks[i] for i in order]
+    words = np.frombuffer(b"".join(_pad(batch[i]) for i in order), dtype="<u8")
+    words = words.astype(np.uint64, copy=False).reshape(-1, _LANES_PER_BLOCK)
+    start = np.cumsum([0] + blocks[:-1], dtype=np.intp)  # each message's first row
+
+    digests: list[bytes] = [b""] * len(batch)
+    state = np.zeros((25, len(batch)), np.uint64)
+    active = len(batch)
+    for k in count():
+        m = active
+        while m and blocks[m - 1] <= k:
+            m -= 1
+        if m < active:  # lanes m..active-1 have absorbed their last block
+            for j in range(m, active):
+                digests[order[j]] = _squeeze(state[:4, j].tolist())
+            state = state[:, :m].copy()
+            active = m
+        if not m:
+            return digests
+        state[:_LANES_PER_BLOCK] ^= words[start[:m] + k].T
+        _permute_lanes(state)
+
+
+def keccak256_many(messages: Iterable[bytes]) -> list[bytes]:
+    """Keccak-256 digests of ``messages``, in order; equal to ``map(keccak256, ...)``.
+
+    Messages are drawn from the iterable ``_BATCH`` at a time, so a
+    generator's items need not all be in memory at once.
+    """
+    it = iter(messages)
+    digests: list[bytes] = []
+    while batch := list(islice(it, _BATCH)):
+        digests += _hash_batch(batch)
+    return digests

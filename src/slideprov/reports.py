@@ -60,7 +60,9 @@ def write_csv(path: Path | str, header: list[str], rows: list[list[object]]) -> 
 
 def write_json(path: Path | str, doc: object) -> Path:
     path = Path(path)
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=format_cell)
+    # allow_nan=False: NaN and Infinity are not JSON, so such a value raises ValueError
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                      allow_nan=False, default=format_cell)
     _atomic_write(path, (text + "\n").encode("utf-8"))
     return path
 

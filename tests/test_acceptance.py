@@ -37,7 +37,7 @@ from slideprov import (
 )
 from slideprov.cli import main as cli_main
 from slideprov.integrity import compare_runs, tamper_experiment
-from slideprov.keccak import keccak256
+from slideprov.keccak import keccak256, keccak256_many
 from slideprov.ledger import estimate_gas
 from slideprov.metrics import (
     classify_stability,
@@ -117,10 +117,10 @@ def test_criterion_02_hash_correctness(tmp_path):
             break
 
     corpus = load_corpus(write_corpus(tmp_path / "corpus")).records
-    for record in corpus.values():
-        data = canonical_bytes(record)
-        if keccak256(data) != reference_keccak256(data):
-            ok = False
+    messages = [canonical_bytes(record) for record in corpus.values()]
+    references = [reference_keccak256(data) for data in messages]
+    ok &= [keccak256(data) for data in messages] == references
+    ok &= keccak256_many(messages) == references
 
     elapsed = time.monotonic() - start
     _verdict(2, f"hash correctness ({elapsed:.2f}s)", ok and elapsed < 5.0)

@@ -1,7 +1,8 @@
 """Malformed config input is a usage error at the command line.
 
-``main()`` is driven with generated malformed time manifests, profiles
-files, ``--eth-usd`` values and non-integer ``SLIDEPROV_*`` integers.
+``main()`` is driven with generated malformed time manifests (non-finite
+times included), profiles files, ``--eth-usd`` values, non-integer
+``SLIDEPROV_*`` integers and unknown ``SLIDEPROV_FORMAT`` values.
 Each run must exit 2 without a traceback; a bad file must be named in
 a single ``error:`` line together with the offending entry.
 """
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import write_corpus
 from slideprov.cli import main
+from slideprov.reports import write_json
 
 SLIDES = [(lecture, slide) for lecture in (1, 2) for slide in (1, 2, 3)]
 FUZZ = settings(max_examples=40, deadline=None,
@@ -75,6 +77,9 @@ not_an_int = st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.dictio
                        st.text(max_size=6).filter(lambda s: not _parses(int, s)))
 not_a_float = st.one_of(st.none(), st.lists(st.integers(), max_size=2),
                         st.text(max_size=6).filter(lambda s: not _parses(float, s)))
+# json.dumps writes these as NaN, Infinity and -Infinity, which json.loads reads back
+not_finite = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+                       st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999"]))
 not_a_price = st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.integers(max_value=0),
                         st.sampled_from(["NaN", "Infinity", "-1.5", "0"]),
                         st.text(max_size=6).filter(lambda s: not _parses(_positive_decimal, s)))
@@ -107,7 +112,8 @@ def malformed_entries(draw, valid, bad_values):
 
 
 VALID_MANIFEST = [{"lecture_id": l, "slide_id": s, "t_local": 0} for l, s in SLIDES]
-MANIFEST_BAD_VALUES = {"lecture_id": not_an_int, "slide_id": not_an_int, "t_local": not_a_float}
+MANIFEST_BAD_VALUES = {"lecture_id": not_an_int, "slide_id": not_an_int,
+                       "t_local": st.one_of(not_a_float, not_finite)}
 VALID_PROFILES = [{"name": "l1", "gas_price_gwei": 30}, {"name": "l2", "gas_price_gwei": "0.5"}]
 PROFILE_BAD_VALUES = {"gas_price_gwei": not_a_price}
 
@@ -153,9 +159,22 @@ def test_non_integer_env_exit_2(workspace, name, value):
     assert not (workspace["tmp"] / "unused.json").exists()
 
 
+@FUZZ
+@given(value=st.one_of(st.text(max_size=6), st.sampled_from(["xml", "CSV", " json", ""]))
+       .filter(lambda s: "\x00" not in s and s not in ("csv", "json")))
+def test_bad_format_env_exit_2(workspace, value):
+    ledger = workspace["tmp"] / "unused.json"
+    code, err = run_main(["register", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
+                          "--out", str(workspace["tmp"] / "out")], env={"SLIDEPROV_FORMAT": value})
+    assert_config_error(code, err)
+    assert "--format" in err
+    assert not ledger.exists()
+
+
 @pytest.mark.parametrize("entry, detail", [
     ({"lecture_id": 1, "t_local": 0}, "missing 'slide_id'"),
     (1, "entry 0"),
+    ({"lecture_id": 1, "slide_id": 1, "t_local": float("nan")}, "t_local is not a finite number"),
 ])
 def test_manifest_messages_name_the_entry(tmp_path, workspace, entry, detail):
     path = tmp_path / "times.json"
@@ -175,3 +194,22 @@ def test_empty_manifest_message(tmp_path, workspace):
                           "--out", str(tmp_path / "out")])
     assert_config_error(code, err, path)
     assert "zero-size" not in err
+
+
+def test_gaps_out_of_float_range_exit_2(tmp_path, workspace):
+    # each t_local is finite, but their deltas sum past the largest float
+    path = tmp_path / "times.json"
+    path.write_text(json.dumps([{"lecture_id": l, "slide_id": s, "t_local": -1.7e308}
+                                for l, s in SLIDES]), encoding="utf-8")
+    code, err = run_main(["time-gaps", "--corpus", str(workspace["corpus"]),
+                          "--ledger", str(workspace["ledger"]), "--manifest", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert_config_error(code, err)
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_json_rejects_non_finite(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "r.json", {"mean": float("nan")})
+    assert not (tmp_path / "r.json").exists()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from keccak_reference import reference_keccak256
-from slideprov import SlideKey, commit, commit_record, parse_commitment, storage_key
+from slideprov import SlideKey, commit, commit_record, commit_records, parse_commitment, storage_key
 from slideprov.records import normalize_record
 
 EMPTY_KECCAK = "0xc5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
@@ -79,3 +79,10 @@ class TestStorageKey:
                 k = storage_key(SlideKey(lecture, slide))
                 assert k not in seen, f"collision {seen.get(k)} vs {(lecture, slide)}"
                 seen[k] = (lecture, slide)
+
+
+def test_commit_records_equals_one_at_a_time(corpus):
+    records = [corpus[key] for key in sorted(corpus)]
+    assert commit_records(records) == [commit_record(r) for r in records]
+    assert commit_records(iter(records)) == [commit_record(r) for r in records]
+    assert commit_records([]) == []

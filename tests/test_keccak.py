@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keccak_reference import reference_keccak256
-from slideprov.keccak import keccak256
+from slideprov.keccak import _BATCH, keccak256, keccak256_many
 
 # Public test vectors for the original (pre-standardization) Keccak-256.
 KNOWN_VECTORS = [
@@ -67,3 +67,35 @@ def test_avalanche_smoke():
         total += bin(diff).count("1")
     mean = total / trials
     assert 108 <= mean <= 148, f"avalanche mean {mean} outside 128 +/- 20"
+
+
+def _reference_many(messages):
+    return [reference_keccak256(data) for data in messages]
+
+
+def test_many_empty_and_single():
+    assert keccak256_many([]) == []
+    assert keccak256_many(iter([])) == []
+    assert keccak256_many([b"abc"]) == [reference_keccak256(b"abc")]
+
+
+def test_many_mixed_block_boundaries_keep_order():
+    data = bytes(range(256)) * 2
+    lengths = [0, 1, 135, 136, 137, 271, 272, 273]
+    # the lengths and their reverse, so results cannot come back sorted by size;
+    # the long message then absorbs its last blocks alone in a one-lane state
+    messages = [data[:n] for n in lengths + lengths[::-1]] + [bytes(1500)]
+    assert keccak256_many(messages) == _reference_many(messages)
+
+
+def test_many_spans_several_batches():
+    rng = random.Random(11)
+    messages = [rng.randbytes(rng.randrange(0, 700)) for _ in range(2 * _BATCH + 37)]
+    # a generator: the batches are drawn from it lazily
+    assert keccak256_many(data for data in messages) == _reference_many(messages)
+
+
+@given(st.lists(st.binary(max_size=600), max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_many_matches_reference(messages):
+    assert keccak256_many(messages) == _reference_many(messages)

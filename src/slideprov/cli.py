@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Container
 
 from . import integrity, metrics, projection
 from .commitment import commit_records
@@ -27,7 +28,7 @@ from .errors import (
     UnregisteredCorpus,
 )
 from .ledger import CANONICAL_REGISTRATION_GAS, FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
-from .records import CorpusLoadResult, load_corpus
+from .records import CorpusLoadResult, SlideKey, load_corpus
 from .reports import write_json, write_table
 
 EXIT_OK = 0
@@ -46,8 +47,8 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _load(args: argparse.Namespace) -> CorpusLoadResult:
-    result = load_corpus(args.corpus)
+def _load(args: argparse.Namespace, skip: Container[SlideKey] = frozenset()) -> CorpusLoadResult:
+    result = load_corpus(args.corpus, skip)
     for failure in result.failures:
         print(f"warning: skipped {failure.path}: {failure.error}", file=sys.stderr)
     return result
@@ -86,12 +87,16 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_register(args: argparse.Namespace) -> int:
-    result = _load(args)
-    ledger = _open_ledger(args, create=True)
+    # With --skip-existing an existing ledger is read first, so that the
+    # files of registered slides are passed over unread.
+    ledger = None
+    if args.skip_existing and Path(args.ledger).exists():
+        ledger = Ledger.load(args.ledger)
+    result = _load(args, ledger.records if ledger is not None else frozenset())
+    if ledger is None:
+        ledger = _open_ledger(args, create=True)
 
-    keys = [key for key in sorted(result.records)
-            if not (args.skip_existing and ledger.is_registered(key))]
-    skipped = len(result.records) - len(keys)
+    keys = sorted(result.records)
     commitments = commit_records(result.records[key] for key in keys)
     items = [(key, c.hex, canonical_uri(key)) for key, c in zip(keys, commitments)]
 
@@ -117,7 +122,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     write_json(out / "register_summary.json", {
         "attempted": summary.attempted,
         "registered": summary.registered,
-        "skipped_existing": skipped,
+        "skipped_existing": result.skipped,
         "failed": len(summary.failures),
         "min_gas": summary.min_gas,
         "mean_gas": float(summary.mean_gas),
@@ -133,7 +138,7 @@ def cmd_register(args: argparse.Namespace) -> int:
         _err(f"({key.lecture_id},{key.slide_id}): {reason}")
     print(
         f"registered {summary.registered}/{summary.attempted} slides"
-        f" (skipped {skipped}, failed {len(summary.failures)});"
+        f" (skipped {result.skipped}, failed {len(summary.failures)});"
         f" total gas {summary.total_gas}, cost ${float(summary.total_cost_usd):.2f}"
     )
     return EXIT_INTEGRITY if summary.failures else EXIT_OK

@@ -13,8 +13,10 @@ and the path for single inputs.
 idea of XKCP's ``KeccakP-1600-times{2,4,8}`` done with numpy lanes: the
 state is a ``(25, N)`` uint64 array whose column j is message j's state,
 so each step of the permutation is one array operation over all N
-messages.  Messages are taken from the input in batches of ``_BATCH``,
-so only one batch's bytes are held at a time.
+messages.  A batch runs as many steps as its longest message has
+blocks, so messages are taken from the input a window of ``_WINDOW``
+batches at a time and grouped by block count before they are batched.
+Only one window's bytes are held at a time.
 """
 
 from __future__ import annotations
@@ -163,6 +165,9 @@ def _squeeze(lanes: list[int]) -> bytes:
 # Messages per batch: bounds the batch's padded bytes, and keeps the
 # (25, N) state and its temporaries in cache.
 _BATCH = 256
+# Batches per window: messages of similar length are batched together
+# within a window, which bounds the bytes held to _WINDOW * _BATCH messages.
+_WINDOW = 4
 _LANES_PER_BLOCK = _RATE // 8
 
 
@@ -262,11 +267,17 @@ def _hash_batch(batch: list[bytes]) -> list[bytes]:
 def keccak256_many(messages: Iterable[bytes]) -> list[bytes]:
     """Keccak-256 digests of ``messages``, in order; equal to ``map(keccak256, ...)``.
 
-    Messages are drawn from the iterable ``_BATCH`` at a time, so a
-    generator's items need not all be in memory at once.
+    Messages are drawn from the iterable ``_WINDOW * _BATCH`` at a time,
+    so a generator's items need not all be in memory at once.
     """
     it = iter(messages)
     digests: list[bytes] = []
-    while batch := list(islice(it, _BATCH)):
-        digests += _hash_batch(batch)
+    while window := list(islice(it, _WINDOW * _BATCH)):
+        by_blocks = sorted(range(len(window)), key=lambda i: len(window[i]) // _RATE)
+        ordered: list[bytes] = [b""] * len(window)
+        for lo in range(0, len(window), _BATCH):
+            part = by_blocks[lo:lo + _BATCH]
+            for i, digest in zip(part, _hash_batch([window[i] for i in part])):
+                ordered[i] = digest
+        digests += ordered
     return digests

@@ -10,11 +10,13 @@ every platform.
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Container
 
 from .errors import EmptyCorpus, MalformedDocument, MissingKey, ProvenanceWarning
 
@@ -22,7 +24,6 @@ from .errors import EmptyCorpus, MalformedDocument, MissingKey, ProvenanceWarnin
 # document does not carry one.
 CANONICAL_FORMAT = "canonical-json/v1;sorted-keys;utf-8"
 
-_WS_RUN = re.compile(r"\s+")
 _LECTURE_DIR = re.compile(r"^Lecture\s*(\d+)$")
 _SLIDE_FILE = re.compile(r"^Slide(\d+)\.json$")
 _TRAILING_INT = re.compile(r"(\d+)\s*$")
@@ -35,7 +36,8 @@ def normalize_text(value: object) -> str:
     """
     if not isinstance(value, str):
         return ""
-    return _WS_RUN.sub(" ", value).strip().lower()
+    # str.split() splits on exactly the characters regex \s matches
+    return " ".join(value.split()).lower()
 
 
 @dataclass(frozen=True, order=True)
@@ -134,6 +136,26 @@ def _dumps(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _number(value: object) -> str:
+    """``_dumps(value)``, with the common case (a finite float) done directly."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _dumps(value)
+
+
+# An element's canonical text is ``_dumps`` of its document, written with
+# the keys in sorted order.
+
+def _concept_text(c: Concept) -> str:
+    evidence = "" if c.evidence is None else f',"evidence":{_quote(c.evidence)}'
+    return f'{{"category":{_quote(c.category)}{evidence},"term":{_quote(c.term)}}}'
+
+
+def _triple_text(t: Triple) -> str:
+    confidence = "" if t.confidence is None else f'"confidence":{_number(t.confidence)},'
+    return f'{{{confidence}"o":{_quote(t.o)},"p":{_quote(t.p)},"s":{_quote(t.s)}}}'
+
+
 def _concept_doc(c: Concept) -> dict:
     doc: dict = {"category": c.category, "term": c.term}
     if c.evidence is not None:
@@ -183,14 +205,33 @@ def to_document(record: ProvenanceRecord) -> dict:
     }
 
 
+def _model_text(ext: ModelExtraction) -> str:
+    raw = "" if ext.raw_output is None else f',"raw_output":{_quote(ext.raw_output)}'
+    return (f'{{"concepts":[{",".join(sorted(map(_concept_text, ext.concepts)))}],'
+            f'"evidence":[{",".join(map(_quote, ext.evidence))}]{raw},'
+            f'"triples":[{",".join(sorted(map(_triple_text, ext.triples)))}]}}')
+
+
 def canonical_bytes(record: ProvenanceRecord) -> bytes:
-    """Deterministic UTF-8 encoding of a record.
+    """Deterministic UTF-8 encoding of a record: the bytes of ``_dumps(to_document(record))``.
 
     Object keys are sorted by code point (equivalently UTF-8 byte order),
     there is no insignificant whitespace, and floats use the shortest
-    decimal form that round-trips.  Pure function of record content.
+    decimal form that round-trips.  Pure function of record content.  The
+    text is written directly, keys in sorted order, without building the
+    document.
     """
-    return _dumps(to_document(record)).encode("utf-8")
+    models = ",".join(f"{_quote(name)}:{_model_text(record.models[name])}"
+                      for name in sorted(record.models))
+    paths, meta = record.paths, record.metadata
+    return (
+        f'{{"lecture":{_quote(record.lecture_label)},"lecture_id":{record.key.lecture_id},'
+        f'"metadata":{{"hash_input_format":{_quote(meta.hash_input_format)},'
+        f'"source":{_quote(meta.source)},"timestamp":{_quote(meta.timestamp)}}},'
+        f'"models":{{{models}}},'
+        f'"paths":{{"image":{_quote(paths.image)},"json":{_quote(paths.json)},'
+        f'"text":{_quote(paths.text)}}},"slide_id":{record.key.slide_id}}}'
+    ).encode("utf-8")
 
 
 def _layout_base(root: Path | str) -> Path:
@@ -247,12 +288,12 @@ def _normalize_concepts(value: object) -> tuple[Concept, ...]:
             continue
         category = normalize_text(entry.get("category"))
         term = normalize_text(entry.get("term"))
-        if not category or not term:
-            continue
+        if not category or not term or (category, term) in seen:
+            continue  # first occurrence wins
         evidence = entry.get("evidence")
-        concept = Concept(category, term, evidence if isinstance(evidence, str) else None)
-        seen.setdefault(concept.identity, concept)  # first occurrence wins
-    return tuple(sorted(seen.values(), key=lambda c: _dumps(_concept_doc(c))))
+        evidence = evidence if isinstance(evidence, str) else None
+        seen[category, term] = Concept(category, term, evidence)
+    return tuple(sorted(seen.values(), key=_concept_text))
 
 
 def _normalize_confidence(value: object) -> float | None:
@@ -271,11 +312,11 @@ def _normalize_triples(value: object) -> tuple[Triple, ...]:
         s = normalize_text(entry.get("s"))
         p = normalize_text(entry.get("p"))
         o = normalize_text(entry.get("o"))
-        if not (s and p and o):
+        if not (s and p and o) or (s, p, o) in seen:
             continue
-        triple = Triple(s, p, o, _normalize_confidence(entry.get("confidence")))
-        seen.setdefault(triple.identity, triple)
-    return tuple(sorted(seen.values(), key=lambda t: _dumps(_triple_doc(t))))
+        confidence = _normalize_confidence(entry.get("confidence"))
+        seen[s, p, o] = Triple(s, p, o, confidence)
+    return tuple(sorted(seen.values(), key=_triple_text))
 
 
 def _normalize_evidence(value: object) -> tuple[str, ...]:
@@ -367,7 +408,7 @@ def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceReco
         value = container.get(name)
         return value if isinstance(value, str) else default
 
-    return ProvenanceRecord(
+    record = ProvenanceRecord(
         key=key,
         lecture_label=lecture_label,
         models=models,
@@ -382,6 +423,29 @@ def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceReco
             hash_input_format=text_field(meta_raw, "hash_input_format", CANONICAL_FORMAT),
         ),
     )
+    _require_utf8(record)
+    return record
+
+
+def _require_utf8(record: ProvenanceRecord) -> None:
+    """Raise MalformedDocument when some text of the record has no UTF-8 form.
+
+    JSON escapes can spell lone surrogates (``"\\ud800"``), which Python
+    strings hold but UTF-8 cannot encode; such a record has no canonical
+    bytes.
+    """
+    texts = [record.lecture_label, record.paths.image, record.paths.text, record.paths.json,
+             record.metadata.timestamp, record.metadata.source, record.metadata.hash_input_format]
+    for name, ext in record.models.items():
+        texts += (name, ext.raw_output or "", *ext.evidence)
+        for c in ext.concepts:
+            texts += (c.category, c.term, c.evidence or "")
+        for t in ext.triples:
+            texts += (t.s, t.p, t.o)
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise MalformedDocument(f"text cannot be encoded as UTF-8: {exc.reason}") from None
 
 
 # --------------------------------------------------------------------------
@@ -399,18 +463,24 @@ class LoadFailure:
 class CorpusLoadResult:
     records: Corpus
     failures: list[LoadFailure]
+    skipped: int = 0  # files passed over, unread, because their key was in ``skip``
 
 
-def load_corpus(root: Path | str) -> CorpusLoadResult:
-    """Load every ``by_slide/Lecture <n>/Slide<m>.json`` under ``root``.
+def load_corpus(root: Path | str, skip: Container[SlideKey] = frozenset()) -> CorpusLoadResult:
+    """Load every ``by_slide/Lecture <n>/Slide<m>.json`` under ``root`` whose key is not in ``skip``.
 
-    Per-file parse or normalization failures are collected into the
-    result instead of aborting the batch.  Raises EmptyCorpus when no
-    record loads at all.
+    A file whose key is in ``skip`` is counted and never opened.  Per-file
+    parse or normalization failures are collected into the result instead
+    of aborting the batch.  Raises EmptyCorpus when nothing loads and
+    nothing was skipped, which includes a layout without files.
     """
     records: Corpus = {}
     failures: list[LoadFailure] = []
+    skipped = 0
     for key, path in scan_slide_files(root):
+        if key in skip:
+            skipped += 1
+            continue
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -422,10 +492,10 @@ def load_corpus(root: Path | str) -> CorpusLoadResult:
         except (MalformedDocument, MissingKey) as exc:
             failures.append(LoadFailure(str(path), key, str(exc)))
 
-    if not records:
+    if not records and not skipped:
         detail = f" ({len(failures)} files failed to parse)" if failures else ""
         raise EmptyCorpus(f"no provenance records loaded from {root}{detail}")
-    return CorpusLoadResult(records=records, failures=failures)
+    return CorpusLoadResult(records=records, failures=failures, skipped=skipped)
 
 
 def load_json_entries(path: Path | str, what: str, parse: Callable[[dict], object]) -> list:

@@ -54,9 +54,12 @@ class TestRegister:
         assert run("register", env) == 1
         assert "already registered" in capsys.readouterr().err
 
-    def test_rerun_with_skip_existing(self, env):
+    def test_rerun_with_skip_existing(self, env, capsys):
         assert run("register", env) == 0
+        capsys.readouterr()
         assert run("register", env, "--skip-existing") == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("registered 0/0 slides (skipped 6, failed 0)") and err == ""
         summary = json.loads((Path(env["out"]) / "register_summary.json").read_text())
         assert summary["registered"] == 0
         assert summary["skipped_existing"] == 6

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keccak_reference import reference_keccak256
-from slideprov.keccak import _BATCH, keccak256, keccak256_many
+from slideprov.keccak import _BATCH, _WINDOW, keccak256, keccak256_many
 
 # Public test vectors for the original (pre-standardization) Keccak-256.
 KNOWN_VECTORS = [
@@ -99,3 +99,19 @@ def test_many_spans_several_batches():
 @settings(max_examples=40, deadline=None)
 def test_many_matches_reference(messages):
     assert keccak256_many(messages) == _reference_many(messages)
+
+
+def _pooled_messages(n, seed):
+    """n messages drawn from a pool of 48 of 1 to 6 blocks, with each reference digest."""
+    rng = random.Random(seed)
+    pool = [rng.randbytes(rng.randrange(0, 6 * 136)) for _ in range(48)]
+    digests = _reference_many(pool)
+    picks = [rng.randrange(len(pool)) for _ in range(n)]
+    return [pool[i] for i in picks], [digests[i] for i in picks]
+
+
+@pytest.mark.parametrize("n", [_WINDOW * _BATCH, _WINDOW * _BATCH + 1, 2 * _WINDOW * _BATCH + 3])
+def test_many_across_window_boundaries_keeps_input_order(n):
+    # block counts are mixed within every window, so grouping reorders each one
+    messages, expected = _pooled_messages(n, seed=n)
+    assert keccak256_many(iter(messages)) == expected

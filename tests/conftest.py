@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from slideprov import Ledger, SlideKey, canonical_uri, commit_record, load_corpus
+from slideprov.cli import main
 
 MODEL_NAMES = ["vision-alpha", "vision-beta", "vision-gamma", "vision-delta"]
 
@@ -66,6 +69,14 @@ def write_corpus(root: Path, n_lectures: int = 2, slides_per_lecture: int = 3,
                 json.dumps(doc), encoding="utf-8"
             )
     return root
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """Run the CLI in process: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def register_corpus(corpus, ledger: Ledger | None = None) -> Ledger:

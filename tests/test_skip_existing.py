@@ -1,19 +1,9 @@
 """``register --skip-existing`` reads only the files of unregistered slides."""
 
-import contextlib
-import io
 import json
 
-from conftest import write_corpus
+from conftest import run_cli as run, write_corpus
 from slideprov import records
-from slideprov.cli import main
-
-
-def run(argv):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def _registered(tmp_path, lectures=2, slides=3):

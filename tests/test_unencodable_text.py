@@ -1,7 +1,5 @@
 """A corpus file whose text has no UTF-8 form is skipped like any malformed file."""
 
-import contextlib
-import io
 import json
 import random
 import tempfile
@@ -10,9 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import synthetic_document, write_corpus
+from conftest import run_cli as run, synthetic_document, write_corpus
 from slideprov import MalformedDocument, canonical_bytes, normalize_record
-from slideprov.cli import main
 
 
 def _put(doc: dict, field: str, text: str) -> None:
@@ -40,13 +37,6 @@ def _put(doc: dict, field: str, text: str) -> None:
 
 FIELDS = ["term", "concept evidence", "evidence", "triple", "raw_output", "model name",
           "lecture label", "image", "text", "json", "timestamp", "source"]
-
-
-def run(argv):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @given(field=st.sampled_from(FIELDS), surrogate=st.integers(0xD800, 0xDFFF),

@@ -6,7 +6,7 @@ disagreement analytics, tamper and reproducibility audits, and
 multi-network cost projection.
 """
 
-from .commitment import Commitment, StorageKey, commit, commit_record, commit_records, parse_commitment, storage_key
+from .commitment import Commitment, StorageKey, commit, commit_record, commit_records, storage_key
 from .errors import (
     AlreadyRegistered,
     CorruptLedgerFile,
@@ -45,7 +45,6 @@ from .integrity import (
     time_gaps,
     verify_corpus,
     verify_records,
-    verify_slide,
 )
 from .keccak import keccak256, keccak256_many
 from .ledger import (

@@ -28,7 +28,7 @@ from .errors import (
     UnregisteredCorpus,
 )
 from .ledger import CANONICAL_REGISTRATION_GAS, FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
-from .records import CorpusLoadResult, SlideKey, load_corpus
+from .records import CorpusLoadResult, SlideKey, load_corpus, write_record
 from .reports import write_json, write_table
 
 EXIT_OK = 0
@@ -55,7 +55,7 @@ def _load(args: argparse.Namespace, skip: Container[SlideKey] = frozenset()) -> 
 
 
 def _fee_config(args: argparse.Namespace) -> FeeConfig:
-    return FeeConfig.create(
+    return FeeConfig(
         initial_base_fee=args.base_fee_gwei,
         priority_tip=args.tip_gwei,
         eth_usd_rate=args.eth_usd,
@@ -252,7 +252,7 @@ def cmd_tamper(args: argparse.Namespace) -> int:
 
     if args.write:
         for trial in report.trials:
-            integrity.write_tampered(trial.tampered, args.corpus)
+            write_record(trial.tampered, args.corpus)
         print(f"wrote {report.total} tampered records back into {args.corpus}")
 
     print(f"tamper protocol: {report.detected}/{report.total} detected"

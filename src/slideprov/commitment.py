@@ -9,7 +9,6 @@ matching ``keccak256(abi.encodePacked(uint256, uint256))``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,8 +17,6 @@ from .records import ProvenanceRecord, SlideKey, canonical_bytes
 
 # A storage key is exactly 32 bytes.
 StorageKey = bytes
-
-_HEX_COMMITMENT = re.compile(r"^0x[0-9a-fA-F]{64}$")
 
 
 @dataclass(frozen=True)
@@ -54,13 +51,6 @@ def commit_record(record: ProvenanceRecord) -> Commitment:
 def commit_records(records: Iterable[ProvenanceRecord]) -> list[Commitment]:
     """Commitments over many records' canonical bytes, in order."""
     return [Commitment(d) for d in keccak256_many(canonical_bytes(r) for r in records)]
-
-
-def parse_commitment(text: str) -> Commitment:
-    """Parse 0x-hex commitment text (either case) back to a Commitment."""
-    if not isinstance(text, str) or not _HEX_COMMITMENT.match(text):
-        raise ValueError(f"not a 0x-prefixed 32-byte hex commitment: {text!r}")
-    return Commitment(bytes.fromhex(text[2:]))
 
 
 def storage_key(key: SlideKey) -> StorageKey:

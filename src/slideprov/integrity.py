@@ -1,10 +1,11 @@
 """Audit protocols: hash verification, tamper injection, time gaps, dual runs.
 
 Tampering operates on in-memory copies only; persisting a tampered
-record back to disk is an explicit, separate step used by destructive
-demos.  All randomized choices flow from a caller-supplied seed so every
-experiment replays exactly.  Each tamper kind is one table row.  Time
-gaps from file mtimes list the corpus files without loading them.
+record back to disk is an explicit, separate step (``tamper --write``
+calls ``records.write_record``).  All randomized choices flow from a
+caller-supplied seed so every experiment replays exactly.  Each tamper
+kind is one table row.  Time gaps from file mtimes list the corpus files
+without loading them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .records import (
     canonical_bytes,
     load_corpus,
     load_json_entries,
-    record_path,
     scan_slide_files,
 )
 
@@ -66,11 +66,6 @@ def verify_records(records: Sequence[ProvenanceRecord], ledger: Ledger) -> list[
         verdict = MATCH if recomputed.matches_hex(stored.slide_hash) else MISMATCH
         results.append(VerificationResult(record.key, recomputed, stored.slide_hash, verdict))
     return results
-
-
-def verify_slide(record: ProvenanceRecord, ledger: Ledger) -> VerificationResult:
-    """``verify_records`` of one record."""
-    return verify_records([record], ledger)[0]
 
 
 def verify_corpus(corpus: Corpus, ledger: Ledger) -> list[VerificationResult]:
@@ -234,13 +229,6 @@ def tamper_experiment(corpus: Corpus, ledger: Ledger, n: int, seed: int) -> Tamp
     trials = [TamperTrial(key, op, result.verdict, record)
               for key, (record, op), result in zip(chosen, tampered, results)]
     return TamperReport(trials=trials, seed=seed)
-
-
-def write_tampered(record: ProvenanceRecord, root: Path | str) -> Path:
-    """Destructively persist a tampered record over its corpus file."""
-    path = record_path(root, record.key)
-    path.write_bytes(canonical_bytes(record))
-    return path
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Replicates the registry contract's observable semantics (validated ids,
 reject-on-duplicate, zeroed-struct reads) plus the execution model of a
-single-node dev chain: one block sealed per transaction, monotonically
-increasing modeled timestamps, a multiplicative base-fee adjustment per
+single-node dev chain: one block sealed per transaction, modeled
+timestamps genesis + n * interval, a multiplicative base-fee adjustment per
 block, and a parametric near-constant gas model per registration.
 
 The ordered registration log is the only ledger state: the per-slide
@@ -18,11 +18,11 @@ platforms; nothing here touches a real network.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 from .errors import AlreadyRegistered, CorruptLedgerFile, InvalidLecture, InvalidSlide, LedgerError
 from .keccak import keccak256
@@ -62,6 +62,21 @@ def _as_fraction(value: object) -> Fraction:
     return Fraction(value)  # type: ignore[arg-type]
 
 
+def _coerce(config: object, name: str, convert: Callable[[object], object]) -> None:
+    """Replace field ``name`` of a frozen config by ``convert`` of it.
+
+    A value that is not a number, a bool included, raises ValueError
+    naming the field, so a bad flag and a bad ledger file fail alike.
+    """
+    value = getattr(config, name)
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        object.__setattr__(config, name, convert(value))
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValueError(f"{name} is not a number: {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GasConfig:
     """Linear calldata gas model, calibrated to the empirical constant.
@@ -78,6 +93,14 @@ class GasConfig:
     nonzero_byte: int = 16
     zero_byte: int = 4
     exec_base: int = 207_862
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            _coerce(self, f.name, int)
+        if self.intrinsic < 1:
+            raise ValueError("intrinsic gas must be at least 1")
+        if min(self.nonzero_byte, self.zero_byte, self.exec_base) < 0:
+            raise ValueError("byte and execution gas must not be negative")
 
 
 _SELECTOR_BYTES = 4
@@ -116,34 +139,22 @@ class FeeConfig:
     block_interval: int = 1                          # seconds
     genesis_time: int = 0
 
-    @classmethod
-    def create(
-        cls,
-        initial_base_fee: object = Fraction(77, 100),
-        priority_tip: object = Fraction(1),
-        target_gas: int = 15_000_000,
-        decay_denominator: int = 8,
-        eth_usd_rate: object = Fraction(3000),
-        block_interval: int = 1,
-        genesis_time: int = 0,
-    ) -> "FeeConfig":
-        """Build a FeeConfig coercing numeric-ish inputs to exact rationals."""
-        cfg = cls(
-            initial_base_fee=_as_fraction(initial_base_fee),
-            priority_tip=_as_fraction(priority_tip),
-            target_gas=int(target_gas),
-            decay_denominator=int(decay_denominator),
-            eth_usd_rate=_as_fraction(eth_usd_rate),
-            block_interval=int(block_interval),
-            genesis_time=int(genesis_time),
-        )
-        if cfg.initial_base_fee_wei < 1 or cfg.priority_tip_wei < 1:
+    def __post_init__(self) -> None:
+        """Coerce rationals and integers, then check every range.
+
+        Rationals accept ints, decimal or ``p/q`` text, and floats (read
+        through their shortest text).  ``genesis_time >= 0`` and
+        ``block_interval >= 1`` keep every block timestamp > 0.
+        """
+        for f in fields(self):
+            _coerce(self, f.name, _as_fraction if isinstance(f.default, Fraction) else int)
+        if self.initial_base_fee_wei < 1 or self.priority_tip_wei < 1:
             raise ValueError("fees must be at least 1 wei")
-        if cfg.target_gas <= 0 or cfg.decay_denominator <= 0 or cfg.block_interval <= 0:
-            raise ValueError("chain parameters must be positive")
-        if cfg.eth_usd_rate <= 0:
-            raise ValueError("eth_usd_rate must be positive")
-        return cfg
+        for name in ("target_gas", "decay_denominator", "block_interval", "eth_usd_rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.genesis_time < 0:
+            raise ValueError("genesis_time must not be negative")
 
     @property
     def initial_base_fee_wei(self) -> int:
@@ -164,6 +175,18 @@ class FeeConfig:
         return base_fee_wei * ((self.decay_denominator - 1) * t + gas_used) // (
             self.decay_denominator * t
         )
+
+
+# fee_config key in a ledger file -> FeeConfig field; rationals are written as text
+_FEE_FILE_FIELDS = {
+    "initial_base_fee_gwei": "initial_base_fee",
+    "priority_tip_gwei": "priority_tip",
+    "target_gas": "target_gas",
+    "decay_denominator": "decay_denominator",
+    "eth_usd_rate": "eth_usd_rate",
+    "block_interval": "block_interval",
+    "genesis_time": "genesis_time",
+}
 
 
 @dataclass(frozen=True)
@@ -221,19 +244,12 @@ class Ledger:
     and timestamps follow from its length and last entry; the base fee is
     folded forward over each entry's gas as it is appended.  Reads never
     mutate; registrations must be serialized by the caller (the CLI and
-    batch helpers do).  ``wall_clock=True`` stamps blocks with real time
-    instead of modeled genesis + i * interval.
+    batch helpers do).  Block n is stamped genesis + n * interval.
     """
 
-    def __init__(
-        self,
-        fee_config: FeeConfig | None = None,
-        gas_config: GasConfig | None = None,
-        wall_clock: bool = False,
-    ) -> None:
+    def __init__(self, fee_config: FeeConfig | None = None, gas_config: GasConfig | None = None) -> None:
         self.fee_config = fee_config or FeeConfig()
         self.gas_config = gas_config or GasConfig()
-        self.wall_clock = wall_clock
         self.events: list[SlideRecord] = []
         self.records: dict[SlideKey, SlideRecord] = {}
         self.base_fee_wei = self.fee_config.initial_base_fee_wei
@@ -281,10 +297,8 @@ class Ledger:
             raise AlreadyRegistered(f"slide already registered: {key}")
         if not isinstance(record.registrant, bytes) or len(record.registrant) != 20:
             raise ValueError("registrant must be a 20-byte account identifier")
-        # timestamps rise block by block and stay > 0 (0 reads as unregistered)
-        if record.timestamp <= max(self.last_timestamp, 0) or not (
-            self.wall_clock or record.timestamp == self.next_timestamp
-        ):
+        # FeeConfig keeps this > 0, since 0 reads as unregistered
+        if record.timestamp != self.next_timestamp:
             raise ValueError(f"block {self.next_block_number} has out-of-rule timestamp {record.timestamp}")
         gas_used = estimate_gas(record.slide_hash, record.uri, self.gas_config)
         self.events.append(record)
@@ -307,10 +321,7 @@ class Ledger:
         """
         if registrant is None:
             registrant = _dev_account_set()[0]
-        if self.wall_clock:
-            timestamp = max(int(time.time()), self.last_timestamp + 1)
-        else:
-            timestamp = self.next_timestamp
+        timestamp = self.next_timestamp
         base_fee_wei = self.base_fee_wei
         gas_used = self._append(SlideRecord(key.lecture_id, key.slide_id, slide_hash, uri, timestamp, registrant))
         price = Fraction(base_fee_wei + self.fee_config.priority_tip_wei, WEI_PER_GWEI)
@@ -330,7 +341,6 @@ class Ledger:
         self,
         items: list[tuple[SlideKey, str, str]],
         registrant: bytes | None = None,
-        halt_on_error: bool = False,
     ) -> tuple[list[RegistrationReceipt], BatchSummary]:
         """Register (key, slide_hash, uri) items sequentially in input order."""
         receipts: list[RegistrationReceipt] = []
@@ -339,8 +349,6 @@ class Ledger:
             try:
                 receipts.append(self.register_slide(key, slide_hash, uri, registrant))
             except (InvalidLecture, InvalidSlide, AlreadyRegistered) as exc:
-                if halt_on_error:
-                    raise
                 summary.failures.append((key, str(exc)))
 
         summary.registered = len(receipts)
@@ -360,8 +368,7 @@ class Ledger:
 
     def to_document(self) -> dict:
         """The log plus its derived ``records`` and ``chain`` copies, for readers."""
-        fee = self.fee_config
-        gas = self.gas_config
+        fee = {name: getattr(self.fee_config, f) for name, f in _FEE_FILE_FIELDS.items()}
         return {
             "format": LEDGER_FORMAT,
             "chain": {
@@ -369,23 +376,10 @@ class Ledger:
                 "next_timestamp": self.next_timestamp,
                 "last_timestamp": self.last_timestamp,
                 "base_fee_wei": self.base_fee_wei,
-                "wall_clock": self.wall_clock,
+                "wall_clock": False,  # v1 field; modeled time is the only block rule
             },
-            "fee_config": {
-                "initial_base_fee_gwei": str(fee.initial_base_fee),
-                "priority_tip_gwei": str(fee.priority_tip),
-                "target_gas": fee.target_gas,
-                "decay_denominator": fee.decay_denominator,
-                "eth_usd_rate": str(fee.eth_usd_rate),
-                "block_interval": fee.block_interval,
-                "genesis_time": fee.genesis_time,
-            },
-            "gas_config": {
-                "intrinsic": gas.intrinsic,
-                "nonzero_byte": gas.nonzero_byte,
-                "zero_byte": gas.zero_byte,
-                "exec_base": gas.exec_base,
-            },
+            "fee_config": {name: str(v) if isinstance(v, Fraction) else v for name, v in fee.items()},
+            "gas_config": asdict(self.gas_config),
             "records": [_entry_document(r) for _, r in sorted(self.records.items())],
             "events": [_entry_document(e) for e in self.events],
         }
@@ -408,22 +402,9 @@ class Ledger:
         try:
             fee_doc = doc["fee_config"]
             gas_doc = doc["gas_config"]
-            fee = FeeConfig(
-                initial_base_fee=Fraction(fee_doc["initial_base_fee_gwei"]),
-                priority_tip=Fraction(fee_doc["priority_tip_gwei"]),
-                target_gas=int(fee_doc["target_gas"]),
-                decay_denominator=int(fee_doc["decay_denominator"]),
-                eth_usd_rate=Fraction(fee_doc["eth_usd_rate"]),
-                block_interval=int(fee_doc["block_interval"]),
-                genesis_time=int(fee_doc["genesis_time"]),
-            )
-            gas = GasConfig(
-                intrinsic=int(gas_doc["intrinsic"]),
-                nonzero_byte=int(gas_doc["nonzero_byte"]),
-                zero_byte=int(gas_doc["zero_byte"]),
-                exec_base=int(gas_doc["exec_base"]),
-            )
-            ledger = cls(fee, gas, wall_clock=bool(doc["chain"]["wall_clock"]))
+            fee = FeeConfig(**{f: fee_doc[name] for name, f in _FEE_FILE_FIELDS.items()})
+            gas = GasConfig(**{f.name: gas_doc[f.name] for f in fields(GasConfig)})
+            ledger = cls(fee, gas)
             for entry in doc["events"]:
                 ledger._append(SlideRecord(
                     lecture_id=int(entry["lectureId"]),
@@ -435,7 +416,7 @@ class Ledger:
                 ))
         except CorruptLedgerFile:
             raise
-        except (LedgerError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (LedgerError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise CorruptLedgerFile(f"ledger document rejected: {exc}") from exc
         if ledger.to_document() != doc:
             raise CorruptLedgerFile("ledger records or chain disagree with its event log")
@@ -450,7 +431,7 @@ class Ledger:
     def load(cls, path: Path | str) -> "Ledger":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise CorruptLedgerFile(f"cannot read ledger file {path}: {exc}") from exc
         return cls.from_document(doc)
 
@@ -460,7 +441,6 @@ class Ledger:
         return (
             self.fee_config == other.fee_config
             and self.gas_config == other.gas_config
-            and self.wall_clock == other.wall_clock
             and self.events == other.events
         )
 

@@ -2,23 +2,44 @@
 
 A ledger written by ``register`` gets one edit, and every command that
 reads a ledger must then exit 3 with a single ``error:`` line, print no
-traceback and leave the file's bytes as they were.
+traceback and leave the file's bytes as they were.  The same fee and gas
+values out of range given as ``register`` flags exit 2 and write no
+ledger.
 """
 
 import contextlib
 import io
 import json
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import write_corpus
+from conftest import run_cli, write_corpus
 from slideprov.cli import main
 from slideprov.ledger import account_hex, dev_accounts
 
 CHAIN_CURSOR = ["next_block_number", "next_timestamp", "last_timestamp", "base_fee_wei"]
 RECORD_FIELDS = ["lectureId", "slideId", "slideHash", "uri", "timestamp", "registrant"]
+
+# a fee below 1 wei, zero and negative fees included; rationals are file text
+_BELOW_ONE_WEI = st.fractions(max_value=Fraction(1, 10**9)).filter(lambda f: f < Fraction(1, 10**9)).map(str)
+# (section, file key) -> values out of the field's range
+OUT_OF_RANGE = {
+    ("fee_config", "initial_base_fee_gwei"): _BELOW_ONE_WEI,
+    ("fee_config", "priority_tip_gwei"): _BELOW_ONE_WEI,
+    ("fee_config", "eth_usd_rate"): st.fractions(max_value=0).map(str),
+    ("fee_config", "target_gas"): st.integers(max_value=0),
+    ("fee_config", "decay_denominator"): st.integers(max_value=0),
+    ("fee_config", "block_interval"): st.integers(max_value=0),
+    ("fee_config", "genesis_time"): st.integers(max_value=-1),
+    ("gas_config", "intrinsic"): st.integers(max_value=0),
+    ("gas_config", "nonzero_byte"): st.integers(max_value=-1),
+    ("gas_config", "zero_byte"): st.integers(max_value=-1),
+    ("gas_config", "exec_base"): st.integers(max_value=-1),
+}
+# json.dumps writes inf as Infinity, which json.loads reads back
+NOT_A_NUMBER = st.sampled_from(["abc", "", "1/0", "nan", None, True, False, [], {}, float("inf")])
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +79,16 @@ def _changed(value):
     return value + "x"
 
 
+def _edit(section, name, value):
+    return f"{section}.{name}={value!r}", lambda d: d[section].update({name: value})
+
+
 @st.composite
 def edits(draw):
     """(description, function editing a ledger document in place)."""
     n = 6
-    kind = draw(st.sampled_from(["drop", "swap", "duplicate", "chain", "record", "zero-id", "extra-key"]))
+    kind = draw(st.sampled_from(["drop", "swap", "duplicate", "chain", "record", "zero-id", "extra-key",
+                                 "config"]))
     i = draw(st.integers(0, n - 1))
     if kind == "drop":
         return kind, lambda d: d["events"].pop(i)
@@ -86,30 +112,82 @@ def edits(draw):
         section = draw(st.sampled_from(["events", "records"]))
         name = draw(st.sampled_from(["lectureId", "slideId"]))
         return f"{kind} {section}[{i}].{name}", lambda d: d[section][i].update({name: 0})
+    if kind == "config":
+        section, name = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        return _edit(section, name, draw(st.one_of(OUT_OF_RANGE[section, name], NOT_A_NUMBER)))
     key = draw(st.text(min_size=1, max_size=8).filter(
         lambda k: k not in {"format", "chain", "fee_config", "gas_config", "records", "events"}))
     value = draw(st.one_of(st.none(), st.integers(), st.text(max_size=8)))
     return f"{kind} {key!r}", lambda d: d.update({key: value})
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def assert_rejected_by_every_reader(ws, data):
+    """Each ledger reader exits 3 on a ledger file of bytes ``data``; returns the error lines."""
+    path = ws["tmp"] / "edited.json"
+    path.write_bytes(data)
+    errors = []
+    for name, argv in commands(ws).items():
+        code, _, err = run_cli(argv)
+        lines = err.splitlines()
+        assert code == 3, (name, lines)
+        assert len(lines) == 1 and lines[0].startswith("error: "), (name, lines)
+        assert "Traceback" not in err
+        assert path.read_bytes() == data, name
+        errors.append(lines[0])
+    return errors
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edit=edits())
+@example(edit=_edit("chain", "wall_clock", True))
+@example(edit=_edit("fee_config", "eth_usd_rate", "-3000"))
+@example(edit=_edit("fee_config", "priority_tip_gwei", "0"))
+@example(edit=_edit("fee_config", "block_interval", 0))
+@example(edit=_edit("fee_config", "target_gas", float("inf")))
+@example(edit=_edit("gas_config", "exec_base", -300000))
+@example(edit=("events[0].timestamp=inf", lambda d: d["events"][0].update(timestamp=float("inf"))))
 def test_edited_ledger_rejected_by_every_reader(workspace, edit):
     _, apply = edit
     doc = json.loads(json.dumps(workspace["doc"]))
     apply(doc)
+    assert_rejected_by_every_reader(workspace, json.dumps(doc).encode("utf-8"))
+
+
+def test_ledger_file_not_utf8_rejected(workspace):
     path = workspace["tmp"] / "edited.json"
-    data = json.dumps(doc).encode("utf-8")
-    path.write_bytes(data)
-    for name, argv in commands(workspace).items():
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        lines = err.getvalue().splitlines()
-        assert code == 3, (name, lines)
-        assert len(lines) == 1 and lines[0].startswith("error: "), (name, lines)
-        assert "Traceback" not in err.getvalue()
-        assert path.read_bytes() == data, name
+    for line in assert_rejected_by_every_reader(workspace, bytes([0xFF, 0xFE, 0x7B, 0x7D])):
+        assert line.startswith(f"error: cannot read ledger file {path}: "), line
+
+
+# register flag -> (section, file key) of the field it sets
+FEE_FLAGS = {
+    "--base-fee-gwei": ("fee_config", "initial_base_fee_gwei"),
+    "--tip-gwei": ("fee_config", "priority_tip_gwei"),
+    "--eth-usd": ("fee_config", "eth_usd_rate"),
+    "--block-interval": ("fee_config", "block_interval"),
+    "--gas-exec-base": ("gas_config", "exec_base"),
+}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(sorted(FEE_FLAGS)).flatmap(
+    lambda f: st.tuples(st.just(f), st.one_of(OUT_OF_RANGE[FEE_FLAGS[f]].map(str),
+                                              st.sampled_from(["abc", "", "1/0", "nan", "inf"])))))
+@example(flag=("--gas-exec-base", "-300000"))
+@example(flag=("--eth-usd", "1/0"))
+def test_out_of_range_fee_flag_exit_2(workspace, flag):
+    name, value = flag
+    ledger = workspace["tmp"] / "flagged.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(["register", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
+                         "--out", str(workspace["tmp"] / "out"), f"{name}={value}"])
+        except SystemExit as exc:  # argparse rejects a non-integer --block-interval
+            code = exc.code
+    assert code == 2, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not ledger.exists()
 
 
 def test_truncated_log_with_advanced_cursor_rejected(tmp_path, capsys):

@@ -1,9 +1,7 @@
 import random
 
-import pytest
-
 from keccak_reference import reference_keccak256
-from slideprov import SlideKey, commit, commit_record, commit_records, parse_commitment, storage_key
+from slideprov import Commitment, SlideKey, commit, commit_record, commit_records, storage_key
 from slideprov.records import normalize_record
 
 EMPTY_KECCAK = "0xc5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
@@ -38,20 +36,14 @@ def test_hex_round_trip():
     rng = random.Random(3)
     for _ in range(25):
         c = commit(rng.randbytes(rng.randrange(0, 64)))
-        assert parse_commitment(c.hex) == c
-        assert parse_commitment(c.hex.upper().replace("0X", "0x")) == c
+        assert Commitment(bytes.fromhex(c.hex[2:])) == c
+        assert c.matches_hex(c.hex.upper().replace("0X", "0x"))
 
 
 def test_matches_hex_case_insensitive():
     c = commit(b"payload")
     assert c.matches_hex(c.hex.upper().replace("0X", "0x"))
     assert not c.matches_hex(c.hex[:-1] + ("0" if c.hex[-1] != "0" else "1"))
-
-
-@pytest.mark.parametrize("text", ["", "0x123", "c5d2", "0x" + "g" * 64, None, "0x" + "a" * 63])
-def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
-        parse_commitment(text)
 
 
 class TestStorageKey:

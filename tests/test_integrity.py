@@ -30,7 +30,7 @@ from slideprov.integrity import (
     tamper_experiment,
     tamper_record,
     time_gaps,
-    verify_slide,
+    verify_records,
 )
 from slideprov.records import Concept
 
@@ -39,7 +39,7 @@ class TestVerifySlide:
     def test_unchanged_record_matches(self, registered):
         corpus, ledger = registered
         for key in corpus:
-            assert verify_slide(corpus[key], ledger).verdict == MATCH
+            assert verify_records([corpus[key]], ledger)[0].verdict == MATCH
 
     def test_single_character_flip_mismatches(self, registered):
         corpus, ledger = registered
@@ -54,12 +54,12 @@ class TestVerifySlide:
         concepts = (Concept(old.category, flipped, old.evidence),) + ext.concepts[1:]
         import dataclasses
         record.models[name] = dataclasses.replace(ext, concepts=concepts)
-        assert verify_slide(record, ledger).verdict == MISMATCH
+        assert verify_records([record], ledger)[0].verdict == MISMATCH
 
     def test_never_registered_key(self, corpus):
         ledger = Ledger()
         key = sorted(corpus)[0]
-        result = verify_slide(corpus[key], ledger)
+        result = verify_records([corpus[key]], ledger)[0]
         assert result.verdict == UNREGISTERED
         assert result.on_chain is None
 
@@ -67,7 +67,7 @@ class TestVerifySlide:
         key = sorted(corpus)[0]
         ledger = Ledger()
         ledger.register_slide(key, commit_record(corpus[key]).hex.upper().replace("0X", "0x"), "u")
-        assert verify_slide(corpus[key], ledger).verdict == MATCH
+        assert verify_records([corpus[key]], ledger)[0].verdict == MATCH
 
     @staticmethod
     def _flip_stored_hash(doc, sections):
@@ -90,8 +90,7 @@ class TestVerifySlide:
         bad_key = self._flip_stored_hash(doc, ("records", "events"))
         reimported = Ledger.from_document(doc)
 
-        verdicts = {r.key: r.verdict for r in
-                    (verify_slide(corpus[k], reimported) for k in sorted(corpus))}
+        verdicts = {r.key: r.verdict for r in verify_records([corpus[k] for k in sorted(corpus)], reimported)}
         assert verdicts.pop(bad_key) == MISMATCH
         assert all(v == MATCH for v in verdicts.values())
 

@@ -74,12 +74,6 @@ def test_timestamps_follow_sealing_rule():
         assert ledger.get_slide(key).timestamp == genesis + rank * interval
 
 
-def test_wall_clock_timestamps_strictly_increase():
-    ledger = Ledger(wall_clock=True)
-    stamps = [ledger.register_slide(SlideKey(1, i), HASH66, "u").timestamp for i in (1, 2, 3)]
-    assert stamps[0] < stamps[1] < stamps[2]
-
-
 class TestGasModel:
     def test_canonical_registration_costs_calibrated_constant(self):
         assert len(HASH66) == 66 and len(URI30) == 30
@@ -128,12 +122,23 @@ class TestFees:
         assert wei == 0
 
     def test_create_coerces_and_validates(self):
-        cfg = FeeConfig.create(initial_base_fee=0.77, priority_tip="1.0", eth_usd_rate=3000)
+        cfg = FeeConfig(initial_base_fee=0.77, priority_tip="1.0", eth_usd_rate=3000, target_gas="8")
+        assert cfg == FeeConfig(target_gas=8)
         assert cfg.initial_base_fee == Fraction(77, 100)
-        with pytest.raises(ValueError):
-            FeeConfig.create(initial_base_fee=0)
-        with pytest.raises(ValueError):
-            FeeConfig.create(block_interval=0)
+        assert type(cfg.eth_usd_rate) is Fraction and type(cfg.target_gas) is int
+        for bad in ({"initial_base_fee": 0}, {"priority_tip": "1e-10"}, {"eth_usd_rate": -3000},
+                    {"target_gas": 0}, {"decay_denominator": -1}, {"block_interval": 0},
+                    {"genesis_time": -1}, {"eth_usd_rate": "1/0"}, {"target_gas": float("inf")},
+                    {"block_interval": True}, {"priority_tip": None}):
+            with pytest.raises(ValueError):
+                FeeConfig(**bad)
+
+    def test_gas_config_coerces_and_validates(self):
+        assert GasConfig(exec_base="0") == GasConfig(exec_base=0)
+        for bad in ({"intrinsic": 0}, {"nonzero_byte": -1}, {"zero_byte": -1},
+                    {"exec_base": -300_000}, {"exec_base": "x"}):
+            with pytest.raises(ValueError):
+                GasConfig(**bad)
 
 
 class TestBatch:
@@ -158,12 +163,6 @@ class TestBatch:
         assert summary.registered == 2
         assert len(summary.failures) == 2
         assert [r.block_number for r in receipts] == [1, 2]
-
-    def test_halt_on_error(self):
-        ledger = Ledger()
-        items = [(SlideKey(1, 1), HASH66, URI30)] * 2
-        with pytest.raises(AlreadyRegistered):
-            ledger.batch_register(items, halt_on_error=True)
 
     def test_summary_throughput(self):
         ledger = Ledger()
@@ -266,12 +265,6 @@ class TestReplay:
         assert (ledger.next_block_number, ledger.next_timestamp) == (6, 6)
         receipt = ledger.register_slide(SlideKey(2, 1), HASH66, URI30)
         assert (receipt.block_number, receipt.timestamp) == (6, 6)
-
-    def test_wall_clock_log_round_trips(self):
-        ledger = Ledger(wall_clock=True)
-        for i in (1, 2, 3):
-            ledger.register_slide(SlideKey(1, i), HASH66, "u")
-        assert Ledger.from_document(json.loads(ledger.export_bytes())) == ledger
 
 
 def test_dev_accounts_fixed_and_distinct():

@@ -74,8 +74,8 @@ for key, d in by_slide.items():
 matrix, _ = pairwise_jaccard(by_slide, "concepts")
 print("\nmean pairwise concept Jaccard:")
 print("             " + "  ".join(f"{m:>7}" for m in matrix.models))
-for i, name in enumerate(matrix.models):
-    row = "  ".join(f"{matrix.values[i, j]:7.3f}" for j in range(len(matrix.models)))
+for name, values in zip(matrix.models, matrix.values):
+    row = "  ".join(f"{value:7.3f}" for value in values)
     print(f"  {name:>10} {row}")
 
 print("\nlecture-level mean disagreement:")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Container
 
@@ -54,26 +55,11 @@ def _load(args: argparse.Namespace, skip: Container[SlideKey] = frozenset()) -> 
     return result
 
 
-def _fee_config(args: argparse.Namespace) -> FeeConfig:
-    return FeeConfig(
-        initial_base_fee=args.base_fee_gwei,
-        priority_tip=args.tip_gwei,
-        eth_usd_rate=args.eth_usd,
-        block_interval=args.block_interval,
-    )
-
-
-def _gas_config(args: argparse.Namespace) -> GasConfig:
-    return GasConfig(exec_base=args.gas_exec_base)
-
-
-def _open_ledger(args: argparse.Namespace, create: bool) -> Ledger:
+def _open_ledger(args: argparse.Namespace) -> Ledger:
     path = Path(args.ledger)
-    if path.exists():
-        return Ledger.load(path)
-    if not create:
+    if not path.exists():
         raise CorruptLedgerFile(f"ledger file not found: {path}")
-    return Ledger(_fee_config(args), _gas_config(args))
+    return Ledger.load(path)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -87,14 +73,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_register(args: argparse.Namespace) -> int:
+    # The fee and gas flags are checked even where an existing file's configs win.
+    fee = FeeConfig(initial_base_fee=args.base_fee_gwei, priority_tip=args.tip_gwei,
+                    eth_usd_rate=args.eth_usd, block_interval=args.block_interval)
+    gas = GasConfig(exec_base=args.gas_exec_base)
     # With --skip-existing an existing ledger is read first, so that the
     # files of registered slides are passed over unread.
-    ledger = None
-    if args.skip_existing and Path(args.ledger).exists():
-        ledger = Ledger.load(args.ledger)
+    path = Path(args.ledger)
+    ledger = Ledger.load(path) if args.skip_existing and path.exists() else None
     result = _load(args, ledger.records if ledger is not None else frozenset())
     if ledger is None:
-        ledger = _open_ledger(args, create=True)
+        ledger = Ledger.load(path) if path.exists() else Ledger(fee, gas)
 
     keys = sorted(result.records)
     commitments = commit_records(result.records[key] for key in keys)
@@ -146,7 +135,7 @@ def cmd_register(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     result = _load(args)
-    ledger = _open_ledger(args, create=False)
+    ledger = _open_ledger(args)
     verdicts = integrity.verify_corpus(result.records, ledger)
 
     out = _out_dir(args)
@@ -165,12 +154,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _write_matrix(path: Path, matrix: metrics.JaccardMatrix, fmt: str) -> None:
-    header = ["model"] + matrix.models
-    rows = [
-        [model] + [float(matrix.values[i, j]) for j in range(len(matrix.models))]
-        for i, model in enumerate(matrix.models)
-    ]
-    write_table(path, header, rows, fmt)
+    rows = [[model, *values] for model, values in zip(matrix.models, matrix.values)]
+    write_table(path, ["model", *matrix.models], rows, fmt)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -232,7 +217,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_tamper(args: argparse.Namespace) -> int:
     result = _load(args)
-    ledger = _open_ledger(args, create=False)
+    ledger = _open_ledger(args)
     report = integrity.tamper_experiment(result.records, ledger, args.count, args.seed)
 
     out = _out_dir(args)
@@ -300,7 +285,7 @@ def cmd_compare_runs(args: argparse.Namespace) -> int:
 
 
 def cmd_time_gaps(args: argparse.Namespace) -> int:
-    ledger = _open_ledger(args, create=False)
+    ledger = _open_ledger(args)
     if args.manifest:
         local = integrity.load_time_manifest(args.manifest)
     else:
@@ -453,6 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    format_warning = warnings.formatwarning
+    # one line without the source location, so stderr is the same from any checkout
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except (UnknownBaselineModel, ValueError) as exc:
@@ -464,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
     except UnregisteredCorpus as exc:
         _err(str(exc))
         return EXIT_INTEGRITY
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .commitment import Commitment, commit_records
 from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
@@ -271,16 +270,15 @@ def time_gaps(
         stored = ledger.get_slide(key)
         delta = float(stored.timestamp - local_times[key])
         gaps.append(TimeGap(key, delta, delta < 0))
-    deltas = np.array([g.delta_seconds for g in gaps])
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        summary = TimeGapSummary(
-            count=len(gaps),
-            mean=float(deltas.mean()),
-            minimum=float(deltas.min()),
-            maximum=float(deltas.max()),
-            stddev=float(deltas.std()),  # population stddev
-            anomalies=sum(1 for g in gaps if g.anomaly),
-        )
+    deltas = [g.delta_seconds for g in gaps]
+    try:
+        mean = statistics.fmean(deltas)
+        # population stddev; statistics.pstdev rounds differently across Python versions
+        stddev = math.sqrt(statistics.fmean((d - mean) ** 2 for d in deltas))
+    except (OverflowError, ValueError):  # fsum or ** past the largest float, or inf - inf
+        mean = stddev = math.inf
+    summary = TimeGapSummary(count=len(gaps), mean=mean, minimum=min(deltas), maximum=max(deltas),
+                             stddev=stddev, anomalies=sum(1 for g in gaps if g.anomaly))
     if not all(map(math.isfinite, (summary.mean, summary.maximum, summary.minimum, summary.stddev))):
         raise ValueError("time gaps exceed the floating-point range")
     return gaps, summary

@@ -17,14 +17,16 @@ messages.  A batch runs as many steps as its longest message has
 blocks, so messages are taken from the input a window of ``_WINDOW``
 batches at a time and grouped by block count before they are batched.
 Only one window's bytes are held at a time.
+
+numpy is imported, and the lane tables built, when the first batch is
+hashed: nothing else in the package needs numpy.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import count, islice
 from typing import Iterable
-
-import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _RATE = 136  # 1088-bit rate / 512-bit capacity for 256-bit output
@@ -185,20 +187,26 @@ def _lane_tables() -> tuple[list[int], list[int]]:
     return source, [rho[i] for i in source]
 
 
-_PI_SOURCE, _ROT = _lane_tables()
-# Every shift count and constant is np.uint64, so numpy 1.x and 2.x promote alike.
-_ROT_LEFT = np.array(_ROT, dtype=np.uint64).reshape(25, 1)
-# A rotation by 0 shifts right by 0, not by 64 (undefined): the OR then
-# gives the lane back unchanged.
-_ROT_RIGHT = np.array([(64 - r) % 64 for r in _ROT], dtype=np.uint64).reshape(25, 1)
-_PI_TAKE = np.array(_PI_SOURCE, dtype=np.intp)
-_CHI_NEXT = np.array([(i + 1) % 5 + i - i % 5 for i in range(25)], dtype=np.intp)
-_CHI_NEXT2 = np.array([(i + 2) % 5 + i - i % 5 for i in range(25)], dtype=np.intp)
-_COL_NEXT = np.array([1, 2, 3, 4, 0], dtype=np.intp)
-_COL_PREV = np.array([4, 0, 1, 2, 3], dtype=np.intp)
-_ONE = np.uint64(1)
-_SIXTY_THREE = np.uint64(63)
-_RC_LANES = np.array(_ROUND_CONSTANTS, dtype=np.uint64)
+@cache
+def _load_numpy() -> None:
+    """Import numpy and build the lane tables as module globals, once."""
+    global np, _ROT_LEFT, _ROT_RIGHT, _PI_TAKE, _CHI_NEXT, _CHI_NEXT2
+    global _COL_NEXT, _COL_PREV, _ONE, _SIXTY_THREE, _RC_LANES
+    import numpy as np
+    source, rot = _lane_tables()
+    # Every shift count and constant is np.uint64, so numpy 1.x and 2.x promote alike.
+    _ROT_LEFT = np.array(rot, dtype=np.uint64).reshape(25, 1)
+    # A rotation by 0 shifts right by 0, not by 64 (undefined): the OR then
+    # gives the lane back unchanged.
+    _ROT_RIGHT = np.array([(64 - r) % 64 for r in rot], dtype=np.uint64).reshape(25, 1)
+    _PI_TAKE = np.array(source, dtype=np.intp)
+    _CHI_NEXT = np.array([(i + 1) % 5 + i - i % 5 for i in range(25)], dtype=np.intp)
+    _CHI_NEXT2 = np.array([(i + 2) % 5 + i - i % 5 for i in range(25)], dtype=np.intp)
+    _COL_NEXT = np.array([1, 2, 3, 4, 0], dtype=np.intp)
+    _COL_PREV = np.array([4, 0, 1, 2, 3], dtype=np.intp)
+    _ONE = np.uint64(1)
+    _SIXTY_THREE = np.uint64(63)
+    _RC_LANES = np.array(_ROUND_CONSTANTS, dtype=np.uint64)
 
 
 def _permute_lanes(a: np.ndarray) -> None:
@@ -238,6 +246,7 @@ def _permute_lanes(a: np.ndarray) -> None:
 
 def _hash_batch(batch: list[bytes]) -> list[bytes]:
     """Digests of one batch, in input order."""
+    _load_numpy()
     blocks = [len(data) // _RATE + 1 for data in batch]
     # Longest first: the lanes still absorbing at block k are then a prefix.
     order = sorted(range(len(batch)), key=blocks.__getitem__, reverse=True)

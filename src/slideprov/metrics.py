@@ -11,11 +11,10 @@ identity sets once per slide, and every other metric takes its output.
 
 from __future__ import annotations
 
+import statistics
 import warnings
 from dataclasses import dataclass
 from typing import Literal
-
-import numpy as np
 
 from .errors import InsufficientModels, ProvenanceWarning, TooFewSlides, UnknownBaselineModel
 from .records import Corpus, ProvenanceRecord, SlideKey
@@ -91,11 +90,11 @@ def corpus_models(by_slide: BySlide) -> list[str]:
 @dataclass
 class JaccardMatrix:
     models: list[str]
-    values: np.ndarray  # symmetric, diagonal 1.0
+    values: list[list[float]]  # symmetric, diagonal 1.0
     kind: SetKind
 
     def pair_mean(self, a: str, b: str) -> float:
-        return float(self.values[self.models.index(a), self.models.index(b)])
+        return self.values[self.models.index(a)][self.models.index(b)]
 
 
 def pairwise_jaccard(
@@ -114,7 +113,7 @@ def pairwise_jaccard(
     sets = {key: d.concepts if kind == "concepts" else d.triples for key, d in by_slide.items()}
     per_slide: dict[tuple[str, str], dict[SlideKey, float]] = {}
     n = len(models)
-    values = np.eye(n)
+    values = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             pair = (models[i], models[j])
@@ -124,7 +123,7 @@ def pairwise_jaccard(
             }
             per_slide[pair] = slide_values
             mean = sum(slide_values.values()) / len(by_slide)
-            values[i, j] = values[j, i] = mean
+            values[i][j] = values[j][i] = mean
     return JaccardMatrix(models=models, values=values, kind=kind), per_slide
 
 
@@ -169,8 +168,8 @@ class StabilityLabel:
 
 def stability_bands(values: list[int]) -> tuple[float, float]:
     """(Q1, Q3) of the values, linear interpolation between order statistics."""
-    q1, q3 = np.percentile(np.asarray(values, dtype=float), [25, 75])
-    return float(q1), float(q3)
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
 
 
 def classify_stability(by_slide: BySlide) -> list[StabilityLabel]:
@@ -285,7 +284,7 @@ def coverage_loss(by_slide: BySlide, baseline_model: str | None = None) -> Cover
         baseline_model=baseline_model,
         losses=losses,
         concept_mean=sum(c_vals) / len(c_vals),
-        concept_median=float(np.median(c_vals)),
+        concept_median=statistics.median(c_vals),
         triple_mean=sum(t_vals) / len(t_vals),
-        triple_median=float(np.median(t_vals)),
+        triple_median=statistics.median(t_vals),
     )

@@ -10,7 +10,6 @@ import csv
 import json
 import os
 import tempfile
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,12 +17,8 @@ from pathlib import Path
 def format_cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
+    if isinstance(value, (float, Fraction)):
         return repr(float(value))
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, Decimal):
-        return str(value)
     return str(value)
 
 

@@ -209,6 +209,23 @@ def test_gaps_out_of_float_range_exit_2(tmp_path, workspace):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("t_local", [
+    [-1.7e308, 1.7e308, 1.7e308],  # deltas [1.7e308, -1.7e308, -1.7e308]: d - mean is inf
+    [-1e200, 1e200],               # deltas [1e200, -1e200]: ** overflows
+], ids=["deviation-inf", "square-overflows"])
+def test_gaps_deviation_out_of_float_range_exit_2(tmp_path, workspace, t_local):
+    # the mean is finite; the deviation from it is not
+    path = tmp_path / "times.json"
+    path.write_text(json.dumps([{"lecture_id": l, "slide_id": s, "t_local": t}
+                                for (l, s), t in zip(SLIDES, t_local)]), encoding="utf-8")
+    code, err = run_main(["time-gaps", "--corpus", str(workspace["corpus"]),
+                          "--ledger", str(workspace["ledger"]), "--manifest", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert_config_error(code, err)
+    assert err == "error: time gaps exceed the floating-point range\n", err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_json_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         write_json(tmp_path / "r.json", {"mean": float("nan")})

@@ -4,7 +4,7 @@ A ledger written by ``register`` gets one edit, and every command that
 reads a ledger must then exit 3 with a single ``error:`` line, print no
 traceback and leave the file's bytes as they were.  The same fee and gas
 values out of range given as ``register`` flags exit 2 and write no
-ledger.
+ledger, or leave an existing one as it was.
 """
 
 import contextlib
@@ -169,10 +169,14 @@ FEE_FLAGS = {
 }
 
 
+# (flag, value) with a value out of the flag's range
+OUT_OF_RANGE_FLAG = st.sampled_from(sorted(FEE_FLAGS)).flatmap(
+    lambda f: st.tuples(st.just(f), OUT_OF_RANGE[FEE_FLAGS[f]].map(str)))
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(flag=st.sampled_from(sorted(FEE_FLAGS)).flatmap(
-    lambda f: st.tuples(st.just(f), st.one_of(OUT_OF_RANGE[FEE_FLAGS[f]].map(str),
-                                              st.sampled_from(["abc", "", "1/0", "nan", "inf"])))))
+@given(flag=st.one_of(OUT_OF_RANGE_FLAG, st.tuples(st.sampled_from(sorted(FEE_FLAGS)),
+                                                   st.sampled_from(["abc", "", "1/0", "nan", "inf"]))))
 @example(flag=("--gas-exec-base", "-300000"))
 @example(flag=("--eth-usd", "1/0"))
 def test_out_of_range_fee_flag_exit_2(workspace, flag):
@@ -188,6 +192,36 @@ def test_out_of_range_fee_flag_exit_2(workspace, flag):
     assert code == 2, err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert not ledger.exists()
+
+
+@pytest.fixture(scope="module")
+def partly_registered(tmp_path_factory):
+    """A corpus of 2 lectures with a ledger that registers only the first."""
+    tmp = tmp_path_factory.mktemp("partly-registered")
+    corpus = write_corpus(tmp / "corpus", n_lectures=1, slides_per_lecture=2)
+    ledger = tmp / "ledger.json"
+    code, _, err = run_cli(["register", "--corpus", str(corpus), "--ledger", str(ledger),
+                            "--out", str(tmp / "out")])
+    assert code == 0, err
+    write_corpus(corpus, n_lectures=2, slides_per_lecture=2)  # same seed: lecture 1 unchanged
+    return {"tmp": tmp, "corpus": corpus, "data": ledger.read_bytes()}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=st.lists(OUT_OF_RANGE_FLAG, min_size=1, max_size=2), skip_existing=st.booleans())
+@example(flags=[("--eth-usd", "-5"), ("--gas-exec-base", "-300000")], skip_existing=True)
+def test_out_of_range_fee_flag_exit_2_with_existing_ledger(partly_registered, flags, skip_existing):
+    # the file's own configs would be used, but the flags are still checked
+    ws = partly_registered
+    ledger = ws["tmp"] / "existing.json"
+    ledger.write_bytes(ws["data"])
+    argv = ["register", "--corpus", str(ws["corpus"]), "--ledger", str(ledger),
+            "--out", str(ws["tmp"] / "out"), *(f"{name}={value}" for name, value in flags)]
+    code, _, err = run_cli(argv + ["--skip-existing"] * skip_existing)
+    lines = err.splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert ledger.read_bytes() == ws["data"]
 
 
 def test_truncated_log_with_advanced_cursor_rejected(tmp_path, capsys):

@@ -12,7 +12,8 @@ alters an output on purpose rewrites that file in the same commit, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so; any other difference is a defect.
+which names each digest that changed, and says so; any other difference
+is a defect.
 """
 
 from __future__ import annotations
@@ -161,6 +162,11 @@ if __name__ == "__main__":
         del os.environ[name]
     with tempfile.TemporaryDirectory() as scratch:
         result = golden_digests(Path(scratch))
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(result)} digests to {GOLDEN}", file=sys.stderr)
+    # added, removed or changed: the steps an intended format change moved
+    changed = [name for name in {**previous, **result} if previous.get(name) != result.get(name)]
+    for name in changed:
+        print(f"changed: {name}", file=sys.stderr)
+    print(f"wrote {len(result)} digests to {GOLDEN}, {len(changed)} changed", file=sys.stderr)

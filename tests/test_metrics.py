@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slideprov import (
     Concept,
@@ -17,6 +19,7 @@ from slideprov.metrics import (
     MODERATE,
     STABLE,
     UNSTABLE,
+    SlideDisagreement,
     classify_stability,
     corpus_disagreement,
     corpus_models,
@@ -104,9 +107,11 @@ class TestPairwiseJaccard:
 
     def test_symmetric_unit_diagonal(self):
         matrix, _ = pairwise_jaccard(corpus_disagreement(self.corpus()), "concepts")
-        assert (matrix.values == matrix.values.T).all()
-        assert (matrix.values.diagonal() == 1.0).all()
-        assert ((matrix.values >= 0) & (matrix.values <= 1)).all()
+        values = matrix.values
+        n = len(matrix.models)
+        assert all(values[i][j] == values[j][i] for i in range(n) for j in range(n))
+        assert all(values[i][i] == 1.0 for i in range(n))
+        assert all(0 <= v <= 1 for row in values for v in row)
 
     def test_missing_model_counts_as_empty(self):
         corpus = {
@@ -293,8 +298,37 @@ def test_metrics_invariant_under_model_and_slide_order():
     }
     m1, _ = pairwise_jaccard(corpus_disagreement(forward), "concepts")
     m2, _ = pairwise_jaccard(corpus_disagreement(reversed_models), "concepts")
-    assert (m1.values == m2.values).all() and m1.models == m2.models
+    assert m1.values == m2.values and m1.models == m2.models
     assert [l.label for l in classify_stability(corpus_disagreement(forward))] == [
         l.label for l in classify_stability(corpus_disagreement(reversed_models))
     ]
     assert corpus_models(corpus_disagreement(forward)) == corpus_models(corpus_disagreement(reversed_models))
+
+
+# numpy is kept here as the reference that the stdlib statistics must match
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10_000), min_size=2, max_size=60))
+def test_stability_bands_equal_numpy_percentile(values):
+    q1, q3 = np.percentile(np.asarray(values, dtype=float), [25, 75])
+    assert stability_bands(values) == (float(q1), float(q3))
+
+
+@st.composite
+def identity_sets(draw):
+    """One slide's identity sets for models a, b and c: (concepts, triples)."""
+    return [{m: frozenset(draw(st.sets(st.integers(0, 9), max_size=6))) for m in "abc"}
+            for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(identity_sets(), min_size=1, max_size=30))
+def test_coverage_medians_equal_numpy_median(slides):
+    by_slide = {
+        SlideKey(1, i): SlideDisagreement(SlideKey(1, i), concepts, triples,
+                                          frozenset().union(*concepts.values()),
+                                          frozenset().union(*triples.values()))
+        for i, (concepts, triples) in enumerate(slides, start=1)
+    }
+    report = coverage_loss(by_slide, "a")
+    assert report.concept_median == float(np.median([l.concept_loss for l in report.losses]))
+    assert report.triple_median == float(np.median([l.triple_loss for l in report.losses]))

@@ -90,6 +90,28 @@ def cmd_register(args: argparse.Namespace) -> int:
     items = [(key, c.hex, canonical_uri(key)) for key, c in zip(keys, commitments)]
 
     receipts, summary = ledger.batch_register(items)
+    # The reports give costs as floats: a cost past the float range fails
+    # here, before the ledger file is written.
+    try:
+        receipt_rows = [[r.lecture_id, r.slide_id, r.block_number, r.timestamp, r.gas_used,
+                         float(r.effective_gas_price), float(r.tx_cost_eth), float(r.tx_cost_usd)]
+                        for r in receipts]
+        summary_doc = {
+            "attempted": summary.attempted,
+            "registered": summary.registered,
+            "skipped_existing": result.skipped,
+            "failed": len(summary.failures),
+            "min_gas": summary.min_gas,
+            "mean_gas": float(summary.mean_gas),
+            "max_gas": summary.max_gas,
+            "total_gas": summary.total_gas,
+            "total_cost_eth": float(summary.total_cost_eth),
+            "total_cost_usd": float(summary.total_cost_usd),
+            "elapsed_seconds": summary.elapsed_seconds,
+            "throughput": summary.throughput,
+        }
+    except OverflowError:
+        raise ValueError("registration costs exceed the floating-point range") from None
     ledger.save(args.ledger)
 
     out = _out_dir(args)
@@ -97,8 +119,7 @@ def cmd_register(args: argparse.Namespace) -> int:
         out / "receipts",
         ["lecture_id", "slide_id", "block", "timestamp", "gas_used",
          "effective_gas_price_gwei", "cost_eth", "cost_usd"],
-        [[r.lecture_id, r.slide_id, r.block_number, r.timestamp, r.gas_used,
-          r.effective_gas_price, r.tx_cost_eth, r.tx_cost_usd] for r in receipts],
+        receipt_rows,
         args.format,
     )
     write_table(
@@ -108,27 +129,14 @@ def cmd_register(args: argparse.Namespace) -> int:
          for e in ledger.events],
         args.format,
     )
-    write_json(out / "register_summary.json", {
-        "attempted": summary.attempted,
-        "registered": summary.registered,
-        "skipped_existing": result.skipped,
-        "failed": len(summary.failures),
-        "min_gas": summary.min_gas,
-        "mean_gas": float(summary.mean_gas),
-        "max_gas": summary.max_gas,
-        "total_gas": summary.total_gas,
-        "total_cost_eth": float(summary.total_cost_eth),
-        "total_cost_usd": float(summary.total_cost_usd),
-        "elapsed_seconds": summary.elapsed_seconds,
-        "throughput": summary.throughput,
-    })
+    write_json(out / "register_summary.json", summary_doc)
 
     for key, reason in summary.failures:
         _err(f"({key.lecture_id},{key.slide_id}): {reason}")
     print(
         f"registered {summary.registered}/{summary.attempted} slides"
         f" (skipped {result.skipped}, failed {len(summary.failures)});"
-        f" total gas {summary.total_gas}, cost ${float(summary.total_cost_usd):.2f}"
+        f" total gas {summary.total_gas}, cost ${summary_doc['total_cost_usd']:.2f}"
     )
     return EXIT_INTEGRITY if summary.failures else EXIT_OK
 

@@ -251,6 +251,9 @@ class TimeGapSummary:
     anomalies: int
 
 
+_OUT_OF_RANGE = "time gaps exceed the floating-point range"
+
+
 def time_gaps(
     local_times: dict[SlideKey, float], ledger: Ledger
 ) -> tuple[list[TimeGap], TimeGapSummary]:
@@ -262,15 +265,15 @@ def time_gaps(
     """
     if not local_times:
         raise ValueError("time gaps need at least one slide")
-    missing = [key for key in sorted(local_times) if not ledger.is_registered(key)]
+    keys = sorted(local_times)
+    missing = [key for key in keys if not ledger.is_registered(key)]
     if missing:
         raise UnregisteredCorpus(f"{len(missing)} slides unregistered, first: {missing[0]}")
-    gaps = []
-    for key in sorted(local_times):
-        stored = ledger.get_slide(key)
-        delta = float(stored.timestamp - local_times[key])
-        gaps.append(TimeGap(key, delta, delta < 0))
-    deltas = [g.delta_seconds for g in gaps]
+    try:  # a block timestamp past the largest float
+        deltas = [float(ledger.get_slide(key).timestamp - local_times[key]) for key in keys]
+    except OverflowError:
+        raise ValueError(_OUT_OF_RANGE) from None
+    gaps = [TimeGap(key, delta, delta < 0) for key, delta in zip(keys, deltas)]
     try:
         mean = statistics.fmean(deltas)
         # population stddev; statistics.pstdev rounds differently across Python versions
@@ -280,7 +283,7 @@ def time_gaps(
     summary = TimeGapSummary(count=len(gaps), mean=mean, minimum=min(deltas), maximum=max(deltas),
                              stddev=stddev, anomalies=sum(1 for g in gaps if g.anomaly))
     if not all(map(math.isfinite, (summary.mean, summary.maximum, summary.minimum, summary.stddev))):
-        raise ValueError("time gaps exceed the floating-point range")
+        raise ValueError(_OUT_OF_RANGE)
     return gaps, summary
 
 

@@ -4,11 +4,7 @@ This is the original Keccak submission with multi-rate pad10*1 (domain
 byte 0x01), NOT the standardized SHA-3 variant (domain byte 0x06), so
 ``keccak256(b"") != hashlib.sha3_256(b"").digest()``.
 
-``keccak256`` hashes one message in pure Python with a straight-line
-permutation (the rho/pi/chi data flow is unrolled with the standard
-rotation and lane-permutation tables baked in).  It is the reference
-and the path for single inputs.
-
+There is one Keccak-f[1600], ``_permute_lanes``, and no scalar path.
 ``keccak256_many`` hashes many messages at once, the multi-instance
 idea of XKCP's ``KeccakP-1600-times{2,4,8}`` done with numpy lanes: the
 state is a ``(25, N)`` uint64 array whose column j is message j's state,
@@ -16,9 +12,10 @@ so each step of the permutation is one array operation over all N
 messages.  A batch runs as many steps as its longest message has
 blocks, so messages are taken from the input a window of ``_WINDOW``
 batches at a time and grouped by block count before they are batched.
-Only one window's bytes are held at a time.
+Only one window's bytes are held at a time.  ``keccak256`` is the
+one-message case of ``keccak256_many``.
 
-numpy is imported, and the lane tables built, when the first batch is
+numpy is imported, and the lane tables built, when the first message is
 hashed: nothing else in the package needs numpy.
 """
 
@@ -28,7 +25,6 @@ from functools import cache
 from itertools import count, islice
 from typing import Iterable
 
-_MASK64 = (1 << 64) - 1
 _RATE = 136  # 1088-bit rate / 512-bit capacity for 256-bit output
 
 _ROUND_CONSTANTS = (
@@ -39,113 +35,6 @@ _ROUND_CONSTANTS = (
     0x8000000000008002, 0x8000000000000080, 0x000000000000800A, 0x800000008000000A,
     0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
-
-
-def _permute(state: list[int]) -> None:
-    """Keccak-f[1600] over 25 lanes; lane i holds A[x][y] with i = x + 5*y."""
-    M = _MASK64
-    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = state
-    for rc in _ROUND_CONSTANTS:
-        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
-        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
-        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
-        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
-        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
-        d0 = c4 ^ (((c1 << 1) | (c1 >> 63)) & M)
-        d1 = c0 ^ (((c2 << 1) | (c2 >> 63)) & M)
-        d2 = c1 ^ (((c3 << 1) | (c3 >> 63)) & M)
-        d3 = c2 ^ (((c4 << 1) | (c4 >> 63)) & M)
-        d4 = c3 ^ (((c0 << 1) | (c0 >> 63)) & M)
-        b0 = a0 ^ d0
-        t = a1 ^ d1
-        b10 = ((t << 1) | (t >> 63)) & M
-        t = a2 ^ d2
-        b20 = ((t << 62) | (t >> 2)) & M
-        t = a3 ^ d3
-        b5 = ((t << 28) | (t >> 36)) & M
-        t = a4 ^ d4
-        b15 = ((t << 27) | (t >> 37)) & M
-        t = a5 ^ d0
-        b16 = ((t << 36) | (t >> 28)) & M
-        t = a6 ^ d1
-        b1 = ((t << 44) | (t >> 20)) & M
-        t = a7 ^ d2
-        b11 = ((t << 6) | (t >> 58)) & M
-        t = a8 ^ d3
-        b21 = ((t << 55) | (t >> 9)) & M
-        t = a9 ^ d4
-        b6 = ((t << 20) | (t >> 44)) & M
-        t = a10 ^ d0
-        b7 = ((t << 3) | (t >> 61)) & M
-        t = a11 ^ d1
-        b17 = ((t << 10) | (t >> 54)) & M
-        t = a12 ^ d2
-        b2 = ((t << 43) | (t >> 21)) & M
-        t = a13 ^ d3
-        b12 = ((t << 25) | (t >> 39)) & M
-        t = a14 ^ d4
-        b22 = ((t << 39) | (t >> 25)) & M
-        t = a15 ^ d0
-        b23 = ((t << 41) | (t >> 23)) & M
-        t = a16 ^ d1
-        b8 = ((t << 45) | (t >> 19)) & M
-        t = a17 ^ d2
-        b18 = ((t << 15) | (t >> 49)) & M
-        t = a18 ^ d3
-        b3 = ((t << 21) | (t >> 43)) & M
-        t = a19 ^ d4
-        b13 = ((t << 8) | (t >> 56)) & M
-        t = a20 ^ d0
-        b14 = ((t << 18) | (t >> 46)) & M
-        t = a21 ^ d1
-        b24 = ((t << 2) | (t >> 62)) & M
-        t = a22 ^ d2
-        b9 = ((t << 61) | (t >> 3)) & M
-        t = a23 ^ d3
-        b19 = ((t << 56) | (t >> 8)) & M
-        t = a24 ^ d4
-        b4 = ((t << 14) | (t >> 50)) & M
-        a0 = b0 ^ ((b1 ^ M) & b2)
-        a1 = b1 ^ ((b2 ^ M) & b3)
-        a2 = b2 ^ ((b3 ^ M) & b4)
-        a3 = b3 ^ ((b4 ^ M) & b0)
-        a4 = b4 ^ ((b0 ^ M) & b1)
-        a5 = b5 ^ ((b6 ^ M) & b7)
-        a6 = b6 ^ ((b7 ^ M) & b8)
-        a7 = b7 ^ ((b8 ^ M) & b9)
-        a8 = b8 ^ ((b9 ^ M) & b5)
-        a9 = b9 ^ ((b5 ^ M) & b6)
-        a10 = b10 ^ ((b11 ^ M) & b12)
-        a11 = b11 ^ ((b12 ^ M) & b13)
-        a12 = b12 ^ ((b13 ^ M) & b14)
-        a13 = b13 ^ ((b14 ^ M) & b10)
-        a14 = b14 ^ ((b10 ^ M) & b11)
-        a15 = b15 ^ ((b16 ^ M) & b17)
-        a16 = b16 ^ ((b17 ^ M) & b18)
-        a17 = b17 ^ ((b18 ^ M) & b19)
-        a18 = b18 ^ ((b19 ^ M) & b15)
-        a19 = b19 ^ ((b15 ^ M) & b16)
-        a20 = b20 ^ ((b21 ^ M) & b22)
-        a21 = b21 ^ ((b22 ^ M) & b23)
-        a22 = b22 ^ ((b23 ^ M) & b24)
-        a23 = b23 ^ ((b24 ^ M) & b20)
-        a24 = b24 ^ ((b20 ^ M) & b21)
-        a0 ^= rc
-    state[:] = (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-                a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24)
-
-
-def keccak256(data: bytes) -> bytes:
-    """Return the 32-byte Keccak-256 digest of ``data``."""
-    state = [0] * 25
-    padded = _pad(data)
-    for off in range(0, len(padded), _RATE):
-        block = padded[off:off + _RATE]
-        for lane in range(17):
-            state[lane] ^= int.from_bytes(block[lane * 8:lane * 8 + 8], "little")
-        _permute(state)
-    return _squeeze(state)
 
 
 def _pad(data: bytes) -> bytes:
@@ -160,9 +49,6 @@ def _squeeze(lanes: list[int]) -> bytes:
     """The 32-byte digest: the first four lanes, little-endian."""
     return b"".join(lane.to_bytes(8, "little") for lane in lanes[:4])
 
-
-# --------------------------------------------------------------------------
-# many messages at once
 
 # Messages per batch: bounds the batch's padded bytes, and keeps the
 # (25, N) state and its temporaries in cache.
@@ -274,7 +160,7 @@ def _hash_batch(batch: list[bytes]) -> list[bytes]:
 
 
 def keccak256_many(messages: Iterable[bytes]) -> list[bytes]:
-    """Keccak-256 digests of ``messages``, in order; equal to ``map(keccak256, ...)``.
+    """Keccak-256 digests of ``messages``, in input order.
 
     Messages are drawn from the iterable ``_WINDOW * _BATCH`` at a time,
     so a generator's items need not all be in memory at once.
@@ -290,3 +176,8 @@ def keccak256_many(messages: Iterable[bytes]) -> list[bytes]:
                 ordered[i] = digest
         digests += ordered
     return digests
+
+
+def keccak256(data: bytes) -> bytes:
+    """Return the 32-byte Keccak-256 digest of ``data``."""
+    return keccak256_many((data,))[0]

@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .errors import AlreadyRegistered, CorruptLedgerFile, InvalidLecture, InvalidSlide, LedgerError
-from .keccak import keccak256
+from .keccak import keccak256_many
 from .records import SlideKey
 
 LEDGER_FORMAT = "slideprov-ledger/v1"
@@ -38,12 +38,13 @@ GWEI = Fraction(1, 10**9)  # ETH per gwei
 
 _ACCOUNT_COUNT = 20
 
+_T = TypeVar("_T")
+
 
 @lru_cache(maxsize=1)
 def _dev_account_set() -> tuple[bytes, ...]:
-    return tuple(
-        keccak256(f"slideprov dev account {i}".encode())[12:] for i in range(_ACCOUNT_COUNT)
-    )
+    labels = (f"slideprov dev account {i}".encode() for i in range(_ACCOUNT_COUNT))
+    return tuple(digest[12:] for digest in keccak256_many(labels))
 
 
 def dev_accounts() -> list[bytes]:
@@ -55,26 +56,30 @@ def account_hex(account: bytes) -> str:
     return "0x" + account.hex()
 
 
-def _as_fraction(value: object) -> Fraction:
+def _rational(value: object) -> Fraction:
     # floats go through str() so 0.77 becomes 77/100, not its binary expansion
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)  # type: ignore[arg-type]
+    return Fraction(str(value) if isinstance(value, float) else value)  # type: ignore[arg-type]
 
 
-def _coerce(config: object, name: str, convert: Callable[[object], object]) -> None:
-    """Replace field ``name`` of a frozen config by ``convert`` of it.
+def parse_number(value: object, name: str, convert: Callable[[object], _T] = _rational) -> _T:
+    """``convert(value)``; by default the exact rational of ``value``.
 
-    A value that is not a number, a bool included, raises ValueError
-    naming the field, so a bad flag and a bad ledger file fail alike.
+    The default reads ints, Decimals, Fractions, floats (through their
+    shortest text) and decimal or ``p/q`` text.  A value that is not a
+    number, a bool included, raises ValueError naming ``name``, so a bad
+    flag and a bad file fail alike.
     """
-    value = getattr(config, name)
     try:
         if isinstance(value, bool):
             raise TypeError
-        object.__setattr__(config, name, convert(value))
+        return convert(value)
     except (TypeError, ValueError, ArithmeticError):
         raise ValueError(f"{name} is not a number: {value!r}") from None
+
+
+def _coerce(config: object, name: str, convert: Callable[[object], object]) -> None:
+    """Replace field ``name`` of a frozen config by ``parse_number`` of it."""
+    object.__setattr__(config, name, parse_number(getattr(config, name), name, convert))
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,7 @@ class FeeConfig:
         ``block_interval >= 1`` keep every block timestamp > 0.
         """
         for f in fields(self):
-            _coerce(self, f.name, _as_fraction if isinstance(f.default, Fraction) else int)
+            _coerce(self, f.name, _rational if isinstance(f.default, Fraction) else int)
         if self.initial_base_fee_wei < 1 or self.priority_tip_wei < 1:
             raise ValueError("fees must be at least 1 wei")
         for name in ("target_gas", "decay_denominator", "block_interval", "eth_usd_rate"):

@@ -8,24 +8,24 @@ tables are bit-stable across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation
 from pathlib import Path
 
-from .ledger import CANONICAL_REGISTRATION_GAS
+from .ledger import CANONICAL_REGISTRATION_GAS, parse_number
 from .records import load_json_entries
 
 ETH_PER_GWEI = Decimal("1e-9")
 
 
-def _as_decimal(value: object, name: str = "value") -> Decimal:
-    """Exact decimal of a finite number; anything else raises ValueError."""
-    try:
-        number = value if isinstance(value, Decimal) else Decimal(str(value))
-    except InvalidOperation:
-        raise ValueError(f"{name} is not a number: {value!r}") from None
-    if not number.is_finite():
-        raise ValueError(f"{name} is not a finite number: {value!r}")
-    return number
+def _as_decimal(value: object, name: str) -> Decimal:
+    """Decimal of a number read as register reads its fee flags (``parse_number``).
+
+    A rational with a terminating expansion is exact; any other keeps at
+    least 28 significant digits.  Anything else raises ValueError.
+    """
+    n, d = parse_number(value, name).as_integer_ratio()
+    # a terminating expansion (d = 2^a * 5^b) has fewer digits than n and d have bits
+    return Context(prec=28 + n.bit_length() + d.bit_length()).divide(n, d)
 
 
 def _plain(value: Decimal) -> Decimal:

@@ -253,6 +253,16 @@ class TestProject:
         assert [r["network"] for r in rows] == ["devnet"]
 
 
+    @pytest.mark.parametrize("rate", ["6000/2", "3000.0", "3e3", " 3000 ", "3000/1"])
+    def test_eth_usd_spellings_give_one_table(self, env, rate):
+        # register's grammar: every spelling of 3000 gives the bytes of --eth-usd 3000
+        reference = env["tmp"] / "reference"
+        assert main(["project", "--eth-usd", "3000", "--out", str(reference)]) == 0
+        assert main(["project", f"--eth-usd={rate}", "--out", env["out"]]) == 0
+        written = (Path(env["out"]) / "projections.csv").read_bytes()
+        assert written == (reference / "projections.csv").read_bytes()
+
+
 class TestEnvironmentOverrides:
     def test_seed_from_environment(self, env, monkeypatch):
         run("register", env)

@@ -3,6 +3,8 @@
 ``main()`` is driven with generated malformed time manifests (non-finite
 times included), profiles files, ``--eth-usd`` values, non-integer
 ``SLIDEPROV_*`` integers and unknown ``SLIDEPROV_FORMAT`` values.
+``project`` reads ``--eth-usd`` and gas prices in the grammar of
+``register``'s fee flags, ``p/q`` text included.
 Each run must exit 2 without a traceback; a bad file must be named in
 a single ``error:`` line together with the offending entry.
 """
@@ -11,14 +13,15 @@ import contextlib
 import io
 import json
 import os
-from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import write_corpus
 from slideprov.cli import main
+from slideprov.ledger import FeeConfig
 from slideprov.reports import write_json
 
 SLIDES = [(lecture, slide) for lecture in (1, 2) for slide in (1, 2, 3)]
@@ -66,9 +69,9 @@ def _parses(convert, text):
     return True
 
 
-def _positive_decimal(text):
-    number = Decimal(text)
-    if not number.is_finite() or number <= 0:
+def _positive_rational(text):
+    # the number grammar of register's fee flags, project's --eth-usd and profile gas prices
+    if Fraction(text) <= 0:
         raise ValueError(text)
 
 
@@ -82,7 +85,7 @@ not_finite = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"
                        st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999"]))
 not_a_price = st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.integers(max_value=0),
                         st.sampled_from(["NaN", "Infinity", "-1.5", "0"]),
-                        st.text(max_size=6).filter(lambda s: not _parses(_positive_decimal, s)))
+                        st.text(max_size=6).filter(lambda s: not _parses(_positive_rational, s)))
 
 
 @st.composite
@@ -139,7 +142,7 @@ def test_malformed_profiles_exit_2(workspace, text):
 
 
 @FUZZ
-@given(rate=st.text(min_size=1, max_size=8).filter(lambda s: not _parses(_positive_decimal, s)))
+@given(rate=st.text(min_size=1, max_size=8).filter(lambda s: not _parses(_positive_rational, s)))
 def test_bad_eth_usd_exit_2(workspace, rate):
     code, err = run_main(["project", f"--eth-usd={rate}", "--out", str(workspace["tmp"] / "out")])
     assert_config_error(code, err)
@@ -224,6 +227,40 @@ def test_gaps_deviation_out_of_float_range_exit_2(tmp_path, workspace, t_local):
     assert_config_error(code, err)
     assert err == "error: time gaps exceed the floating-point range\n", err
     assert not (tmp_path / "out").exists()
+
+
+def test_gaps_timestamp_out_of_float_range_exit_2(tmp_path, workspace):
+    # block timestamps from 10**400 on: ints that no float holds
+    ledger = tmp_path / "ledger.json"
+    code, err = run_main(["register", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
+                          "--out", str(tmp_path / "reports"), "--block-interval", str(10**400)])
+    assert code == 0, err
+    manifest = tmp_path / "times.json"
+    manifest.write_text(json.dumps(VALID_MANIFEST), encoding="utf-8")
+    code, err = run_main(["time-gaps", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
+                          "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert_config_error(code, err)
+    assert err == "error: time gaps exceed the floating-point range\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@FUZZ
+@given(rate=st.one_of(st.text(max_size=8).filter(lambda s: "\x00" not in s),
+                      st.from_regex(r"\A[-+]?[0-9]{1,4}(\.[0-9]{0,3}|/[0-9]{1,3})?(e-?[0-9])?\Z")))
+@example(rate="6000/2")
+@example(rate="1/0")
+def test_eth_usd_one_grammar(workspace, rate):
+    # project accepts exactly the SLIDEPROV_ETH_USD values that register's FeeConfig accepts
+    try:
+        FeeConfig(eth_usd_rate=rate)
+    except ValueError:
+        expected = 2
+    else:
+        expected = 0
+    code, err = run_main(["project", "-n", "1000", "--out", str(workspace["tmp"] / "grammar")],
+                         env={"SLIDEPROV_ETH_USD": rate})
+    assert code == expected, err
+    assert "Traceback" not in err
 
 
 def test_report_json_rejects_non_finite(tmp_path):

@@ -4,7 +4,8 @@ A ledger written by ``register`` gets one edit, and every command that
 reads a ledger must then exit 3 with a single ``error:`` line, print no
 traceback and leave the file's bytes as they were.  The same fee and gas
 values out of range given as ``register`` flags exit 2 and write no
-ledger, or leave an existing one as it was.
+ledger, or leave an existing one as it was; so do fee and gas values
+whose costs are past the float range of the reports.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import run_cli, write_corpus
 from slideprov.cli import main
-from slideprov.ledger import account_hex, dev_accounts
+from slideprov.ledger import FeeConfig, GasConfig, Ledger, account_hex, dev_accounts
 
 CHAIN_CURSOR = ["next_block_number", "next_timestamp", "last_timestamp", "base_fee_wei"]
 RECORD_FIELDS = ["lectureId", "slideId", "slideHash", "uri", "timestamp", "registrant"]
@@ -222,6 +223,42 @@ def test_out_of_range_fee_flag_exit_2_with_existing_ledger(partly_registered, fl
     assert code == 2, lines
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert ledger.read_bytes() == ws["data"]
+
+
+# register flag -> the config and field it sets, for the flags that scale a cost
+COST_FLAGS = {
+    "--base-fee-gwei": (FeeConfig, "initial_base_fee"),
+    "--tip-gwei": (FeeConfig, "priority_tip"),
+    "--eth-usd": (FeeConfig, "eth_usd_rate"),
+    "--gas-exec-base": (GasConfig, "exec_base"),
+}
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(sorted(COST_FLAGS)), exponent=st.integers(320, 400), existing=st.booleans())
+@example(flag="--eth-usd", exponent=400, existing=False)
+@example(flag="--gas-exec-base", exponent=400, existing=False)
+def test_cost_past_float_range_exit_2(workspace, flag, exponent, existing):
+    # the reports give each cost as a float; 10**exponent puts the costs past the float range
+    ledger = workspace["tmp"] / "costly.json"
+    ledger.unlink(missing_ok=True)
+    value = 10**exponent
+    if existing:  # a file whose own configs hold the value: they win over the flags
+        config, name = COST_FLAGS[flag]
+        configs = {config: config(**{name: value})}
+        Ledger(configs.get(FeeConfig), configs.get(GasConfig)).save(ledger)
+        before = ledger.read_bytes()
+    out = workspace["tmp"] / "costly-out"
+    text = str(value) if flag == "--gas-exec-base" else f"1e{exponent}"
+    code, _, err = run_cli(["register", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
+                            "--out", str(out), f"{flag}={text}"] + ["--skip-existing"] * existing)
+    assert code == 2, err
+    assert err == "error: registration costs exceed the floating-point range\n", err
+    if existing:
+        assert ledger.read_bytes() == before
+    else:
+        assert not ledger.exists()
+    assert not out.exists()
 
 
 def test_truncated_log_with_advanced_cursor_rejected(tmp_path, capsys):

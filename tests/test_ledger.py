@@ -7,6 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
 from conftest import register_corpus
+from keccak_reference import reference_keccak256
 from slideprov import (
     AlreadyRegistered,
     CorruptLedgerFile,
@@ -273,6 +274,7 @@ def test_dev_accounts_fixed_and_distinct():
     assert all(len(a) == 20 for a in accounts)
     assert len(set(accounts)) == 20
     assert accounts == dev_accounts()
+    assert accounts == [reference_keccak256(f"slideprov dev account {i}".encode())[12:] for i in range(20)]
 
 
 def test_canonical_uri_shape():

@@ -101,6 +101,10 @@ def _matrix(slides: int, fmt: str) -> dict[str, str]:
     common = ["--corpus", "corpus", "--format", fmt]
     with_ledger = common + ["--ledger", "ledger.json"]
     steps: list[tuple[str, list[str]]] = [
+        # first, so that no ledger.json is there yet to enter their digests
+        ("project-million", ["project", "-n", "1000000", "--format", fmt]),
+        ("project-small", ["project", "-n", "1", "--eth-usd", "0.0001", "--throughput", "3",
+                           "--format", fmt]),
         ("register", ["register", *with_ledger]),
         ("verify", ["verify", *with_ledger]),
         ("analyze", ["analyze", *common]),

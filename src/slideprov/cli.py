@@ -329,17 +329,15 @@ def cmd_project(args: argparse.Namespace) -> int:
         eth_usd=args.eth_usd,
         throughput=args.throughput,
     )
+    # every value is rendered before --out is created: one out of range writes nothing
+    text = projection.decimal_text
+    rows = [[p.n_slides, p.network, p.total_gas, text(p.total_cost_eth), text(p.total_cost_usd),
+             text(p.expected_seconds)] for p in projections]
     out = _out_dir(args)
-    write_table(
-        out / "projections",
-        ["n", "network", "total_gas", "eth", "usd", "seconds"],
-        [[p.n_slides, p.network, p.total_gas, p.total_cost_eth, p.total_cost_usd,
-          p.expected_seconds] for p in projections],
-        args.format,
-    )
-    for p in projections:
-        print(f"{p.network:>15}: {p.total_gas} gas, {p.total_cost_eth} ETH,"
-              f" ${p.total_cost_usd}, ~{p.expected_seconds}s")
+    write_table(out / "projections", ["n", "network", "total_gas", "eth", "usd", "seconds"],
+                rows, args.format)
+    for _, network, total_gas, eth, usd, seconds in rows:
+        print(f"{network:>15}: {total_gas} gas, {eth} ETH, ${usd}, ~{seconds}s")
     return EXIT_OK
 
 
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-gas", type=int, default=CANONICAL_REGISTRATION_GAS,
                    help="mean gas per registration")
     p.add_argument("--eth-usd", default=_env("eth_usd", "3000"), help="ETH/USD rate")
-    p.add_argument("--throughput", type=float, default=1.0, help="registrations per second")
+    p.add_argument("--throughput", default=1.0, help="registrations per second")
     p.add_argument("--profiles", default=_env("profiles"),
                    help="JSON file with custom network profiles")
     p.set_defaults(func=cmd_project)

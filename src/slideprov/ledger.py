@@ -260,11 +260,6 @@ class Ledger:
         self.base_fee_wei = self.fee_config.initial_base_fee_wei
 
     @property
-    def base_fee(self) -> Fraction:
-        """Current base fee in gwei."""
-        return Fraction(self.base_fee_wei, WEI_PER_GWEI)
-
-    @property
     def next_block_number(self) -> int:
         return len(self.events) + 1
 

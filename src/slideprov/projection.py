@@ -1,51 +1,48 @@
 """Scalability extrapolation across network fee profiles.
 
 Total gas scales exactly linearly in corpus size because registrations
-cost near-constant gas; currency math uses exact decimals so projected
-tables are bit-stable across platforms.
+cost near-constant gas.  Prices, costs and times are exact rationals
+(``Fraction``), as in the ledger's fee arithmetic; only text output
+rounds them, once, in ``decimal_text``, so projected tables are
+bit-stable across platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation
+from fractions import Fraction
 from pathlib import Path
 
-from .ledger import CANONICAL_REGISTRATION_GAS, parse_number
+from .ledger import CANONICAL_REGISTRATION_GAS, GWEI, parse_number
 from .records import load_json_entries
 
-ETH_PER_GWEI = Decimal("1e-9")
 
+def decimal_text(value: Fraction) -> str:
+    """``value`` in positional notation, rounded half-even to 28 significant digits.
 
-def _as_decimal(value: object, name: str) -> Decimal:
-    """Decimal of a number read as register reads its fee flags (``parse_number``).
-
-    A rational with a terminating expansion is exact; any other keeps at
-    least 28 significant digits.  Anything else raises ValueError.
+    Trailing zeros are dropped.  A value past the float range, or one
+    that rounds to float 0, raises ValueError, as registration costs do.
     """
-    n, d = parse_number(value, name).as_integer_ratio()
-    # a terminating expansion (d = 2^a * 5^b) has fewer digits than n and d have bits
-    return Context(prec=28 + n.bit_length() + d.bit_length()).divide(n, d)
+    try:
+        in_range = float(value) != 0
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError("projected values exceed the floating-point range")
+    # decimal only formats the text here: no Decimal is kept or computed on
+    from decimal import Context
 
-
-def _plain(value: Decimal) -> Decimal:
-    """Strip insignificant trailing zeros and avoid scientific notation."""
-    value = value.normalize()
-    if value == value.to_integral_value():
-        try:
-            return value.quantize(Decimal(1))
-        except InvalidOperation:
-            return value
-    return value
+    context = Context(prec=28)
+    return format(context.normalize(context.divide(value.numerator, value.denominator)), "f")
 
 
 @dataclass(frozen=True)
 class NetworkProfile:
     name: str
-    gas_price_gwei: Decimal
+    gas_price_gwei: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gas_price_gwei", _as_decimal(self.gas_price_gwei, "gas_price_gwei"))
+        object.__setattr__(self, "gas_price_gwei", parse_number(self.gas_price_gwei, "gas_price_gwei"))
         if self.gas_price_gwei <= 0:
             raise ValueError("gas price must be positive")
 
@@ -53,9 +50,9 @@ class NetworkProfile:
 def preset_profiles() -> list[NetworkProfile]:
     """The three representative deployment environments."""
     return [
-        NetworkProfile("ethereum-l1", Decimal(30)),
-        NetworkProfile("polygon-pos", Decimal(5)),
-        NetworkProfile("optimistic-l2", Decimal(1)),
+        NetworkProfile("ethereum-l1", Fraction(30)),
+        NetworkProfile("polygon-pos", Fraction(5)),
+        NetworkProfile("optimistic-l2", Fraction(1)),
     ]
 
 
@@ -70,11 +67,11 @@ def load_profiles(path: Path | str) -> list[NetworkProfile]:
 class Projection:
     n_slides: int
     network: str
-    gas_price_gwei: Decimal
+    gas_price_gwei: Fraction
     total_gas: int
-    total_cost_eth: Decimal
-    total_cost_usd: Decimal
-    expected_seconds: Decimal
+    total_cost_eth: Fraction
+    total_cost_usd: Fraction
+    expected_seconds: Fraction
 
 
 def project(
@@ -86,33 +83,34 @@ def project(
 ) -> list[Projection]:
     """One projection per network profile for an n-slide corpus.
 
-    total_gas is exact integer arithmetic (n * mean_gas); costs multiply
-    it by the profile gas price and the ETH/USD rate in exact decimal.
+    total_gas is n * mean_gas; costs multiply it by the profile gas
+    price and the ETH/USD rate, and time divides n by the throughput,
+    all exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mean_gas < 1:
         raise ValueError("mean_gas must be >= 1")
-    rate = _as_decimal(eth_usd, "eth_usd")
-    speed = _as_decimal(throughput, "throughput")
+    rate = parse_number(eth_usd, "eth_usd")
+    speed = parse_number(throughput, "throughput")
     if rate <= 0 or speed <= 0:
         raise ValueError("eth_usd and throughput must be positive")
     profiles = profiles if profiles is not None else preset_profiles()
 
     total_gas = n * mean_gas
-    expected_seconds = Decimal(n) / speed
+    expected_seconds = n / speed
     out = []
     for profile in profiles:
-        cost_eth = Decimal(total_gas) * profile.gas_price_gwei * ETH_PER_GWEI
+        cost_eth = total_gas * profile.gas_price_gwei * GWEI
         out.append(
             Projection(
                 n_slides=n,
                 network=profile.name,
                 gas_price_gwei=profile.gas_price_gwei,
                 total_gas=total_gas,
-                total_cost_eth=_plain(cost_eth),
-                total_cost_usd=_plain(cost_eth * rate),
-                expected_seconds=_plain(expected_seconds),
+                total_cost_eth=cost_eth,
+                total_cost_usd=cost_eth * rate,
+                expected_seconds=expected_seconds,
             )
         )
     return out

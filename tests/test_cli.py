@@ -253,12 +253,17 @@ class TestProject:
         assert [r["network"] for r in rows] == ["devnet"]
 
 
-    @pytest.mark.parametrize("rate", ["6000/2", "3000.0", "3e3", " 3000 ", "3000/1"])
-    def test_eth_usd_spellings_give_one_table(self, env, rate):
-        # register's grammar: every spelling of 3000 gives the bytes of --eth-usd 3000
+    @pytest.mark.parametrize("flag, value, spelling", [
+        *(pytest.param("eth-usd", "3000", rate, id=rate)
+          for rate in ["6000/2", "3000.0", "3e3", " 3000 ", "3000/1"]),
+        *(pytest.param("throughput", "3", speed, id=f"throughput-{speed}")
+          for speed in ["6/2", "3.0", "3e0"]),
+    ])
+    def test_eth_usd_spellings_give_one_table(self, env, flag, value, spelling):
+        # register's grammar: every spelling of a number gives the bytes of its plain form
         reference = env["tmp"] / "reference"
-        assert main(["project", "--eth-usd", "3000", "--out", str(reference)]) == 0
-        assert main(["project", f"--eth-usd={rate}", "--out", env["out"]]) == 0
+        assert main(["project", f"--{flag}", value, "--out", str(reference)]) == 0
+        assert main(["project", f"--{flag}={spelling}", "--out", env["out"]]) == 0
         written = (Path(env["out"]) / "projections.csv").read_bytes()
         assert written == (reference / "projections.csv").read_bytes()
 

@@ -267,3 +267,21 @@ def test_report_json_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         write_json(tmp_path / "r.json", {"mean": float("nan")})
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eth-usd", "1e400"],
+    ["--eth-usd", "1e-400"],
+    ["--eth-usd", "1e800000"],
+    ["--eth-usd", "1e-800000"],
+    ["--profiles", "profiles.json"],
+], ids=["rate-1e400", "rate-1e-400", "rate-1e800000", "rate-1e-800000", "profile-price-1e400"])
+def test_projection_out_of_float_range_exit_2(tmp_path, flags):
+    # exact rationals, but a float holds no cost of theirs
+    (tmp_path / "profiles.json").write_text(json.dumps([{"name": "x", "gas_price_gwei": "1e400"}]),
+                                            encoding="utf-8")
+    flags = [str(tmp_path / flag) if flag == "profiles.json" else flag for flag in flags]
+    code, err = run_main(["project", *flags, "--out", str(tmp_path / "out")])
+    assert_config_error(code, err)
+    assert err == "error: projected values exceed the floating-point range\n", err
+    assert not (tmp_path / "out").exists()

@@ -128,7 +128,7 @@ class TestDecimalText:
         (Fraction(69429, 10**11), "0.00000069429"),
         (Fraction(10**30), "1" + "0" * 30),
         (Fraction(2**100), "1267650600228229401496703205000"),  # ...205|376 rounds down
-        (Fraction(10**29 - 1, 10**29), "1"),  # 28 nines and a 9: the carry makes 1
+        (Fraction(10**29 - 1, 10**29), "1"),  # 29 nines: rounding the 29th carries to 1
         (Fraction(5, 10**28) + 1, "1"),  # a tie rounds to the even digit
         (Fraction(15, 10**28) + 1, "1.000000000000000000000000002"),
     ])

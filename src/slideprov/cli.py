@@ -15,10 +15,9 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Container
 
 from . import integrity, metrics, projection
-from .commitment import commit_records
+from .commitment import commit_corpus
 from .errors import (
     CorruptLedgerFile,
     DisjointCorpora,
@@ -29,7 +28,7 @@ from .errors import (
     UnregisteredCorpus,
 )
 from .ledger import CANONICAL_REGISTRATION_GAS, FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
-from .records import CorpusLoadResult, SlideKey, load_corpus, write_record
+from .records import CorpusLoadResult, CorpusReader, LoadFailure, load_corpus, write_record
 from .reports import write_json, write_table
 
 EXIT_OK = 0
@@ -48,10 +47,14 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _load(args: argparse.Namespace, skip: Container[SlideKey] = frozenset()) -> CorpusLoadResult:
-    result = load_corpus(args.corpus, skip)
-    for failure in result.failures:
+def _warn_failures(failures: list[LoadFailure]) -> None:
+    for failure in failures:
         print(f"warning: skipped {failure.path}: {failure.error}", file=sys.stderr)
+
+
+def _load(args: argparse.Namespace) -> CorpusLoadResult:
+    result = load_corpus(args.corpus)
+    _warn_failures(result.failures)
     return result
 
 
@@ -81,13 +84,13 @@ def cmd_register(args: argparse.Namespace) -> int:
     # files of registered slides are passed over unread.
     path = Path(args.ledger)
     ledger = Ledger.load(path) if args.skip_existing and path.exists() else None
-    result = _load(args, ledger.records if ledger is not None else frozenset())
+    reader = CorpusReader(args.corpus, ledger.records if ledger is not None else frozenset())
+    commitments = commit_corpus(reader)
+    _warn_failures(reader.failures)
     if ledger is None:
         ledger = Ledger.load(path) if path.exists() else Ledger(fee, gas)
 
-    keys = sorted(result.records)
-    commitments = commit_records(result.records[key] for key in keys)
-    items = [(key, c.hex, canonical_uri(key)) for key, c in zip(keys, commitments)]
+    items = [(key, c.hex, canonical_uri(key)) for key, c in commitments.items()]
 
     receipts, summary = ledger.batch_register(items)
     # The reports give costs as floats: a cost past the float range fails
@@ -99,7 +102,7 @@ def cmd_register(args: argparse.Namespace) -> int:
         summary_doc = {
             "attempted": summary.attempted,
             "registered": summary.registered,
-            "skipped_existing": result.skipped,
+            "skipped_existing": reader.skipped,
             "failed": len(summary.failures),
             "min_gas": summary.min_gas,
             "mean_gas": float(summary.mean_gas),
@@ -135,16 +138,18 @@ def cmd_register(args: argparse.Namespace) -> int:
         _err(f"({key.lecture_id},{key.slide_id}): {reason}")
     print(
         f"registered {summary.registered}/{summary.attempted} slides"
-        f" (skipped {result.skipped}, failed {len(summary.failures)});"
+        f" (skipped {reader.skipped}, failed {len(summary.failures)});"
         f" total gas {summary.total_gas}, cost ${summary_doc['total_cost_usd']:.2f}"
     )
     return EXIT_INTEGRITY if summary.failures else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    result = _load(args)
+    reader = CorpusReader(args.corpus)
+    commitments = commit_corpus(reader)
+    _warn_failures(reader.failures)
     ledger = _open_ledger(args)
-    verdicts = integrity.verify_corpus(result.records, ledger)
+    verdicts = integrity.verify_commitments(commitments.items(), ledger)
 
     out = _out_dir(args)
     write_table(

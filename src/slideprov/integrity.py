@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .commitment import Commitment, commit_records
 from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
@@ -49,22 +49,27 @@ class VerificationResult:
     verdict: str
 
 
-def verify_records(records: Sequence[ProvenanceRecord], ledger: Ledger) -> list[VerificationResult]:
-    """Recompute each record's commitment and compare with the stored hash.
+def verify_commitments(commitments: Iterable[tuple[SlideKey, Commitment]],
+                       ledger: Ledger) -> list[VerificationResult]:
+    """Compare each recomputed commitment with the hash stored for its key.
 
-    Commitments are computed in one batch.  Hex comparison is
-    case-insensitive; absence of a registry entry is a value
-    (Unregistered), not an error.
+    Hex comparison is case-insensitive; absence of a registry entry is a
+    value (Unregistered), not an error.
     """
     results = []
-    for record, recomputed in zip(records, commit_records(records)):
-        stored = ledger.get_slide(record.key)
+    for key, recomputed in commitments:
+        stored = ledger.get_slide(key)
         if stored is None:
-            results.append(VerificationResult(record.key, recomputed, None, UNREGISTERED))
+            results.append(VerificationResult(key, recomputed, None, UNREGISTERED))
             continue
         verdict = MATCH if recomputed.matches_hex(stored.slide_hash) else MISMATCH
-        results.append(VerificationResult(record.key, recomputed, stored.slide_hash, verdict))
+        results.append(VerificationResult(key, recomputed, stored.slide_hash, verdict))
     return results
+
+
+def verify_records(records: Sequence[ProvenanceRecord], ledger: Ledger) -> list[VerificationResult]:
+    """Recompute each record's commitment, in one batch, and compare with the stored hash."""
+    return verify_commitments(zip((r.key for r in records), commit_records(records)), ledger)
 
 
 def verify_corpus(corpus: Corpus, ledger: Ledger) -> list[VerificationResult]:

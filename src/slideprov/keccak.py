@@ -9,18 +9,21 @@ There is one Keccak-f[1600], ``_permute_lanes``, and no scalar path.
 idea of XKCP's ``KeccakP-1600-times{2,4,8}`` done with numpy lanes: the
 state is a ``(25, N)`` uint64 array whose column j is message j's state,
 so each step of the permutation is one array operation over all N
-messages.  A batch runs as many steps as its longest message has
-blocks, so messages are taken from the input a window of ``_WINDOW``
-batches at a time and grouped by block count before they are batched.
-Only one window's bytes are held at a time.  ``keccak256`` is the
-one-message case of ``keccak256_many``.
+messages.  Messages are taken from the input ``_BATCH`` at a time, and
+only one batch's bytes are held at a time.  Within a batch the lanes are
+ordered longest first, so that each absorbing step runs over the lanes
+still absorbing and no more.  ``keccak256`` is the one-message case of
+``keccak256_many``.
 
 numpy is imported, and the lane tables built, when the first message is
-hashed: nothing else in the package needs numpy.
+hashed: nothing else in the package needs numpy.  The import starts
+OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is set, since no
+BLAS routine runs here.
 """
 
 from __future__ import annotations
 
+import os
 from functools import cache
 from itertools import count, islice
 from typing import Iterable
@@ -50,12 +53,12 @@ def _squeeze(lanes: list[int]) -> bytes:
     return b"".join(lane.to_bytes(8, "little") for lane in lanes[:4])
 
 
-# Messages per batch: bounds the batch's padded bytes, and keeps the
-# (25, N) state and its temporaries in cache.
-_BATCH = 256
-# Batches per window: messages of similar length are batched together
-# within a window, which bounds the bytes held to _WINDOW * _BATCH messages.
-_WINDOW = 4
+# Messages per batch.  Each permutation step costs a fixed numpy overhead
+# plus work per lane, so a wider batch takes fewer steps for the same
+# bytes.  On a 2-vCPU x86 machine, 1,117 canonical records (2.3 MB) hashed
+# in 111 ms at 2,048 against 154 ms at 1,024; at 10,000 records 4,096 was
+# no faster than 2,048 and holds twice the bytes.
+_BATCH = 2048
 _LANES_PER_BLOCK = _RATE // 8
 
 
@@ -78,7 +81,16 @@ def _load_numpy() -> None:
     """Import numpy and build the lane tables as module globals, once."""
     global np, _ROT_LEFT, _ROT_RIGHT, _PI_TAKE, _CHI_NEXT, _CHI_NEXT2
     global _COL_NEXT, _COL_PREV, _ONE, _SIXTY_THREE, _RC_LANES
-    import numpy as np
+    # OpenBLAS starts a thread per core when numpy is imported, and no BLAS
+    # routine runs here; a count the user set is kept.
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        import numpy as np
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy as np
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
     source, rot = _lane_tables()
     # Every shift count and constant is np.uint64, so numpy 1.x and 2.x promote alike.
     _ROT_LEFT = np.array(rot, dtype=np.uint64).reshape(25, 1)
@@ -162,19 +174,13 @@ def _hash_batch(batch: list[bytes]) -> list[bytes]:
 def keccak256_many(messages: Iterable[bytes]) -> list[bytes]:
     """Keccak-256 digests of ``messages``, in input order.
 
-    Messages are drawn from the iterable ``_WINDOW * _BATCH`` at a time,
-    so a generator's items need not all be in memory at once.
+    Messages are drawn from the iterable ``_BATCH`` at a time, so a
+    generator's items need not all be in memory at once.
     """
     it = iter(messages)
     digests: list[bytes] = []
-    while window := list(islice(it, _WINDOW * _BATCH)):
-        by_blocks = sorted(range(len(window)), key=lambda i: len(window[i]) // _RATE)
-        ordered: list[bytes] = [b""] * len(window)
-        for lo in range(0, len(window), _BATCH):
-            part = by_blocks[lo:lo + _BATCH]
-            for i, digest in zip(part, _hash_batch([window[i] for i in part])):
-                ordered[i] = digest
-        digests += ordered
+    while batch := list(islice(it, _BATCH)):
+        digests += _hash_batch(batch)
     return digests
 
 

@@ -18,6 +18,7 @@ platforms; nothing here touches a real network.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -56,9 +57,28 @@ def account_hex(account: bytes) -> str:
     return "0x" + account.hex()
 
 
+# Fraction builds 10**exponent for decimal text such as "1e-2000000", which
+# takes seconds at a few million, so an exponent past this bound is
+# rejected before Fraction reads the text.  It is the default limit on the
+# digits of integer text (sys.int_max_str_digits), past which a ledger file
+# could not hold such a value as p/q text either.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
+class ExponentOutOfRange(ValueError):
+    """Decimal text whose exponent is past ``MAX_EXPONENT``."""
+
+
 def _rational(value: object) -> Fraction:
     # floats go through str() so 0.77 becomes 77/100, not its binary expansion
-    return Fraction(str(value) if isinstance(value, float) else value)  # type: ignore[arg-type]
+    if isinstance(value, float):
+        value = str(value)
+    elif isinstance(value, str) and (match := _EXPONENT.search(value)):
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ExponentOutOfRange
+    return Fraction(value)  # type: ignore[arg-type]
 
 
 def parse_number(value: object, name: str, convert: Callable[[object], _T] = _rational) -> _T:
@@ -67,12 +87,16 @@ def parse_number(value: object, name: str, convert: Callable[[object], _T] = _ra
     The default reads ints, Decimals, Fractions, floats (through their
     shortest text) and decimal or ``p/q`` text.  A value that is not a
     number, a bool included, raises ValueError naming ``name``, so a bad
-    flag and a bad file fail alike.
+    flag and a bad file fail alike; decimal text with an exponent past
+    ``MAX_EXPONENT`` raises ExponentOutOfRange, a ValueError.
     """
     try:
         if isinstance(value, bool):
             raise TypeError
         return convert(value)
+    except ExponentOutOfRange:
+        raise ExponentOutOfRange(
+            f"{name} has an exponent past {MAX_EXPONENT}: {value!r}") from None
     except (TypeError, ValueError, ArithmeticError):
         raise ValueError(f"{name} is not a number: {value!r}") from None
 

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .ledger import CANONICAL_REGISTRATION_GAS, GWEI, parse_number
+from .ledger import CANONICAL_REGISTRATION_GAS, GWEI, ExponentOutOfRange, parse_number
 from .records import load_json_entries
+
+
+_OUT_OF_RANGE = "projected values exceed the floating-point range"
 
 
 def decimal_text(value: Fraction) -> str:
@@ -28,7 +31,7 @@ def decimal_text(value: Fraction) -> str:
     except OverflowError:
         in_range = False
     if not in_range:
-        raise ValueError("projected values exceed the floating-point range")
+        raise ValueError(_OUT_OF_RANGE)
     # decimal only formats the text here: no Decimal is kept or computed on
     from decimal import Context
 
@@ -85,14 +88,19 @@ def project(
 
     total_gas is n * mean_gas; costs multiply it by the profile gas
     price and the ETH/USD rate, and time divides n by the throughput,
-    all exactly.
+    all exactly.  A rate or throughput written with an exponent past
+    ``ledger.MAX_EXPONENT`` raises the out-of-range error of the values
+    it would give, unread.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mean_gas < 1:
         raise ValueError("mean_gas must be >= 1")
-    rate = parse_number(eth_usd, "eth_usd")
-    speed = parse_number(throughput, "throughput")
+    try:
+        rate = parse_number(eth_usd, "eth_usd")
+        speed = parse_number(throughput, "throughput")
+    except ExponentOutOfRange:
+        raise ValueError(_OUT_OF_RANGE) from None
     if rate <= 0 or speed <= 0:
         raise ValueError("eth_usd and throughput must be positive")
     profiles = profiles if profiles is not None else preset_profiles()

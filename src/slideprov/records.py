@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Callable, Container
+from typing import Callable, Container, Iterable, Iterator, TypeVar
 
 from .errors import EmptyCorpus, MalformedDocument, MissingKey, ProvenanceWarning
 
@@ -27,6 +27,9 @@ CANONICAL_FORMAT = "canonical-json/v1;sorted-keys;utf-8"
 _LECTURE_DIR = re.compile(r"^Lecture\s*(\d+)$")
 _SLIDE_FILE = re.compile(r"^Slide(\d+)\.json$")
 _TRAILING_INT = re.compile(r"(\d+)\s*$")
+
+_E = TypeVar("_E")
+_T = TypeVar("_T")
 
 
 def normalize_text(value: object) -> str:
@@ -205,11 +208,35 @@ def to_document(record: ProvenanceRecord) -> dict:
     }
 
 
-def _model_text(ext: ModelExtraction) -> str:
+def _model_text(ext: ModelExtraction, concept_texts: list[str] | None = None,
+                triple_texts: list[str] | None = None) -> str:
+    """A model's canonical text.
+
+    ``concept_texts`` and ``triple_texts``, when given, are the texts of
+    its concepts and triples, already in sorted order.
+    """
+    if concept_texts is None:
+        concept_texts = sorted(map(_concept_text, ext.concepts))
+    if triple_texts is None:
+        triple_texts = sorted(map(_triple_text, ext.triples))
     raw = "" if ext.raw_output is None else f',"raw_output":{_quote(ext.raw_output)}'
-    return (f'{{"concepts":[{",".join(sorted(map(_concept_text, ext.concepts)))}],'
+    return (f'{{"concepts":[{",".join(concept_texts)}],'
             f'"evidence":[{",".join(map(_quote, ext.evidence))}]{raw},'
-            f'"triples":[{",".join(sorted(map(_triple_text, ext.triples)))}]}}')
+            f'"triples":[{",".join(triple_texts)}]}}')
+
+
+def _record_bytes(record: ProvenanceRecord, model_texts: dict[str, str]) -> bytes:
+    """The record's canonical bytes, given each model's canonical text by name."""
+    models = ",".join(f"{_quote(name)}:{model_texts[name]}" for name in sorted(model_texts))
+    paths, meta = record.paths, record.metadata
+    return (
+        f'{{"lecture":{_quote(record.lecture_label)},"lecture_id":{record.key.lecture_id},'
+        f'"metadata":{{"hash_input_format":{_quote(meta.hash_input_format)},'
+        f'"source":{_quote(meta.source)},"timestamp":{_quote(meta.timestamp)}}},'
+        f'"models":{{{models}}},'
+        f'"paths":{{"image":{_quote(paths.image)},"json":{_quote(paths.json)},'
+        f'"text":{_quote(paths.text)}}},"slide_id":{record.key.slide_id}}}'
+    ).encode("utf-8")
 
 
 def canonical_bytes(record: ProvenanceRecord) -> bytes:
@@ -221,17 +248,7 @@ def canonical_bytes(record: ProvenanceRecord) -> bytes:
     text is written directly, keys in sorted order, without building the
     document.
     """
-    models = ",".join(f"{_quote(name)}:{_model_text(record.models[name])}"
-                      for name in sorted(record.models))
-    paths, meta = record.paths, record.metadata
-    return (
-        f'{{"lecture":{_quote(record.lecture_label)},"lecture_id":{record.key.lecture_id},'
-        f'"metadata":{{"hash_input_format":{_quote(meta.hash_input_format)},'
-        f'"source":{_quote(meta.source)},"timestamp":{_quote(meta.timestamp)}}},'
-        f'"models":{{{models}}},'
-        f'"paths":{{"image":{_quote(paths.image)},"json":{_quote(paths.json)},'
-        f'"text":{_quote(paths.text)}}},"slide_id":{record.key.slide_id}}}'
-    ).encode("utf-8")
+    return _record_bytes(record, {name: _model_text(ext) for name, ext in record.models.items()})
 
 
 def _layout_base(root: Path | str) -> Path:
@@ -281,7 +298,21 @@ def _as_entry_list(value: object) -> list:
     return []  # malformed container treated as empty
 
 
-def _normalize_concepts(value: object) -> tuple[Concept, ...]:
+def _in_text_order(elements: Iterable[_E], text: Callable[[_E], str],
+                   texts: list[str] | None) -> tuple[_E, ...]:
+    """``elements`` sorted by their canonical text.
+
+    When ``texts`` is a list, the sorted texts are appended to it, for the
+    caller to build the model's canonical text from.
+    """
+    if texts is None:
+        return tuple(sorted(elements, key=text))
+    by_text = {text(e): e for e in elements}  # distinct identities have distinct texts
+    texts += sorted(by_text)
+    return tuple(map(by_text.__getitem__, texts))
+
+
+def _normalize_concepts(value: object, texts: list[str] | None = None) -> tuple[Concept, ...]:
     seen: dict[tuple[str, str], Concept] = {}
     for entry in _as_entry_list(value):
         if not isinstance(entry, dict):
@@ -293,7 +324,7 @@ def _normalize_concepts(value: object) -> tuple[Concept, ...]:
         evidence = entry.get("evidence")
         evidence = evidence if isinstance(evidence, str) else None
         seen[category, term] = Concept(category, term, evidence)
-    return tuple(sorted(seen.values(), key=_concept_text))
+    return _in_text_order(seen.values(), _concept_text, texts)
 
 
 def _normalize_confidence(value: object) -> float | None:
@@ -304,7 +335,7 @@ def _normalize_confidence(value: object) -> float | None:
     return None
 
 
-def _normalize_triples(value: object) -> tuple[Triple, ...]:
+def _normalize_triples(value: object, texts: list[str] | None = None) -> tuple[Triple, ...]:
     seen: dict[tuple[str, str, str], Triple] = {}
     for entry in _as_entry_list(value):
         if not isinstance(entry, dict):
@@ -316,7 +347,7 @@ def _normalize_triples(value: object) -> tuple[Triple, ...]:
             continue
         confidence = _normalize_confidence(entry.get("confidence"))
         seen[s, p, o] = Triple(s, p, o, confidence)
-    return tuple(sorted(seen.values(), key=_triple_text))
+    return _in_text_order(seen.values(), _triple_text, texts)
 
 
 def _normalize_evidence(value: object) -> tuple[str, ...]:
@@ -329,17 +360,21 @@ def _normalize_evidence(value: object) -> tuple[str, ...]:
     return tuple(item for item in value if isinstance(item, str))
 
 
-def _normalize_model(name: str, value: object) -> ModelExtraction:
+def _normalize_model(name: str, value: object, model_texts: dict[str, str] | None) -> ModelExtraction:
     if not isinstance(value, dict):
         value = {}
     raw_output = value.get("raw_output")
-    return ModelExtraction(
+    concept_texts, triple_texts = (None, None) if model_texts is None else ([], [])
+    ext = ModelExtraction(
         model_name=name,
-        concepts=_normalize_concepts(value.get("concepts")),
-        triples=_normalize_triples(value.get("triples")),
+        concepts=_normalize_concepts(value.get("concepts"), concept_texts),
+        triples=_normalize_triples(value.get("triples"), triple_texts),
         evidence=_normalize_evidence(value.get("evidence")),
         raw_output=raw_output if isinstance(raw_output, str) else None,
     )
+    if model_texts is not None:
+        model_texts[name] = _model_text(ext, concept_texts, triple_texts)
+    return ext
 
 
 def _int_or_none(value: object) -> int | None:
@@ -373,8 +408,33 @@ def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceReco
     identity must be recoverable from the document itself.
 
     Raises MalformedDocument when the input is not a record-shaped object
-    and MissingKey when no slide identity can be established.
+    or some of its text has no UTF-8 form, and MissingKey when no slide
+    identity can be established.
     """
+    record = _normalize(raw, key, None)
+    _require_utf8(record)
+    return record
+
+
+def normalized_bytes(raw: object, key: SlideKey) -> bytes:
+    """``canonical_bytes(normalize_record(raw, key))``, without encoding any element twice.
+
+    Normalization sorts each model's concepts and triples by their
+    canonical text; here those texts are kept, for this record only, and
+    joined into its bytes.  Raises as ``normalize_record`` does.
+    """
+    model_texts: dict[str, str] = {}
+    record = _normalize(raw, key, model_texts)
+    try:
+        # every text of the record is part of its canonical text
+        return _record_bytes(record, model_texts)
+    except UnicodeEncodeError as exc:
+        raise _not_utf8(exc) from None
+
+
+def _normalize(raw: object, key: SlideKey | None,
+               model_texts: dict[str, str] | None) -> ProvenanceRecord:
+    """``normalize_record`` without the UTF-8 check; fills ``model_texts`` by model name if given."""
     if not isinstance(raw, dict):
         raise MalformedDocument(f"expected a JSON object, got {type(raw).__name__}")
 
@@ -385,7 +445,7 @@ def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceReco
         warnings.warn(
             f"document ids {doc_key} conflict with file-derived key {key}; file wins",
             ProvenanceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if key is None:
         raise MissingKey("cannot establish (lecture_id, slide_id) identity")
@@ -395,7 +455,7 @@ def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceReco
     models_raw = raw.get("models")
     if not isinstance(models_raw, dict) or not models_raw:
         raise MalformedDocument("record has no model extractions")
-    models = {name: _normalize_model(name, value) for name, value in models_raw.items()}
+    models = {name: _normalize_model(name, value, model_texts) for name, value in models_raw.items()}
 
     lecture_label = raw.get("lecture")
     if not isinstance(lecture_label, str) or not lecture_label:
@@ -408,7 +468,7 @@ def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceReco
         value = container.get(name)
         return value if isinstance(value, str) else default
 
-    record = ProvenanceRecord(
+    return ProvenanceRecord(
         key=key,
         lecture_label=lecture_label,
         models=models,
@@ -423,8 +483,6 @@ def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceReco
             hash_input_format=text_field(meta_raw, "hash_input_format", CANONICAL_FORMAT),
         ),
     )
-    _require_utf8(record)
-    return record
 
 
 def _require_utf8(record: ProvenanceRecord) -> None:
@@ -445,7 +503,11 @@ def _require_utf8(record: ProvenanceRecord) -> None:
     try:
         "".join(texts).encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise MalformedDocument(f"text cannot be encoded as UTF-8: {exc.reason}") from None
+        raise _not_utf8(exc) from None
+
+
+def _not_utf8(exc: UnicodeEncodeError) -> MalformedDocument:
+    return MalformedDocument(f"text cannot be encoded as UTF-8: {exc.reason}")
 
 
 # --------------------------------------------------------------------------
@@ -463,39 +525,58 @@ class LoadFailure:
 class CorpusLoadResult:
     records: Corpus
     failures: list[LoadFailure]
-    skipped: int = 0  # files passed over, unread, because their key was in ``skip``
 
 
-def load_corpus(root: Path | str, skip: Container[SlideKey] = frozenset()) -> CorpusLoadResult:
-    """Load every ``by_slide/Lecture <n>/Slide<m>.json`` under ``root`` whose key is not in ``skip``.
+class CorpusReader:
+    """One pass over a corpus's slide files in key order, leaving out the keys in ``skip``.
 
-    A file whose key is in ``skip`` is counted and never opened.  Per-file
-    parse or normalization failures are collected into the result instead
-    of aborting the batch.  Raises EmptyCorpus when nothing loads and
-    nothing was skipped, which includes a layout without files.
+    A file whose key is in ``skip`` is counted in ``skipped`` and never
+    opened.  ``read`` collects per-file parse and normalization failures
+    in ``failures`` instead of aborting the pass.
     """
-    records: Corpus = {}
-    failures: list[LoadFailure] = []
-    skipped = 0
-    for key, path in scan_slide_files(root):
-        if key in skip:
-            skipped += 1
-            continue
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            failures.append(LoadFailure(str(path), key, f"unparseable: {exc}"))
-            continue
-        try:
-            records[key] = normalize_record(raw, key=key)
-        except (MalformedDocument, MissingKey) as exc:
-            failures.append(LoadFailure(str(path), key, str(exc)))
 
-    if not records and not skipped:
-        detail = f" ({len(failures)} files failed to parse)" if failures else ""
-        raise EmptyCorpus(f"no provenance records loaded from {root}{detail}")
-    return CorpusLoadResult(records=records, failures=failures, skipped=skipped)
+    def __init__(self, root: Path | str, skip: Container[SlideKey] = frozenset()) -> None:
+        self.root = root
+        files = scan_slide_files(root)
+        self._files = [(key, path) for key, path in files if key not in skip]
+        self.skipped = len(files) - len(self._files)
+        self.failures: list[LoadFailure] = []
+
+    def read(self, load: Callable[[object, SlideKey], _T]) -> Iterator[tuple[SlideKey, _T]]:
+        """``(key, load(document, key))`` for each file, one file at a time.
+
+        Raises EmptyCorpus at the end when nothing loaded and nothing was
+        skipped, which includes a layout without files.
+        """
+        loaded = 0
+        for key, path in self._files:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    raw = json.load(fh)
+            except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+                self.failures.append(LoadFailure(str(path), key, f"unparseable: {exc}"))
+                continue
+            try:
+                value = load(raw, key)
+            except (MalformedDocument, MissingKey) as exc:
+                self.failures.append(LoadFailure(str(path), key, str(exc)))
+                continue
+            loaded += 1
+            yield key, value
+        if not loaded and not self.skipped:
+            detail = f" ({len(self.failures)} files failed to parse)" if self.failures else ""
+            raise EmptyCorpus(f"no provenance records loaded from {self.root}{detail}")
+
+
+def load_corpus(root: Path | str) -> CorpusLoadResult:
+    """Load and normalize every ``by_slide/Lecture <n>/Slide<m>.json`` under ``root``.
+
+    Per-file parse or normalization failures are collected into the
+    result instead of aborting the batch.  Raises EmptyCorpus when
+    nothing loads, which includes a layout without files.
+    """
+    reader = CorpusReader(root)
+    return CorpusLoadResult(records=dict(reader.read(normalize_record)), failures=reader.failures)
 
 
 def load_json_entries(path: Path | str, what: str, parse: Callable[[dict], object]) -> list:

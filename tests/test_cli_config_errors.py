@@ -13,7 +13,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -285,3 +288,34 @@ def test_projection_out_of_float_range_exit_2(tmp_path, flags):
     assert_config_error(code, err)
     assert err == "error: projected values exceed the floating-point range\n", err
     assert not (tmp_path / "out").exists()
+
+
+# Fraction would build 10**100000000 from this text: minutes of work, so a
+# run that reaches Fraction outlasts the timeout below.
+HUGE_EXPONENT = "1e-100000000"
+
+
+def run_process(argv, cwd):
+    env = {name: value for name, value in os.environ.items() if not name.startswith("SLIDEPROV_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "slideprov.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
+def test_exponent_past_bound_is_rejected_before_fraction_reads_it(tmp_path, workspace):
+    doc = json.loads(workspace["ledger"].read_text(encoding="utf-8"))
+    doc["fee_config"]["eth_usd_rate"] = HUGE_EXPONENT
+    (tmp_path / "ledger.json").write_text(json.dumps(doc), encoding="utf-8")
+    corpus = str(workspace["corpus"])
+    runs = [  # (argv, exit code, the one stderr line)
+        (["register", "--corpus", corpus, "--ledger", "new.json", "--eth-usd", HUGE_EXPONENT],
+         2, f"error: eth_usd_rate has an exponent past 4300: '{HUGE_EXPONENT}'"),
+        (["verify", "--corpus", corpus, "--ledger", "ledger.json"],
+         3, f"error: ledger document rejected: eth_usd_rate has an exponent past 4300: '{HUGE_EXPONENT}'"),
+        (["project", "--eth-usd", HUGE_EXPONENT],
+         2, "error: projected values exceed the floating-point range"),
+    ]
+    for argv, code, line in runs:
+        proc = run_process([*argv, "--out", "out"], tmp_path)
+        assert (proc.returncode, proc.stderr.splitlines()) == (code, [line]), argv
+    assert not (tmp_path / "out").exists() and not (tmp_path / "new.json").exists()

@@ -1,11 +1,16 @@
+import ast
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from keccak_reference import reference_keccak256
-from slideprov.keccak import _BATCH, _WINDOW, keccak256, keccak256_many
+from slideprov import keccak
+from slideprov.keccak import _BATCH, keccak256, keccak256_many
 
 # Public test vectors for the original (pre-standardization) Keccak-256.
 KNOWN_VECTORS = [
@@ -88,9 +93,16 @@ def test_many_mixed_block_boundaries_keep_order():
     assert keccak256_many(messages) == _reference_many(messages)
 
 
-def test_many_spans_several_batches():
+# empty, one byte short of a block, exactly one block, one byte short of two
+BOUNDARY_LENGTHS = [0, 135, 136, 271]
+
+
+def test_many_spans_several_batches(monkeypatch):
+    monkeypatch.setattr(keccak, "_BATCH", 5)
     rng = random.Random(11)
-    messages = [rng.randbytes(rng.randrange(0, 700)) for _ in range(2 * _BATCH + 37)]
+    lengths = BOUNDARY_LENGTHS * 4 + [rng.randrange(0, 700) for _ in range(21)]
+    rng.shuffle(lengths)
+    messages = [rng.randbytes(n) for n in lengths]
     # a generator: the batches are drawn from it lazily
     assert keccak256_many(data for data in messages) == _reference_many(messages)
 
@@ -102,16 +114,51 @@ def test_many_matches_reference(messages):
 
 
 def _pooled_messages(n, seed):
-    """n messages drawn from a pool of 48 of 1 to 6 blocks, with each reference digest."""
+    """n messages drawn from a pool of 52 of 1 to 6 blocks, with each reference digest."""
     rng = random.Random(seed)
-    pool = [rng.randbytes(rng.randrange(0, 6 * 136)) for _ in range(48)]
+    pool = [rng.randbytes(n) for n in BOUNDARY_LENGTHS]
+    pool += [rng.randbytes(rng.randrange(0, 6 * 136)) for _ in range(48)]
     digests = _reference_many(pool)
     picks = [rng.randrange(len(pool)) for _ in range(n)]
     return [pool[i] for i in picks], [digests[i] for i in picks]
 
 
-@pytest.mark.parametrize("n", [_WINDOW * _BATCH, _WINDOW * _BATCH + 1, 2 * _WINDOW * _BATCH + 3])
-def test_many_across_window_boundaries_keeps_input_order(n):
-    # block counts are mixed within every window, so grouping reorders each one
+@pytest.mark.parametrize("n", [_BATCH, _BATCH + 1, 2 * _BATCH + 3])
+def test_many_across_batch_boundaries_keeps_input_order(n):
+    # block counts are mixed within every batch, so ordering its lanes longest first reorders it
     messages, expected = _pooled_messages(n, seed=n)
     assert keccak256_many(iter(messages)) == expected
+
+
+def _hash_in_fresh_process(env):
+    """os.environb before and after the first hash of a fresh interpreter, and its thread count."""
+    script = (
+        "import os; from slideprov.keccak import keccak256; before = dict(os.environb);"
+        " keccak256(b''); tasks = '/proc/self/task';"
+        " threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None;"
+        " print(repr((before, dict(os.environb), threads)))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return ast.literal_eval(done.stdout)
+
+
+def _environment_without_blas_threads():
+    return {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+
+
+def test_first_hash_leaves_the_environment_unchanged():
+    # numpy loads once per process: only a fresh interpreter sees the first hash
+    before, after, threads = _hash_in_fresh_process(_environment_without_blas_threads())
+    assert b"OPENBLAS_NUM_THREADS" not in before
+    assert list(after.items()) == list(before.items())
+    assert threads in (None, 1)  # no BLAS thread pool; None where /proc is not there
+
+
+def test_first_hash_keeps_a_user_set_blas_thread_count():
+    env = {**_environment_without_blas_threads(), "OPENBLAS_NUM_THREADS": "3"}
+    before, after, _ = _hash_in_fresh_process(env)
+    assert before[b"OPENBLAS_NUM_THREADS"] == after[b"OPENBLAS_NUM_THREADS"] == b"3"
+    assert list(after.items()) == list(before.items())

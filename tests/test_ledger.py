@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import register_corpus
 from keccak_reference import reference_keccak256
+from slideprov.ledger import MAX_EXPONENT, ExponentOutOfRange
 from slideprov import (
     AlreadyRegistered,
     CorruptLedgerFile,
@@ -133,6 +134,19 @@ class TestFees:
                     {"block_interval": True}, {"priority_tip": None}):
             with pytest.raises(ValueError):
                 FeeConfig(**bad)
+
+    @pytest.mark.parametrize("text,value", [
+        ("1e4300", Fraction(10**4300)), ("3e-4300", Fraction(3, 10**4300)),
+        ("1E+0004300", Fraction(10**4300)), ("2.5e4_300", Fraction(25 * 10**4299)),
+        ("1e4301", None), ("1e-4301", None), ("1e-4_3_0_1", None), ("0.00001e99999 ", None),
+    ])
+    def test_decimal_exponent_bound(self, text, value):
+        # the bound reads the exponent as written, whatever the value
+        if value is not None:
+            assert FeeConfig(eth_usd_rate=text).eth_usd_rate == value
+            return
+        with pytest.raises(ExponentOutOfRange, match=f"eth_usd_rate has an exponent past {MAX_EXPONENT}"):
+            FeeConfig(eth_usd_rate=text)
 
     def test_gas_config_coerces_and_validates(self):
         assert GasConfig(exec_base="0") == GasConfig(exec_base=0)

@@ -3,7 +3,7 @@
 import json
 
 from conftest import run_cli as run, write_corpus
-from slideprov import records
+from slideprov import commitment, records
 
 
 def _registered(tmp_path, lectures=2, slides=3):
@@ -25,12 +25,12 @@ def test_normalizes_each_unregistered_file_once_and_no_registered_one(tmp_path, 
         (tmp_path / "more" / "by_slide" / f"Lecture {lecture}").rename(
             corpus / "by_slide" / f"Lecture {lecture}")
     calls = []
-    original = records.normalize_record
+    original = commitment.normalized_bytes  # what register's one pass normalizes each file with
 
-    def counted(raw, key=None):
+    def counted(raw, key):
         calls.append(key)
-        return original(raw, key=key)
-    monkeypatch.setattr(records, "normalize_record", counted)
+        return original(raw, key)
+    monkeypatch.setattr(commitment, "normalized_bytes", counted)
 
     code, out, err = run(["register", *common, "--skip-existing"])
     assert (code, err) == (0, "")

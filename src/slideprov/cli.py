@@ -6,6 +6,12 @@ seed, config); all randomness flows from --seed.
 
 Exit codes: 0 success, 1 verification/integrity failure, 2 usage or
 config error, 3 I/O or corpus failure.
+
+Each command returns (exit code, reports keyed by file stem, stdout text);
+``main`` writes every report with one ``reports.write_reports`` call, then
+prints the text, so a command that stops on an error leaves --out untouched.
+Flag defaults come from ``SLIDEPROV_*`` variables through ``_env``, except
+for -n/--count, --mean-gas, --throughput, --skip-existing and --write.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import (
 )
 from .ledger import CANONICAL_REGISTRATION_GAS, FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
 from .records import CorpusLoadResult, CorpusReader, LoadFailure, load_corpus, write_record
-from .reports import write_json, write_table
+from .reports import Table, write_reports
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -65,17 +71,14 @@ def _open_ledger(args: argparse.Namespace) -> Ledger:
     return Ledger.load(path)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # --------------------------------------------------------------------------
 # commands
 
 
-def cmd_register(args: argparse.Namespace) -> int:
+Result = tuple[int, dict[str, Table | dict], str]
+
+
+def cmd_register(args: argparse.Namespace) -> Result:
     # The fee and gas flags are checked even where an existing file's configs win.
     fee = FeeConfig(initial_base_fee=args.base_fee_gwei, priority_tip=args.tip_gwei,
                     eth_usd_rate=args.eth_usd, block_interval=args.block_interval)
@@ -117,151 +120,117 @@ def cmd_register(args: argparse.Namespace) -> int:
         raise ValueError("registration costs exceed the floating-point range") from None
     ledger.save(args.ledger)
 
-    out = _out_dir(args)
-    write_table(
-        out / "receipts",
-        ["lecture_id", "slide_id", "block", "timestamp", "gas_used",
-         "effective_gas_price_gwei", "cost_eth", "cost_usd"],
-        receipt_rows,
-        args.format,
-    )
-    write_table(
-        out / "events",
-        ["lectureId", "slideId", "slideHash", "uri", "registrant", "timestamp"],
-        [[e.lecture_id, e.slide_id, e.slide_hash, e.uri, account_hex(e.registrant), e.timestamp]
-         for e in ledger.events],
-        args.format,
-    )
-    write_json(out / "register_summary.json", summary_doc)
-
+    reports = {
+        "receipts": Table(["lecture_id", "slide_id", "block", "timestamp", "gas_used",
+                           "effective_gas_price_gwei", "cost_eth", "cost_usd"], receipt_rows),
+        "events": Table(["lectureId", "slideId", "slideHash", "uri", "registrant", "timestamp"],
+                        [[e.lecture_id, e.slide_id, e.slide_hash, e.uri, account_hex(e.registrant),
+                          e.timestamp] for e in ledger.events]),
+        "register_summary": summary_doc,
+    }
     for key, reason in summary.failures:
         _err(f"({key.lecture_id},{key.slide_id}): {reason}")
-    print(
-        f"registered {summary.registered}/{summary.attempted} slides"
-        f" (skipped {reader.skipped}, failed {len(summary.failures)});"
-        f" total gas {summary.total_gas}, cost ${summary_doc['total_cost_usd']:.2f}"
-    )
-    return EXIT_INTEGRITY if summary.failures else EXIT_OK
+    text = (f"registered {summary.registered}/{summary.attempted} slides"
+            f" (skipped {reader.skipped}, failed {len(summary.failures)});"
+            f" total gas {summary.total_gas}, cost ${summary_doc['total_cost_usd']:.2f}")
+    return (EXIT_INTEGRITY if summary.failures else EXIT_OK), reports, text
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Result:
     reader = CorpusReader(args.corpus)
     commitments = commit_corpus(reader)
     _warn_failures(reader.failures)
     ledger = _open_ledger(args)
     verdicts = integrity.verify_commitments(commitments.items(), ledger)
 
-    out = _out_dir(args)
-    write_table(
-        out / "verdicts",
+    reports = {"verdicts": Table(
         ["lecture_id", "slide_id", "recomputed", "on_chain", "verdict"],
         [[v.key.lecture_id, v.key.slide_id, v.recomputed.hex, v.on_chain or "", v.verdict]
          for v in verdicts],
-        args.format,
-    )
+    )}
     bad = [v for v in verdicts if v.verdict != integrity.MATCH]
     for v in bad:
         _err(f"({v.key.lecture_id},{v.key.slide_id}): {v.verdict}")
-    print(f"verified {len(verdicts)} slides: {len(verdicts) - len(bad)} match, {len(bad)} fail")
-    return EXIT_INTEGRITY if bad else EXIT_OK
+    text = f"verified {len(verdicts)} slides: {len(verdicts) - len(bad)} match, {len(bad)} fail"
+    return (EXIT_INTEGRITY if bad else EXIT_OK), reports, text
 
 
-def _write_matrix(path: Path, matrix: metrics.JaccardMatrix, fmt: str) -> None:
-    rows = [[model, *values] for model, values in zip(matrix.models, matrix.values)]
-    write_table(path, ["model", *matrix.models], rows, fmt)
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> Result:
     by_slide = metrics.corpus_disagreement(_load(args).records)
-    out = _out_dir(args)
-    fmt = args.format
-
-    write_table(
-        out / "disagreement",
+    reports: dict[str, Table | dict] = {"disagreement": Table(
         ["lecture_id", "slide_id", "d_concept", "d_triple"],
         [[d.key.lecture_id, d.key.slide_id, d.concept_union_size, d.triple_union_size]
          for d in by_slide.values()],
-        fmt,
-    )
+    )}
 
     try:
         for kind in ("concepts", "triples"):
             matrix, _ = metrics.pairwise_jaccard(by_slide, kind)
-            _write_matrix(out / f"jaccard_{kind}", matrix, fmt)
+            reports[f"jaccard_{kind}"] = Table(
+                ["model", *matrix.models],
+                [[model, *values] for model, values in zip(matrix.models, matrix.values)],
+            )
     except InsufficientModels as exc:
         print(f"note: Jaccard matrices skipped: {exc}", file=sys.stderr)
 
-    aggregates = metrics.lecture_aggregate(by_slide)
-    write_table(
-        out / "lecture_aggregates",
+    reports["lecture_aggregates"] = Table(
         ["lecture_id", "slide_count", "mean_d_concept", "mean_d_triple"],
         [[a.lecture_id, a.slide_count, a.mean_concept_disagreement, a.mean_triple_disagreement]
-         for a in aggregates.values()],
-        fmt,
+         for a in metrics.lecture_aggregate(by_slide).values()],
     )
 
     try:
-        labels = metrics.classify_stability(by_slide)
-        write_table(
-            out / "stability",
+        reports["stability"] = Table(
             ["lecture_id", "slide_id", "d_concept", "label"],
-            [[l.key.lecture_id, l.key.slide_id, l.d_concept, l.label] for l in labels],
-            fmt,
+            [[l.key.lecture_id, l.key.slide_id, l.d_concept, l.label]
+             for l in metrics.classify_stability(by_slide)],
         )
     except TooFewSlides as exc:
         print(f"note: stability classification skipped: {exc}", file=sys.stderr)
 
     report = metrics.coverage_loss(by_slide, args.baseline_model)
-    write_table(
-        out / "coverage_loss",
+    reports["coverage_loss"] = Table(
         ["lecture_id", "slide_id", "baseline_model", "concept_loss", "triple_loss"],
         [[l.key.lecture_id, l.key.slide_id, l.baseline_model, l.concept_loss, l.triple_loss]
          for l in report.losses],
-        fmt,
     )
 
-    print(
-        f"analyzed {len(by_slide)} slides, {len(metrics.corpus_models(by_slide))} models;"
-        f" coverage baseline {report.baseline_model}"
-        f" (mean concept loss {report.concept_mean:.3f})"
-    )
-    return EXIT_OK
+    text = (f"analyzed {len(by_slide)} slides, {len(metrics.corpus_models(by_slide))} models;"
+            f" coverage baseline {report.baseline_model}"
+            f" (mean concept loss {report.concept_mean:.3f})")
+    return EXIT_OK, reports, text
 
 
-def cmd_tamper(args: argparse.Namespace) -> int:
+def cmd_tamper(args: argparse.Namespace) -> Result:
     result = _load(args)
     ledger = _open_ledger(args)
     report = integrity.tamper_experiment(result.records, ledger, args.count, args.seed)
 
-    out = _out_dir(args)
-    write_table(
-        out / "tamper_report",
-        ["lecture_id", "slide_id", "kind", "target", "verdict"],
-        [[t.key.lecture_id, t.key.slide_id, t.op.kind.value, t.op.target, t.verdict]
-         for t in report.trials],
-        args.format,
-    )
-    write_json(out / "tamper_summary.json", {
-        "seed": report.seed,
-        "total": report.total,
-        "detected": report.detected,
-        "detection_rate": report.detection_rate,
-    })
-
+    reports = {
+        "tamper_report": Table(
+            ["lecture_id", "slide_id", "kind", "target", "verdict"],
+            [[t.key.lecture_id, t.key.slide_id, t.op.kind.value, t.op.target, t.verdict]
+             for t in report.trials],
+        ),
+        "tamper_summary": {
+            "seed": report.seed,
+            "total": report.total,
+            "detected": report.detected,
+            "detection_rate": report.detection_rate,
+        },
+    }
+    text = (f"tamper protocol: {report.detected}/{report.total} detected"
+            f" (rate {report.detection_rate:.4f}, seed {report.seed})")
     if args.write:
         for trial in report.trials:
             write_record(trial.tampered, args.corpus)
-        print(f"wrote {report.total} tampered records back into {args.corpus}")
-
-    print(f"tamper protocol: {report.detected}/{report.total} detected"
-          f" (rate {report.detection_rate:.4f}, seed {report.seed})")
-    return EXIT_OK
+        text = f"wrote {report.total} tampered records back into {args.corpus}\n{text}"
+    return EXIT_OK, reports, text
 
 
-def cmd_compare_runs(args: argparse.Namespace) -> int:
+def cmd_compare_runs(args: argparse.Namespace) -> Result:
     comparison = integrity.compare_runs(args.run_a, args.run_b)
 
-    out = _out_dir(args)
     rows: list[list[object]] = [
         [p.key.lecture_id, p.key.slide_id, p.model, "compared", p.concept_jaccard, p.triple_jaccard]
         for p in comparison.pairs
@@ -270,34 +239,29 @@ def cmd_compare_runs(args: argparse.Namespace) -> int:
         [a.key.lecture_id, a.key.slide_id, a.model, f"only_in_{a.present_in}", "", ""]
         for a in comparison.asymmetric
     ]
-    write_table(
-        out / "compare_runs",
-        ["lecture_id", "slide_id", "model", "status", "concept_jaccard", "triple_jaccard"],
-        rows,
-        args.format,
-    )
-    write_json(out / "compare_summary.json", {
-        "common_keys": len(comparison.byte_equal),
-        "only_in_a": len(comparison.only_in_a),
-        "only_in_b": len(comparison.only_in_b),
-        "pairs": comparison.n_pairs,
-        "concept_perfect": comparison.n_concept_perfect,
-        "triple_perfect": comparison.n_triple_perfect,
-        "perfect_pairs": comparison.n_perfect,
-        "asymmetric": len(comparison.asymmetric),
-        "byte_equal": comparison.n_byte_equal,
-        "identical": comparison.identical,
-    })
-
-    print(
-        f"compared {comparison.n_pairs} (slide, model) pairs over"
-        f" {len(comparison.byte_equal)} common slides:"
-        f" {comparison.n_perfect} perfect, {comparison.n_byte_equal} byte-identical"
-    )
-    return EXIT_OK
+    reports = {
+        "compare_runs": Table(
+            ["lecture_id", "slide_id", "model", "status", "concept_jaccard", "triple_jaccard"], rows),
+        "compare_summary": {
+            "common_keys": len(comparison.byte_equal),
+            "only_in_a": len(comparison.only_in_a),
+            "only_in_b": len(comparison.only_in_b),
+            "pairs": comparison.n_pairs,
+            "concept_perfect": comparison.n_concept_perfect,
+            "triple_perfect": comparison.n_triple_perfect,
+            "perfect_pairs": comparison.n_perfect,
+            "asymmetric": len(comparison.asymmetric),
+            "byte_equal": comparison.n_byte_equal,
+            "identical": comparison.identical,
+        },
+    }
+    text = (f"compared {comparison.n_pairs} (slide, model) pairs over"
+            f" {len(comparison.byte_equal)} common slides:"
+            f" {comparison.n_perfect} perfect, {comparison.n_byte_equal} byte-identical")
+    return EXIT_OK, reports, text
 
 
-def cmd_time_gaps(args: argparse.Namespace) -> int:
+def cmd_time_gaps(args: argparse.Namespace) -> Result:
     ledger = _open_ledger(args)
     if args.manifest:
         local = integrity.load_time_manifest(args.manifest)
@@ -305,27 +269,26 @@ def cmd_time_gaps(args: argparse.Namespace) -> int:
         local = integrity.local_mtimes(args.corpus)
     gaps, summary = integrity.time_gaps(local, ledger)
 
-    out = _out_dir(args)
-    write_table(
-        out / "time_gaps",
-        ["lecture_id", "slide_id", "delta_seconds", "anomaly"],
-        [[g.key.lecture_id, g.key.slide_id, g.delta_seconds, g.anomaly] for g in gaps],
-        args.format,
-    )
-    write_json(out / "time_gap_summary.json", {
-        "count": summary.count,
-        "mean": summary.mean,
-        "min": summary.minimum,
-        "max": summary.maximum,
-        "stddev": summary.stddev,
-        "anomalies": summary.anomalies,
-    })
-    print(f"time gaps over {summary.count} slides: mean {summary.mean:.1f}s,"
-          f" stddev {summary.stddev:.1f}s, {summary.anomalies} anomalies")
-    return EXIT_OK
+    reports = {
+        "time_gaps": Table(
+            ["lecture_id", "slide_id", "delta_seconds", "anomaly"],
+            [[g.key.lecture_id, g.key.slide_id, g.delta_seconds, g.anomaly] for g in gaps],
+        ),
+        "time_gap_summary": {
+            "count": summary.count,
+            "mean": summary.mean,
+            "min": summary.minimum,
+            "max": summary.maximum,
+            "stddev": summary.stddev,
+            "anomalies": summary.anomalies,
+        },
+    }
+    text = (f"time gaps over {summary.count} slides: mean {summary.mean:.1f}s,"
+            f" stddev {summary.stddev:.1f}s, {summary.anomalies} anomalies")
+    return EXIT_OK, reports, text
 
 
-def cmd_project(args: argparse.Namespace) -> int:
+def cmd_project(args: argparse.Namespace) -> Result:
     profiles = projection.load_profiles(args.profiles) if args.profiles else None
     projections = projection.project(
         n=args.count,
@@ -334,16 +297,13 @@ def cmd_project(args: argparse.Namespace) -> int:
         eth_usd=args.eth_usd,
         throughput=args.throughput,
     )
-    # every value is rendered before --out is created: one out of range writes nothing
     text = projection.decimal_text
     rows = [[p.n_slides, p.network, p.total_gas, text(p.total_cost_eth), text(p.total_cost_usd),
              text(p.expected_seconds)] for p in projections]
-    out = _out_dir(args)
-    write_table(out / "projections", ["n", "network", "total_gas", "eth", "usd", "seconds"],
-                rows, args.format)
-    for _, network, total_gas, eth, usd, seconds in rows:
-        print(f"{network:>15}: {total_gas} gas, {eth} ETH, ${usd}, ~{seconds}s")
-    return EXIT_OK
+    reports = {"projections": Table(["n", "network", "total_gas", "eth", "usd", "seconds"], rows)}
+    return EXIT_OK, reports, "\n".join(
+        f"{network:>15}: {total_gas} gas, {eth} ETH, ${usd}, ~{seconds}s"
+        for _, network, total_gas, eth, usd, seconds in rows)
 
 
 # --------------------------------------------------------------------------
@@ -453,7 +413,8 @@ def main(argv: list[str] | None = None) -> int:
     # one line without the source location, so stderr is the same from any checkout
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        return args.func(args)
+        code, reports, text = args.func(args)
+        write_reports(args.out, reports, args.format)
     except (UnknownBaselineModel, ValueError) as exc:
         _err(str(exc))
         return EXIT_USAGE
@@ -465,6 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTEGRITY
     finally:
         warnings.formatwarning = format_warning
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -2,16 +2,27 @@
 
 Same data in, same bytes out: fixed column order, LF line endings,
 shortest round-trip float formatting, canonical JSON key order.
+``write_csv`` and ``write_json`` are the only functions that write a
+report file; ``write_reports`` writes a command's reports through them.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
+
+
+class Table(NamedTuple):
+    """A tabular report: written as CSV, or as a JSON list of row objects."""
+
+    header: list[str]
+    rows: list[list[object]]
 
 
 def format_cell(value: object) -> str:
@@ -42,8 +53,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def write_csv(path: Path | str, header: list[str], rows: list[list[object]]) -> Path:
     path = Path(path)
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -62,15 +71,17 @@ def write_json(path: Path | str, doc: object) -> Path:
     return path
 
 
-def write_table(path: Path | str, header: list[str], rows: list[list[object]], fmt: str = "csv") -> Path:
-    """Tabular report as CSV or as a JSON list of row objects."""
-    path = Path(path)
-    if fmt == "csv":
-        return write_csv(path.with_suffix(".csv"), header, rows)
-    if fmt == "json":
-        doc = [
-            {name: format_cell(cell) for name, cell in zip(header, row)}
-            for row in rows
-        ]
-        return write_json(path.with_suffix(".json"), doc)
-    raise ValueError(f"unknown report format {fmt!r}")
+def write_reports(out: Path | str, reports: dict[str, Table | dict], fmt: str) -> None:
+    """Write each report as ``out/<stem>.<fmt>``; a dict report is always ``<stem>.json``."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    out = Path(out)
+    for stem, report in reports.items():
+        if not isinstance(report, Table):
+            write_json(out / f"{stem}.json", report)
+        elif fmt == "csv":
+            write_csv(out / f"{stem}.csv", report.header, report.rows)
+        else:
+            write_json(out / f"{stem}.json",
+                       [{name: format_cell(cell) for name, cell in zip(report.header, row)}
+                        for row in report.rows])

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from conftest import write_corpus
-from slideprov.cli import main
+from slideprov.cli import build_parser, main
+from slideprov.reports import Table, write_reports
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -144,8 +145,12 @@ class TestAnalyze:
         second = {p.name: p.read_bytes() for p in Path(env["out"]).iterdir()}
         assert first == second
 
-    def test_unknown_baseline_exit_2(self, env):
+    def test_unknown_baseline_exit_2(self, env, capsys):
         assert run("analyze", env, "--baseline-model", "missing-model") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error: ")] == [err[-1]]
+        # every report is built before the first is written: none is left behind
+        assert not Path(env["out"]).exists()
 
     def test_json_format(self, env):
         assert run("analyze", env, "--format", "json") == 0
@@ -268,7 +273,69 @@ class TestProject:
         assert written == (reference / "projections.csv").read_bytes()
 
 
+# (command, flag's dest, SLIDEPROV_* variable, value set, default parse_args returns)
+ENV_FLAGS = [
+    ("analyze", "corpus", "CORPUS", "c", "c"),
+    ("verify", "ledger", "LEDGER", "l.json", "l.json"),
+    ("project", "out", "OUT", "o", "o"),
+    ("project", "format", "FORMAT", "json", "json"),
+    ("tamper", "seed", "SEED", "7", 7),
+    ("register", "eth_usd", "ETH_USD", "2500", "2500"),
+    ("project", "eth_usd", "ETH_USD", "2500", "2500"),
+    ("register", "base_fee_gwei", "BASE_FEE_GWEI", "0.5", "0.5"),
+    ("register", "tip_gwei", "TIP_GWEI", "2", "2"),
+    ("register", "block_interval", "BLOCK_INTERVAL", "12", 12),
+    ("register", "gas_exec_base", "GAS_EXEC_BASE", "5", 5),
+    ("analyze", "baseline_model", "BASELINE_MODEL", "m", "m"),
+    ("time-gaps", "manifest", "MANIFEST", "t.json", "t.json"),
+    ("project", "profiles", "PROFILES", "p.json", "p.json"),
+]
+
+# flags that read no variable: (command, the variable their name would give)
+NO_ENV_FLAGS = [
+    ("tamper", "COUNT"),
+    ("project", "COUNT"),
+    ("project", "MEAN_GAS"),
+    ("project", "THROUGHPUT"),
+    ("register", "SKIP_EXISTING"),
+    ("tamper", "WRITE"),
+]
+
+
+def parsed_defaults(command: str, corpus: bool = True) -> dict:
+    argv = [command, *(["run_a", "run_b"] if command == "compare-runs" else [])]
+    if corpus and command not in ("project", "compare-runs"):
+        argv += ["--corpus", "corpus"]
+    return vars(build_parser().parse_args(argv))
+
+
 class TestEnvironmentOverrides:
+    @pytest.fixture(autouse=True)
+    def no_variables(self, monkeypatch):
+        for name in [n for n in os.environ if n.startswith("SLIDEPROV_")]:
+            monkeypatch.delenv(name)
+
+    @pytest.mark.parametrize("command, dest, variable, value, parsed", [
+        pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in ENV_FLAGS])
+    def test_variable_sets_one_default(self, monkeypatch, command, dest, variable, value, parsed):
+        monkeypatch.setenv(f"SLIDEPROV_{variable}", value)
+        with_variable = parsed_defaults(command, corpus=variable != "CORPUS")
+        assert with_variable[dest] == parsed
+        monkeypatch.delenv(f"SLIDEPROV_{variable}")
+        if variable == "CORPUS":
+            with pytest.raises(SystemExit):  # --corpus is required without its variable
+                parsed_defaults(command, corpus=False)
+            return
+        without = parsed_defaults(command)
+        assert {name for name in without if without[name] != with_variable[name]} == {dest}
+
+    @pytest.mark.parametrize("command, variable", [
+        pytest.param(*case, id="-".join(case)) for case in NO_ENV_FLAGS])
+    def test_flag_reads_no_variable(self, monkeypatch, command, variable):
+        without = parsed_defaults(command)
+        monkeypatch.setenv(f"SLIDEPROV_{variable}", "3")
+        assert parsed_defaults(command) == without
+
     def test_seed_from_environment(self, env, monkeypatch):
         run("register", env)
         monkeypatch.setenv("SLIDEPROV_SEED", "11")
@@ -281,6 +348,13 @@ class TestEnvironmentOverrides:
         monkeypatch.setenv("SLIDEPROV_OUT", alt)
         assert main(["analyze", "--corpus", env["corpus"]]) == 0
         assert (Path(alt) / "disagreement.csv").exists()
+
+
+def test_write_reports_rejects_unknown_format(tmp_path):
+    # the parser checks --format; a library caller gets the same refusal, not JSON
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        write_reports(tmp_path / "out", {"t": Table(["a"], [[1]]), "s": {"a": 1}}, "xml")
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,9 +1,5 @@
-import ast
 import hashlib
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,35 +126,23 @@ def test_many_across_batch_boundaries_keeps_input_order(n):
     assert keccak256_many(iter(messages)) == expected
 
 
-def _hash_in_fresh_process(env):
-    """os.environb before and after the first hash of a fresh interpreter, and its thread count."""
-    script = (
-        "import os; from slideprov.keccak import keccak256; before = dict(os.environb);"
-        " keccak256(b''); tasks = '/proc/self/task';"
-        " threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None;"
-        " print(repr((before, dict(os.environb), threads)))"
-    )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    return ast.literal_eval(done.stdout)
+def _sha3_pad(data):
+    """pad10*1 with SHA-3's 0x06 domain byte, to a whole number of blocks."""
+    pad_len = keccak._RATE - len(data) % keccak._RATE
+    if pad_len == 1:
+        return data + b"\x86"
+    return data + b"\x06" + bytes(pad_len - 2) + b"\x80"
 
 
-def _environment_without_blas_threads():
-    return {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
-
-
-def test_first_hash_leaves_the_environment_unchanged():
-    # numpy loads once per process: only a fresh interpreter sees the first hash
-    before, after, threads = _hash_in_fresh_process(_environment_without_blas_threads())
-    assert b"OPENBLAS_NUM_THREADS" not in before
-    assert list(after.items()) == list(before.items())
-    assert threads in (None, 1)  # no BLAS thread pool; None where /proc is not there
-
-
-def test_first_hash_keeps_a_user_set_blas_thread_count():
-    env = {**_environment_without_blas_threads(), "OPENBLAS_NUM_THREADS": "3"}
-    before, after, _ = _hash_in_fresh_process(env)
-    assert before[b"OPENBLAS_NUM_THREADS"] == after[b"OPENBLAS_NUM_THREADS"] == b"3"
-    assert list(after.items()) == list(before.items())
+def test_full_batch_matches_hashlib_sha3(monkeypatch):
+    # With SHA-3's domain byte the same permutation computes SHA3-256, which
+    # hashlib runs on a C Keccak-f[1600] of its own: fast enough to check a full
+    # batch of 2,048 lanes, narrowed at every block count from 9 down to 1,
+    # which the pure-Python reference is too slow to reach.
+    monkeypatch.setattr(keccak, "_pad", _sha3_pad)
+    rng = random.Random(2049)
+    lengths = [0, 135, 136, 271, 272, 1100]
+    lengths += [rng.randrange(0, 1101) for _ in range(_BATCH + 1 - len(lengths))]
+    rng.shuffle(lengths)
+    messages = [rng.randbytes(n) for n in lengths]
+    assert keccak256_many(messages) == [hashlib.sha3_256(data).digest() for data in messages]

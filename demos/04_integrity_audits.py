@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from slideprov import Ledger, SlideKey, canonical_uri, commit_record, load_corpus
-from slideprov.integrity import compare_runs, tamper_experiment, time_gaps, verify_corpus
+from slideprov.integrity import compare_corpora, tamper_experiment, time_gaps, verify_corpus
 
 workdir = Path(tempfile.mkdtemp(prefix="provenance-demo-"))
 atexit.register(shutil.rmtree, workdir, ignore_errors=True)
@@ -70,7 +70,7 @@ print(f"\ntime gaps: mean {summary.mean:.0f}s, stddev {summary.stddev:.0f},"
 # -- dual-run comparison --------------------------------------------------------
 run_b = workdir / "rerun"
 shutil.copytree(root, run_b)
-comparison = compare_runs(root, run_b)
+comparison = compare_corpora(load_corpus(root).records, load_corpus(run_b).records)
 print(f"\nrun-vs-rerun: {comparison.n_perfect}/{comparison.n_pairs} (slide, model)"
       f" pairs at Jaccard 1.0, {comparison.n_byte_equal} byte-identical records")
 
@@ -79,7 +79,7 @@ target = run_b / "by_slide" / "Lecture 1" / "Slide2.json"
 doc = json.loads(target.read_text())
 doc["models"]["vision-a"]["triples"] = []
 target.write_text(json.dumps(doc))
-drifted = compare_runs(root, run_b)
+drifted = compare_corpora(load_corpus(root).records, load_corpus(run_b).records)
 moved = [p for p in drifted.pairs if p.triple_jaccard < 1.0]
 print(f"after deleting one model's triples in the rerun: {len(moved)} pair diverges"
       f" -> ({moved[0].key.lecture_id},{moved[0].key.slide_id}) {moved[0].model}")

@@ -37,7 +37,6 @@ from .integrity import (
     TimeGap,
     VerificationResult,
     compare_corpora,
-    compare_runs,
     load_time_manifest,
     local_mtimes,
     tamper_experiment,

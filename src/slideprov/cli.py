@@ -58,17 +58,10 @@ def _warn_failures(failures: list[LoadFailure]) -> None:
         print(f"warning: skipped {failure.path}: {failure.error}", file=sys.stderr)
 
 
-def _load(args: argparse.Namespace) -> CorpusLoadResult:
-    result = load_corpus(args.corpus)
+def _load(root: str) -> CorpusLoadResult:
+    result = load_corpus(root)
     _warn_failures(result.failures)
     return result
-
-
-def _open_ledger(args: argparse.Namespace) -> Ledger:
-    path = Path(args.ledger)
-    if not path.exists():
-        raise CorruptLedgerFile(f"ledger file not found: {path}")
-    return Ledger.load(path)
 
 
 # --------------------------------------------------------------------------
@@ -83,15 +76,14 @@ def cmd_register(args: argparse.Namespace) -> Result:
     fee = FeeConfig(initial_base_fee=args.base_fee_gwei, priority_tip=args.tip_gwei,
                     eth_usd_rate=args.eth_usd, block_interval=args.block_interval)
     gas = GasConfig(exec_base=args.gas_exec_base)
-    # With --skip-existing an existing ledger is read first, so that the
-    # files of registered slides are passed over unread.
+    # The ledger is read before the corpus: a bad one stops the command
+    # first, and with --skip-existing the files of registered slides are
+    # passed over unread.
     path = Path(args.ledger)
-    ledger = Ledger.load(path) if args.skip_existing and path.exists() else None
-    reader = CorpusReader(args.corpus, ledger.records if ledger is not None else frozenset())
+    ledger = Ledger.load(path) if path.exists() else Ledger(fee, gas)
+    reader = CorpusReader(args.corpus, ledger.records if args.skip_existing else ())
     commitments = commit_corpus(reader)
     _warn_failures(reader.failures)
-    if ledger is None:
-        ledger = Ledger.load(path) if path.exists() else Ledger(fee, gas)
 
     items = [(key, c.hex, canonical_uri(key)) for key, c in commitments.items()]
 
@@ -137,10 +129,10 @@ def cmd_register(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify(args: argparse.Namespace) -> Result:
+    ledger = Ledger.load(args.ledger)
     reader = CorpusReader(args.corpus)
     commitments = commit_corpus(reader)
     _warn_failures(reader.failures)
-    ledger = _open_ledger(args)
     verdicts = integrity.verify_commitments(commitments.items(), ledger)
 
     reports = {"verdicts": Table(
@@ -156,7 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 
 def cmd_analyze(args: argparse.Namespace) -> Result:
-    by_slide = metrics.corpus_disagreement(_load(args).records)
+    by_slide = metrics.corpus_disagreement(_load(args.corpus).records)
     reports: dict[str, Table | dict] = {"disagreement": Table(
         ["lecture_id", "slide_id", "d_concept", "d_triple"],
         [[d.key.lecture_id, d.key.slide_id, d.concept_union_size, d.triple_union_size]
@@ -202,9 +194,8 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
 
 
 def cmd_tamper(args: argparse.Namespace) -> Result:
-    result = _load(args)
-    ledger = _open_ledger(args)
-    report = integrity.tamper_experiment(result.records, ledger, args.count, args.seed)
+    ledger = Ledger.load(args.ledger)
+    report = integrity.tamper_experiment(_load(args.corpus).records, ledger, args.count, args.seed)
 
     reports = {
         "tamper_report": Table(
@@ -229,7 +220,7 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
 
 
 def cmd_compare_runs(args: argparse.Namespace) -> Result:
-    comparison = integrity.compare_runs(args.run_a, args.run_b)
+    comparison = integrity.compare_corpora(_load(args.run_a).records, _load(args.run_b).records)
 
     rows: list[list[object]] = [
         [p.key.lecture_id, p.key.slide_id, p.model, "compared", p.concept_jaccard, p.triple_jaccard]
@@ -262,7 +253,7 @@ def cmd_compare_runs(args: argparse.Namespace) -> Result:
 
 
 def cmd_time_gaps(args: argparse.Namespace) -> Result:
-    ledger = _open_ledger(args)
+    ledger = Ledger.load(args.ledger)
     if args.manifest:
         local = integrity.load_time_manifest(args.manifest)
     else:

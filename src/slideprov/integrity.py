@@ -31,7 +31,6 @@ from .records import (
     SlideKey,
     Triple,
     canonical_bytes,
-    load_corpus,
     load_json_entries,
     scan_slide_files,
 )
@@ -420,10 +419,3 @@ def compare_corpora(corpus_a: Corpus, corpus_b: Corpus) -> RunComparison:
         only_in_a=sorted(set(corpus_a) - set(corpus_b)),
         only_in_b=sorted(set(corpus_b) - set(corpus_a)),
     )
-
-
-def compare_runs(root_a: Path | str, root_b: Path | str) -> RunComparison:
-    """Load two corpus directories and compare them slide by slide."""
-    corpus_a = load_corpus(root_a).records
-    corpus_b = load_corpus(root_b).records
-    return compare_corpora(corpus_a, corpus_b)

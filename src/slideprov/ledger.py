@@ -27,7 +27,7 @@ from typing import Callable, TypeVar
 
 from .errors import AlreadyRegistered, CorruptLedgerFile, InvalidLecture, InvalidSlide, LedgerError
 from .keccak import keccak256_many
-from .records import SlideKey
+from .records import SlideKey, read_json
 
 LEDGER_FORMAT = "slideprov-ledger/v1"
 
@@ -453,9 +453,13 @@ class Ledger:
 
     @classmethod
     def load(cls, path: Path | str) -> "Ledger":
+        """The ledger in the file at ``path``; CorruptLedgerFile when it is missing or rejected."""
+        path = Path(path)
+        if not path.exists():
+            raise CorruptLedgerFile(f"ledger file not found: {path}")
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            doc = read_json(path)
+        except (OSError, ValueError) as exc:
             raise CorruptLedgerFile(f"cannot read ledger file {path}: {exc}") from exc
         return cls.from_document(doc)
 

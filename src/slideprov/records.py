@@ -514,6 +514,20 @@ def _not_utf8(exc: UnicodeEncodeError) -> MalformedDocument:
 # corpus loading
 
 
+def read_json(path: Path | str) -> object:
+    """The JSON document in the file at ``path``.
+
+    Every way the file can fail to be JSON raises ValueError: bytes that
+    are not UTF-8, bad syntax, nesting past the recursion limit, or an
+    integer past the interpreter's digit limit.  OSError passes through.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
 @dataclass(frozen=True)
 class LoadFailure:
     path: str
@@ -551,9 +565,8 @@ class CorpusReader:
         loaded = 0
         for key, path in self._files:
             try:
-                with open(path, encoding="utf-8") as fh:
-                    raw = json.load(fh)
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raw = read_json(path)
+            except (OSError, ValueError) as exc:
                 self.failures.append(LoadFailure(str(path), key, f"unparseable: {exc}"))
                 continue
             try:
@@ -586,8 +599,8 @@ def load_json_entries(path: Path | str, what: str, parse: Callable[[dict], objec
     entry's index, so a bad config file is a usage error.
     """
     try:
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        entries = read_json(path)
+    except ValueError as exc:
         raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: {what} must be a non-empty JSON list")

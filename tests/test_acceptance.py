@@ -36,7 +36,7 @@ from slideprov import (
     storage_key,
 )
 from slideprov.cli import main as cli_main
-from slideprov.integrity import compare_runs, tamper_experiment
+from slideprov.integrity import compare_corpora, tamper_experiment
 from slideprov.keccak import keccak256, keccak256_many
 from slideprov.ledger import estimate_gas
 from slideprov.metrics import (
@@ -197,7 +197,7 @@ def test_criterion_07_reproducibility(tmp_path):
     root_b = tmp_path / "run_b"
     shutil.copytree(root_a, root_b)
 
-    comparison = compare_runs(root_a, root_b)
+    comparison = compare_corpora(load_corpus(root_a).records, load_corpus(root_b).records)
     ok = comparison.n_pairs > 0 and not comparison.asymmetric
     ok &= all(p.concept_jaccard == 1.0 and p.triple_jaccard == 1.0 for p in comparison.pairs)
     ok &= comparison.n_byte_equal == len(comparison.byte_equal) == 12

@@ -25,7 +25,6 @@ from slideprov.integrity import (
     TamperKind,
     applicable_kinds,
     compare_corpora,
-    compare_runs,
     load_time_manifest,
     tamper_experiment,
     tamper_record,
@@ -250,7 +249,8 @@ class TestCompareRuns:
     def test_self_comparison_is_identical(self, corpus_dir, tmp_path):
         copy_dir = tmp_path / "copy"
         shutil.copytree(corpus_dir, copy_dir)
-        comparison = compare_runs(corpus_dir, copy_dir)
+        comparison = compare_corpora(load_corpus(corpus_dir).records,
+                                     load_corpus(copy_dir).records)
         assert comparison.identical
         assert comparison.n_pairs == comparison.n_perfect
         assert all(p.concept_jaccard == 1.0 and p.triple_jaccard == 1.0
@@ -267,7 +267,8 @@ class TestCompareRuns:
         del doc["models"][name]["triples"][0]
         target.write_text(json.dumps(doc), encoding="utf-8")
 
-        comparison = compare_runs(corpus_dir, copy_dir)
+        comparison = compare_corpora(load_corpus(corpus_dir).records,
+                                     load_corpus(copy_dir).records)
         imperfect = [p for p in comparison.pairs if p.triple_jaccard < 1.0]
         assert len(imperfect) == 1
         assert imperfect[0].key == SlideKey(1, 1)

@@ -29,6 +29,7 @@ from .errors import (
 from .integrity import (
     MATCH,
     MISMATCH,
+    MISSING,
     UNREGISTERED,
     RunComparison,
     TamperKind,

@@ -133,17 +133,19 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     reader = CorpusReader(args.corpus)
     commitments = commit_corpus(reader)
     _warn_failures(reader.failures)
-    verdicts = integrity.verify_commitments(commitments.items(), ledger)
+    rows = [[v.key.lecture_id, v.key.slide_id, v.recomputed.hex, v.on_chain or "", v.verdict]
+            for v in integrity.verify_commitments(commitments.items(), ledger)]
+    # a registered slide whose file is gone or no longer loads
+    rows += [[key.lecture_id, key.slide_id, "", stored.slide_hash, integrity.MISSING]
+             for key, stored in ledger.records.items() if key not in commitments]
+    rows.sort(key=lambda row: row[:2])
 
     reports = {"verdicts": Table(
-        ["lecture_id", "slide_id", "recomputed", "on_chain", "verdict"],
-        [[v.key.lecture_id, v.key.slide_id, v.recomputed.hex, v.on_chain or "", v.verdict]
-         for v in verdicts],
-    )}
-    bad = [v for v in verdicts if v.verdict != integrity.MATCH]
-    for v in bad:
-        _err(f"({v.key.lecture_id},{v.key.slide_id}): {v.verdict}")
-    text = f"verified {len(verdicts)} slides: {len(verdicts) - len(bad)} match, {len(bad)} fail"
+        ["lecture_id", "slide_id", "recomputed", "on_chain", "verdict"], rows)}
+    bad = [row for row in rows if row[4] != integrity.MATCH]
+    for lecture_id, slide_id, *_, verdict in bad:
+        _err(f"({lecture_id},{slide_id}): {verdict}")
+    text = f"verified {len(rows)} slides: {len(rows) - len(bad)} match, {len(bad)} fail"
     return (EXIT_INTEGRITY if bad else EXIT_OK), reports, text
 
 

@@ -38,6 +38,7 @@ from .records import (
 MATCH = "Match"
 MISMATCH = "Mismatch"
 UNREGISTERED = "Unregistered"
+MISSING = "Missing"  # registered, but the corpus no longer yields the slide
 
 
 @dataclass(frozen=True)

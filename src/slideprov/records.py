@@ -383,7 +383,10 @@ def _int_or_none(value: object) -> int | None:
     if isinstance(value, int):
         return value
     if isinstance(value, str) and value.strip().isdigit():
-        return int(value.strip())
+        try:
+            return int(value)
+        except ValueError:  # digits int() does not read ("²"), or past its digit limit
+            return None
     return None
 
 
@@ -392,7 +395,7 @@ def _document_key(raw: dict) -> SlideKey | None:
     if lecture_id is None and isinstance(raw.get("lecture"), str):
         match = _TRAILING_INT.search(raw["lecture"])
         if match:
-            lecture_id = int(match.group(1))
+            lecture_id = _int_or_none(match.group(1))
     slide_id = _int_or_none(raw.get("slide_id"))
     if lecture_id is None or slide_id is None:
         return None

@@ -1,0 +1,166 @@
+"""How the command line reads its input files.
+
+Every input file goes through ``records.read_json``.  A file that is not
+JSON in any way (deep nesting, an over-long integer, bytes that are not
+UTF-8) gets its documented outcome and never a traceback: a corpus file
+is skipped with a warning, a ledger exits 3, a time manifest or a
+profiles file exits 2.  The ledger is opened before the corpus is read,
+so a missing or corrupt one stops a command before any corpus file is
+opened, and ``verify`` can name registered slides the corpus no longer
+yields.
+"""
+
+import csv
+import json
+import random
+import shutil
+
+import pytest
+
+from conftest import run_cli, synthetic_document, write_corpus
+from slideprov import records
+
+FORMS = {
+    "deep-array": b"[" * 200_000 + b"]" * 200_000,
+    "long-integer": b"1" * 5000,
+    "not-utf8": '["café"]'.encode("latin-1"),
+}
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A registered 6-slide corpus and its ledger."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    corpus = write_corpus(tmp / "corpus", n_lectures=2, slides_per_lecture=3)
+    ledger = tmp / "ledger.json"
+    code, _, err = run_cli(["register", "--corpus", str(corpus), "--ledger", str(ledger),
+                            "--out", str(tmp / "out")])
+    assert code == 0, err
+    return {"corpus": corpus, "ledger": ledger}
+
+
+def _runs(ws, tmp_path, data):
+    """(input, argv, the bad file, expected exit code) for each input holding ``data``."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(ws["corpus"], corpus)
+    (corpus / "by_slide" / "Lecture 3").mkdir()
+    bad_slide = corpus / "by_slide" / "Lecture 3" / "Slide1.json"
+    bad_slide.write_bytes(data)
+    out = ["--out", str(tmp_path / "out")]
+    good = ["--corpus", str(ws["corpus"])] + out
+    yield ("corpus", ["register", "--corpus", str(corpus),
+                      "--ledger", str(tmp_path / "new-ledger.json")] + out, bad_slide, 0)
+    for command in ("register", "verify", "tamper", "time-gaps"):
+        yield (f"ledger ({command})", [command, *good, "--ledger", str(bad)], bad, 3)
+    yield ("manifest", ["time-gaps", *good, "--ledger", str(ws["ledger"]),
+                        "--manifest", str(bad)], bad, 2)
+    yield ("profiles", ["project", "--profiles", str(bad)] + out, bad, 2)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_malformed_input_file_gets_its_documented_outcome(workspace, tmp_path, form):
+    for name, argv, bad, expected in _runs(workspace, tmp_path, FORMS[form]):
+        code, _, err = run_cli(argv)  # a traceback would escape main and fail here
+        lines = err.splitlines()
+        assert code == expected, (name, lines)
+        assert "Traceback" not in err, name
+        prefix = "warning: skipped " if expected == 0 else "error: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), (name, lines)
+        assert str(bad) in lines[0], (name, lines)
+
+
+def _refuse(*_):
+    raise AssertionError("a corpus file was read")
+
+
+@pytest.mark.parametrize("command, ledger_bytes, message", [
+    ("verify", None, "error: ledger file not found: "),
+    ("tamper", None, "error: ledger file not found: "),
+    ("register", b"{not json", "error: cannot read ledger file "),
+])
+def test_bad_ledger_stops_the_command_before_the_corpus_is_read(
+        workspace, tmp_path, monkeypatch, command, ledger_bytes, message):
+    ledger = tmp_path / "ledger.json"
+    if ledger_bytes is not None:
+        ledger.write_bytes(ledger_bytes)
+    monkeypatch.setattr(records.CorpusReader, "read", _refuse)
+    code, _, err = run_cli([command, "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
+                            "--out", str(tmp_path / "out")])
+    lines = err.splitlines()
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith(f"{message}{ledger}"), lines
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_runs_warns_about_each_failed_file_of_each_run(workspace, tmp_path):
+    runs = []
+    for name, failing in (("a", (1,)), ("b", (1, 2))):
+        run = tmp_path / name
+        shutil.copytree(workspace["corpus"], run)
+        (run / "by_slide" / "Lecture 3").mkdir()
+        for slide in failing:
+            (run / "by_slide" / "Lecture 3" / f"Slide{slide}.json").write_text("[1, 2]")
+        runs.append(run)
+    code, _, err = run_cli(["compare-runs", *map(str, runs), "--out", str(tmp_path / "out")])
+    assert code == 0
+    failed = [runs[0] / "by_slide" / "Lecture 3" / "Slide1.json",
+              *(runs[1] / "by_slide" / "Lecture 3" / f"Slide{slide}.json" for slide in (1, 2))]
+    assert err.splitlines() == [f"warning: skipped {path}: expected a JSON object, got list"
+                                for path in failed]
+
+
+# -- verify: registered slides the corpus no longer yields --------------------
+
+
+def _verify_after(tmp_path, change):
+    corpus = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3)
+    common = ["--corpus", str(corpus), "--ledger", str(tmp_path / "ledger.json"),
+              "--out", str(tmp_path / "out")]
+    assert run_cli(["register", *common])[0] == 0
+    stored = json.loads((tmp_path / "ledger.json").read_text(encoding="utf-8"))["records"]
+    change(corpus / "by_slide" / "Lecture 1" / "Slide2.json")
+    code, out, err = run_cli(["verify", *common])
+    with open(tmp_path / "out" / "verdicts.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return code, out, err, rows, {(r["lectureId"], r["slideId"]): r["slideHash"] for r in stored}
+
+
+@pytest.mark.parametrize("change", [
+    lambda path: path.unlink(),
+    lambda path: path.write_text("{not json", encoding="utf-8"),
+], ids=["deleted", "garbage"])
+def test_verify_reports_a_registered_slide_the_corpus_no_longer_yields(tmp_path, change):
+    code, out, err, rows, stored = _verify_after(tmp_path, change)
+    assert code == 1
+    missing = [row for row in rows if row["verdict"] == "Missing"]
+    assert missing == [{"lecture_id": "1", "slide_id": "2", "recomputed": "",
+                        "on_chain": stored[1, 2], "verdict": "Missing"}]
+    assert [row["verdict"] for row in rows].count("Match") == 5
+    assert [(row["lecture_id"], row["slide_id"]) for row in rows] == [
+        (str(lecture), str(slide)) for lecture in (1, 2) for slide in (1, 2, 3)]
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        "error: (1,2): Missing"]
+    assert out == "verified 6 slides: 5 match, 1 fail\n"
+
+
+# -- ids that int() rejects ---------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("slide_id", "²"),
+    ("slide_id", "7" * 5000),
+    ("lecture", "Lecture " + "7" * 5000),
+], ids=["superscript-two", "long-slide-id", "long-lecture-number"])
+def test_id_that_int_rejects_is_absent_and_the_file_key_wins(tmp_path, field, value):
+    corpus = write_corpus(tmp_path / "corpus", n_lectures=1, slides_per_lecture=2)
+    doc = synthetic_document(random.Random(5), 1, 3)
+    doc[field] = value
+    (corpus / "by_slide" / "Lecture 1" / "Slide3.json").write_text(json.dumps(doc),
+                                                                   encoding="utf-8")
+    code, out, err = run_cli(["register", "--corpus", str(corpus),
+                              "--ledger", str(tmp_path / "ledger.json"),
+                              "--out", str(tmp_path / "out")])
+    assert (code, err) == (0, "")
+    assert out.startswith("registered 3/3 slides (skipped 0, failed 0)")

@@ -1,7 +1,8 @@
 """Integrity audits end to end: verify, tamper, time gaps, dual runs.
 
 Builds a small corpus on disk, anchors every record's commitment in the
-registry, then runs the three audit protocols against it.
+registry, then runs the three audit protocols against it.  A slide
+deleted after registration gets its own verdict, Missing.
 """
 
 import atexit
@@ -11,7 +12,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from slideprov import Ledger, SlideKey, canonical_uri, commit_record, load_corpus
+from slideprov import Ledger, canonical_uri, commit_records, load_corpus
 from slideprov.integrity import compare_corpora, tamper_experiment, time_gaps, verify_corpus
 
 workdir = Path(tempfile.mkdtemp(prefix="provenance-demo-"))
@@ -40,16 +41,34 @@ for lecture in (1, 2):
         }
         (lecture_dir / f"Slide{slide}.json").write_text(json.dumps(doc))
 
+
+def commitments_of(records):
+    """{key: commitment} in key order, hashed in one batch."""
+    keys = sorted(records)
+    return dict(zip(keys, commit_records(records[key] for key in keys)))
+
+
 corpus = load_corpus(root).records
+commitments = commitments_of(corpus)
 ledger = Ledger()
-for key in sorted(corpus):
-    ledger.register_slide(key, commit_record(corpus[key]).hex, canonical_uri(key))
+for key, commitment in commitments.items():
+    ledger.register_slide(key, commitment.hex, canonical_uri(key))
 print(f"registered {len(corpus)} slides in blocks 1..{len(corpus)}")
 
 # -- verification ------------------------------------------------------------
-verdicts = verify_corpus(corpus, ledger)
+verdicts = verify_corpus(commitments, ledger)
 print("\nverification of the untouched corpus:",
       {v.verdict for v in verdicts}, "for all", len(verdicts), "slides")
+
+# a copy of the corpus with one registered slide file deleted
+pruned = workdir / "pruned"
+shutil.copytree(root, pruned)
+(pruned / "by_slide" / "Lecture 2" / "Slide3.json").unlink()
+verdicts = verify_corpus(commitments_of(load_corpus(pruned).records), ledger)
+[gone] = [v for v in verdicts if v.verdict != "Match"]
+print(f"after deleting Lecture 2/Slide3.json: ({gone.key.lecture_id},{gone.key.slide_id})"
+      f" -> {gone.verdict} (on chain {gone.on_chain[:10]}..., recomputed {gone.recomputed});"
+      f" the other {len(verdicts) - 1} match")
 
 # -- seeded tamper experiment -------------------------------------------------
 report = tamper_experiment(corpus, ledger, n=5, seed=7)

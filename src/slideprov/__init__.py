@@ -44,7 +44,6 @@ from .integrity import (
     tamper_record,
     time_gaps,
     verify_corpus,
-    verify_records,
 )
 from .keccak import keccak256, keccak256_many
 from .ledger import (

@@ -133,12 +133,8 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     reader = CorpusReader(args.corpus)
     commitments = commit_corpus(reader)
     _warn_failures(reader.failures)
-    rows = [[v.key.lecture_id, v.key.slide_id, v.recomputed.hex, v.on_chain or "", v.verdict]
-            for v in integrity.verify_commitments(commitments.items(), ledger)]
-    # a registered slide whose file is gone or no longer loads
-    rows += [[key.lecture_id, key.slide_id, "", stored.slide_hash, integrity.MISSING]
-             for key, stored in ledger.records.items() if key not in commitments]
-    rows.sort(key=lambda row: row[:2])
+    rows = [[v.key.lecture_id, v.key.slide_id, v.recomputed.hex if v.recomputed else "",
+             v.on_chain or "", v.verdict] for v in integrity.verify_corpus(commitments, ledger)]
 
     reports = {"verdicts": Table(
         ["lecture_id", "slide_id", "recomputed", "on_chain", "verdict"], rows)}

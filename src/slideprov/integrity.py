@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Mapping
 
 from .commitment import Commitment, commit_records
 from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
@@ -44,36 +44,33 @@ MISSING = "Missing"  # registered, but the corpus no longer yields the slide
 @dataclass(frozen=True)
 class VerificationResult:
     key: SlideKey
-    recomputed: Commitment
-    on_chain: str | None
+    recomputed: Commitment | None  # None for a Missing slide
+    on_chain: str | None           # None for an Unregistered slide
     verdict: str
 
 
-def verify_commitments(commitments: Iterable[tuple[SlideKey, Commitment]],
-                       ledger: Ledger) -> list[VerificationResult]:
-    """Compare each recomputed commitment with the hash stored for its key.
+def _verdict(recomputed: Commitment | None, on_chain: str | None) -> str:
+    """The one verdict rule; hex comparison is case-insensitive."""
+    if recomputed is None:
+        return MISSING
+    if on_chain is None:
+        return UNREGISTERED
+    return MATCH if recomputed.matches_hex(on_chain) else MISMATCH
 
-    Hex comparison is case-insensitive; absence of a registry entry is a
-    value (Unregistered), not an error.
+
+def verify_corpus(commitments: Mapping[SlideKey, Commitment], ledger: Ledger) -> list[VerificationResult]:
+    """One verdict per key that is recomputed or registered, in key order.
+
+    Absence on either side is a verdict (Unregistered, Missing), not an
+    error.
     """
     results = []
-    for key, recomputed in commitments:
+    for key in sorted(commitments.keys() | ledger.records.keys()):
+        recomputed = commitments.get(key)
         stored = ledger.get_slide(key)
-        if stored is None:
-            results.append(VerificationResult(key, recomputed, None, UNREGISTERED))
-            continue
-        verdict = MATCH if recomputed.matches_hex(stored.slide_hash) else MISMATCH
-        results.append(VerificationResult(key, recomputed, stored.slide_hash, verdict))
+        on_chain = None if stored is None else stored.slide_hash
+        results.append(VerificationResult(key, recomputed, on_chain, _verdict(recomputed, on_chain)))
     return results
-
-
-def verify_records(records: Sequence[ProvenanceRecord], ledger: Ledger) -> list[VerificationResult]:
-    """Recompute each record's commitment, in one batch, and compare with the stored hash."""
-    return verify_commitments(zip((r.key for r in records), commit_records(records)), ledger)
-
-
-def verify_corpus(corpus: Corpus, ledger: Ledger) -> list[VerificationResult]:
-    return verify_records([corpus[key] for key in sorted(corpus)], ledger)
 
 
 # --------------------------------------------------------------------------
@@ -229,9 +226,9 @@ def tamper_experiment(corpus: Corpus, ledger: Ledger, n: int, seed: int) -> Tamp
     for key in chosen:
         record = corpus[key]
         tampered.append(tamper_record(record, rng.choice(applicable_kinds(record)), rng))
-    results = verify_records([record for record, _ in tampered], ledger)
-    trials = [TamperTrial(key, op, result.verdict, record)
-              for key, (record, op), result in zip(chosen, tampered, results)]
+    commitments = commit_records(record for record, _ in tampered)
+    trials = [TamperTrial(key, op, _verdict(recomputed, ledger.get_slide(key).slide_hash), record)
+              for key, (record, op), recomputed in zip(chosen, tampered, commitments)]
     return TamperReport(trials=trials, seed=seed)
 
 

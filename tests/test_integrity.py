@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import random
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import register_corpus, synthetic_document, write_corpus
 from slideprov import (
@@ -15,12 +18,14 @@ from slideprov import (
     UnregisteredCorpus,
     canonical_bytes,
     commit_record,
+    commit_records,
     load_corpus,
     normalize_record,
 )
 from slideprov.integrity import (
     MATCH,
     MISMATCH,
+    MISSING,
     UNREGISTERED,
     TamperKind,
     applicable_kinds,
@@ -29,16 +34,24 @@ from slideprov.integrity import (
     tamper_experiment,
     tamper_record,
     time_gaps,
-    verify_records,
+    verify_corpus,
 )
-from slideprov.records import Concept
+from slideprov.commitment import commit_corpus
+from slideprov.records import Concept, CorpusReader
+
+
+def commitments(records):
+    """{key: commitment} of ``records``, as ``commit_corpus`` returns it for files."""
+    records = sorted(records, key=lambda r: r.key)
+    return dict(zip((r.key for r in records), commit_records(records)))
 
 
 class TestVerifySlide:
     def test_unchanged_record_matches(self, registered):
         corpus, ledger = registered
-        for key in corpus:
-            assert verify_records([corpus[key]], ledger)[0].verdict == MATCH
+        results = verify_corpus(commitments(corpus.values()), ledger)
+        assert [r.key for r in results] == sorted(corpus)
+        assert all(r.verdict == MATCH for r in results)
 
     def test_single_character_flip_mismatches(self, registered):
         corpus, ledger = registered
@@ -51,22 +64,28 @@ class TestVerifySlide:
         old = ext.concepts[0]
         flipped = old.term[:-1] + ("a" if old.term[-1] != "a" else "b")
         concepts = (Concept(old.category, flipped, old.evidence),) + ext.concepts[1:]
-        import dataclasses
         record.models[name] = dataclasses.replace(ext, concepts=concepts)
-        assert verify_records([record], ledger)[0].verdict == MISMATCH
+        assert verify_corpus(commitments([record]), ledger)[0].verdict == MISMATCH
 
     def test_never_registered_key(self, corpus):
         ledger = Ledger()
         key = sorted(corpus)[0]
-        result = verify_records([corpus[key]], ledger)[0]
+        [result] = verify_corpus(commitments([corpus[key]]), ledger)
         assert result.verdict == UNREGISTERED
         assert result.on_chain is None
+
+    def test_registered_key_not_recomputed_is_missing(self, registered):
+        corpus, ledger = registered
+        key = sorted(corpus)[-1]
+        result = verify_corpus(commitments(r for k, r in corpus.items() if k != key), ledger)[-1]
+        assert (result.key, result.verdict, result.recomputed) == (key, MISSING, None)
+        assert result.on_chain == ledger.get_slide(key).slide_hash
 
     def test_case_insensitive_hash_comparison(self, corpus):
         key = sorted(corpus)[0]
         ledger = Ledger()
         ledger.register_slide(key, commit_record(corpus[key]).hex.upper().replace("0X", "0x"), "u")
-        assert verify_records([corpus[key]], ledger)[0].verdict == MATCH
+        assert verify_corpus(commitments([corpus[key]]), ledger)[0].verdict == MATCH
 
     @staticmethod
     def _flip_stored_hash(doc, sections):
@@ -89,7 +108,7 @@ class TestVerifySlide:
         bad_key = self._flip_stored_hash(doc, ("records", "events"))
         reimported = Ledger.from_document(doc)
 
-        verdicts = {r.key: r.verdict for r in verify_records([corpus[k] for k in sorted(corpus)], reimported)}
+        verdicts = {r.key: r.verdict for r in verify_corpus(commitments(corpus.values()), reimported)}
         assert verdicts.pop(bad_key) == MISMATCH
         assert all(v == MATCH for v in verdicts.values())
 
@@ -100,6 +119,43 @@ class TestVerifySlide:
         self._flip_stored_hash(doc, (section,))
         with pytest.raises(CorruptLedgerFile):
             Ledger.from_document(doc)
+
+
+_SLIDE_CHANGES = st.lists(st.sampled_from(["keep", "delete", "edit"]), min_size=6, max_size=6)
+
+
+@given(changes=_SLIDE_CHANGES, added=st.sets(st.integers(4, 9), max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_verify_corpus_gives_each_key_its_verdict(changes, added):
+    # register a 2x3 corpus, then delete, edit and add slide files on disk;
+    # every key on either side gets exactly its verdict, in key order
+    assume(added or set(changes) != {"delete"})  # no file left: EmptyCorpus
+    with tempfile.TemporaryDirectory() as tmp:
+        root = write_corpus(Path(tmp) / "corpus", seed=1010)
+        ledger = register_corpus(load_corpus(root).records)
+        expected = {}
+        for key, change in zip(sorted(ledger.records), changes):
+            path = root / "by_slide" / f"Lecture {key.lecture_id}" / f"Slide{key.slide_id}.json"
+            if change == "delete":
+                path.unlink()
+                expected[key] = MISSING
+            elif change == "edit":
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                doc["models"][sorted(doc["models"])[0]]["evidence"].append("edited after registration")
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                expected[key] = MISMATCH
+            else:
+                expected[key] = MATCH
+        rng = random.Random(0)
+        for slide in sorted(added):
+            path = root / "by_slide" / "Lecture 2" / f"Slide{slide}.json"
+            path.write_text(json.dumps(synthetic_document(rng, 2, slide)), encoding="utf-8")
+            expected[SlideKey(2, slide)] = UNREGISTERED
+        results = verify_corpus(commit_corpus(CorpusReader(root)), ledger)
+    assert [(r.key, r.verdict) for r in results] == sorted(expected.items())
+    for r in results:
+        assert (r.recomputed is None) == (r.verdict == MISSING)
+        assert (r.on_chain is None) == (r.verdict == UNREGISTERED)
 
 
 class TestTamperRecord:

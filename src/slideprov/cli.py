@@ -2,7 +2,7 @@
 
 Pipeline: ingest -> normalize -> hash -> register -> verify -> analyze ->
 audit -> project.  Every command is deterministic given (corpus, ledger,
-seed, config); all randomness flows from --seed.
+config); the one randomized protocol, tamper, draws from its --seed.
 
 Exit codes: 0 success, 1 verification/integrity failure, 2 usage or
 config error, 3 I/O or corpus failure.
@@ -73,7 +73,7 @@ Result = tuple[int, dict[str, Table | dict], str]
 
 def cmd_register(args: argparse.Namespace) -> Result:
     # The fee and gas flags are checked even where an existing file's configs win.
-    fee = FeeConfig(initial_base_fee=args.base_fee_gwei, priority_tip=args.tip_gwei,
+    fee = FeeConfig(initial_base_fee_gwei=args.base_fee_gwei, priority_tip_gwei=args.tip_gwei,
                     eth_usd_rate=args.eth_usd, block_interval=args.block_interval)
     gas = GasConfig(exec_base=args.gas_exec_base)
     # The ledger is read before the corpus: a bad one stops the command
@@ -318,8 +318,6 @@ def _add_common(parser: argparse.ArgumentParser, *, corpus: bool = True, ledger:
                         help="output directory for report files (default reports/)")
     parser.add_argument("--format", type=_report_format, metavar="{csv,json}",
                         default=_env("format", "csv"), help="tabular report format (default csv)")
-    parser.add_argument("--seed", type=int, default=_env("seed", "0"),
-                        help="seed for all randomized protocols (default 0)")
 
 
 def _add_fee_flags(parser: argparse.ArgumentParser) -> None:
@@ -364,6 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tamper", help="seeded tamper-detection protocol")
     _add_common(p, ledger=True)
     p.add_argument("-n", "--count", type=int, default=20, help="slides to perturb (default 20)")
+    p.add_argument("--seed", type=int, default=_env("seed", "0"),
+                   help="seed of the slide and perturbation choices (default 0)")
     p.add_argument("--write", action="store_true",
                    help="destructive: persist tampered records into the corpus")
     p.set_defaults(func=cmd_tamper)

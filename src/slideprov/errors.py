@@ -30,11 +30,11 @@ class LedgerError(ProvenanceError):
 
 
 class InvalidLecture(LedgerError):
-    """lecture_id must be > 0."""
+    """lecture_id must be in [1, 2**256)."""
 
 
 class InvalidSlide(LedgerError):
-    """slide_id must be > 0."""
+    """slide_id must be in [1, 2**256)."""
 
 
 class AlreadyRegistered(LedgerError):

@@ -160,8 +160,8 @@ class FeeConfig:
     1,117-slide batch lands near $780 total at $3000/ETH.
     """
 
-    initial_base_fee: Fraction = Fraction(77, 100)  # gwei
-    priority_tip: Fraction = Fraction(1)            # gwei
+    initial_base_fee_gwei: Fraction = Fraction(77, 100)
+    priority_tip_gwei: Fraction = Fraction(1)
     target_gas: int = 15_000_000
     decay_denominator: int = 8
     eth_usd_rate: Fraction = Fraction(3000)
@@ -187,11 +187,11 @@ class FeeConfig:
 
     @property
     def initial_base_fee_wei(self) -> int:
-        return int(self.initial_base_fee * WEI_PER_GWEI)
+        return int(self.initial_base_fee_gwei * WEI_PER_GWEI)
 
     @property
     def priority_tip_wei(self) -> int:
-        return int(self.priority_tip * WEI_PER_GWEI)
+        return int(self.priority_tip_gwei * WEI_PER_GWEI)
 
     def next_base_fee_wei(self, base_fee_wei: int, gas_used: int) -> int:
         """Base fee (wei) of the following block given this block's gas.
@@ -204,18 +204,6 @@ class FeeConfig:
         return base_fee_wei * ((self.decay_denominator - 1) * t + gas_used) // (
             self.decay_denominator * t
         )
-
-
-# fee_config key in a ledger file -> FeeConfig field; rationals are written as text
-_FEE_FILE_FIELDS = {
-    "initial_base_fee_gwei": "initial_base_fee",
-    "priority_tip_gwei": "priority_tip",
-    "target_gas": "target_gas",
-    "decay_denominator": "decay_denominator",
-    "eth_usd_rate": "eth_usd_rate",
-    "block_interval": "block_interval",
-    "genesis_time": "genesis_time",
-}
 
 
 @dataclass(frozen=True)
@@ -317,6 +305,11 @@ class Ledger:
             raise InvalidLecture("lectureId must be > 0")
         if key.slide_id < 1:
             raise InvalidSlide("slideId must be > 0")
+        # the contract's ids are uint256
+        if key.lecture_id >= 2**256:
+            raise InvalidLecture("lectureId must be < 2**256")
+        if key.slide_id >= 2**256:
+            raise InvalidSlide("slideId must be < 2**256")
         if key in self.records:
             raise AlreadyRegistered(f"slide already registered: {key}")
         if not isinstance(record.registrant, bytes) or len(record.registrant) != 20:
@@ -330,23 +323,16 @@ class Ledger:
         self.base_fee_wei = self.fee_config.next_base_fee_wei(self.base_fee_wei, gas_used)
         return gas_used
 
-    def register_slide(
-        self,
-        key: SlideKey,
-        slide_hash: str,
-        uri: str,
-        registrant: bytes | None = None,
-    ) -> RegistrationReceipt:
-        """Register one slide, seal one block, and return the receipt.
+    def register_slide(self, key: SlideKey, slide_hash: str, uri: str) -> RegistrationReceipt:
+        """Register one slide from the first dev account, seal one block, return the receipt.
 
-        Raises InvalidLecture/InvalidSlide for non-positive ids and
-        AlreadyRegistered when the key exists; failed calls leave the
+        Raises InvalidLecture/InvalidSlide for ids outside [1, 2**256)
+        and AlreadyRegistered when the key exists; failed calls leave the
         state untouched.
         """
-        if registrant is None:
-            registrant = _dev_account_set()[0]
         timestamp = self.next_timestamp
         base_fee_wei = self.base_fee_wei
+        registrant = _dev_account_set()[0]
         gas_used = self._append(SlideRecord(key.lecture_id, key.slide_id, slide_hash, uri, timestamp, registrant))
         price = Fraction(base_fee_wei + self.fee_config.priority_tip_wei, WEI_PER_GWEI)
         cost_eth = gas_used * price * GWEI
@@ -362,16 +348,14 @@ class Ledger:
         )
 
     def batch_register(
-        self,
-        items: list[tuple[SlideKey, str, str]],
-        registrant: bytes | None = None,
+        self, items: list[tuple[SlideKey, str, str]]
     ) -> tuple[list[RegistrationReceipt], BatchSummary]:
         """Register (key, slide_hash, uri) items sequentially in input order."""
         receipts: list[RegistrationReceipt] = []
         summary = BatchSummary(attempted=len(items))
         for key, slide_hash, uri in items:
             try:
-                receipts.append(self.register_slide(key, slide_hash, uri, registrant))
+                receipts.append(self.register_slide(key, slide_hash, uri))
             except (InvalidLecture, InvalidSlide, AlreadyRegistered) as exc:
                 summary.failures.append((key, str(exc)))
 
@@ -392,7 +376,6 @@ class Ledger:
 
     def to_document(self) -> dict:
         """The log plus its derived ``records`` and ``chain`` copies, for readers."""
-        fee = {name: getattr(self.fee_config, f) for name, f in _FEE_FILE_FIELDS.items()}
         return {
             "format": LEDGER_FORMAT,
             "chain": {
@@ -402,7 +385,9 @@ class Ledger:
                 "base_fee_wei": self.base_fee_wei,
                 "wall_clock": False,  # v1 field; modeled time is the only block rule
             },
-            "fee_config": {name: str(v) if isinstance(v, Fraction) else v for name, v in fee.items()},
+            # rationals are written as text
+            "fee_config": {name: str(v) if isinstance(v, Fraction) else v
+                           for name, v in asdict(self.fee_config).items()},
             "gas_config": asdict(self.gas_config),
             "records": [_entry_document(r) for _, r in sorted(self.records.items())],
             "events": [_entry_document(e) for e in self.events],
@@ -426,7 +411,7 @@ class Ledger:
         try:
             fee_doc = doc["fee_config"]
             gas_doc = doc["gas_config"]
-            fee = FeeConfig(**{f: fee_doc[name] for name, f in _FEE_FILE_FIELDS.items()})
+            fee = FeeConfig(**{f.name: fee_doc[f.name] for f in fields(FeeConfig)})
             gas = GasConfig(**{f.name: gas_doc[f.name] for f in fields(GasConfig)})
             ledger = cls(fee, gas)
             for entry in doc["events"]:
@@ -461,7 +446,10 @@ class Ledger:
             doc = read_json(path)
         except (OSError, ValueError) as exc:
             raise CorruptLedgerFile(f"cannot read ledger file {path}: {exc}") from exc
-        return cls.from_document(doc)
+        try:
+            return cls.from_document(doc)
+        except CorruptLedgerFile as exc:
+            raise CorruptLedgerFile(f"{path}: {exc}") from exc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ledger):

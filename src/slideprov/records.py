@@ -47,8 +47,8 @@ def normalize_text(value: object) -> str:
 class SlideKey:
     """(lecture_id, slide_id) identity of one slide within a corpus.
 
-    Both ids must be >= 1 for a registrable record; the registry enforces
-    this so that rejection of zero ids stays observable.
+    Both ids must be in [1, 2**256) for a registrable record; the
+    registry enforces this so that rejection of such ids stays observable.
     """
 
     lecture_id: int

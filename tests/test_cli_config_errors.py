@@ -156,13 +156,26 @@ def test_bad_eth_usd_exit_2(workspace, rate):
 @given(name=st.sampled_from(["SEED", "BLOCK_INTERVAL", "GAS_EXEC_BASE"]),
        value=st.text(max_size=6).filter(lambda s: "\x00" not in s and not _parses(int, s)))
 def test_non_integer_env_exit_2(workspace, name, value):
-    code, err = run_main(["register", "--corpus", str(workspace["corpus"]),
+    command = "tamper" if name == "SEED" else "register"  # the one command with --seed
+    code, err = run_main([command, "--corpus", str(workspace["corpus"]),
                           "--ledger", str(workspace["tmp"] / "unused.json"),
                           "--out", str(workspace["tmp"] / "out")],
                          env={f"SLIDEPROV_{name}": value})
     assert_config_error(code, err)
     assert f"--{name.lower().replace('_', '-')}" in err
     assert not (workspace["tmp"] / "unused.json").exists()
+
+
+def test_seed_variable_is_ignored_outside_tamper(tmp_path, workspace):
+    corpus, ledger, out = str(workspace["corpus"]), str(tmp_path / "ledger.json"), str(tmp_path / "out")
+    for argv in (["register", "--corpus", corpus, "--ledger", ledger],
+                 ["verify", "--corpus", corpus, "--ledger", ledger],
+                 ["analyze", "--corpus", corpus],
+                 ["compare-runs", corpus, corpus],
+                 ["time-gaps", "--corpus", corpus, "--ledger", ledger],
+                 ["project"]):
+        code, err = run_main([*argv, "--out", out], env={"SLIDEPROV_SEED": "abc"})
+        assert code == 0, (argv, err)
 
 
 @FUZZ
@@ -306,12 +319,18 @@ def test_exponent_past_bound_is_rejected_before_fraction_reads_it(tmp_path, work
     doc = json.loads(workspace["ledger"].read_text(encoding="utf-8"))
     doc["fee_config"]["eth_usd_rate"] = HUGE_EXPONENT
     (tmp_path / "ledger.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
     corpus = str(workspace["corpus"])
     runs = [  # (argv, exit code, the one stderr line)
         (["register", "--corpus", corpus, "--ledger", "new.json", "--eth-usd", HUGE_EXPONENT],
          2, f"error: eth_usd_rate has an exponent past 4300: '{HUGE_EXPONENT}'"),
+        (["register", "--corpus", corpus, "--ledger", "new.json", "--tip-gwei", HUGE_EXPONENT],
+         2, f"error: priority_tip_gwei has an exponent past 4300: '{HUGE_EXPONENT}'"),
         (["verify", "--corpus", corpus, "--ledger", "ledger.json"],
-         3, f"error: ledger document rejected: eth_usd_rate has an exponent past 4300: '{HUGE_EXPONENT}'"),
+         3, f"error: ledger.json: ledger document rejected: eth_usd_rate has an exponent past 4300:"
+            f" '{HUGE_EXPONENT}'"),
+        (["verify", "--corpus", corpus, "--ledger", "list.json"],
+         3, "error: list.json: unrecognized ledger format"),
         (["project", "--eth-usd", HUGE_EXPONENT],
          2, "error: projected values exceed the floating-point range"),
     ]

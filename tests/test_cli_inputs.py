@@ -164,3 +164,37 @@ def test_id_that_int_rejects_is_absent_and_the_file_key_wins(tmp_path, field, va
                               "--out", str(tmp_path / "out")])
     assert (code, err) == (0, "")
     assert out.startswith("registered 3/3 slides (skipped 0, failed 0)")
+
+
+# -- ids past the registry's uint256 ------------------------------------------
+
+
+@pytest.mark.parametrize("lecture, slide, message", [
+    (1, 2**256, f"error: (1,{2**256}): slideId must be < 2**256"),
+    (2**256, 1, f"error: ({2**256},1): lectureId must be < 2**256"),
+], ids=["slide-id", "lecture-id"])
+def test_register_fails_only_the_slide_whose_id_is_past_uint256(tmp_path, lecture, slide, message):
+    corpus = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3)
+    (corpus / "by_slide" / f"Lecture {lecture}").mkdir(exist_ok=True)
+    (corpus / "by_slide" / f"Lecture {lecture}" / f"Slide{slide}.json").write_text(
+        json.dumps(synthetic_document(random.Random(5), lecture, slide)), encoding="utf-8")
+    ledger = tmp_path / "ledger.json"
+    code, out, err = run_cli(["register", "--corpus", str(corpus), "--ledger", str(ledger),
+                              "--out", str(tmp_path / "out")])
+    assert (code, err.splitlines()) == (1, [message])
+    assert out.startswith("registered 6/7 slides (skipped 0, failed 1)")
+    summary = json.loads((tmp_path / "out" / "register_summary.json").read_text(encoding="utf-8"))
+    assert (summary["registered"], summary["failed"]) == (6, 1)
+    assert len(json.loads(ledger.read_text(encoding="utf-8"))["events"]) == 6
+
+
+def test_ledger_file_holding_an_id_past_uint256_exits_3(workspace, tmp_path):
+    doc = json.loads(workspace["ledger"].read_text(encoding="utf-8"))
+    for section in ("events", "records"):
+        doc[section][-1]["slideId"] = 2**256
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(["verify", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
+                            "--out", str(tmp_path / "out")])
+    assert (code, err.splitlines()) == (
+        3, [f"error: {ledger}: ledger document rejected: slideId must be < 2**256"])

@@ -227,8 +227,8 @@ def test_out_of_range_fee_flag_exit_2_with_existing_ledger(partly_registered, fl
 
 # register flag -> the config and field it sets, for the flags that scale a cost
 COST_FLAGS = {
-    "--base-fee-gwei": (FeeConfig, "initial_base_fee"),
-    "--tip-gwei": (FeeConfig, "priority_tip"),
+    "--base-fee-gwei": (FeeConfig, "initial_base_fee_gwei"),
+    "--tip-gwei": (FeeConfig, "priority_tip_gwei"),
     "--eth-usd": (FeeConfig, "eth_usd_rate"),
     "--gas-exec-base": (GasConfig, "exec_base"),
 }

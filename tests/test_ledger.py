@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import register_corpus
 from keccak_reference import reference_keccak256
+from slideprov.commitment import storage_key
 from slideprov.ledger import MAX_EXPONENT, ExponentOutOfRange
 from slideprov import (
     AlreadyRegistered,
@@ -59,6 +60,27 @@ def test_zero_ids_rejected(key, exc):
     assert ledger.export_bytes() == before
 
 
+@pytest.mark.parametrize("key, exc, message", [
+    (SlideKey(2**256, 1), InvalidLecture, "lectureId must be < 2\\*\\*256"),
+    (SlideKey(1, 2**256), InvalidSlide, "slideId must be < 2\\*\\*256"),
+], ids=["lecture", "slide"])
+def test_ids_past_uint256_rejected(key, exc, message):
+    # the contract's ids are uint256: storage_key cannot pack such an id
+    ledger = Ledger()
+    before = ledger.export_bytes()
+    with pytest.raises(exc, match=message):
+        ledger.register_slide(key, HASH66, "u")
+    assert ledger.export_bytes() == before
+    with pytest.raises(OverflowError):
+        storage_key(key)
+
+
+def test_largest_uint256_ids_registered():
+    key = SlideKey(2**256 - 1, 2**256 - 1)
+    Ledger().register_slide(key, HASH66, "u")
+    assert len(storage_key(key)) == 32
+
+
 def test_get_slide_absent_is_none():
     ledger = Ledger()
     assert ledger.get_slide(SlideKey(5, 5)) is None
@@ -108,7 +130,7 @@ class TestFees:
             ledger.register_slide(SlideKey(1, i), HASH66, URI30).effective_gas_price
             for i in range(1, 40)
         ]
-        tip = ledger.fee_config.priority_tip
+        tip = ledger.fee_config.priority_tip_gwei
         assert all(a >= b for a, b in zip(prices, prices[1:]))
         assert all(p >= tip for p in prices)
 
@@ -124,14 +146,15 @@ class TestFees:
         assert wei == 0
 
     def test_create_coerces_and_validates(self):
-        cfg = FeeConfig(initial_base_fee=0.77, priority_tip="1.0", eth_usd_rate=3000, target_gas="8")
+        cfg = FeeConfig(initial_base_fee_gwei=0.77, priority_tip_gwei="1.0", eth_usd_rate=3000,
+                        target_gas="8")
         assert cfg == FeeConfig(target_gas=8)
-        assert cfg.initial_base_fee == Fraction(77, 100)
+        assert cfg.initial_base_fee_gwei == Fraction(77, 100)
         assert type(cfg.eth_usd_rate) is Fraction and type(cfg.target_gas) is int
-        for bad in ({"initial_base_fee": 0}, {"priority_tip": "1e-10"}, {"eth_usd_rate": -3000},
-                    {"target_gas": 0}, {"decay_denominator": -1}, {"block_interval": 0},
+        for bad in ({"initial_base_fee_gwei": 0}, {"priority_tip_gwei": "1e-10"},
+                    {"eth_usd_rate": -3000}, {"target_gas": 0}, {"decay_denominator": -1}, {"block_interval": 0},
                     {"genesis_time": -1}, {"eth_usd_rate": "1/0"}, {"target_gas": float("inf")},
-                    {"block_interval": True}, {"priority_tip": None}):
+                    {"block_interval": True}, {"priority_tip_gwei": None}):
             with pytest.raises(ValueError):
                 FeeConfig(**bad)
 
@@ -255,6 +278,12 @@ class TestReplay:
         for section in ("events", "records"):
             doc[section][0]["lectureId"] = 0
         with pytest.raises(CorruptLedgerFile, match="lectureId must be > 0"):
+            Ledger.from_document(doc)
+
+    def test_id_past_uint256_rejected_like_a_live_call(self, doc):
+        for section in ("events", "records"):
+            doc[section][0]["slideId"] = 2**256
+        with pytest.raises(CorruptLedgerFile, match="slideId must be < 2\\*\\*256"):
             Ledger.from_document(doc)
 
     def test_duplicate_rejected_like_a_live_call(self, doc):

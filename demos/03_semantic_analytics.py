@@ -64,7 +64,7 @@ corpus = {
 }
 
 # One pass reads every model's sets; all the metrics below start from it.
-by_slide = corpus_disagreement(corpus)
+by_slide = corpus_disagreement(corpus.items())
 
 print("per-slide disagreement (union of all models' sets):")
 for key, d in by_slide.items():

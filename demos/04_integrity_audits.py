@@ -2,7 +2,10 @@
 
 Builds a small corpus on disk, anchors every record's commitment in the
 registry, then runs the three audit protocols against it.  A slide
-deleted after registration gets its own verdict, Missing.
+deleted after registration gets its own verdict, Missing.  Tamper and
+the dual-run comparison read the corpus through a ``CorpusReader``, as
+the commands do: tamper opens only the files of the slides it draws, and
+the comparison merges the two runs' record streams in key order.
 """
 
 import atexit
@@ -12,7 +15,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from slideprov import Ledger, canonical_uri, commit_records, load_corpus
+from slideprov import CorpusReader, Ledger, canonical_uri, commit_records, load_corpus, normalize_record
 from slideprov.integrity import compare_corpora, tamper_experiment, time_gaps, verify_corpus
 
 workdir = Path(tempfile.mkdtemp(prefix="provenance-demo-"))
@@ -48,7 +51,12 @@ def commitments_of(records):
     return dict(zip(keys, commit_records(records[key] for key in keys)))
 
 
-corpus = load_corpus(root).records
+def records_of(run):
+    """The run's (key, record) stream, one file at a time, in key order."""
+    return CorpusReader(run).read(normalize_record)
+
+
+corpus = load_corpus(root)
 commitments = commitments_of(corpus)
 ledger = Ledger()
 for key, commitment in commitments.items():
@@ -64,14 +72,14 @@ print("\nverification of the untouched corpus:",
 pruned = workdir / "pruned"
 shutil.copytree(root, pruned)
 (pruned / "by_slide" / "Lecture 2" / "Slide3.json").unlink()
-verdicts = verify_corpus(commitments_of(load_corpus(pruned).records), ledger)
+verdicts = verify_corpus(commitments_of(load_corpus(pruned)), ledger)
 [gone] = [v for v in verdicts if v.verdict != "Match"]
 print(f"after deleting Lecture 2/Slide3.json: ({gone.key.lecture_id},{gone.key.slide_id})"
       f" -> {gone.verdict} (on chain {gone.on_chain[:10]}..., recomputed {gone.recomputed});"
       f" the other {len(verdicts) - 1} match")
 
 # -- seeded tamper experiment -------------------------------------------------
-report = tamper_experiment(corpus, ledger, n=5, seed=7)
+report = tamper_experiment(CorpusReader(root), ledger, n=5, seed=7)
 print("\ntamper protocol (5 slides, seed 7):")
 for trial in report.trials:
     print(f"  ({trial.key.lecture_id},{trial.key.slide_id}) {trial.op.kind.value:<24}"
@@ -89,7 +97,7 @@ print(f"\ntime gaps: mean {summary.mean:.0f}s, stddev {summary.stddev:.0f},"
 # -- dual-run comparison --------------------------------------------------------
 run_b = workdir / "rerun"
 shutil.copytree(root, run_b)
-comparison = compare_corpora(load_corpus(root).records, load_corpus(run_b).records)
+comparison = compare_corpora(records_of(root), records_of(run_b))
 print(f"\nrun-vs-rerun: {comparison.n_perfect}/{comparison.n_pairs} (slide, model)"
       f" pairs at Jaccard 1.0, {comparison.n_byte_equal} byte-identical records")
 
@@ -98,7 +106,7 @@ target = run_b / "by_slide" / "Lecture 1" / "Slide2.json"
 doc = json.loads(target.read_text())
 doc["models"]["vision-a"]["triples"] = []
 target.write_text(json.dumps(doc))
-drifted = compare_corpora(load_corpus(root).records, load_corpus(run_b).records)
+drifted = compare_corpora(records_of(root), records_of(run_b))
 moved = [p for p in drifted.pairs if p.triple_jaccard < 1.0]
 print(f"after deleting one model's triples in the rerun: {len(moved)} pair diverges"
       f" -> ({moved[0].key.lecture_id},{moved[0].key.slide_id}) {moved[0].model}")

@@ -81,7 +81,7 @@ from .records import (
     CANONICAL_FORMAT,
     Concept,
     Corpus,
-    CorpusLoadResult,
+    CorpusReader,
     LoadFailure,
     ModelExtraction,
     ProvenanceRecord,

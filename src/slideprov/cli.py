@@ -7,6 +7,9 @@ config); the one randomized protocol, tamper, draws from its --seed.
 Exit codes: 0 success, 1 verification/integrity failure, 2 usage or
 config error, 3 I/O or corpus failure.
 
+Every command reads its corpus through ``records.CorpusReader.read``, then
+prints one ``warning: skipped`` line per file that failed to load.
+
 Each command returns (exit code, reports keyed by file stem, stdout text);
 ``main`` writes every report with one ``reports.write_reports`` call, then
 prints the text, so a command that stops on an error leaves --out untouched.
@@ -34,7 +37,7 @@ from .errors import (
     UnregisteredCorpus,
 )
 from .ledger import CANONICAL_REGISTRATION_GAS, FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
-from .records import CorpusLoadResult, CorpusReader, LoadFailure, load_corpus, write_record
+from .records import CorpusReader, LoadFailure, normalize_record, write_record
 from .reports import Table, write_reports
 
 EXIT_OK = 0
@@ -56,12 +59,6 @@ def _err(message: str) -> None:
 def _warn_failures(failures: list[LoadFailure]) -> None:
     for failure in failures:
         print(f"warning: skipped {failure.path}: {failure.error}", file=sys.stderr)
-
-
-def _load(root: str) -> CorpusLoadResult:
-    result = load_corpus(root)
-    _warn_failures(result.failures)
-    return result
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +143,9 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 
 def cmd_analyze(args: argparse.Namespace) -> Result:
-    by_slide = metrics.corpus_disagreement(_load(args.corpus).records)
+    reader = CorpusReader(args.corpus)
+    by_slide = metrics.corpus_disagreement(reader.read(normalize_record))
+    _warn_failures(reader.failures)
     reports: dict[str, Table | dict] = {"disagreement": Table(
         ["lecture_id", "slide_id", "d_concept", "d_triple"],
         [[d.key.lecture_id, d.key.slide_id, d.concept_union_size, d.triple_union_size]
@@ -193,7 +192,9 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
 
 def cmd_tamper(args: argparse.Namespace) -> Result:
     ledger = Ledger.load(args.ledger)
-    report = integrity.tamper_experiment(_load(args.corpus).records, ledger, args.count, args.seed)
+    reader = CorpusReader(args.corpus)
+    report = integrity.tamper_experiment(reader, ledger, args.count, args.seed)
+    _warn_failures(reader.failures)
 
     reports = {
         "tamper_report": Table(
@@ -218,7 +219,11 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
 
 
 def cmd_compare_runs(args: argparse.Namespace) -> Result:
-    comparison = integrity.compare_corpora(_load(args.run_a).records, _load(args.run_b).records)
+    run_a, run_b = CorpusReader(args.run_a), CorpusReader(args.run_b)
+    try:
+        comparison = integrity.compare_corpora(run_a.read(normalize_record), run_b.read(normalize_record))
+    finally:  # run A's failed files, then run B's, also before an error
+        _warn_failures(run_a.failures + run_b.failures)
 
     rows: list[list[object]] = [
         [p.key.lecture_id, p.key.slide_id, p.model, "compared", p.concept_jaccard, p.triple_jaccard]

@@ -4,8 +4,9 @@ Tampering operates on in-memory copies only; persisting a tampered
 record back to disk is an explicit, separate step (``tamper --write``
 calls ``records.write_record``).  All randomized choices flow from a
 caller-supplied seed so every experiment replays exactly.  Each tamper
-kind is one table row.  Time gaps from file mtimes list the corpus files
-without loading them.
+kind is one table row.  Tamper opens only the files of the slides it
+draws, a dual-run comparison merges two key-ordered record streams, and
+time gaps from file mtimes list the corpus files without loading them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import statistics
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from heapq import merge
+from itertools import groupby
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .commitment import Commitment, commit_records
 from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
@@ -25,13 +28,14 @@ from .ledger import Ledger
 from .metrics import jaccard
 from .records import (
     Concept,
-    Corpus,
+    CorpusReader,
     ModelExtraction,
     ProvenanceRecord,
     SlideKey,
     Triple,
     canonical_bytes,
     load_json_entries,
+    normalize_record,
     scan_slide_files,
 )
 
@@ -207,28 +211,27 @@ class TamperReport:
         return self.detected / self.total if self.total else 1.0
 
 
-def tamper_experiment(corpus: Corpus, ledger: Ledger, n: int, seed: int) -> TamperReport:
-    """Seeded tamper-detection protocol.
+def tamper_experiment(reader: CorpusReader, ledger: Ledger, n: int, seed: int) -> TamperReport:
+    """Seeded tamper-detection protocol over n of the reader's registered slides.
 
-    Selects n slides, applies one randomly chosen applicable perturbation
-    to an in-memory copy of each, and verifies the copies against the
-    registry.  Requires every corpus slide to be registered.
+    Only the drawn files are opened; a drawn file that fails to load is
+    in ``reader.failures``.  Each copy that loads gets one random
+    applicable perturbation and is verified against the registry.
     """
-    if n < 0 or n > len(corpus):
-        raise ValueError(f"tamper count {n} out of range for corpus of {len(corpus)}")
-    missing = [key for key in sorted(corpus) if not ledger.is_registered(key)]
-    if missing:
-        raise UnregisteredCorpus(f"{len(missing)} corpus slides unregistered, first: {missing[0]}")
+    if not reader.paths:
+        raise EmptyCorpus(f"no slide files found under {reader.root}")
+    pool = [key for key in reader.paths if ledger.is_registered(key)]
+    if n < 0 or n > len(pool):
+        raise ValueError(f"tamper count {n} out of range for {len(pool)} registered slides")
 
     rng = random.Random(seed)
-    chosen = rng.sample(sorted(corpus), n)
-    tampered = []
-    for key in chosen:
-        record = corpus[key]
-        tampered.append(tamper_record(record, rng.choice(applicable_kinds(record)), rng))
+    chosen = rng.sample(pool, n)
+    loaded = dict(reader.read(normalize_record, only=frozenset(chosen)))
+    drawn = [key for key in chosen if key in loaded]
+    tampered = [tamper_record(loaded[key], rng.choice(applicable_kinds(loaded[key])), rng) for key in drawn]
     commitments = commit_records(record for record, _ in tampered)
     trials = [TamperTrial(key, op, _verdict(recomputed, ledger.get_slide(key).slide_hash), record)
-              for key, (record, op), recomputed in zip(chosen, tampered, commitments)]
+              for key, (record, op), recomputed in zip(drawn, tampered, commitments)]
     return TamperReport(trials=trials, seed=seed)
 
 
@@ -268,11 +271,12 @@ def time_gaps(
     if not local_times:
         raise ValueError("time gaps need at least one slide")
     keys = sorted(local_times)
-    missing = [key for key in keys if not ledger.is_registered(key)]
+    stored = [ledger.get_slide(key) for key in keys]  # None: unregistered
+    missing = [key for key, record in zip(keys, stored) if record is None]
     if missing:
         raise UnregisteredCorpus(f"{len(missing)} slides unregistered, first: {missing[0]}")
     try:  # a block timestamp past the largest float
-        deltas = [float(ledger.get_slide(key).timestamp - local_times[key]) for key in keys]
+        deltas = [float(record.timestamp - local_times[key]) for key, record in zip(keys, stored)]
     except OverflowError:
         raise ValueError(_OUT_OF_RANGE) from None
     gaps = [TimeGap(key, delta, delta < 0) for key, delta in zip(keys, deltas)]
@@ -376,44 +380,42 @@ class RunComparison:
         )
 
 
-def compare_corpora(corpus_a: Corpus, corpus_b: Corpus) -> RunComparison:
-    """Model-by-model Jaccard between two runs over their common slides."""
-    common = sorted(set(corpus_a) & set(corpus_b))
-    if not common:
-        raise DisjointCorpora("runs share no slide keys")
+def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
+                    run_b: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> RunComparison:
+    """Model-by-model Jaccard between two runs over their common slides.
 
+    Each run is ``(key, record)`` pairs in increasing key order, such as
+    the stream of ``CorpusReader.read``; the two are merged, so one pair
+    of records is held at a time.
+    """
     pairs: list[RunPair] = []
     asymmetric: list[AsymmetricPair] = []
     byte_equal: dict[SlideKey, bool] = {}
-    for key in common:
-        rec_a, rec_b = corpus_a[key], corpus_b[key]
+    only_in: tuple[list[SlideKey], list[SlideKey]] = ([], [])
+    tagged_a = ((key, 0, record) for key, record in run_a)
+    tagged_b = ((key, 1, record) for key, record in run_b)
+    previous = None
+    for key, group in groupby(merge(tagged_a, tagged_b, key=lambda item: item[:2]), key=lambda item: item[0]):
+        if previous is not None and key < previous:
+            raise ValueError(f"runs are not in increasing key order at {key}")
+        previous, records = key, {run: record for _, run, record in group}
+        if len(records) == 1:  # a key of one run only
+            only_in[next(iter(records))].append(key)
+            continue
+        rec_a, rec_b = records[0], records[1]
         byte_equal[key] = canonical_bytes(rec_a) == canonical_bytes(rec_b)
         for model in sorted(set(rec_a.models) | set(rec_b.models)):
             in_a, in_b = model in rec_a.models, model in rec_b.models
             if in_a and in_b:
-                pairs.append(
-                    RunPair(
-                        key,
-                        model,
-                        jaccard(rec_a.models[model].concept_identities(),
-                                rec_b.models[model].concept_identities()),
-                        jaccard(rec_a.models[model].triple_identities(),
-                                rec_b.models[model].triple_identities()),
-                    )
-                )
+                ext_a, ext_b = rec_a.models[model], rec_b.models[model]
+                pairs.append(RunPair(key, model,
+                                     jaccard(ext_a.concept_identities(), ext_b.concept_identities()),
+                                     jaccard(ext_a.triple_identities(), ext_b.triple_identities())))
             else:
                 asymmetric.append(AsymmetricPair(key, model, "a" if in_a else "b"))
+    if not byte_equal:
+        raise DisjointCorpora("runs share no slide keys")
     if asymmetric:
-        warnings.warn(
-            f"{len(asymmetric)} (slide, model) pairs present in only one run; "
-            "reported separately, excluded from similarity counts",
-            ProvenanceWarning,
-            stacklevel=2,
-        )
-    return RunComparison(
-        pairs=pairs,
-        asymmetric=asymmetric,
-        byte_equal=byte_equal,
-        only_in_a=sorted(set(corpus_a) - set(corpus_b)),
-        only_in_b=sorted(set(corpus_b) - set(corpus_a)),
-    )
+        warnings.warn(f"{len(asymmetric)} (slide, model) pairs present in only one run; "
+                      "reported separately, excluded from similarity counts", ProvenanceWarning, stacklevel=2)
+    return RunComparison(pairs, asymmetric, byte_equal, *only_in)

@@ -14,10 +14,10 @@ from __future__ import annotations
 import statistics
 import warnings
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal
 
 from .errors import InsufficientModels, ProvenanceWarning, TooFewSlides, UnknownBaselineModel
-from .records import Corpus, ProvenanceRecord, SlideKey
+from .records import ProvenanceRecord, SlideKey
 
 SetKind = Literal["concepts", "triples"]
 
@@ -73,9 +73,10 @@ def disagreement(record: ProvenanceRecord) -> SlideDisagreement:
                              frozenset().union(*triples.values()))
 
 
-def corpus_disagreement(corpus: Corpus) -> BySlide:
-    """The one pass over the corpus: per-slide summaries in key order."""
-    return {key: disagreement(corpus[key]) for key in sorted(corpus)}
+def corpus_disagreement(records: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> BySlide:
+    """The one pass: per-slide summaries in key order, from (key, record) pairs or a reader's stream."""
+    by_slide = {key: disagreement(record) for key, record in records}
+    return {key: by_slide[key] for key in sorted(by_slide)}
 
 
 def corpus_models(by_slide: BySlide) -> list[str]:

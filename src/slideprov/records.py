@@ -538,35 +538,33 @@ class LoadFailure:
     error: str
 
 
-@dataclass
-class CorpusLoadResult:
-    records: Corpus
-    failures: list[LoadFailure]
-
-
 class CorpusReader:
-    """One pass over a corpus's slide files in key order, leaving out the keys in ``skip``.
+    """Passes over a corpus's slide files in key order, leaving out the keys in ``skip``.
 
-    A file whose key is in ``skip`` is counted in ``skipped`` and never
-    opened.  ``read`` collects per-file parse and normalization failures
-    in ``failures`` instead of aborting the pass.
+    The one way a command reads its corpus.  A file whose key is in
+    ``skip`` is counted in ``skipped`` and never opened; ``paths`` holds
+    the others by key.  ``read`` collects per-file parse and
+    normalization failures in ``failures`` instead of aborting the pass.
     """
 
     def __init__(self, root: Path | str, skip: Container[SlideKey] = frozenset()) -> None:
         self.root = root
         files = scan_slide_files(root)
-        self._files = [(key, path) for key, path in files if key not in skip]
-        self.skipped = len(files) - len(self._files)
+        self.paths = {key: path for key, path in files if key not in skip}
+        self.skipped = len(files) - len(self.paths)
         self.failures: list[LoadFailure] = []
 
-    def read(self, load: Callable[[object, SlideKey], _T]) -> Iterator[tuple[SlideKey, _T]]:
-        """``(key, load(document, key))`` for each file, one file at a time.
+    def read(self, load: Callable[[object, SlideKey], _T],
+             only: Container[SlideKey] | None = None) -> Iterator[tuple[SlideKey, _T]]:
+        """``(key, load(document, key))`` for each file, or each file of ``only``, one at a time.
 
-        Raises EmptyCorpus at the end when nothing loaded and nothing was
-        skipped, which includes a layout without files.
+        A pass over every file raises EmptyCorpus at the end when nothing
+        loaded and nothing was skipped, which includes a layout without files.
         """
         loaded = 0
-        for key, path in self._files:
+        for key, path in self.paths.items():
+            if only is not None and key not in only:
+                continue
             try:
                 raw = read_json(path)
             except (OSError, ValueError) as exc:
@@ -579,20 +577,14 @@ class CorpusReader:
                 continue
             loaded += 1
             yield key, value
-        if not loaded and not self.skipped:
+        if only is None and not loaded and not self.skipped:
             detail = f" ({len(self.failures)} files failed to parse)" if self.failures else ""
             raise EmptyCorpus(f"no provenance records loaded from {self.root}{detail}")
 
 
-def load_corpus(root: Path | str) -> CorpusLoadResult:
-    """Load and normalize every ``by_slide/Lecture <n>/Slide<m>.json`` under ``root``.
-
-    Per-file parse or normalization failures are collected into the
-    result instead of aborting the batch.  Raises EmptyCorpus when
-    nothing loads, which includes a layout without files.
-    """
-    reader = CorpusReader(root)
-    return CorpusLoadResult(records=dict(reader.read(normalize_record)), failures=reader.failures)
+def load_corpus(root: Path | str) -> Corpus:
+    """Every record under ``root`` that loads, by key: a library convenience over ``CorpusReader``."""
+    return dict(CorpusReader(root).read(normalize_record))
 
 
 def load_json_entries(path: Path | str, what: str, parse: Callable[[dict], object]) -> list:

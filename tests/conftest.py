@@ -93,7 +93,7 @@ def corpus_dir(tmp_path) -> Path:
 
 @pytest.fixture
 def corpus(corpus_dir):
-    return load_corpus(corpus_dir).records
+    return load_corpus(corpus_dir)
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from keccak_reference import reference_keccak256
 from slideprov import (
     AlreadyRegistered,
     Concept,
+    CorpusReader,
     InvalidLecture,
     InvalidSlide,
     Ledger,
@@ -33,6 +34,7 @@ from slideprov import (
     canonical_bytes,
     commit,
     load_corpus,
+    normalize_record,
     storage_key,
 )
 from slideprov.cli import main as cli_main
@@ -116,7 +118,7 @@ def test_criterion_02_hash_correctness(tmp_path):
             ok = False
             break
 
-    corpus = load_corpus(write_corpus(tmp_path / "corpus")).records
+    corpus = load_corpus(write_corpus(tmp_path / "corpus"))
     messages = [canonical_bytes(record) for record in corpus.values()]
     references = [reference_keccak256(data) for data in messages]
     ok &= [keccak256(data) for data in messages] == references
@@ -179,12 +181,12 @@ def test_criterion_05_throughput_model():
 def test_criterion_06_tamper_detection(tmp_path):
     start = time.monotonic()
     root = write_corpus(tmp_path / "corpus", n_lectures=4, slides_per_lecture=6, seed=606)
-    corpus = load_corpus(root).records
+    corpus = load_corpus(root)
     ledger = register_corpus(corpus)
 
     total = detected = 0
     for seed in range(200):
-        report = tamper_experiment(corpus, ledger, n=20, seed=seed)
+        report = tamper_experiment(CorpusReader(root), ledger, n=20, seed=seed)
         total += report.total
         detected += report.detected
     ok = total == 200 * 20 and detected == total
@@ -197,7 +199,8 @@ def test_criterion_07_reproducibility(tmp_path):
     root_b = tmp_path / "run_b"
     shutil.copytree(root_a, root_b)
 
-    comparison = compare_corpora(load_corpus(root_a).records, load_corpus(root_b).records)
+    comparison = compare_corpora(CorpusReader(root_a).read(normalize_record),
+                                 CorpusReader(root_b).read(normalize_record))
     ok = comparison.n_pairs > 0 and not comparison.asymmetric
     ok &= all(p.concept_jaccard == 1.0 and p.triple_jaccard == 1.0 for p in comparison.pairs)
     ok &= comparison.n_byte_equal == len(comparison.byte_equal) == 12
@@ -251,18 +254,18 @@ def test_criterion_08_metric_oracles():
     for _ in range(1000):
         corpus, _ = _random_oracle_corpus(rng)
 
-        for key, d in corpus_disagreement(corpus).items():
+        for key, d in corpus_disagreement(corpus.items()).items():
             expected = oracle_disagreement(corpus[key])
             ok &= (d.concept_union_size, d.triple_union_size) == expected
 
         for kind in ("concepts", "triples"):
-            matrix, per_slide = pairwise_jaccard(corpus_disagreement(corpus), kind)
+            matrix, per_slide = pairwise_jaccard(corpus_disagreement(corpus.items()), kind)
             for pair, (mean, values) in oracle_pair_means(corpus, kind).items():
                 ok &= _rel_ok(matrix.pair_mean(*pair), mean)
                 for key, value in values.items():
                     ok &= _rel_ok(per_slide[pair][key], value)
 
-        for lecture_id, agg in lecture_aggregate(corpus_disagreement(corpus)).items():
+        for lecture_id, agg in lecture_aggregate(corpus_disagreement(corpus.items())).items():
             exp_c, exp_t = oracle_lecture_means(corpus)[lecture_id]
             ok &= _rel_ok(agg.mean_concept_disagreement, exp_c)
             ok &= _rel_ok(agg.mean_triple_disagreement, exp_t)
@@ -271,11 +274,11 @@ def test_criterion_08_metric_oracles():
         d_values = [oracle_disagreement(corpus[k])[0] for k in sorted(corpus)]
         q1, q3 = stability_bands(d_values)
         ok &= _rel_ok(q1, exp_q1) and _rel_ok(q3, exp_q3)
-        for label in classify_stability(corpus_disagreement(corpus)):
+        for label in classify_stability(corpus_disagreement(corpus.items())):
             ok &= label.label == expected_labels[label.key]
 
         baseline = rng.choice(sorted({m for r in corpus.values() for m in r.models}))
-        report = coverage_loss(corpus_disagreement(corpus), baseline)
+        report = coverage_loss(corpus_disagreement(corpus.items()), baseline)
         expected_losses = oracle_coverage(corpus, baseline)
         for loss in report.losses:
             exp_c, exp_t = expected_losses[loss.key]

@@ -1,14 +1,17 @@
 import csv
 import json
 import os
+import random
 import shutil
 import stat
 from pathlib import Path
 
 import pytest
 
-from conftest import write_corpus
+from conftest import synthetic_document, write_corpus
+from slideprov import canonical_bytes, load_corpus, normalize_record, records
 from slideprov.cli import build_parser, main
+from slideprov.integrity import compare_corpora
 from slideprov.reports import Table, write_reports
 
 
@@ -186,14 +189,55 @@ class TestTamper:
         assert run("tamper", env, "-n", "3", "--seed", "1", "--write") == 0
         assert run("verify", env) == 1
 
-    def test_unregistered_corpus_exit_1(self, env):
+    def test_unregistered_files_are_outside_the_pool(self, env, capsys, monkeypatch):
         run("register", env)
-        extra = Path(env["corpus"]) / "by_slide" / "Lecture 2" / "Slide9.json"
-        src = Path(env["corpus"]) / "by_slide" / "Lecture 1" / "Slide1.json"
-        doc = json.loads(src.read_text(encoding="utf-8"))
-        doc["lecture"], doc["slide_id"] = "Lecture 2", 9
-        extra.write_text(json.dumps(doc), encoding="utf-8")
-        assert run("tamper", env, "-n", "2", "--seed", "0") == 1
+        extra = Path(env["corpus"]) / "by_slide" / "Lecture 3"
+        extra.mkdir()
+        (extra / "Slide1.json").write_text("[1, 2]")
+        shutil.copy(Path(env["corpus"]) / "by_slide" / "Lecture 1" / "Slide1.json", extra / "Slide2.json")
+        opened = _count_reads(monkeypatch)
+        capsys.readouterr()
+        assert run("tamper", env, "-n", "6", "--seed", "0") == 0
+        assert capsys.readouterr().err == ""  # neither opened nor warned about
+        assert len(opened) == 6 and extra not in {path.parent for path in opened}
+        summary = json.loads((Path(env["out"]) / "tamper_summary.json").read_text())
+        assert (summary["total"], summary["detected"]) == (6, 6)
+        # the pool is the 6 registered slides, whatever else the layout holds
+        assert run("tamper", env, "-n", "7", "--seed", "0") == 2
+        assert capsys.readouterr().err == "error: tamper count 7 out of range for 6 registered slides\n"
+
+    def test_opens_only_the_drawn_files(self, env, monkeypatch):
+        run("register", env)
+        opened = _count_reads(monkeypatch)
+        assert run("tamper", env, "-n", "3", "--seed", "4") == 0
+        rows = read_csv(Path(env["out"]) / "tamper_report.csv")
+        drawn = {(r["lecture_id"], r["slide_id"]) for r in rows}
+        assert len(opened) == 3
+        assert {(path.parent.name.split()[1], path.stem[5:]) for path in opened} == drawn
+
+    def test_drawn_file_that_no_longer_loads_is_warned_about_with_no_trial(self, env, capsys):
+        run("register", env)
+        broken = Path(env["corpus"]) / "by_slide" / "Lecture 1" / "Slide2.json"
+        broken.write_text("{ not json", encoding="utf-8")
+        capsys.readouterr()
+        assert run("tamper", env, "-n", "6", "--seed", "0") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"warning: skipped {broken}: unparseable: ")
+        rows = read_csv(Path(env["out"]) / "tamper_report.csv")
+        assert len(rows) == 5 and ("1", "2") not in {(r["lecture_id"], r["slide_id"]) for r in rows}
+        summary = json.loads((Path(env["out"]) / "tamper_summary.json").read_text())
+        assert (summary["total"], summary["detected"]) == (5, 5)
+
+
+def _count_reads(monkeypatch) -> list[Path]:
+    """The paths ``records.read_json`` is called on from now, in call order."""
+    opened: list[Path] = []
+
+    def read_json(path, read=records.read_json):
+        opened.append(Path(path))
+        return read(path)
+    monkeypatch.setattr(records, "read_json", read_json)
+    return opened
 
 
 class TestCompareRuns:
@@ -211,6 +255,55 @@ class TestCompareRuns:
         other = write_corpus(tmp_path / "other", n_lectures=1, slides_per_lecture=1, seed=5)
         shutil.move(str(other / "by_slide" / "Lecture 1"), str(other / "by_slide" / "Lecture 9"))
         assert main(["compare-runs", env["corpus"], str(other), "--out", env["out"]]) == 3
+
+    def test_merge_gives_what_set_operations_give(self, tmp_path, capsys):
+        # run A: the common keys plus odd slides, run B: plus even slides, interleaved in
+        # key order; one file of each run fails to load, B's before A's in key order
+        common = [(1, 1), (1, 4), (2, 2), (2, 5), (3, 1)]
+        extra = {"a": [(1, 3), (2, 1), (2, 7), (4, 1)], "b": [(1, 2), (2, 4), (2, 6), (3, 2)]}
+        runs = {name: tmp_path / f"run_{name}" for name in extra}
+        for name, root in runs.items():
+            for lecture, slide in common + extra[name]:
+                doc = synthetic_document(random.Random(lecture * 100 + slide), lecture, slide)
+                if name == "b" and (lecture, slide) in ((1, 4), (2, 5)):
+                    doc["models"]["vision-beta"]["concepts"][0]["term"] += " rerun"
+                path = root / "by_slide" / f"Lecture {lecture}" / f"Slide{slide}.json"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.dumps(doc), encoding="utf-8")
+        failing = {"a": runs["a"] / "by_slide" / "Lecture 2" / "Slide9.json",
+                   "b": runs["b"] / "by_slide" / "Lecture 1" / "Slide8.json"}
+        for path in failing.values():
+            path.write_text("[1, 2]")
+
+        a, b = load_corpus(runs["a"]), load_corpus(runs["b"])
+        keys = sorted(a.keys() & b.keys())
+        pairs = [(key, model) for key in keys
+                 for model in sorted(a[key].models.keys() & b[key].models.keys())]
+        byte_equal = {key: canonical_bytes(a[key]) == canonical_bytes(b[key]) for key in keys}
+        comparison = compare_corpora(*(records.CorpusReader(root).read(normalize_record)
+                                       for root in runs.values()))
+        assert comparison.only_in_a == sorted(a.keys() - b.keys())
+        assert comparison.only_in_b == sorted(b.keys() - a.keys())
+        assert [(p.key, p.model) for p in comparison.pairs] == pairs
+        assert comparison.byte_equal == byte_equal and list(byte_equal.values()).count(False) == 2
+
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["compare-runs", *map(str, runs.values()), "--out", str(out)]) == 0
+        summary = json.loads((out / "compare_summary.json").read_text())
+        assert (summary["only_in_a"], summary["only_in_b"], summary["pairs"], summary["byte_equal"]) == (
+            len(a.keys() - b.keys()), len(b.keys() - a.keys()), len(pairs), sum(byte_equal.values()))
+        rows = read_csv(out / "compare_runs.csv")
+        assert [((int(r["lecture_id"]), int(r["slide_id"])), r["model"]) for r in rows] == [
+            ((key.lecture_id, key.slide_id), model) for key, model in pairs]
+        warned = [f"warning: skipped {failing[name]}: expected a JSON object, got list" for name in "ab"]
+        assert capsys.readouterr().err.splitlines() == warned
+
+        # no common key: still DisjointCorpora, after both runs' warnings
+        for lecture, slide in common:
+            (runs["b"] / "by_slide" / f"Lecture {lecture}" / f"Slide{slide}.json").unlink()
+        assert main(["compare-runs", *map(str, runs.values()), "--out", str(tmp_path / "out2")]) == 3
+        assert capsys.readouterr().err.splitlines() == [*warned, "error: runs share no slide keys"]
 
 
 class TestTimeGaps:

@@ -132,7 +132,7 @@ def test_verify_corpus_gives_each_key_its_verdict(changes, added):
     assume(added or set(changes) != {"delete"})  # no file left: EmptyCorpus
     with tempfile.TemporaryDirectory() as tmp:
         root = write_corpus(Path(tmp) / "corpus", seed=1010)
-        ledger = register_corpus(load_corpus(root).records)
+        ledger = register_corpus(load_corpus(root))
         expected = {}
         for key, change in zip(sorted(ledger.records), changes):
             path = root / "by_slide" / f"Lecture {key.lecture_id}" / f"Slide{key.slide_id}.json"
@@ -204,47 +204,47 @@ def test_tamper_completeness_property(doc, kind, seed):
 
 
 class TestTamperExperiment:
-    def test_full_protocol_all_detected(self, registered):
+    def test_full_protocol_all_detected(self, corpus_dir, registered):
         corpus, ledger = registered
-        report = tamper_experiment(corpus, ledger, n=len(corpus), seed=7)
+        report = tamper_experiment(CorpusReader(corpus_dir), ledger, n=len(corpus), seed=7)
         assert report.total == len(corpus)
         assert report.detected == report.total
         assert report.detection_rate == 1.0
         assert all(t.verdict == MISMATCH for t in report.trials)
 
-    def test_zero_trials(self, registered):
-        corpus, ledger = registered
-        report = tamper_experiment(corpus, ledger, n=0, seed=1)
+    def test_zero_trials(self, corpus_dir, registered):
+        _, ledger = registered
+        report = tamper_experiment(CorpusReader(corpus_dir), ledger, n=0, seed=1)
         assert report.total == 0 and report.detected == 0
         assert report.detection_rate == 1.0
 
-    def test_seed_determinism(self, registered):
-        corpus, ledger = registered
-        a = tamper_experiment(corpus, ledger, n=4, seed=42)
-        b = tamper_experiment(corpus, ledger, n=4, seed=42)
+    def test_seed_determinism(self, corpus_dir, registered):
+        _, ledger = registered
+        a = tamper_experiment(CorpusReader(corpus_dir), ledger, n=4, seed=42)
+        b = tamper_experiment(CorpusReader(corpus_dir), ledger, n=4, seed=42)
         assert [(t.key, t.op) for t in a.trials] == [(t.key, t.op) for t in b.trials]
 
-    def test_different_seeds_differ(self, registered):
-        corpus, ledger = registered
-        a = tamper_experiment(corpus, ledger, n=4, seed=1)
-        b = tamper_experiment(corpus, ledger, n=4, seed=2)
+    def test_different_seeds_differ(self, corpus_dir, registered):
+        _, ledger = registered
+        a = tamper_experiment(CorpusReader(corpus_dir), ledger, n=4, seed=1)
+        b = tamper_experiment(CorpusReader(corpus_dir), ledger, n=4, seed=2)
         assert [(t.key, t.op) for t in a.trials] != [(t.key, t.op) for t in b.trials]
 
-    def test_unregistered_corpus_rejected(self, corpus):
-        with pytest.raises(UnregisteredCorpus):
-            tamper_experiment(corpus, Ledger(), n=1, seed=0)
+    def test_unregistered_corpus_rejected(self, corpus_dir):
+        # unregistered slides are outside the pool: an empty pool has no room for one trial
+        with pytest.raises(ValueError, match="out of range for 0 registered slides"):
+            tamper_experiment(CorpusReader(corpus_dir), Ledger(), n=1, seed=0)
 
-    def test_count_out_of_range(self, registered):
+    def test_count_out_of_range(self, corpus_dir, registered):
         corpus, ledger = registered
         with pytest.raises(ValueError):
-            tamper_experiment(corpus, ledger, n=len(corpus) + 1, seed=0)
+            tamper_experiment(CorpusReader(corpus_dir), ledger, n=len(corpus) + 1, seed=0)
 
     def test_corpus_on_disk_untouched(self, corpus_dir, tmp_path):
         snapshot = tmp_path / "snapshot"
         shutil.copytree(corpus_dir, snapshot)
-        result = load_corpus(corpus_dir)
-        ledger = register_corpus(result.records)
-        tamper_experiment(result.records, ledger, n=3, seed=5)
+        ledger = register_corpus(load_corpus(corpus_dir))
+        tamper_experiment(CorpusReader(corpus_dir), ledger, n=3, seed=5)
         for path in sorted(snapshot.rglob("*.json")):
             relative = path.relative_to(snapshot)
             assert (corpus_dir / relative).read_bytes() == path.read_bytes()
@@ -286,6 +286,17 @@ class TestTimeGaps:
         for a, b in zip(base, moved):
             assert b.delta_seconds == a.delta_seconds - 17.0
 
+    def test_one_lookup_per_slide(self, registered, monkeypatch):
+        corpus, ledger = registered
+        lookups = []
+        for name in ("get_slide", "is_registered"):
+            def counted(self, key, original=getattr(Ledger, name)):
+                lookups.append(key)
+                return original(self, key)
+            monkeypatch.setattr(Ledger, name, counted)
+        time_gaps({key: 0.0 for key in corpus}, ledger)
+        assert len(lookups) == len(corpus) == 6
+
     def test_unregistered_rejected(self, corpus):
         with pytest.raises(UnregisteredCorpus):
             time_gaps({sorted(corpus)[0]: 0.0}, Ledger())
@@ -305,8 +316,8 @@ class TestCompareRuns:
     def test_self_comparison_is_identical(self, corpus_dir, tmp_path):
         copy_dir = tmp_path / "copy"
         shutil.copytree(corpus_dir, copy_dir)
-        comparison = compare_corpora(load_corpus(corpus_dir).records,
-                                     load_corpus(copy_dir).records)
+        comparison = compare_corpora(load_corpus(corpus_dir).items(),
+                                     load_corpus(copy_dir).items())
         assert comparison.identical
         assert comparison.n_pairs == comparison.n_perfect
         assert all(p.concept_jaccard == 1.0 and p.triple_jaccard == 1.0
@@ -323,8 +334,8 @@ class TestCompareRuns:
         del doc["models"][name]["triples"][0]
         target.write_text(json.dumps(doc), encoding="utf-8")
 
-        comparison = compare_corpora(load_corpus(corpus_dir).records,
-                                     load_corpus(copy_dir).records)
+        comparison = compare_corpora(load_corpus(corpus_dir).items(),
+                                     load_corpus(copy_dir).items())
         imperfect = [p for p in comparison.pairs if p.triple_jaccard < 1.0]
         assert len(imperfect) == 1
         assert imperfect[0].key == SlideKey(1, 1)
@@ -339,7 +350,7 @@ class TestCompareRuns:
         dropped = sorted(other[key].models)[0]
         del other[key].models[dropped]
         with pytest.warns(ProvenanceWarning):
-            comparison = compare_corpora(corpus, other)
+            comparison = compare_corpora(corpus.items(), other.items())
         assert [(a.key, a.model, a.present_in) for a in comparison.asymmetric] == [
             (key, dropped, "a")
         ]
@@ -348,12 +359,12 @@ class TestCompareRuns:
     def test_disjoint_corpora(self, corpus):
         shifted = {SlideKey(99, k.slide_id): r for k, r in corpus.items()}
         with pytest.raises(DisjointCorpora):
-            compare_corpora(corpus, shifted)
+            compare_corpora(corpus.items(), shifted.items())
 
     def test_extra_keys_counted(self, corpus):
         import copy as copymod
 
         smaller = {k: corpus[k] for k in sorted(corpus)[:-1]}
-        comparison = compare_corpora(corpus, copymod.deepcopy(smaller))
+        comparison = compare_corpora(corpus.items(), copymod.deepcopy(smaller).items())
         assert comparison.only_in_a == [sorted(corpus)[-1]]
         assert comparison.only_in_b == []

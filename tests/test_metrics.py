@@ -100,13 +100,13 @@ class TestPairwiseJaccard:
         }
 
     def test_matrix_values(self):
-        matrix, per_slide = pairwise_jaccard(corpus_disagreement(self.corpus()), "concepts")
+        matrix, per_slide = pairwise_jaccard(corpus_disagreement(self.corpus().items()), "concepts")
         assert matrix.models == ["a", "b"]
         assert matrix.pair_mean("a", "b") == pytest.approx((1 / 3 + 1.0) / 2)
         assert per_slide[("a", "b")][SlideKey(1, 1)] == pytest.approx(1 / 3)
 
     def test_symmetric_unit_diagonal(self):
-        matrix, _ = pairwise_jaccard(corpus_disagreement(self.corpus()), "concepts")
+        matrix, _ = pairwise_jaccard(corpus_disagreement(self.corpus().items()), "concepts")
         values = matrix.values
         n = len(matrix.models)
         assert all(values[i][j] == values[j][i] for i in range(n) for j in range(n))
@@ -118,17 +118,17 @@ class TestPairwiseJaccard:
             SlideKey(1, 1): make_record(1, 1, {"a": (["x"], []), "b": (["x"], [])}),
             SlideKey(1, 2): make_record(1, 2, {"a": (["x"], [])}),  # b missing -> J = 0
         }
-        matrix, _ = pairwise_jaccard(corpus_disagreement(corpus), "concepts")
+        matrix, _ = pairwise_jaccard(corpus_disagreement(corpus.items()), "concepts")
         assert matrix.pair_mean("a", "b") == pytest.approx(0.5)
 
     def test_single_model_rejected(self):
         corpus = {SlideKey(1, 1): make_record(1, 1, {"a": (["x"], [])})}
         with pytest.raises(InsufficientModels):
-            pairwise_jaccard(corpus_disagreement(corpus), "concepts")
+            pairwise_jaccard(corpus_disagreement(corpus.items()), "concepts")
 
     def test_triples_kind(self):
         corpus = {SlideKey(1, 1): make_record(1, 1, {"a": ([], ["o1"]), "b": ([], ["o1", "o2"])})}
-        matrix, _ = pairwise_jaccard(corpus_disagreement(corpus), "triples")
+        matrix, _ = pairwise_jaccard(corpus_disagreement(corpus.items()), "triples")
         assert matrix.pair_mean("a", "b") == pytest.approx(0.5)
 
 
@@ -138,13 +138,13 @@ class TestLectureAggregate:
             SlideKey(1, 1): make_record(1, 1, {"a": (["x", "y"], [])}),
             SlideKey(1, 2): make_record(1, 2, {"a": (["x", "y", "z", "w"], [])}),
         }
-        agg = lecture_aggregate(corpus_disagreement(corpus))
+        agg = lecture_aggregate(corpus_disagreement(corpus.items()))
         assert agg[1].mean_concept_disagreement == 3.0
         assert agg[1].slide_count == 2
 
     def test_single_slide_lecture(self):
         corpus = {SlideKey(4, 1): make_record(4, 1, {"a": (["x"], [])})}
-        assert lecture_aggregate(corpus_disagreement(corpus))[4].mean_concept_disagreement == 1.0
+        assert lecture_aggregate(corpus_disagreement(corpus.items()))[4].mean_concept_disagreement == 1.0
 
     def test_corpus_mean_is_weighted_lecture_mean(self):
         rng = random.Random(9)
@@ -153,7 +153,7 @@ class TestLectureAggregate:
             for slide in range(1, rng.randrange(2, 6)):
                 terms = [f"t{i}" for i in range(rng.randrange(0, 9))]
                 corpus[SlideKey(lecture, slide)] = make_record(lecture, slide, {"a": (terms, [])})
-        agg = lecture_aggregate(corpus_disagreement(corpus))
+        agg = lecture_aggregate(corpus_disagreement(corpus.items()))
         weighted = sum(a.mean_concept_disagreement * a.slide_count for a in agg.values())
         total = sum(a.slide_count for a in agg.values())
         direct = sum(disagreement(r).concept_union_size for r in corpus.values()) / len(corpus)
@@ -172,17 +172,17 @@ class TestStability:
         assert stability_bands(list(range(1, 9))) == (2.75, 6.25)
 
     def test_three_band_labels(self):
-        labels = classify_stability(corpus_disagreement(stability_corpus(range(1, 9))))
+        labels = classify_stability(corpus_disagreement(stability_corpus(range(1, 9)).items()))
         by_d = {l.d_concept: l.label for l in labels}
         assert by_d == {1: STABLE, 2: STABLE, 3: MODERATE, 4: MODERATE,
                         5: MODERATE, 6: MODERATE, 7: UNSTABLE, 8: UNSTABLE}
 
     def test_degenerate_band_all_equal(self):
-        labels = classify_stability(corpus_disagreement(stability_corpus([5, 5, 5, 5])))
+        labels = classify_stability(corpus_disagreement(stability_corpus([5, 5, 5, 5]).items()))
         assert all(l.label == STABLE for l in labels)
 
     def test_large_strictly_increasing_quarter_split(self):
-        labels = classify_stability(corpus_disagreement(stability_corpus(range(1, 1001))))
+        labels = classify_stability(corpus_disagreement(stability_corpus(range(1, 1001)).items()))
         stable = sum(1 for l in labels if l.label == STABLE)
         unstable = sum(1 for l in labels if l.label == UNSTABLE)
         assert abs(stable - 250) <= 1
@@ -190,13 +190,13 @@ class TestStability:
 
     def test_partition_covers_every_slide_once(self):
         corpus = stability_corpus([3, 1, 4, 1, 5, 9, 2, 6])
-        labels = classify_stability(corpus_disagreement(corpus))
+        labels = classify_stability(corpus_disagreement(corpus.items()))
         assert sorted(l.key for l in labels) == sorted(corpus)
         assert all(l.label in (STABLE, MODERATE, UNSTABLE) for l in labels)
 
     def test_too_few_slides(self):
         with pytest.raises(TooFewSlides):
-            classify_stability(corpus_disagreement(stability_corpus([1, 2, 3])))
+            classify_stability(corpus_disagreement(stability_corpus([1, 2, 3]).items()))
 
 
 class TestFootprint:
@@ -205,7 +205,7 @@ class TestFootprint:
             SlideKey(1, 1): make_record(1, 1, {"m": (["a", "b"], [])}),
             SlideKey(1, 2): make_record(1, 2, {"m": (["a", "b", "c", "d"], [])}),
         }
-        assert model_footprint(corpus_disagreement(corpus))["m"].mean_concepts == 3.0
+        assert model_footprint(corpus_disagreement(corpus.items()))["m"].mean_concepts == 3.0
 
     def test_missing_model_counts_zero_with_warning(self):
         corpus = {
@@ -213,7 +213,7 @@ class TestFootprint:
             SlideKey(1, 2): make_record(1, 2, {"m": (["a"], [])}),
         }
         with pytest.warns(ProvenanceWarning):
-            footprints = model_footprint(corpus_disagreement(corpus))
+            footprints = model_footprint(corpus_disagreement(corpus.items()))
         assert footprints["n"].mean_concepts == 0.5
 
     def test_denser_model_orders_higher(self):
@@ -224,9 +224,9 @@ class TestFootprint:
             })
             for i in (1, 2)
         }
-        footprints = model_footprint(corpus_disagreement(corpus))
+        footprints = model_footprint(corpus_disagreement(corpus.items()))
         assert footprints["dense"].mean_concepts > footprints["sparse"].mean_concepts
-        assert densest_model(corpus_disagreement(corpus)) == "dense"
+        assert densest_model(corpus_disagreement(corpus.items())) == "dense"
 
 
 class TestCoverageLoss:
@@ -234,37 +234,37 @@ class TestCoverageLoss:
         corpus = {SlideKey(1, 1): make_record(1, 1, {
             "base": (["a"], []), "other": (["b", "c"], []),
         })}
-        report = coverage_loss(corpus_disagreement(corpus), "base")
+        report = coverage_loss(corpus_disagreement(corpus.items()), "base")
         assert report.losses[0].concept_loss == pytest.approx(2 / 3)
 
     def test_baseline_equals_union(self):
         corpus = {SlideKey(1, 1): make_record(1, 1, {
             "base": (["a", "b"], []), "other": (["a"], []),
         })}
-        assert coverage_loss(corpus_disagreement(corpus), "base").losses[0].concept_loss == 0.0
+        assert coverage_loss(corpus_disagreement(corpus.items()), "base").losses[0].concept_loss == 0.0
 
     def test_empty_baseline_full_loss(self):
         corpus = {SlideKey(1, 1): make_record(1, 1, {
             "base": ([], []), "other": ([], ["o1", "o2"]),
         })}
-        assert coverage_loss(corpus_disagreement(corpus), "base").losses[0].triple_loss == 1.0
+        assert coverage_loss(corpus_disagreement(corpus.items()), "base").losses[0].triple_loss == 1.0
 
     def test_empty_union_defined_zero(self):
         corpus = {SlideKey(1, 1): make_record(1, 1, {"base": ([], []), "other": ([], [])})}
-        report = coverage_loss(corpus_disagreement(corpus), "base")
+        report = coverage_loss(corpus_disagreement(corpus.items()), "base")
         assert report.losses[0].concept_loss == 0.0
         assert report.losses[0].triple_loss == 0.0
 
     def test_unknown_baseline(self):
         corpus = {SlideKey(1, 1): make_record(1, 1, {"m": (["a"], [])})}
         with pytest.raises(UnknownBaselineModel):
-            coverage_loss(corpus_disagreement(corpus), "nope")
+            coverage_loss(corpus_disagreement(corpus.items()), "nope")
 
     def test_default_baseline_is_densest(self):
         corpus = {SlideKey(1, 1): make_record(1, 1, {
             "dense": (["a", "b", "c"], []), "sparse": (["a"], []),
         })}
-        assert coverage_loss(corpus_disagreement(corpus)).baseline_model == "dense"
+        assert coverage_loss(corpus_disagreement(corpus.items())).baseline_model == "dense"
 
     def test_antitone_in_baseline(self):
         # small's concepts are a subset of big's on every slide
@@ -276,8 +276,8 @@ class TestCoverageLoss:
             })
             for i in (1, 2, 3)
         }
-        small = coverage_loss(corpus_disagreement(corpus), "small")
-        big = coverage_loss(corpus_disagreement(corpus), "big")
+        small = coverage_loss(corpus_disagreement(corpus.items()), "small")
+        big = coverage_loss(corpus_disagreement(corpus.items()), "big")
         for s, b in zip(small.losses, big.losses):
             assert b.concept_loss <= s.concept_loss
 
@@ -296,13 +296,14 @@ def test_metrics_invariant_under_model_and_slide_order():
                          dict(reversed(list(model_sets.items()))))
         for key in reversed(sorted(forward))
     }
-    m1, _ = pairwise_jaccard(corpus_disagreement(forward), "concepts")
-    m2, _ = pairwise_jaccard(corpus_disagreement(reversed_models), "concepts")
+    m1, _ = pairwise_jaccard(corpus_disagreement(forward.items()), "concepts")
+    m2, _ = pairwise_jaccard(corpus_disagreement(reversed_models.items()), "concepts")
     assert m1.values == m2.values and m1.models == m2.models
-    assert [l.label for l in classify_stability(corpus_disagreement(forward))] == [
-        l.label for l in classify_stability(corpus_disagreement(reversed_models))
+    assert [l.label for l in classify_stability(corpus_disagreement(forward.items()))] == [
+        l.label for l in classify_stability(corpus_disagreement(reversed_models.items()))
     ]
-    assert corpus_models(corpus_disagreement(forward)) == corpus_models(corpus_disagreement(reversed_models))
+    assert (corpus_models(corpus_disagreement(forward.items()))
+            == corpus_models(corpus_disagreement(reversed_models.items())))
 
 
 # numpy is kept here as the reference that the stdlib statistics must match

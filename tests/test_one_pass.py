@@ -19,7 +19,7 @@ def quiet_main(argv):
 
 def test_analyze_builds_each_identity_set_once(tmp_path, monkeypatch):
     corpus = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=4)
-    slide_models = sum(len(r.models) for r in load_corpus(corpus).records.values())
+    slide_models = sum(len(r.models) for r in load_corpus(corpus).values())
     seen = {"concept_identities": [], "triple_identities": []}
     for name, calls in seen.items():
         original = getattr(ModelExtraction, name)
@@ -37,7 +37,7 @@ def test_analyze_builds_each_identity_set_once(tmp_path, monkeypatch):
 
 def test_local_mtimes_never_normalizes(tmp_path, monkeypatch):
     corpus = write_corpus(tmp_path / "corpus")
-    expected = sorted(load_corpus(corpus).records)
+    expected = sorted(load_corpus(corpus))
 
     def refuse(*args, **kwargs):
         raise AssertionError("local_mtimes normalized a record")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import synthetic_document, write_corpus
 from slideprov import (
     Concept,
+    CorpusReader,
     EmptyCorpus,
     MalformedDocument,
     MissingKey,
@@ -229,17 +230,19 @@ def test_to_document_round_trips_structure():
 class TestLoadCorpus:
     def test_loads_layout(self, tmp_path):
         write_corpus(tmp_path, n_lectures=1, slides_per_lecture=2)
-        result = load_corpus(tmp_path)
-        assert set(result.records) == {SlideKey(1, 1), SlideKey(1, 2)}
-        assert result.failures == []
+        assert set(load_corpus(tmp_path)) == {SlideKey(1, 1), SlideKey(1, 2)}
+        reader = CorpusReader(tmp_path)
+        assert [key for key, _ in reader.read(normalize_record)] == [SlideKey(1, 1), SlideKey(1, 2)]
+        assert reader.failures == []
 
     def test_fault_isolation(self, tmp_path):
         write_corpus(tmp_path, n_lectures=1, slides_per_lecture=2)
         bad = tmp_path / "by_slide" / "Lecture 1" / "Slide3.json"
         bad.write_text("{ not json", encoding="utf-8")
-        result = load_corpus(tmp_path)
-        assert set(result.records) == {SlideKey(1, 1), SlideKey(1, 2)}
-        assert [f.key for f in result.failures] == [SlideKey(1, 3)]
+        assert set(load_corpus(tmp_path)) == {SlideKey(1, 1), SlideKey(1, 2)}
+        reader = CorpusReader(tmp_path)
+        assert [key for key, _ in reader.read(normalize_record)] == [SlideKey(1, 1), SlideKey(1, 2)]
+        assert [f.key for f in reader.failures] == [SlideKey(1, 3)]
 
     def test_empty_root(self, tmp_path):
         with pytest.raises(EmptyCorpus):
@@ -247,12 +250,10 @@ class TestLoadCorpus:
 
     def test_root_may_be_by_slide_dir(self, tmp_path):
         write_corpus(tmp_path, n_lectures=1, slides_per_lecture=1)
-        result = load_corpus(tmp_path / "by_slide")
-        assert set(result.records) == {SlideKey(1, 1)}
+        assert set(load_corpus(tmp_path / "by_slide")) == {SlideKey(1, 1)}
 
     def test_ignores_unrelated_files(self, tmp_path):
         write_corpus(tmp_path, n_lectures=1, slides_per_lecture=1)
         (tmp_path / "by_slide" / "README.txt").write_text("hi")
         (tmp_path / "by_slide" / "Lecture 1" / "notes.json").write_text("{}")
-        result = load_corpus(tmp_path)
-        assert set(result.records) == {SlideKey(1, 1)}
+        assert set(load_corpus(tmp_path)) == {SlideKey(1, 1)}

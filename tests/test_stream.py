@@ -2,8 +2,9 @@
 
 ``commit_corpus`` reads, normalizes, encodes and hashes one file at a
 time.  It must give the keys, commitments, load failures and warnings of
-``commit_records`` over ``load_corpus``, and the commands must write the
-same bytes whichever files share a Keccak batch.
+``commit_records`` over the records a ``normalize_record`` pass loads,
+and the commands must write the same bytes whichever files share a
+Keccak batch.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ from slideprov import keccak
 from slideprov.cli import main
 from slideprov.commitment import commit_corpus, commit_records
 from slideprov.errors import EmptyCorpus
-from slideprov.records import CorpusReader, SlideKey, load_corpus
+from slideprov.records import CorpusReader, SlideKey, normalize_record
 
 
 def _document(kind: str, rng: random.Random, lecture: int, slide: int) -> bytes:
@@ -84,7 +85,8 @@ def test_streamed_pass_equals_loading_then_committing(files, skip, seed, batch):
         # the reference loads the files left after the skipped ones are moved aside
         for key in skipped:
             _path(root, key).rename(_path(root, key).with_suffix(".aside"))
-        loaded, loaded_warnings = _caught(lambda: load_corpus(root))
+        reference = CorpusReader(root)
+        loaded, loaded_warnings = _caught(lambda: dict(reference.read(normalize_record)))
         for key in skipped:
             _path(root, key).with_suffix(".aside").rename(_path(root, key))
 
@@ -106,10 +108,9 @@ def test_streamed_pass_equals_loading_then_committing(files, skip, seed, batch):
         else:
             assert isinstance(streamed, EmptyCorpus) and str(streamed) == str(loaded)
         return
-    keys = sorted(loaded.records)
-    assert list(streamed) == keys
-    assert list(streamed.values()) == commit_records(loaded.records[key] for key in keys)
-    assert reader.failures == loaded.failures
+    assert list(streamed) == sorted(loaded)
+    assert list(streamed.values()) == commit_records(loaded[key] for key in sorted(loaded))
+    assert reader.failures == reference.failures
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:

@@ -195,6 +195,8 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
     reader = CorpusReader(args.corpus)
     report = integrity.tamper_experiment(reader, ledger, args.count, args.seed)
     _warn_failures(reader.failures)
+    for failure in reader.failures:  # a drawn slide with no trial: the rate leaves it out
+        _err(f"({failure.key.lecture_id},{failure.key.slide_id}): {integrity.MISSING}, no trial run")
 
     reports = {
         "tamper_report": Table(
@@ -215,13 +217,15 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
         for trial in report.trials:
             write_record(trial.tampered, args.corpus)
         text = f"wrote {report.total} tampered records back into {args.corpus}\n{text}"
-    return EXIT_OK, reports, text
+    return (EXIT_INTEGRITY if reader.failures else EXIT_OK), reports, text
 
 
 def cmd_compare_runs(args: argparse.Namespace) -> Result:
     run_a, run_b = CorpusReader(args.run_a), CorpusReader(args.run_b)
     try:
-        comparison = integrity.compare_corpora(run_a.read(normalize_record), run_b.read(normalize_record))
+        # a file of run B byte-identical to run A's is loaded once
+        comparison = integrity.compare_corpora(run_a.read(normalize_record),
+                                               run_b.read(normalize_record, reuse=run_a))
     finally:  # run A's failed files, then run B's, also before an error
         _warn_failures(run_a.failures + run_b.failures)
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping
 from .commitment import Commitment, commit_records
 from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
 from .ledger import Ledger
-from .metrics import jaccard
+from .metrics import EMPTY_SET_JACCARD, jaccard
 from .records import (
     Concept,
     CorpusReader,
@@ -380,13 +380,22 @@ class RunComparison:
         )
 
 
+def _self_jaccard(elements: tuple) -> float:
+    """``jaccard(s, s)`` for the identity set ``s`` of a model's ``elements``."""
+    return 1.0 if elements else EMPTY_SET_JACCARD
+
+
 def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
                     run_b: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> RunComparison:
     """Model-by-model Jaccard between two runs over their common slides.
 
     Each run is ``(key, record)`` pairs in increasing key order, such as
     the stream of ``CorpusReader.read``; the two are merged, so one pair
-    of records is held at a time.
+    of records is held at a time.  When both runs give the same record
+    object for a key, as run B's reader does for a file byte-identical to
+    run A's (``CorpusReader.read``'s ``reuse``), the slide is byte-equal
+    and each model's Jaccard is ``jaccard(s, s)``, found without encoding
+    the record or building its identity sets.
     """
     pairs: list[RunPair] = []
     asymmetric: list[AsymmetricPair] = []
@@ -403,6 +412,11 @@ def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
             only_in[next(iter(records))].append(key)
             continue
         rec_a, rec_b = records[0], records[1]
+        if rec_a is rec_b:  # one record for both runs: each identity set is compared with itself
+            byte_equal[key] = True
+            pairs += (RunPair(key, model, _self_jaccard(ext.concepts), _self_jaccard(ext.triples))
+                      for model, ext in sorted(rec_a.models.items()))
+            continue
         byte_equal[key] = canonical_bytes(rec_a) == canonical_bytes(rec_b)
         for model in sorted(set(rec_a.models) | set(rec_b.models)):
             in_a, in_b = model in rec_a.models, model in rec_b.models

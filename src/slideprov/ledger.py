@@ -443,7 +443,7 @@ class Ledger:
         if not path.exists():
             raise CorruptLedgerFile(f"ledger file not found: {path}")
         try:
-            doc = read_json(path)
+            _, doc = read_json(path)
         except (OSError, ValueError) as exc:
             raise CorruptLedgerFile(f"cannot read ledger file {path}: {exc}") from exc
         try:

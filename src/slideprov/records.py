@@ -517,18 +517,29 @@ def _not_utf8(exc: UnicodeEncodeError) -> MalformedDocument:
 # corpus loading
 
 
-def read_json(path: Path | str) -> object:
-    """The JSON document in the file at ``path``.
+KNOWN = object()  # the document ``read_json`` gives for bytes equal to its ``known``
 
-    Every way the file can fail to be JSON raises ValueError: bytes that
-    are not UTF-8, bad syntax, nesting past the recursion limit, or an
-    integer past the interpreter's digit limit.  OSError passes through.
+
+def read_json(path: Path | str, known: bytes | None = None) -> tuple[bytes, object]:
+    """The bytes of the file at ``path`` and the JSON document they hold.
+
+    Every input file, corpus file and ledger alike, is opened here.  Bytes
+    equal to ``known`` are not parsed: their document is ``KNOWN``.  Every
+    way the bytes can fail to be JSON raises ValueError: bytes that are
+    not UTF-8, bad syntax, nesting past the recursion limit, or an integer
+    past the interpreter's digit limit.  OSError passes through.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data == known:
+        return data, KNOWN
+    text = data.decode("utf-8")
+    if "\r" in text:  # line ends as a text-mode read gives them, so error positions stay put
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return data, json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 @dataclass(frozen=True)
@@ -545,6 +556,10 @@ class CorpusReader:
     ``skip`` is counted in ``skipped`` and never opened; ``paths`` holds
     the others by key.  ``read`` collects per-file parse and
     normalization failures in ``failures`` instead of aborting the pass.
+    A pass keeps the last file it loaded in ``last``, as ``(key, bytes,
+    load, value)``, for a pass over another run to reuse: a file there
+    with the same key and bytes is neither parsed nor loaded again (see
+    ``read``).
     """
 
     def __init__(self, root: Path | str, skip: Container[SlideKey] = frozenset()) -> None:
@@ -553,10 +568,18 @@ class CorpusReader:
         self.paths = {key: path for key, path in files if key not in skip}
         self.skipped = len(files) - len(self.paths)
         self.failures: list[LoadFailure] = []
+        self.last: tuple[SlideKey, bytes, Callable, object] | None = None
 
-    def read(self, load: Callable[[object, SlideKey], _T],
-             only: Container[SlideKey] | None = None) -> Iterator[tuple[SlideKey, _T]]:
+    def read(self, load: Callable[[object, SlideKey], _T], only: Container[SlideKey] | None = None,
+             reuse: CorpusReader | None = None) -> Iterator[tuple[SlideKey, _T]]:
         """``(key, load(document, key))`` for each file, or each file of ``only``, one at a time.
+
+        ``reuse`` is a reader whose pass over another run goes on alongside
+        this one.  When the last file its pass loaded has this file's key
+        and bytes and was loaded with this ``load``, this pass yields that
+        very value.  Only the key and bytes decide, so the values are the
+        same however the two passes interleave; a file that failed in the
+        other pass is read here as any other.
 
         A pass over every file raises EmptyCorpus at the end when nothing
         loaded and nothing was skipped, which includes a layout without files.
@@ -565,16 +588,22 @@ class CorpusReader:
         for key, path in self.paths.items():
             if only is not None and key not in only:
                 continue
+            last = None if reuse is None else reuse.last
+            known = last[1] if last is not None and last[0] == key and last[2] is load else None
             try:
-                raw = read_json(path)
+                data, raw = read_json(path, known)
             except (OSError, ValueError) as exc:
                 self.failures.append(LoadFailure(str(path), key, f"unparseable: {exc}"))
                 continue
-            try:
-                value = load(raw, key)
-            except (MalformedDocument, MissingKey) as exc:
-                self.failures.append(LoadFailure(str(path), key, str(exc)))
-                continue
+            if raw is KNOWN:
+                value = last[3]
+            else:
+                try:
+                    value = load(raw, key)
+                except (MalformedDocument, MissingKey) as exc:
+                    self.failures.append(LoadFailure(str(path), key, str(exc)))
+                    continue
+            self.last = (key, data, load, value)
             loaded += 1
             yield key, value
         if only is None and not loaded and not self.skipped:
@@ -594,7 +623,7 @@ def load_json_entries(path: Path | str, what: str, parse: Callable[[dict], objec
     entry's index, so a bad config file is a usage error.
     """
     try:
-        entries = read_json(path)
+        _, entries = read_json(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
     if not isinstance(entries, list) or not entries:

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import re
 import shutil
 import stat
 from pathlib import Path
@@ -220,22 +221,39 @@ class TestTamper:
         broken = Path(env["corpus"]) / "by_slide" / "Lecture 1" / "Slide2.json"
         broken.write_text("{ not json", encoding="utf-8")
         capsys.readouterr()
-        assert run("tamper", env, "-n", "6", "--seed", "0") == 0
+        assert run("tamper", env, "-n", "6", "--seed", "0") == 1  # a trial it could not run
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"warning: skipped {broken}: unparseable: ")
+        assert len(err) == 2 and err[0].startswith(f"warning: skipped {broken}: unparseable: ")
+        assert err[1] == "error: (1,2): Missing, no trial run"
         rows = read_csv(Path(env["out"]) / "tamper_report.csv")
         assert len(rows) == 5 and ("1", "2") not in {(r["lecture_id"], r["slide_id"]) for r in rows}
         summary = json.loads((Path(env["out"]) / "tamper_summary.json").read_text())
         assert (summary["total"], summary["detected"]) == (5, 5)
+
+    def test_no_drawn_file_loads_no_perfect_rate(self, env, capsys):
+        run("register", env)
+        for path in sorted(Path(env["corpus"]).rglob("Slide*.json")):
+            path.write_text("[1]", encoding="utf-8")
+        capsys.readouterr()
+        assert run("tamper", env, "-n", "3", "--seed", "0") == 1
+        out, err = capsys.readouterr()
+        assert out == "tamper protocol: 0/0 detected (rate 1.0000, seed 0)\n"
+        lines = err.splitlines()
+        warned, errors = lines[:3], lines[3:]
+        assert all(line.startswith("warning: skipped ") and line.endswith(": expected a JSON object, got list")
+                   for line in warned)
+        drawn = [re.search(r"Lecture (\d+)/Slide(\d+)\.json", line).groups() for line in warned]
+        assert errors == [f"error: ({lecture},{slide}): Missing, no trial run" for lecture, slide in drawn]
+        assert read_csv(Path(env["out"]) / "tamper_report.csv") == []
 
 
 def _count_reads(monkeypatch) -> list[Path]:
     """The paths ``records.read_json`` is called on from now, in call order."""
     opened: list[Path] = []
 
-    def read_json(path, read=records.read_json):
+    def read_json(path, *known, read=records.read_json):
         opened.append(Path(path))
-        return read(path)
+        return read(path, *known)
     monkeypatch.setattr(records, "read_json", read_json)
     return opened
 
@@ -249,6 +267,29 @@ class TestCompareRuns:
         assert summary["identical"] is True
         assert summary["pairs"] == summary["perfect_pairs"] == 24  # 6 slides x 4 models
         assert summary["byte_equal"] == summary["common_keys"] == 6
+
+    def test_parses_only_run_a_and_the_edited_files(self, env, tmp_path, monkeypatch):
+        run_b = tmp_path / "run_b"
+        shutil.copytree(env["corpus"], run_b)
+        edited = [run_b / "by_slide" / "Lecture 1" / "Slide2.json",
+                  run_b / "by_slide" / "Lecture 2" / "Slide3.json"]
+        for path in edited:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["models"]["vision-alpha"]["concepts"][0]["term"] += " rerun"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        parsed: list[Path] = []
+
+        def read_json(path, *known, read=records.read_json):
+            data, doc = read(path, *known)
+            if doc is not records.KNOWN:
+                parsed.append(Path(path))
+            return data, doc
+        monkeypatch.setattr(records, "read_json", read_json)
+        assert main(["compare-runs", env["corpus"], str(run_b), "--out", env["out"]]) == 0
+        assert len(parsed) == 6 + len(edited)
+        assert sorted(path for path in parsed if run_b in path.parents) == sorted(edited)
+        summary = json.loads((Path(env["out"]) / "compare_summary.json").read_text())
+        assert (summary["common_keys"], summary["byte_equal"], summary["identical"]) == (6, 4, False)
 
     @pytest.mark.filterwarnings("ignore:document ids")
     def test_disjoint_exit_3(self, env, tmp_path):

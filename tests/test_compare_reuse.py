@@ -1,0 +1,157 @@
+"""``compare-runs`` reuses run A's record for a file of run B with the same bytes.
+
+Whatever run B holds next to run A, the command must write the reports
+that ``compare_corpora`` gives over two independently loaded corpora, in
+which no record is shared, and the same warnings.
+"""
+
+import contextlib
+import io
+import json
+import random
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import synthetic_document
+from slideprov import load_corpus
+from slideprov.cli import main
+from slideprov.integrity import RunComparison, compare_corpora
+from slideprov.records import CorpusReader, SlideKey, normalize_record
+from slideprov.reports import Table, write_reports
+
+KEYS = [SlideKey(lecture, slide) for lecture in (1, 2) for slide in (1, 2, 3, 4)]
+ANCHOR = SlideKey(3, 1)  # valid and byte-identical in both runs, so the runs always share a key
+A_KINDS = ["valid", "valid", "conflicting ids", "empty model", "unparseable", "not an object", "absent"]
+B_KINDS = ["same bytes", "same bytes", "reserialized", "edited concept", "dropped model",
+           "unparseable", "not an object", "absent"]
+
+
+def _path(root: Path, key: SlideKey) -> Path:
+    return root / "by_slide" / f"Lecture {key.lecture_id}" / f"Slide{key.slide_id}.json"
+
+
+def _runs(root: Path, files: dict[SlideKey, tuple[str, str]], seed: int) -> tuple[Path, Path]:
+    """Write run A and run B under ``root``; ``files`` gives each key's (A kind, B kind)."""
+    rng = random.Random(seed)
+    run_a, run_b = root / "run_a", root / "run_b"
+    for key, (kind_a, kind_b) in files.items():
+        doc = synthetic_document(rng, key.lecture_id, key.slide_id)
+        if kind_a == "conflicting ids":
+            doc["slide_id"] = key.slide_id + 100
+        elif kind_a == "empty model":  # its concept and triple sets are empty in both runs
+            doc["models"]["vision-gamma"].update(concepts=[], triples=[])
+        data_a = {"unparseable": b'{"models": ', "not an object": b"[1, 2]",
+                  "absent": None}.get(kind_a, json.dumps(doc).encode("ascii"))
+        if kind_b == "reserialized":  # canonically equal, not byte-equal
+            data_b = json.dumps(dict(reversed(doc.items())), indent=1).encode("ascii")
+        elif kind_b == "edited concept":
+            doc["models"]["vision-alpha"]["concepts"][0]["term"] += " rerun"
+            data_b = json.dumps(doc).encode("ascii")
+        elif kind_b == "dropped model":
+            del doc["models"]["vision-delta"]
+            data_b = json.dumps(doc).encode("ascii")
+        else:
+            data_b = {"same bytes": data_a, "unparseable": b"{", "not an object": b'"text"',
+                      "absent": None}[kind_b]
+        for run, data in ((run_a, data_a), (run_b, data_b)):
+            if data is not None:
+                _path(run, key).parent.mkdir(parents=True, exist_ok=True)
+                _path(run, key).write_bytes(data)
+    return run_a, run_b
+
+
+def _reports(comparison: RunComparison) -> dict:
+    """The reports ``compare-runs`` writes for a comparison."""
+    rows: list[list[object]] = [
+        [p.key.lecture_id, p.key.slide_id, p.model, "compared", p.concept_jaccard, p.triple_jaccard]
+        for p in comparison.pairs]
+    rows += [[a.key.lecture_id, a.key.slide_id, a.model, f"only_in_{a.present_in}", "", ""]
+             for a in comparison.asymmetric]
+    return {
+        "compare_runs": Table(["lecture_id", "slide_id", "model", "status", "concept_jaccard",
+                               "triple_jaccard"], rows),
+        "compare_summary": {
+            "common_keys": len(comparison.byte_equal), "only_in_a": len(comparison.only_in_a),
+            "only_in_b": len(comparison.only_in_b), "pairs": comparison.n_pairs,
+            "concept_perfect": comparison.n_concept_perfect,
+            "triple_perfect": comparison.n_triple_perfect, "perfect_pairs": comparison.n_perfect,
+            "asymmetric": len(comparison.asymmetric), "byte_equal": comparison.n_byte_equal,
+            "identical": comparison.identical,
+        },
+    }
+
+
+@contextlib.contextmanager
+def _warnings_as_printed():
+    """The messages of the warnings a command would print, under the default filter."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")  # a repeated message from one place shows once
+        yield caught
+
+
+@given(files=st.dictionaries(st.sampled_from(KEYS), st.tuples(st.sampled_from(A_KINDS),
+                                                              st.sampled_from(B_KINDS)), max_size=8),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_compare_runs_equals_comparing_two_loaded_corpora(files, seed):
+    files = {**files, ANCHOR: ("valid", "same bytes")}
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        run_a, run_b = _runs(root, files, seed)
+
+        with _warnings_as_printed() as caught:
+            corpus_a, corpus_b = load_corpus(run_a), load_corpus(run_b)
+            reference = compare_corpora(corpus_a.items(), corpus_b.items())
+        reference_warnings = sorted(str(w.message) for w in caught)
+        assert not any(corpus_a[key] is corpus_b[key] for key in corpus_a.keys() & corpus_b.keys())
+        write_reports(root / "reference", _reports(reference), "json")
+
+        stderr = io.StringIO()
+        with _warnings_as_printed() as caught, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(["compare-runs", str(run_a), str(run_b), "--out", str(root / "out"),
+                         "--format", "json"])
+        assert code == 0
+        for name in ("compare_runs.json", "compare_summary.json"):
+            assert (root / "out" / name).read_bytes() == (root / "reference" / name).read_bytes(), name
+
+        # the same warnings, each printed once: a byte-identical file with
+        # conflicting ids too gives its conflict warning once
+        messages = [str(w.message) for w in caught]
+        assert sorted(messages) == reference_warnings
+        assert len(set(messages)) == len(messages)
+        # each file that does not load, run A's first, once
+        failing = [_path(run, key) for run, corpus in ((run_a, corpus_a), (run_b, corpus_b))
+                   for key in sorted(files) if _path(run, key).exists() and key not in corpus]
+        skipped = stderr.getvalue().splitlines()
+        assert len(skipped) == len(failing)
+        assert all(line.startswith(f"warning: skipped {path}: ") for line, path in zip(skipped, failing))
+
+
+def test_reuse_needs_the_same_key_and_the_same_load(tmp_path):
+    # run B's files hold the bytes of the file run A's pass has just loaded,
+    # under another key, or read with another load
+    data = json.dumps(synthetic_document(random.Random(1), 1, 1)).encode("ascii")
+    for run, key in (("a", SlideKey(1, 1)), ("b", SlideKey(1, 2)), ("c", SlideKey(1, 1))):
+        _path(tmp_path / run, key).parent.mkdir(parents=True)
+        _path(tmp_path / run, key).write_bytes(data)
+    run_a = CorpusReader(tmp_path / "a")
+    next(run_a.read(normalize_record))
+    reused = run_a.last[3]
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        [(key, record)] = CorpusReader(tmp_path / "b").read(normalize_record, reuse=run_a)
+    assert key == record.key == SlideKey(1, 2) and record is not reused
+    assert [str(w.message) for w in caught] == [
+        "document ids SlideKey(lecture_id=1, slide_id=1) conflict with file-derived key "
+        "SlideKey(lecture_id=1, slide_id=2); file wins"]
+
+    another_load = lambda raw, key: normalize_record(raw, key)  # noqa: E731
+    [(_, record)] = CorpusReader(tmp_path / "c").read(another_load, reuse=run_a)
+    assert record is not reused and record == reused
+    [(_, record)] = CorpusReader(tmp_path / "c").read(normalize_record, reuse=run_a)
+    assert record is reused

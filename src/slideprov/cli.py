@@ -223,8 +223,8 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
 def cmd_compare_runs(args: argparse.Namespace) -> Result:
     run_a, run_b = CorpusReader(args.run_a), CorpusReader(args.run_b)
     try:
-        # a file of run B byte-identical to run A's is loaded once
-        comparison = integrity.compare_corpora(run_a.read(normalize_record),
+        # a file both runs hold byte for byte is loaded once, by the run that reads it first
+        comparison = integrity.compare_corpora(run_a.read(normalize_record, reuse=run_b),
                                                run_b.read(normalize_record, reuse=run_a))
     finally:  # run A's failed files, then run B's, also before an error
         _warn_failures(run_a.failures + run_b.failures)

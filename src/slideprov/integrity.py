@@ -392,10 +392,11 @@ def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
     Each run is ``(key, record)`` pairs in increasing key order, such as
     the stream of ``CorpusReader.read``; the two are merged, so one pair
     of records is held at a time.  When both runs give the same record
-    object for a key, as run B's reader does for a file byte-identical to
-    run A's (``CorpusReader.read``'s ``reuse``), the slide is byte-equal
-    and each model's Jaccard is ``jaccard(s, s)``, found without encoding
-    the record or building its identity sets.
+    object for a key, as two readers that reuse each other's records do
+    for a file both runs hold byte for byte (``CorpusReader.read``'s
+    ``reuse``), the slide is byte-equal and each model's Jaccard is
+    ``jaccard(s, s)``, found without encoding the record or building its
+    identity sets.
     """
     pairs: list[RunPair] = []
     asymmetric: list[AsymmetricPair] = []

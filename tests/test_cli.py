@@ -5,6 +5,7 @@ import random
 import re
 import shutil
 import stat
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -268,7 +269,7 @@ class TestCompareRuns:
         assert summary["pairs"] == summary["perfect_pairs"] == 24  # 6 slides x 4 models
         assert summary["byte_equal"] == summary["common_keys"] == 6
 
-    def test_parses_only_run_a_and_the_edited_files(self, env, tmp_path, monkeypatch):
+    def test_parses_each_file_once_but_the_edited_ones(self, env, tmp_path, monkeypatch):
         run_b = tmp_path / "run_b"
         shutil.copytree(env["corpus"], run_b)
         edited = [run_b / "by_slide" / "Lecture 1" / "Slide2.json",
@@ -277,19 +278,24 @@ class TestCompareRuns:
             doc = json.loads(path.read_text(encoding="utf-8"))
             doc["models"]["vision-alpha"]["concepts"][0]["term"] += " rerun"
             path.write_text(json.dumps(doc), encoding="utf-8")
-        parsed: list[Path] = []
+        # a slide of run A only, just before a byte-identical one
+        (run_b / "by_slide" / "Lecture 2" / "Slide1.json").unlink()
+        parsed: list[tuple[str, str]] = []
 
         def read_json(path, *known, read=records.read_json):
             data, doc = read(path, *known)
             if doc is not records.KNOWN:
-                parsed.append(Path(path))
+                parsed.append((Path(path).parent.name, Path(path).name))
             return data, doc
         monkeypatch.setattr(records, "read_json", read_json)
         assert main(["compare-runs", env["corpus"], str(run_b), "--out", env["out"]]) == 0
-        assert len(parsed) == 6 + len(edited)
-        assert sorted(path for path in parsed if run_b in path.parents) == sorted(edited)
+        assert len(parsed) == 6 + len(edited)  # run A's files, and run B's edited ones
+        # each slide once, whichever run reads it first, and each edited slide once per run
+        twice = {(path.parent.name, path.name) for path in edited}
+        names = [(path.parent.name, path.name) for path in Path(env["corpus"]).rglob("Slide*.json")]
+        assert Counter(parsed) == {name: 1 + (name in twice) for name in names}
         summary = json.loads((Path(env["out"]) / "compare_summary.json").read_text())
-        assert (summary["common_keys"], summary["byte_equal"], summary["identical"]) == (6, 4, False)
+        assert (summary["common_keys"], summary["byte_equal"], summary["only_in_a"]) == (5, 3, 1)
 
     @pytest.mark.filterwarnings("ignore:document ids")
     def test_disjoint_exit_3(self, env, tmp_path):

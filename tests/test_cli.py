@@ -231,7 +231,7 @@ class TestTamper:
         summary = json.loads((Path(env["out"]) / "tamper_summary.json").read_text())
         assert (summary["total"], summary["detected"]) == (5, 5)
 
-    def test_no_drawn_file_loads_no_perfect_rate(self, env, capsys):
+    def test_no_drawn_file_loads_exit_1(self, env, capsys):
         run("register", env)
         for path in sorted(Path(env["corpus"]).rglob("Slide*.json")):
             path.write_text("[1]", encoding="utf-8")

@@ -25,9 +25,10 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, TypeVar
 
+from . import records
 from .errors import AlreadyRegistered, CorruptLedgerFile, InvalidLecture, InvalidSlide, LedgerError
 from .keccak import keccak256_many
-from .records import SlideKey, read_json
+from .records import SlideKey
 
 LEDGER_FORMAT = "slideprov-ledger/v1"
 
@@ -443,7 +444,7 @@ class Ledger:
         if not path.exists():
             raise CorruptLedgerFile(f"ledger file not found: {path}")
         try:
-            _, doc = read_json(path)
+            _, doc = records.read_json(path)  # looked up at each call, as the corpus reader does
         except (OSError, ValueError) as exc:
             raise CorruptLedgerFile(f"cannot read ledger file {path}: {exc}") from exc
         try:

@@ -606,7 +606,12 @@ class CorpusReader:
             self.last = (key, data, load, value)
             loaded += 1
             yield key, value
-        if only is None and not loaded and not self.skipped:
+        if only is None:
+            self.require_loaded(loaded)
+
+    def require_loaded(self, loaded: int) -> None:
+        """Raise EmptyCorpus when a pass over every file loaded ``loaded == 0`` and skipped none."""
+        if not loaded and not self.skipped:
             detail = f" ({len(self.failures)} files failed to parse)" if self.failures else ""
             raise EmptyCorpus(f"no provenance records loaded from {self.root}{detail}")
 

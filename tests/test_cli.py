@@ -201,7 +201,8 @@ class TestTamper:
         capsys.readouterr()
         assert run("tamper", env, "-n", "6", "--seed", "0") == 0
         assert capsys.readouterr().err == ""  # neither opened nor warned about
-        assert len(opened) == 6 and extra not in {path.parent for path in opened}
+        assert opened[0] == Path(env["ledger"])
+        assert len(opened) == 1 + 6 and extra not in {path.parent for path in opened}
         summary = json.loads((Path(env["out"]) / "tamper_summary.json").read_text())
         assert (summary["total"], summary["detected"]) == (6, 6)
         # the pool is the 6 registered slides, whatever else the layout holds
@@ -214,8 +215,9 @@ class TestTamper:
         assert run("tamper", env, "-n", "3", "--seed", "4") == 0
         rows = read_csv(Path(env["out"]) / "tamper_report.csv")
         drawn = {(r["lecture_id"], r["slide_id"]) for r in rows}
-        assert len(opened) == 3
-        assert {(path.parent.name.split()[1], path.stem[5:]) for path in opened} == drawn
+        # the ledger first, then the drawn slides' files only
+        assert len(opened) == 1 + 3 and opened[0] == Path(env["ledger"])
+        assert {(path.parent.name.split()[1], path.stem[5:]) for path in opened[1:]} == drawn
 
     def test_drawn_file_that_no_longer_loads_is_warned_about_with_no_trial(self, env, capsys):
         run("register", env)

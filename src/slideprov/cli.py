@@ -7,8 +7,9 @@ config); the one randomized protocol, tamper, draws from its --seed.
 Exit codes: 0 success, 1 verification/integrity failure, 2 usage or
 config error, 3 I/O or corpus failure.
 
-Every command reads its corpus through ``records.CorpusReader.read``, then
-prints one ``warning: skipped`` line per file that failed to load.
+Every command reads its corpus through ``records.CorpusReader.read``, all
+but ``tamper`` in one ``records.split_pass``; ``_skip_lines`` then prints a
+``warning: skipped`` line per failed file, also before an empty pass's error.
 
 Each command returns (exit code, reports keyed by file stem, stdout text);
 ``main`` writes every report with one ``reports.write_reports`` call, then
@@ -20,10 +21,12 @@ for -n/--count, --mean-gas, --throughput, --skip-existing and --write.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import warnings
 from pathlib import Path
+from typing import Iterator
 
 from . import integrity, metrics, projection
 from .commitment import commit_corpus
@@ -37,7 +40,7 @@ from .errors import (
     UnregisteredCorpus,
 )
 from .ledger import CANONICAL_REGISTRATION_GAS, FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
-from .records import CorpusReader, LoadFailure, normalize_record, write_record
+from .records import CorpusReader, normalize_record, split_pass, write_record
 from .reports import Table, write_reports
 
 EXIT_OK = 0
@@ -56,9 +59,14 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _warn_failures(failures: list[LoadFailure]) -> None:
-    for failure in failures:
-        print(f"warning: skipped {failure.path}: {failure.error}", file=sys.stderr)
+@contextlib.contextmanager
+def _skip_lines(*readers: CorpusReader) -> Iterator[None]:
+    """After the block, also when it raises, a line for each file the readers failed to load."""
+    try:
+        yield
+    finally:
+        for failure in (failure for reader in readers for failure in reader.failures):
+            print(f"warning: skipped {failure.path}: {failure.error}", file=sys.stderr)
 
 
 # --------------------------------------------------------------------------
@@ -79,8 +87,8 @@ def cmd_register(args: argparse.Namespace) -> Result:
     path = Path(args.ledger)
     ledger = Ledger.load(path) if path.exists() else Ledger(fee, gas)
     reader = CorpusReader(args.corpus, ledger.records if args.skip_existing else ())
-    commitments = commit_corpus(reader)
-    _warn_failures(reader.failures)
+    with _skip_lines(reader):
+        commitments = commit_corpus(reader)
 
     items = [(key, c.hex, canonical_uri(key)) for key, c in commitments.items()]
 
@@ -128,8 +136,8 @@ def cmd_register(args: argparse.Namespace) -> Result:
 def cmd_verify(args: argparse.Namespace) -> Result:
     ledger = Ledger.load(args.ledger)
     reader = CorpusReader(args.corpus)
-    commitments = commit_corpus(reader)
-    _warn_failures(reader.failures)
+    with _skip_lines(reader):
+        commitments = commit_corpus(reader)
     rows = [[v.key.lecture_id, v.key.slide_id, v.recomputed.hex if v.recomputed else "",
              v.on_chain or "", v.verdict] for v in integrity.verify_corpus(commitments, ledger)]
 
@@ -143,9 +151,13 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 
 def cmd_analyze(args: argparse.Namespace) -> Result:
+    def summarize(only):  # one range's per-slide summaries, in key order
+        return list(metrics.corpus_disagreement(reader.read(normalize_record, only)).items())
+
     reader = CorpusReader(args.corpus)
-    by_slide = metrics.corpus_disagreement(reader.read(normalize_record))
-    _warn_failures(reader.failures)
+    with _skip_lines(reader):
+        by_slide = dict(split_pass([reader], list(reader.paths), summarize))
+        reader.require_loaded(len(by_slide))
     reports: dict[str, Table | dict] = {"disagreement": Table(
         ["lecture_id", "slide_id", "d_concept", "d_triple"],
         [[d.key.lecture_id, d.key.slide_id, d.concept_union_size, d.triple_union_size]
@@ -193,8 +205,8 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
 def cmd_tamper(args: argparse.Namespace) -> Result:
     ledger = Ledger.load(args.ledger)
     reader = CorpusReader(args.corpus)
-    report = integrity.tamper_experiment(reader, ledger, args.count, args.seed)
-    _warn_failures(reader.failures)
+    with _skip_lines(reader):
+        report = integrity.tamper_experiment(reader, ledger, args.count, args.seed)
     for failure in reader.failures:  # a drawn slide with no trial: the rate leaves it out
         _err(f"({failure.key.lecture_id},{failure.key.slide_id}): {integrity.MISSING}, no trial run")
 
@@ -221,13 +233,16 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
 
 
 def cmd_compare_runs(args: argparse.Namespace) -> Result:
+    def compare(only):  # a file both runs hold byte for byte is loaded once, by the run that reads it first
+        return [integrity.compare_range(run_a.read(normalize_record, only, run_b),
+                                        run_b.read(normalize_record, only, run_a))]
+
     run_a, run_b = CorpusReader(args.run_a), CorpusReader(args.run_b)
-    try:
-        # a file both runs hold byte for byte is loaded once, by the run that reads it first
-        comparison = integrity.compare_corpora(run_a.read(normalize_record, reuse=run_b),
-                                               run_b.read(normalize_record, reuse=run_a))
-    finally:  # run A's failed files, then run B's, also before an error
-        _warn_failures(run_a.failures + run_b.failures)
+    with _skip_lines(run_a, run_b):
+        parts = split_pass([run_a, run_b], sorted(run_a.paths.keys() | run_b.paths.keys()), compare)
+        run_a.require_loaded(sum(len(p.byte_equal) + len(p.only_in_a) for p in parts))
+        run_b.require_loaded(sum(len(p.byte_equal) + len(p.only_in_b) for p in parts))
+        comparison = integrity.join_ranges(parts)
 
     rows: list[list[object]] = [
         [p.key.lecture_id, p.key.slide_id, p.model, "compared", p.concept_jaccard, p.triple_jaccard]

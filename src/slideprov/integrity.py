@@ -398,6 +398,12 @@ def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
     ``jaccard(s, s)``, found without encoding the record or building its
     identity sets.
     """
+    return join_ranges([compare_range(run_a, run_b)], stacklevel=3)
+
+
+def compare_range(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
+                  run_b: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> RunComparison:
+    """``compare_corpora`` over one key range of the runs, without its checks over the whole runs."""
     pairs: list[RunPair] = []
     asymmetric: list[AsymmetricPair] = []
     byte_equal: dict[SlideKey, bool] = {}
@@ -428,9 +434,24 @@ def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
                                      jaccard(ext_a.triple_identities(), ext_b.triple_identities())))
             else:
                 asymmetric.append(AsymmetricPair(key, model, "a" if in_a else "b"))
-    if not byte_equal:
-        raise DisjointCorpora("runs share no slide keys")
-    if asymmetric:
-        warnings.warn(f"{len(asymmetric)} (slide, model) pairs present in only one run; "
-                      "reported separately, excluded from similarity counts", ProvenanceWarning, stacklevel=2)
     return RunComparison(pairs, asymmetric, byte_equal, *only_in)
+
+
+def join_ranges(parts: Iterable[RunComparison], stacklevel: int = 2) -> RunComparison:
+    """Two runs' comparison from ``compare_range``'s over consecutive key ranges.
+
+    Raises DisjointCorpora when no range has a common key; warns once of every range's asymmetric pairs.
+    """
+    joined = RunComparison([], [], {}, [], [])
+    for part in parts:
+        joined.pairs += part.pairs
+        joined.asymmetric += part.asymmetric
+        joined.byte_equal.update(part.byte_equal)
+        joined.only_in_a += part.only_in_a
+        joined.only_in_b += part.only_in_b
+    if not joined.byte_equal:
+        raise DisjointCorpora("runs share no slide keys")
+    if joined.asymmetric:
+        warnings.warn(f"{len(joined.asymmetric)} (slide, model) pairs present in only one run; reported "
+                      "separately, excluded from similarity counts", ProvenanceWarning, stacklevel=stacklevel)
+    return joined

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import random
 from pathlib import Path
 
 import pytest
 
-from slideprov import Ledger, SlideKey, canonical_uri, commit_record, load_corpus
+from slideprov import Ledger, SlideKey, canonical_uri, commit_record, load_corpus, records
 from slideprov.cli import main
 
 MODEL_NAMES = ["vision-alpha", "vision-beta", "vision-gamma", "vision-delta"]
@@ -77,6 +78,29 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+@contextlib.contextmanager
+def forced_split(n: int):
+    """Split passes in the block over n key ranges, one per file at most; yields the list of forks made.
+
+    ``records.MIN_FILES_PER_WORKER`` is patched to 1 and the usable CPUs
+    to n, so that small corpora split.  On leaving, no child may be left.
+    """
+    forks: list[int] = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "MIN_FILES_PER_WORKER", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        patch.setattr(os, "fork", fork)
+        yield forks
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def register_corpus(corpus, ledger: Ledger | None = None) -> Ledger:

@@ -14,6 +14,7 @@ import csv
 import json
 import random
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,29 @@ def test_compare_runs_warns_about_each_failed_file_of_each_run(workspace, tmp_pa
               *(runs[1] / "by_slide" / "Lecture 3" / f"Slide{slide}.json" for slide in (1, 2))]
     assert err.splitlines() == [f"warning: skipped {path}: expected a JSON object, got list"
                                 for path in failed]
+
+
+# -- a corpus none of whose files loads ---------------------------------------
+
+
+@pytest.mark.parametrize("command", ["register", "verify", "analyze", "compare-runs"])
+def test_a_corpus_where_nothing_loads_names_its_failed_files_before_the_error(
+        workspace, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c" / "by_slide" / "Lecture 9").mkdir(parents=True)
+    (tmp_path / "c" / "by_slide" / "Lecture 9" / "Slide1.json").write_text("[]", encoding="utf-8")
+    shutil.copy(workspace["ledger"], "ledger.json")
+    argv = {"register": ["register", "--corpus", "c", "--ledger", "fresh.json"],
+            "verify": ["verify", "--corpus", "c"],
+            "analyze": ["analyze", "--corpus", "c"],
+            "compare-runs": ["compare-runs", "c", "c"]}[command]
+    code, out, err = run_cli(argv)
+    skipped = "warning: skipped c/by_slide/Lecture 9/Slide1.json: expected a JSON object, got list"
+    # compare-runs reads both runs before it checks either: one line for each
+    expected = [skipped] * (2 if command == "compare-runs" else 1)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [*expected, "error: no provenance records loaded from c (1 files failed to parse)"]
+    assert not Path("fresh.json").exists()
 
 
 # -- verify: registered slides the corpus no longer yields --------------------

@@ -2,7 +2,8 @@
 
 Whatever run B holds next to run A, the command must write the reports
 that ``compare_corpora`` gives over two independently loaded corpora, in
-which no record is shared, and the same warnings.
+which no record is shared, and the same warnings; also with its pass
+split across processes.
 """
 
 import contextlib
@@ -13,9 +14,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import synthetic_document
+from conftest import forced_split, synthetic_document
 from slideprov import load_corpus
 from slideprov.cli import main
 from slideprov.integrity import RunComparison, compare_corpora
@@ -92,11 +94,25 @@ def _warnings_as_printed():
         yield caught
 
 
-@given(files=st.dictionaries(st.sampled_from(KEYS), st.tuples(st.sampled_from(A_KINDS),
-                                                              st.sampled_from(B_KINDS)), max_size=8),
-       seed=st.integers(0, 2**16))
+FILES = st.dictionaries(st.sampled_from(KEYS), st.tuples(st.sampled_from(A_KINDS), st.sampled_from(B_KINDS)),
+                        max_size=8)
+
+
+@given(files=FILES, seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_compare_runs_equals_comparing_two_loaded_corpora(files, seed):
+    _check_compare_runs(files, seed, 1)
+
+
+@pytest.mark.parametrize("ranges", (2, 3))
+@given(files=FILES, seed=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_split_compare_runs_equals_comparing_two_loaded_corpora(ranges, files, seed):
+    _check_compare_runs(files, seed, ranges)
+
+
+def _check_compare_runs(files: dict, seed: int, ranges: int) -> None:
+    """``compare-runs`` over ``ranges`` key ranges gives what comparing the two loaded corpora gives."""
     files = {**files, ANCHOR: ("valid", "same bytes")}
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
@@ -110,11 +126,13 @@ def test_compare_runs_equals_comparing_two_loaded_corpora(files, seed):
         write_reports(root / "reference", _reports(reference), "json")
 
         stderr = io.StringIO()
-        with _warnings_as_printed() as caught, contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(stderr):
+        with forced_split(ranges) as forks, _warnings_as_printed() as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(["compare-runs", str(run_a), str(run_b), "--out", str(root / "out"),
                          "--format", "json"])
         assert code == 0
+        union = [key for key in files if _path(run_a, key).exists() or _path(run_b, key).exists()]
+        assert len(forks) == min(ranges, len(union)) - 1
         for name in ("compare_runs.json", "compare_summary.json"):
             assert (root / "out" / name).read_bytes() == (root / "reference" / name).read_bytes(), name
 

@@ -1,16 +1,19 @@
-"""The commit pass split across processes gives the output of one process's pass.
+"""Passes split across processes give the output of one process's pass.
 
-``commitment.commit_corpus`` splits its files into contiguous key ranges,
-hashes the first in the calling process and each other in a forked child.
-Here the per-worker minimum is patched to 1 and the usable CPUs to the
-number of ranges wanted, so that small corpora split; each test checks
-that the expected number of children was forked, and that none is left.
+``records.split_pass`` splits a pass's keys into contiguous ranges, works
+on the first in the calling process and on each other in a forked child;
+``commit_corpus`` (``register``, ``verify``), ``analyze`` and
+``compare-runs`` read their corpora through it.  Here ``forced_split``
+patches the per-worker minimum to 1 and the usable CPUs to the number of
+ranges wanted, so that small corpora split; each test checks that the
+expected number of children was forked, and that none is left.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -20,35 +23,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_corpus
-from slideprov import commitment
+from conftest import forced_split, run_cli, write_corpus
+from slideprov import cli, commitment, records
 from slideprov.commitment import commit, commit_corpus
 from slideprov.errors import EmptyCorpus, ProvenanceWarning
-from slideprov.records import CorpusReader, SlideKey, normalized_bytes
+from slideprov.records import CorpusReader, SlideKey, normalize_record, normalized_bytes
 from test_golden import GOLDEN, golden_digests
 
 RANGES = (1, 2, 3)
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """``split(n)`` makes the next passes use n ranges; gives the list of forks made."""
-    forks: list[int] = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    def use(n: int) -> list[int]:
-        monkeypatch.setattr(commitment, "MIN_FILES_PER_WORKER", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        monkeypatch.setattr(os, "fork", fork)
-        return forks
-
-    yield use
-    with pytest.raises(ChildProcessError):  # every child was reaped
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _corpus(root: Path) -> Path:
@@ -82,11 +64,11 @@ def _serial(reader: CorpusReader) -> dict:
 
 
 @pytest.mark.parametrize("n", RANGES)
-def test_split_pass_equals_the_serial_one(tmp_path, split, n):
+def test_split_pass_equals_the_serial_one(tmp_path, n):
     root = _corpus(tmp_path / "corpus")
     expected = _pass(root, _serial)
-    forks = split(n)
-    actual = _pass(root, commit_corpus)
+    with forced_split(n) as forks:
+        actual = _pass(root, commit_corpus)
     assert len(forks) == n - 1
     assert list(actual[0].items()) == list(expected[0].items())
     assert actual[1] == expected[1]
@@ -98,16 +80,15 @@ def test_split_pass_equals_the_serial_one(tmp_path, split, n):
 
 
 @pytest.mark.parametrize("n", RANGES)
-def test_nothing_loads_raises_the_same_empty_corpus(tmp_path, split, n):
+def test_nothing_loads_raises_the_same_empty_corpus(tmp_path, n):
     root = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3)
     for path in root.rglob("Slide*.json"):
         path.write_text("[1]", encoding="utf-8")
     serial = CorpusReader(root)
     with pytest.raises(EmptyCorpus) as expected:
         _serial(serial)
-    forks = split(n)
     reader = CorpusReader(root)
-    with pytest.raises(EmptyCorpus) as actual:
+    with forced_split(n) as forks, pytest.raises(EmptyCorpus) as actual:
         commit_corpus(reader)
     assert len(forks) == n - 1
     assert str(actual.value) == str(expected.value)
@@ -116,22 +97,23 @@ def test_nothing_loads_raises_the_same_empty_corpus(tmp_path, split, n):
 
 
 @pytest.mark.parametrize("n", RANGES)
-def test_golden_digests_hold_at_every_split(tmp_path, monkeypatch, split, n):
+def test_golden_digests_hold_at_every_split(tmp_path, monkeypatch, n):
     for name in list(os.environ):
         if name.startswith("SLIDEPROV_"):
             monkeypatch.delenv(name)
-    forks = split(n)
-    actual = golden_digests(tmp_path)
+    with forced_split(n) as forks:
+        actual = golden_digests(tmp_path)
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    steps = [name for name in expected if name.split("/")[2].startswith(("register", "verify"))]
-    assert len(steps) == 16
+    split_commands = ("register", "verify", "analyze", "compare-runs")
+    steps = [name for name in expected if name.split("/")[2].startswith(split_commands)]
+    assert len(steps) == 28  # per size and format: 2 register, 2 verify, 2 analyze, 1 compare-runs
     assert {name: actual[name] for name in steps} == {name: expected[name] for name in steps}
-    assert len(forks) == (n - 1) * 16  # each register and verify step split its pass
+    assert len(forks) == (n - 1) * 28  # each of those steps split its pass
 
 
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("failing", ("parent", "child"))
-def test_an_exception_in_a_range_is_raised_here(tmp_path, monkeypatch, split, n, failing):
+def test_an_exception_in_a_range_is_raised_here(tmp_path, monkeypatch, n, failing):
     root = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3)
     bad = SlideKey(1, 1) if failing == "parent" else SlideKey(2, 3)  # the first key, or the last
 
@@ -141,13 +123,13 @@ def test_an_exception_in_a_range_is_raised_here(tmp_path, monkeypatch, split, n,
         return normalized_bytes(raw, key)
 
     monkeypatch.setattr(commitment, "normalized_bytes", failing_bytes)
-    forks = split(n)
-    with pytest.raises(RuntimeError, match=r"cannot encode SlideKey\(lecture_id=%d" % bad.lecture_id):
-        commit_corpus(CorpusReader(root))
+    with forced_split(n) as forks:
+        with pytest.raises(RuntimeError, match=r"cannot encode SlideKey\(lecture_id=%d" % bad.lecture_id):
+            commit_corpus(CorpusReader(root))
     assert len(forks) == n - 1
 
 
-def test_a_child_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch, split):
+def test_a_child_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch):
     root = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3)
 
     def dying_bytes(raw, key):
@@ -156,18 +138,18 @@ def test_a_child_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch, s
         return normalized_bytes(raw, key)
 
     monkeypatch.setattr(commitment, "normalized_bytes", dying_bytes)
-    forks = split(2)
-    with pytest.raises(ChildProcessError, match="ended without a result"):
-        commit_corpus(CorpusReader(root))
+    with forced_split(2) as forks:
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            commit_corpus(CorpusReader(root))
     assert len(forks) == 1
 
 
 _WRAPPER = """
 import os, sys
-from slideprov import commitment
+from slideprov import commitment, records
 from slideprov.records import CorpusReader, normalized_bytes
 
-commitment.MIN_FILES_PER_WORKER = 1
+records.MIN_FILES_PER_WORKER = 1
 os.sched_getaffinity = lambda pid: set(range(3))
 if sys.argv[3] == "child":
     def failing_bytes(raw, key):
@@ -204,20 +186,130 @@ def test_children_neither_flush_stdout_nor_run_the_callers_finally(tmp_path, fai
         assert stderr.endswith("RuntimeError: failed in a child\n")
 
 
-def test_stays_serial_below_two_workers_minimum_or_with_another_thread(tmp_path, monkeypatch, split):
+def test_stays_serial_below_two_workers_minimum_or_with_another_thread(tmp_path):
     root = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=4)
-    forks = split(3)
-    monkeypatch.setattr(commitment, "MIN_FILES_PER_WORKER", 5)  # 8 files: fewer than 2 x 5
-    assert len(commit_corpus(CorpusReader(root))) == 8
-    monkeypatch.setattr(commitment, "MIN_FILES_PER_WORKER", 1)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
+    with forced_split(3) as forks:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(records, "MIN_FILES_PER_WORKER", 5)  # 8 files: fewer than 2 x 5
+            assert len(commit_corpus(CorpusReader(root))) == 8
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert len(commit_corpus(CorpusReader(root))) == 8
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
         assert len(commit_corpus(CorpusReader(root))) == 8
-    finally:
-        release.set()
-        thread.join()
-    assert forks == []
-    assert len(commit_corpus(CorpusReader(root))) == 8
-    assert len(forks) == 2
+        assert len(forks) == 2
+
+
+# --------------------------------------------------------------------------
+# analyze and compare-runs
+
+
+def _write_keys(root: Path, keys: list[tuple[int, int]], edit: dict[tuple[int, int], str] | None = None) -> Path:
+    """A corpus holding ``write_corpus``'s documents (3 lectures of 4 slides) at ``keys``
+    only; ``edit`` names a model to drop at some of them."""
+    full = write_corpus(root.with_name(root.name + "-full"), n_lectures=3, slides_per_lecture=4)
+    for lecture, slide in keys:
+        name = Path("by_slide") / f"Lecture {lecture}" / f"Slide{slide}.json"
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        doc = json.loads((full / name).read_text(encoding="utf-8"))
+        if edit and (lecture, slide) in edit:
+            del doc["models"][edit[lecture, slide]]
+        (root / name).write_text(json.dumps(doc), encoding="utf-8")
+    shutil.rmtree(full)
+    return root
+
+
+def _compare(run_a: Path, run_b: Path, out: Path, n: int):
+    """``compare-runs`` over n ranges: exit code, stdout and stderr lines, the warnings'
+    messages, the reports' bytes, and the forks made."""
+    with forced_split(n) as forks, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = run_cli(["compare-runs", str(run_a), str(run_b), "--out", str(out),
+                                   "--format", "json"])
+    reports = {path.name: path.read_bytes() for path in sorted(out.glob("*.json"))}
+    return code, (stdout + stderr).splitlines(), [str(w.message) for w in caught], reports, forks
+
+
+A_KEYS = [(1, 1), (1, 2), (1, 3), (1, 4)]
+B_KEYS = [(1, 4), (2, 1), (2, 2), (2, 3)]  # sorted union: 7 keys, the 4th the only common one
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_a_range_with_no_common_key_is_no_disjoint_corpora(tmp_path, n):
+    # at 2 ranges the first holds no common key, at 3 the first and the last
+    run_a, run_b = _write_keys(tmp_path / "a", A_KEYS), _write_keys(tmp_path / "b", B_KEYS)
+    code, stderr, messages, reports, forks = _compare(run_a, run_b, tmp_path / "out", n)
+    assert len(forks) == n - 1
+    assert _compare(run_a, run_b, tmp_path / "serial", 1) == (code, stderr, messages, reports, [])
+    assert code == 0
+    summary = json.loads(reports["compare_summary.json"])
+    assert (summary["common_keys"], summary["only_in_a"], summary["only_in_b"]) == (1, 3, 3)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_runs_that_share_no_key_in_any_range_are_disjoint(tmp_path, n):
+    run_a = _write_keys(tmp_path / "a", A_KEYS[:3])
+    run_b = _write_keys(tmp_path / "b", B_KEYS[1:])
+    code, stderr, _, reports, forks = _compare(run_a, run_b, tmp_path / "out", n)
+    assert len(forks) == n - 1
+    assert (code, stderr, reports) == (3, ["error: runs share no slide keys"], {})
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_asymmetric_pairs_in_a_child_range_give_one_warning(tmp_path, n):
+    keys = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+    run_a = _write_keys(tmp_path / "a", keys)
+    run_b = _write_keys(tmp_path / "b", keys, edit={(1, 1): "vision-beta", (2, 3): "vision-alpha",
+                                                    (2, 2): "vision-delta"})
+    code, stderr, messages, reports, forks = _compare(run_a, run_b, tmp_path / "out", n)
+    assert len(forks) == n - 1
+    assert _compare(run_a, run_b, tmp_path / "serial", 1) == (code, stderr, messages, reports, [])
+    assert code == 0 and len(stderr) == 1  # stdout's one line
+    assert messages == ["3 (slide, model) pairs present in only one run; "
+                        "reported separately, excluded from similarity counts"]
+    assert json.loads(reports["compare_summary.json"])["asymmetric"] == 3
+
+
+def _failing_in_the_last_range(monkeypatch):
+    def failing_normalize(raw, key):
+        if key == SlideKey(2, 3):  # the last key: always in the last range
+            raise RuntimeError(f"cannot normalize {key}")
+        return normalize_record(raw, key)
+
+    monkeypatch.setattr(cli, "normalize_record", failing_normalize)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("command", ("analyze", "compare-runs"))
+def test_an_exception_in_a_child_of_analyze_or_compare_runs_is_raised_here(tmp_path, monkeypatch,
+                                                                           n, command):
+    root = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3)
+    _failing_in_the_last_range(monkeypatch)
+    argv = ["analyze", "--corpus", str(root)] if command == "analyze" else ["compare-runs", str(root), str(root)]
+    with forced_split(n) as forks:
+        with pytest.raises(RuntimeError, match=r"cannot normalize SlideKey\(lecture_id=2, slide_id=3\)"):
+            run_cli([*argv, "--out", str(tmp_path / "out")])
+    assert len(forks) == n - 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", RANGES)
+def test_analyze_at_every_split_equals_the_serial_run(tmp_path, n):
+    root = _corpus(tmp_path / "corpus")
+    runs = []
+    for ranges in (1, n):
+        out = tmp_path / f"out-{ranges}"
+        with forced_split(ranges) as forks, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run_cli(["analyze", "--corpus", str(root), "--out", str(out)])
+        reports = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs.append((code, stdout, stderr, [str(w.message) for w in caught], reports))
+    assert len(forks) == n - 1
+    assert runs[1] == runs[0]
+    code, _, stderr, messages, _ = runs[0]
+    assert code == 0 and len(stderr.splitlines()) == 2 and len(messages) == 2  # two skipped, two conflicts

@@ -94,7 +94,6 @@ from .records import (
     normalize_record,
     normalize_text,
     record_path,
-    to_document,
     write_record,
 )
 

@@ -7,9 +7,10 @@ config); the one randomized protocol, tamper, draws from its --seed.
 Exit codes: 0 success, 1 verification/integrity failure, 2 usage or
 config error, 3 I/O or corpus failure.
 
-Every command reads its corpus through ``records.CorpusReader.read``, all
-but ``tamper`` in one ``records.split_pass``; ``_skip_lines`` then prints a
-``warning: skipped`` line per failed file, also before an empty pass's error.
+Every command reads its corpus through ``records.CorpusReader`` (both runs
+of ``compare-runs`` paired by ``records.read_runs``), all but ``tamper`` in
+one ``records.split_pass``; ``_skip_lines`` then prints a ``warning:
+skipped`` line per failed file, also before an empty pass's error.
 
 Each command returns (exit code, reports keyed by file stem, stdout text);
 ``main`` writes every report with one ``reports.write_reports`` call, then
@@ -40,7 +41,7 @@ from .errors import (
     UnregisteredCorpus,
 )
 from .ledger import CANONICAL_REGISTRATION_GAS, FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
-from .records import CorpusReader, normalize_record, split_pass, write_record
+from .records import CorpusReader, normalize_record, read_runs, split_pass, write_record
 from .reports import Table, write_reports
 
 EXIT_OK = 0
@@ -157,7 +158,7 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     reader = CorpusReader(args.corpus)
     with _skip_lines(reader):
         by_slide = dict(split_pass([reader], list(reader.paths), summarize))
-        reader.require_loaded(len(by_slide))
+        reader.require_loaded()
     reports: dict[str, Table | dict] = {"disagreement": Table(
         ["lecture_id", "slide_id", "d_concept", "d_triple"],
         [[d.key.lecture_id, d.key.slide_id, d.concept_union_size, d.triple_union_size]
@@ -233,15 +234,14 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
 
 
 def cmd_compare_runs(args: argparse.Namespace) -> Result:
-    def compare(only):  # a file both runs hold byte for byte is loaded once, by the run that reads it first
-        return [integrity.compare_range(run_a.read(normalize_record, only, run_b),
-                                        run_b.read(normalize_record, only, run_a))]
+    def compare(only):  # a file both runs hold byte for byte is loaded once
+        return [integrity.compare_range(read_runs(run_a, run_b, normalize_record, only))]
 
     run_a, run_b = CorpusReader(args.run_a), CorpusReader(args.run_b)
     with _skip_lines(run_a, run_b):
         parts = split_pass([run_a, run_b], sorted(run_a.paths.keys() | run_b.paths.keys()), compare)
-        run_a.require_loaded(sum(len(p.byte_equal) + len(p.only_in_a) for p in parts))
-        run_b.require_loaded(sum(len(p.byte_equal) + len(p.only_in_b) for p in parts))
+        run_a.require_loaded()
+        run_b.require_loaded()
         comparison = integrity.join_ranges(parts)
 
     rows: list[list[object]] = [

@@ -73,7 +73,7 @@ def commit_corpus(reader: CorpusReader) -> dict[SlideKey, Commitment]:
         return list(zip(keys, keccak256_many(encoded())))  # keys fill as the hasher draws
 
     pairs = split_pass([reader], list(reader.paths), commit_range)
-    reader.require_loaded(len(pairs))
+    reader.require_loaded()
     return {key: Commitment(digest) for key, digest in pairs}
 
 

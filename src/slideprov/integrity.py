@@ -5,8 +5,9 @@ record back to disk is an explicit, separate step (``tamper --write``
 calls ``records.write_record``).  All randomized choices flow from a
 caller-supplied seed so every experiment replays exactly.  Each tamper
 kind is one table row.  Tamper opens only the files of the slides it
-draws, a dual-run comparison merges two key-ordered record streams, and
-time gaps from file mtimes list the corpus files without loading them.
+draws, a dual-run comparison takes the two runs' records paired by key
+(``records.read_runs``), and time gaps from file mtimes list the corpus
+files without loading them.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import statistics
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from heapq import merge
-from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -389,36 +388,30 @@ def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
                     run_b: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> RunComparison:
     """Model-by-model Jaccard between two runs over their common slides.
 
-    Each run is ``(key, record)`` pairs in increasing key order, such as
-    the stream of ``CorpusReader.read``; the two are merged, so one pair
-    of records is held at a time.  When both runs give the same record
-    object for a key, as two readers that reuse each other's records do
-    for a file both runs hold byte for byte (``CorpusReader.read``'s
-    ``reuse``), the slide is byte-equal and each model's Jaccard is
+    Each run is ``(key, record)`` pairs in any order, such as a corpus's
+    items or the stream of ``CorpusReader.read``; both are held by key
+    and paired.  When both runs give the same record object for a key,
+    as ``records.read_runs`` does for a file both runs hold byte for
+    byte, the slide is byte-equal and each model's Jaccard is
     ``jaccard(s, s)``, found without encoding the record or building its
     identity sets.
     """
-    return join_ranges([compare_range(run_a, run_b)], stacklevel=3)
+    a, b = dict(run_a), dict(run_b)
+    return join_ranges([compare_range((key, a.get(key), b.get(key)) for key in sorted(a.keys() | b.keys()))],
+                       stacklevel=3)
 
 
-def compare_range(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
-                  run_b: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> RunComparison:
-    """``compare_corpora`` over one key range of the runs, without its checks over the whole runs."""
+def compare_range(runs: Iterable[tuple[SlideKey, ProvenanceRecord | None, ProvenanceRecord | None]]
+                  ) -> RunComparison:
+    """``compare_corpora`` over one key range's ``records.read_runs`` triples, without the whole-run checks."""
     pairs: list[RunPair] = []
     asymmetric: list[AsymmetricPair] = []
     byte_equal: dict[SlideKey, bool] = {}
     only_in: tuple[list[SlideKey], list[SlideKey]] = ([], [])
-    tagged_a = ((key, 0, record) for key, record in run_a)
-    tagged_b = ((key, 1, record) for key, record in run_b)
-    previous = None
-    for key, group in groupby(merge(tagged_a, tagged_b, key=lambda item: item[:2]), key=lambda item: item[0]):
-        if previous is not None and key < previous:
-            raise ValueError(f"runs are not in increasing key order at {key}")
-        previous, records = key, {run: record for _, run, record in group}
-        if len(records) == 1:  # a key of one run only
-            only_in[next(iter(records))].append(key)
+    for key, rec_a, rec_b in runs:
+        if rec_a is None or rec_b is None:  # a key of one run only: run A's at 0, run B's at 1
+            only_in[rec_a is None].append(key)
             continue
-        rec_a, rec_b = records[0], records[1]
         if rec_a is rec_b:  # one record for both runs: each identity set is compared with itself
             byte_equal[key] = True
             pairs += (RunPair(key, model, _self_jaccard(ext.concepts), _self_jaccard(ext.triples))

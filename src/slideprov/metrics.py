@@ -11,6 +11,7 @@ identity sets once per slide, and every other metric takes its output.
 
 from __future__ import annotations
 
+import math
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -103,9 +104,9 @@ def pairwise_jaccard(
 ) -> tuple[JaccardMatrix, dict[tuple[str, str], dict[SlideKey, float]]]:
     """Per-slide Jaccard for every unordered model pair plus per-pair means.
 
-    Means are unweighted across all slides; a model missing from a slide
-    contributes an empty set.  Raises InsufficientModels when fewer than
-    two models appear corpus-wide.
+    Means are unweighted across all slides, with ``math.fsum`` (``sum`` rounds
+    otherwise from Python 3.12 on); a model missing from a slide contributes
+    an empty set.  Raises InsufficientModels when fewer than two models appear.
     """
     models = corpus_models(by_slide)
     if len(models) < 2:
@@ -123,7 +124,7 @@ def pairwise_jaccard(
                 for key, model_sets in sets.items()
             }
             per_slide[pair] = slide_values
-            mean = sum(slide_values.values()) / len(by_slide)
+            mean = math.fsum(slide_values.values()) / len(by_slide)
             values[i][j] = values[j][i] = mean
     return JaccardMatrix(models=models, values=values, kind=kind), per_slide
 
@@ -262,8 +263,8 @@ class CoverageReport:
 def coverage_loss(by_slide: BySlide, baseline_model: str | None = None) -> CoverageReport:
     """Fraction of the multi-model union missed by a single baseline model.
 
-    loss = |U \\ S_baseline| / |U| per slide, defined 0 when U is empty.
-    The default baseline is the densest model by mean concept count.
+    loss = |U \\ S_baseline| / |U| per slide, defined 0 when U is empty; means use
+    ``math.fsum``.  The default baseline is the densest model by mean concept count.
     """
     if baseline_model is None:
         baseline_model = densest_model(by_slide)
@@ -284,8 +285,8 @@ def coverage_loss(by_slide: BySlide, baseline_model: str | None = None) -> Cover
     return CoverageReport(
         baseline_model=baseline_model,
         losses=losses,
-        concept_mean=sum(c_vals) / len(c_vals),
+        concept_mean=math.fsum(c_vals) / len(c_vals),
         concept_median=statistics.median(c_vals),
-        triple_mean=sum(t_vals) / len(t_vals),
+        triple_mean=math.fsum(t_vals) / len(t_vals),
         triple_median=statistics.median(t_vals),
     )

@@ -162,55 +162,6 @@ def _triple_text(t: Triple) -> str:
     return f'{{{confidence}"o":{_quote(t.o)},"p":{_quote(t.p)},"s":{_quote(t.s)}}}'
 
 
-def _concept_doc(c: Concept) -> dict:
-    doc: dict = {"category": c.category, "term": c.term}
-    if c.evidence is not None:
-        doc["evidence"] = c.evidence
-    return doc
-
-
-def _triple_doc(t: Triple) -> dict:
-    doc: dict = {"s": t.s, "p": t.p, "o": t.o}
-    if t.confidence is not None:
-        doc["confidence"] = t.confidence
-    return doc
-
-
-def to_document(record: ProvenanceRecord) -> dict:
-    """Plain-JSON tree of a record, with set elements in canonical order.
-
-    Concepts and triples are sorted by their own canonical encoding so
-    that logically equal sets serialize identically regardless of the
-    order extractors emitted them in; evidence keeps source order.
-    """
-    models_doc = {}
-    for name, ext in record.models.items():
-        model_doc: dict = {
-            "concepts": sorted((_concept_doc(c) for c in ext.concepts), key=_dumps),
-            "triples": sorted((_triple_doc(t) for t in ext.triples), key=_dumps),
-            "evidence": list(ext.evidence),
-        }
-        if ext.raw_output is not None:
-            model_doc["raw_output"] = ext.raw_output
-        models_doc[name] = model_doc
-    return {
-        "lecture": record.lecture_label,
-        "lecture_id": record.key.lecture_id,
-        "slide_id": record.key.slide_id,
-        "models": models_doc,
-        "paths": {
-            "image": record.paths.image,
-            "text": record.paths.text,
-            "json": record.paths.json,
-        },
-        "metadata": {
-            "timestamp": record.metadata.timestamp,
-            "source": record.metadata.source,
-            "hash_input_format": record.metadata.hash_input_format,
-        },
-    }
-
-
 def _model_text(ext: ModelExtraction, concept_texts: list[str] | None = None,
                 triple_texts: list[str] | None = None) -> str:
     """A model's canonical text.
@@ -243,13 +194,13 @@ def _record_bytes(record: ProvenanceRecord, model_texts: dict[str, str]) -> byte
 
 
 def canonical_bytes(record: ProvenanceRecord) -> bytes:
-    """Deterministic UTF-8 encoding of a record: the bytes of ``_dumps(to_document(record))``.
+    """Deterministic UTF-8 encoding of a record: ``_dumps`` of its plain-JSON document.
 
-    Object keys are sorted by code point (equivalently UTF-8 byte order),
-    there is no insignificant whitespace, and floats use the shortest
-    decimal form that round-trips.  Pure function of record content.  The
-    text is written directly, keys in sorted order, without building the
-    document.
+    Concepts and triples are sorted by their own encoding; object keys by
+    code point (equivalently UTF-8 byte order).  There is no
+    insignificant whitespace, and floats use the shortest decimal form
+    that round-trips.  Pure function of record content.  The text is
+    written directly, keys in sorted order, without building the document.
     """
     return _record_bytes(record, {name: _model_text(ext) for name, ext in record.models.items()})
 
@@ -557,12 +508,9 @@ class CorpusReader:
 
     The one way a command reads its corpus.  A file whose key is in
     ``skip`` is counted in ``skipped`` and never opened; ``paths`` holds
-    the others by key.  ``read`` collects per-file parse and
-    normalization failures in ``failures`` instead of aborting the pass.
-    A pass keeps the last file it loaded in ``last``, as ``(key, bytes,
-    load, value)``, for a pass over another run to reuse: a file there
-    with the same key and bytes is neither parsed nor loaded again (see
-    ``read``).
+    the others by key.  Every pass counts the files that loaded in
+    ``loaded`` and collects per-file parse and normalization failures in
+    ``failures`` instead of aborting.
     """
 
     def __init__(self, root: Path | str, skip: Container[SlideKey] = frozenset()) -> None:
@@ -571,52 +519,61 @@ class CorpusReader:
         self.paths = {key: path for key, path in files if key not in skip}
         self.skipped = len(files) - len(self.paths)
         self.failures: list[LoadFailure] = []
-        self.last: tuple[SlideKey, bytes, Callable, object] | None = None
+        self.loaded = 0
 
-    def read(self, load: Callable[[object, SlideKey], _T], only: Container[SlideKey] | None = None,
-             reuse: CorpusReader | None = None) -> Iterator[tuple[SlideKey, _T]]:
+    def read(self, load: Callable[[object, SlideKey], _T],
+             only: Container[SlideKey] | None = None) -> Iterator[tuple[SlideKey, _T]]:
         """``(key, load(document, key))`` for each file, or each file of ``only``, one at a time.
 
-        ``reuse`` is a reader whose pass over another run goes on alongside
-        this one.  When the last file its pass loaded has this file's key
-        and bytes and was loaded with this ``load``, this pass yields that
-        very value.  Only the key and bytes decide, so the values are the
-        same however the two passes interleave; a file that failed in the
-        other pass is read here as any other.
-
-        A pass over every file raises EmptyCorpus at the end when nothing
-        loaded and nothing was skipped, which includes a layout without files.
+        A pass over every file ends with ``require_loaded()``: EmptyCorpus when
+        nothing loaded and nothing was skipped, as for a layout without files.
         """
-        loaded = 0
-        for key, path in self.paths.items():
-            if only is not None and key not in only:
-                continue
-            last = None if reuse is None else reuse.last
-            known = last[1] if last is not None and last[0] == key and last[2] is load else None
-            try:
-                data, raw = read_json(path, known)
-            except (OSError, ValueError) as exc:
-                self.failures.append(LoadFailure(str(path), key, f"unparseable: {exc}"))
-                continue
-            if raw is KNOWN:
-                value = last[3]
-            else:
-                try:
-                    value = load(raw, key)
-                except (MalformedDocument, MissingKey) as exc:
-                    self.failures.append(LoadFailure(str(path), key, str(exc)))
-                    continue
-            self.last = (key, data, load, value)
-            loaded += 1
-            yield key, value
+        for key in self.paths:
+            if (only is None or key in only) and (item := self._load(key, load)):
+                yield key, item[1]
         if only is None:
-            self.require_loaded(loaded)
+            self.require_loaded()
 
-    def require_loaded(self, loaded: int) -> None:
-        """Raise EmptyCorpus when a pass over every file loaded ``loaded == 0`` and skipped none."""
-        if not loaded and not self.skipped:
+    def _load(self, key: SlideKey, load: Callable[[object, SlideKey], _T],
+              known: tuple[bytes, _T] | None = None) -> tuple[bytes, _T] | None:
+        """``key``'s file's bytes and ``load(document, key)``, or None with the failure recorded.
+
+        Bytes equal to ``known``'s are neither parsed nor loaded: their value is ``known``'s.
+        """
+        path = self.paths[key]
+        try:
+            data, raw = read_json(path, None if known is None else known[0])
+        except (OSError, ValueError) as exc:
+            self.failures.append(LoadFailure(str(path), key, f"unparseable: {exc}"))
+            return None
+        try:
+            value = known[1] if raw is KNOWN else load(raw, key)
+        except (MalformedDocument, MissingKey) as exc:
+            self.failures.append(LoadFailure(str(path), key, str(exc)))
+            return None
+        self.loaded += 1
+        return data, value
+
+    def require_loaded(self) -> None:
+        """Raise EmptyCorpus when the reader's passes loaded no file and it skipped none."""
+        if not self.loaded and not self.skipped:
             detail = f" ({len(self.failures)} files failed to parse)" if self.failures else ""
             raise EmptyCorpus(f"no provenance records loaded from {self.root}{detail}")
+
+
+def read_runs(run_a: CorpusReader, run_b: CorpusReader, load: Callable[[object, SlideKey], _T],
+              only: Container[SlideKey] | None = None) -> Iterator[tuple[SlideKey, _T | None, _T | None]]:
+    """``(key, a, b)`` in key order for each key of either run, or of ``only``, that loads in either.
+
+    ``a`` and ``b`` are each run's ``load(document, key)``, or None where it lacks the file or the
+    file fails to load.  Run B's file with the bytes of run A's is neither parsed nor loaded: ``b is a``.
+    """
+    keys = run_a.paths.keys() | run_b.paths.keys()
+    for key in sorted(keys if only is None else [key for key in keys if key in only]):
+        a = run_a._load(key, load) if key in run_a.paths else None
+        b = run_b._load(key, load, a) if key in run_b.paths else None
+        if a or b:
+            yield key, a and a[1], b and b[1]
 
 
 # The fewest files a process of a split pass reads.  On 2 vCPU, paper-scale
@@ -632,9 +589,9 @@ def split_pass(readers: Sequence[CorpusReader], keys: Sequence[SlideKey],
     W = min(usable CPUs, len(keys) // MIN_FILES_PER_WORKER), or 1 without
     fork or with another thread alive.  This process works on the first
     range and a forked child on each other; a child's list, the readers'
-    new failures and its warnings are added here in key order, as one
-    process's pass has them.  A child's exception is raised here, and no
-    child outlives the call.
+    new load counts and failures, and its warnings are added here in key
+    order, as one process's pass has them.  A child's exception is raised
+    here, and no child outlives the call.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     serial = not hasattr(os, "fork") or threading.active_count() > 1
@@ -658,7 +615,8 @@ def split_pass(readers: Sequence[CorpusReader], keys: Sequence[SlideKey],
             if isinstance(sent, BaseException):
                 raise sent
             result += sent[0]
-            for reader, failures in zip(readers, sent[1]):
+            for reader, (loaded, failures) in zip(readers, sent[1]):
+                reader.loaded += loaded
                 reader.failures += failures
             for caught in sent[2]:
                 warnings.warn_explicit(*caught, __name__, globals().setdefault("__warningregistry__", {}))
@@ -674,7 +632,7 @@ def split_pass(readers: Sequence[CorpusReader], keys: Sequence[SlideKey],
 
 def _fork(readers: Sequence[CorpusReader], work: Callable[[Container[SlideKey]], list],
           only: Container[SlideKey]) -> tuple[int, BinaryIO]:
-    """Fork a child that sends ``work(only)``'s list, the readers' new failures and its warnings, or its error."""
+    """Fork a child that sends ``work(only)``'s list, the readers' new loads and failures, its warnings, or its error."""
     import pickle  # not at the top, as in split_pass
 
     read_end, write_end = os.pipe()
@@ -683,11 +641,12 @@ def _fork(readers: Sequence[CorpusReader], work: Callable[[Container[SlideKey]],
         os.close(write_end)
         return pid, os.fdopen(read_end, "rb")
     try:  # leaving through os._exit, the child flushes no inherited buffer and runs no caller's finally
-        starts = [len(reader.failures) for reader in readers]
+        starts = [(reader.loaded, len(reader.failures)) for reader in readers]
         try:
             with warnings.catch_warnings(record=True) as caught:
                 result = work(only)
-            sent = (result, [reader.failures[start:] for reader, start in zip(readers, starts)],
+            sent = (result, [(reader.loaded - loaded, reader.failures[failed:])
+                             for reader, (loaded, failed) in zip(readers, starts)],
                     [(w.message, w.category, w.filename, w.lineno) for w in caught])
         except BaseException as exc:
             sent = exc

@@ -1,4 +1,5 @@
-"""``compare-runs`` reuses run A's record for a file of run B with the same bytes.
+"""``compare-runs`` reads both runs in one paired pass, ``records.read_runs``,
+which loads a file of run B with the bytes of run A's once.
 
 Whatever run B holds next to run A, the command must write the reports
 that ``compare_corpora`` gives over two independently loaded corpora, in
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import forced_split, synthetic_document
-from slideprov import load_corpus
+from slideprov import load_corpus, records
 from slideprov.cli import main
 from slideprov.integrity import RunComparison, compare_corpora
-from slideprov.records import CorpusReader, SlideKey, normalize_record
+from slideprov.records import CorpusReader, SlideKey, normalize_record, read_runs
 from slideprov.reports import Table, write_reports
 
 KEYS = [SlideKey(lecture, slide) for lecture in (1, 2) for slide in (1, 2, 3, 4)]
@@ -149,27 +150,83 @@ def _check_compare_runs(files: dict, seed: int, ranges: int) -> None:
         assert all(line.startswith(f"warning: skipped {path}: ") for line, path in zip(skipped, failing))
 
 
-def test_reuse_needs_the_same_key_and_the_same_load(tmp_path):
-    # run B's files hold the bytes of the file run A's pass has just loaded,
-    # under another key, or read with another load
+def _write(root: Path, key: SlideKey, data: bytes) -> None:
+    _path(root, key).parent.mkdir(parents=True, exist_ok=True)
+    _path(root, key).write_bytes(data)
+
+
+def _counting_parses(monkeypatch) -> list[Path]:
+    """The paths ``records.read_json`` parses from now on, in order."""
+    parsed: list[Path] = []
+
+    def read_json(path, *known, read=records.read_json):
+        data, doc = read(path, *known)
+        if doc is not records.KNOWN:
+            parsed.append(Path(path))
+        return data, doc
+    monkeypatch.setattr(records, "read_json", read_json)
+    return parsed
+
+
+def test_read_runs_loads_the_same_bytes_under_the_same_key_once(tmp_path, monkeypatch):
     data = json.dumps(synthetic_document(random.Random(1), 1, 1)).encode("ascii")
-    for run, key in (("a", SlideKey(1, 1)), ("b", SlideKey(1, 2)), ("c", SlideKey(1, 1))):
-        _path(tmp_path / run, key).parent.mkdir(parents=True)
-        _path(tmp_path / run, key).write_bytes(data)
-    run_a = CorpusReader(tmp_path / "a")
-    next(run_a.read(normalize_record))
-    reused = run_a.last[3]
+    for run in ("a", "b"):
+        _write(tmp_path / run, SlideKey(1, 1), data)
+    run_a, run_b = CorpusReader(tmp_path / "a"), CorpusReader(tmp_path / "b")
+    parsed = _counting_parses(monkeypatch)
+
+    [(key, a, b)] = read_runs(run_a, run_b, normalize_record)
+    assert key == a.key == SlideKey(1, 1) and a is b
+    assert parsed == [_path(tmp_path / "a", key)]
+    assert (run_a.loaded, run_b.loaded) == (1, 1)
+
+
+def test_read_runs_loads_run_a_bytes_under_another_key_on_their_own(tmp_path, monkeypatch):
+    data = json.dumps(synthetic_document(random.Random(1), 1, 1)).encode("ascii")
+    _write(tmp_path / "a", SlideKey(1, 1), data)
+    _write(tmp_path / "b", SlideKey(1, 2), data)
+    parsed = _counting_parses(monkeypatch)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        [(key, record)] = CorpusReader(tmp_path / "b").read(normalize_record, reuse=run_a)
-    assert key == record.key == SlideKey(1, 2) and record is not reused
+        triples = list(read_runs(CorpusReader(tmp_path / "a"), CorpusReader(tmp_path / "b"), normalize_record))
+    [(key_a, a, none_b), (key_b, none_a, b)] = triples
+    assert (key_a, none_b, key_b, none_a) == (SlideKey(1, 1), None, SlideKey(1, 2), None)
+    assert a.key == key_a and b.key == key_b
+    assert parsed == [_path(tmp_path / "a", key_a), _path(tmp_path / "b", key_b)]
     assert [str(w.message) for w in caught] == [
         "document ids SlideKey(lecture_id=1, slide_id=1) conflict with file-derived key "
         "SlideKey(lecture_id=1, slide_id=2); file wins"]
 
-    another_load = lambda raw, key: normalize_record(raw, key)  # noqa: E731
-    [(_, record)] = CorpusReader(tmp_path / "c").read(another_load, reuse=run_a)
-    assert record is not reused and record == reused
-    [(_, record)] = CorpusReader(tmp_path / "c").read(normalize_record, reuse=run_a)
-    assert record is reused
+
+@pytest.mark.parametrize("data", (b'{"models": ', b"[1, 2]"), ids=("unparseable", "not an object"))
+def test_read_runs_names_a_file_that_fails_in_both_runs_once_per_run(tmp_path, data):
+    valid = json.dumps(synthetic_document(random.Random(2), 1, 2)).encode("ascii")
+    for run in ("a", "b"):
+        _write(tmp_path / run, SlideKey(1, 1), data)
+        _write(tmp_path / run, SlideKey(1, 2), valid)
+    run_a, run_b = CorpusReader(tmp_path / "a"), CorpusReader(tmp_path / "b")
+
+    [(key, a, b)] = read_runs(run_a, run_b, normalize_record)
+    assert key == SlideKey(1, 2) and a is b
+    for run, reader in (("a", run_a), ("b", run_b)):
+        assert [(f.path, f.key) for f in reader.failures] == [(str(_path(tmp_path / run, SlideKey(1, 1))),
+                                                               SlideKey(1, 1))]
+        assert reader.loaded == 1
+
+
+def test_read_runs_yields_no_key_that_neither_run_loads(tmp_path):
+    valid = json.dumps(synthetic_document(random.Random(3), 2, 1)).encode("ascii")
+    _write(tmp_path / "a", SlideKey(1, 1), b"{")
+    _write(tmp_path / "b", SlideKey(1, 1), b'"text"')
+    _write(tmp_path / "a", SlideKey(1, 2), b"[]")
+    _write(tmp_path / "b", SlideKey(2, 1), valid)
+    run_a, run_b = CorpusReader(tmp_path / "a"), CorpusReader(tmp_path / "b")
+
+    assert [(key, a, b is not None) for key, a, b in read_runs(run_a, run_b, normalize_record)] == [
+        (SlideKey(2, 1), None, True)]
+    assert (len(run_a.failures), len(run_b.failures), run_a.loaded, run_b.loaded) == (2, 1, 0, 1)
+    # only the keys of ``only`` are read
+    run_a, run_b = CorpusReader(tmp_path / "a"), CorpusReader(tmp_path / "b")
+    assert list(read_runs(run_a, run_b, normalize_record, only={SlideKey(1, 2)})) == []
+    assert [f.key for f in run_a.failures + run_b.failures] == [SlideKey(1, 2)]

@@ -6,7 +6,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from canonical_reference import reference_bytes, reference_dumps
+from canonical_reference import concept_doc, reference_bytes, reference_dumps, triple_doc
 from conftest import synthetic_document
 from slideprov.integrity import applicable_kinds, tamper_record
 from slideprov.records import (
@@ -17,9 +17,7 @@ from slideprov.records import (
     RecordPaths,
     SlideKey,
     Triple,
-    _concept_doc,
     _concept_text,
-    _triple_doc,
     _triple_text,
     canonical_bytes,
     normalize_record,
@@ -62,8 +60,8 @@ def test_canonical_bytes_equal_json_dumps_of_the_document(record):
 @given(_concepts, _triples)
 @settings(max_examples=100, deadline=None)
 def test_element_text_equals_json_dumps(concept, triple):
-    assert _concept_text(concept) == reference_dumps(_concept_doc(concept))
-    assert _triple_text(triple) == reference_dumps(_triple_doc(triple))
+    assert _concept_text(concept) == reference_dumps(concept_doc(concept))
+    assert _triple_text(triple) == reference_dumps(triple_doc(triple))
 
 
 def test_int_confidence_stays_int():
@@ -78,8 +76,8 @@ def test_normalized_and_tampered_records_match_the_reference(seed):
     rng = random.Random(seed)
     record = normalize_record(synthetic_document(rng, 1 + seed % 9, 1 + seed % 40))
     for ext in record.models.values():  # stored in canonical-encoding order
-        assert list(ext.concepts) == sorted(ext.concepts, key=lambda c: reference_dumps(_concept_doc(c)))
-        assert list(ext.triples) == sorted(ext.triples, key=lambda t: reference_dumps(_triple_doc(t)))
+        assert list(ext.concepts) == sorted(ext.concepts, key=lambda c: reference_dumps(concept_doc(c)))
+        assert list(ext.triples) == sorted(ext.triples, key=lambda t: reference_dumps(triple_doc(t)))
     assert canonical_bytes(record) == reference_bytes(record)
     for kind in applicable_kinds(record):
         # injected elements are appended, so the tampered tuples are out of order

@@ -333,3 +333,17 @@ def test_coverage_medians_equal_numpy_median(slides):
     report = coverage_loss(by_slide, "a")
     assert report.concept_median == float(np.median([l.concept_loss for l in report.losses]))
     assert report.triple_median == float(np.median([l.triple_loss for l in report.losses]))
+
+
+def test_means_are_correctly_rounded():
+    # ten slides with pair Jaccard 0.1 and baseline concept loss 0.9: summed
+    # left to right (the built-in sum before Python 3.12), the means come out
+    # as 0.09999999999999999 and 0.9000000000000001
+    sets = {"a": (["t0"], []), "b": ([f"t{i}" for i in range(10)], [])}
+    by_slide = corpus_disagreement((SlideKey(1, i), make_record(1, i, sets)) for i in range(1, 11))
+    matrix, per_slide = pairwise_jaccard(by_slide, "concepts")
+    assert set(per_slide["a", "b"].values()) == {0.1}
+    assert matrix.pair_mean("a", "b") == 0.1
+    report = coverage_loss(by_slide, "a")
+    assert {l.concept_loss for l in report.losses} == {0.9}
+    assert report.concept_mean == 0.9

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from canonical_reference import to_document
 from conftest import synthetic_document, write_corpus
 from slideprov import (
     Concept,
@@ -17,7 +18,6 @@ from slideprov import (
     load_corpus,
     normalize_record,
     normalize_text,
-    to_document,
 )
 
 

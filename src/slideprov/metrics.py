@@ -6,7 +6,9 @@ correctness; the numbers describe how much the models' outputs overlap
 and diverge.
 
 One pass builds every input: corpus_disagreement reads each model's
-identity sets once per slide, and every other metric takes its output.
+identity sets once per slide and keeps only their sizes, those of their
+unions and of each model pair's intersections.  Every other metric is a
+ratio of those sizes and takes its output.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import statistics
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Literal
 
 from .errors import InsufficientModels, ProvenanceWarning, TooFewSlides, UnknownBaselineModel
@@ -45,33 +48,28 @@ def jaccard(a: frozenset, b: frozenset) -> float:
 
 @dataclass(frozen=True)
 class SlideDisagreement:
-    """One slide's identity sets: each model's, and their union per kind."""
+    """One slide's set sizes, per kind: the union's, each model's, and each model pair's intersection's."""
 
     key: SlideKey
-    concepts: dict[str, frozenset]  # model name -> concept identities
-    triples: dict[str, frozenset]   # model name -> triple identities
-    concept_union: frozenset
-    triple_union: frozenset
-
-    @property
-    def concept_union_size(self) -> int:
-        return len(self.concept_union)
-
-    @property
-    def triple_union_size(self) -> int:
-        return len(self.triple_union)
+    concept_union_size: int
+    triple_union_size: int
+    counts: dict[str, tuple[int, int]]               # model -> (concepts, triples)
+    common: dict[tuple[str, str], tuple[int, int]]   # (a, b), a < b -> (concepts, triples) in both
 
 
 BySlide = dict[SlideKey, SlideDisagreement]
 
 
 def disagreement(record: ProvenanceRecord) -> SlideDisagreement:
-    """Each model's identity sets and their unions; union size is total semantic breadth."""
-    concepts = {name: ext.concept_identities() for name, ext in record.models.items()}
-    triples = {name: ext.triple_identities() for name, ext in record.models.items()}
-    return SlideDisagreement(record.key, concepts, triples,
-                             frozenset().union(*concepts.values()),
-                             frozenset().union(*triples.values()))
+    """Sizes of each model's identity sets, their unions (total semantic breadth) and each pair's intersections."""
+    names = sorted(record.models)
+    concepts = {name: record.models[name].concept_identities() for name in names}
+    triples = {name: record.models[name].triple_identities() for name in names}
+    return SlideDisagreement(
+        record.key, len(frozenset().union(*concepts.values())), len(frozenset().union(*triples.values())),
+        {name: (len(concepts[name]), len(triples[name])) for name in names},
+        {(a, b): (len(concepts[a] & concepts[b]), len(triples[a] & triples[b]))
+         for a, b in combinations(names, 2)})
 
 
 def corpus_disagreement(records: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> BySlide:
@@ -82,7 +80,7 @@ def corpus_disagreement(records: Iterable[tuple[SlideKey, ProvenanceRecord]]) ->
 
 def corpus_models(by_slide: BySlide) -> list[str]:
     """All model names appearing on any slide, sorted."""
-    return sorted({name for d in by_slide.values() for name in d.concepts})
+    return sorted({name for d in by_slide.values() for name in d.counts})
 
 
 # --------------------------------------------------------------------------
@@ -104,26 +102,26 @@ def pairwise_jaccard(
 ) -> tuple[JaccardMatrix, dict[tuple[str, str], dict[SlideKey, float]]]:
     """Per-slide Jaccard for every unordered model pair plus per-pair means.
 
-    Means are unweighted across all slides, with ``math.fsum`` (``sum`` rounds
-    otherwise from Python 3.12 on); a model missing from a slide contributes
-    an empty set.  Raises InsufficientModels when fewer than two models appear.
+    A slide's Jaccard is common / (n_a + n_b - common).  Means are unweighted across all slides,
+    with ``math.fsum`` (``sum`` rounds otherwise from Python 3.12 on); a model missing from a
+    slide contributes an empty set.  Raises InsufficientModels when fewer than two models appear.
     """
     models = corpus_models(by_slide)
     if len(models) < 2:
         raise InsufficientModels(f"pairwise similarity needs >= 2 models, found {len(models)}")
 
-    sets = {key: d.concepts if kind == "concepts" else d.triples for key, d in by_slide.items()}
+    k = 0 if kind == "concepts" else 1
     per_slide: dict[tuple[str, str], dict[SlideKey, float]] = {}
     n = len(models)
     values = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             pair = (models[i], models[j])
-            slide_values = {
-                key: jaccard(model_sets.get(pair[0], frozenset()), model_sets.get(pair[1], frozenset()))
-                for key, model_sets in sets.items()
-            }
-            per_slide[pair] = slide_values
+            slide_values = per_slide[pair] = {}
+            for key, d in by_slide.items():
+                common = d.common.get(pair, (0, 0))[k]
+                union = d.counts.get(pair[0], (0, 0))[k] + d.counts.get(pair[1], (0, 0))[k] - common
+                slide_values[key] = common / union if union else EMPTY_SET_JACCARD
             mean = math.fsum(slide_values.values()) / len(by_slide)
             values[i][j] = values[j][i] = mean
     return JaccardMatrix(models=models, values=values, kind=kind), per_slide
@@ -215,27 +213,23 @@ def model_footprint(by_slide: BySlide) -> dict[str, ModelFootprint]:
     """
     result: dict[str, ModelFootprint] = {}
     for model in corpus_models(by_slide):
-        missing = sum(1 for d in by_slide.values() if model not in d.concepts)
+        missing = sum(1 for d in by_slide.values() if model not in d.counts)
         if missing:
             warnings.warn(
                 f"model {model!r} missing from {missing} of {len(by_slide)} slides; counted as 0",
                 ProvenanceWarning,
                 stacklevel=2,
             )
-        result[model] = ModelFootprint(
-            model=model,
-            mean_concepts=sum(len(d.concepts.get(model, ())) for d in by_slide.values()) / len(by_slide),
-            mean_triples=sum(len(d.triples.get(model, ())) for d in by_slide.values()) / len(by_slide),
-        )
+        counts = [d.counts.get(model, (0, 0)) for d in by_slide.values()]
+        result[model] = ModelFootprint(model, sum(c for c, _ in counts) / len(by_slide),
+                                       sum(t for _, t in counts) / len(by_slide))
     return result
 
 
 def densest_model(by_slide: BySlide) -> str:
-    """Model with the highest mean concept count (ties break lexicographically)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ProvenanceWarning)
-        footprints = model_footprint(by_slide)
-    return max(sorted(footprints), key=lambda m: footprints[m].mean_concepts)
+    """Model with the highest concept count over all slides (ties break lexicographically)."""
+    return max(corpus_models(by_slide),
+               key=lambda model: sum(d.counts.get(model, (0, 0))[0] for d in by_slide.values()))
 
 
 # --------------------------------------------------------------------------
@@ -263,22 +257,20 @@ class CoverageReport:
 def coverage_loss(by_slide: BySlide, baseline_model: str | None = None) -> CoverageReport:
     """Fraction of the multi-model union missed by a single baseline model.
 
-    loss = |U \\ S_baseline| / |U| per slide, defined 0 when U is empty; means use
-    ``math.fsum``.  The default baseline is the densest model by mean concept count.
+    loss = |U \\ S_baseline| / |U| = (|U| - |S_baseline|) / |U| per slide, as
+    S_baseline lies inside U, defined 0 when U is empty; means use ``math.fsum``.
+    The default baseline is the densest model by mean concept count.
     """
     if baseline_model is None:
         baseline_model = densest_model(by_slide)
     elif baseline_model not in corpus_models(by_slide):
         raise UnknownBaselineModel(f"baseline model {baseline_model!r} not present in corpus")
 
-    def loss(union: frozenset, model_sets: dict[str, frozenset]) -> float:
-        return len(union - model_sets.get(baseline_model, frozenset())) / len(union) if union else 0.0
+    def loss(d: SlideDisagreement, k: int) -> float:
+        union = (d.concept_union_size, d.triple_union_size)[k]
+        return (union - d.counts.get(baseline_model, (0, 0))[k]) / union if union else 0.0
 
-    losses = [
-        CoverageLoss(key, loss(d.concept_union, d.concepts), loss(d.triple_union, d.triples),
-                     baseline_model)
-        for key, d in by_slide.items()
-    ]
+    losses = [CoverageLoss(key, loss(d, 0), loss(d, 1), baseline_model) for key, d in by_slide.items()]
 
     c_vals = [l.concept_loss for l in losses]
     t_vals = [l.triple_loss for l in losses]

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import BinaryIO, Callable, Container, Iterable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import EmptyCorpus, MalformedDocument, MissingKey, ProvenanceWarning
 
@@ -46,9 +46,8 @@ def normalize_text(value: object) -> str:
     return " ".join(value.split()).lower()
 
 
-@dataclass(frozen=True, order=True)
-class SlideKey:
-    """(lecture_id, slide_id) identity of one slide within a corpus.
+class SlideKey(NamedTuple):
+    """(lecture_id, slide_id) identity of one slide within a corpus, equal to that plain tuple.
 
     Both ids must be in [1, 2**256) for a registrable record; the
     registry enforces this so that rejection of such ids stays observable.
@@ -219,22 +218,30 @@ def record_path(root: Path | str, key: SlideKey) -> Path:
 def scan_slide_files(root: Path | str) -> list[tuple[SlideKey, Path]]:
     """Every ``Lecture <n>/Slide<m>.json`` file under the corpus layout, by key.
 
-    Only names are read: no file is opened or parsed.
+    Only names are read: no file is opened or parsed.  Of the files of one
+    key (``Slide1.json`` and ``Slide01.json``), the one at its ``record_path``
+    is kept, or else the first by name; a ProvenanceWarning names each other.
     """
     base = _layout_base(root)
-    slide_files: list[tuple[SlideKey, Path]] = []
+    found: list[tuple[SlideKey, bool, Path]] = []  # (key, not at its record_path, file)
     if base.is_dir():
         for lecture_dir in base.iterdir():
             match = _LECTURE_DIR.match(lecture_dir.name)
             if not match or not lecture_dir.is_dir():
                 continue
             lecture_id = int(match.group(1))
+            aliased = lecture_dir.name != f"Lecture {lecture_id}"
             for slide_file in lecture_dir.iterdir():
                 s_match = _SLIDE_FILE.match(slide_file.name)
                 if s_match:
-                    slide_files.append((SlideKey(lecture_id, int(s_match.group(1))), slide_file))
-    slide_files.sort(key=lambda item: item[0])
-    return slide_files
+                    slide_id = int(s_match.group(1))
+                    found.append((SlideKey(lecture_id, slide_id),
+                                  aliased or slide_file.name != f"Slide{slide_id}.json", slide_file))
+    kept: dict[SlideKey, Path] = {}
+    for key, _, slide_file in sorted(found):
+        if kept.setdefault(key, slide_file) is not slide_file:
+            warnings.warn(f"skipped {slide_file}: the same slide as {kept[key]}", ProvenanceWarning, stacklevel=2)
+    return list(kept.items())
 
 
 # --------------------------------------------------------------------------

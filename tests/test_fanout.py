@@ -106,9 +106,11 @@ def test_golden_digests_hold_at_every_split(tmp_path, monkeypatch, n):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     split_commands = ("register", "verify", "analyze", "compare-runs")
     steps = [name for name in expected if name.split("/")[2].startswith(split_commands)]
-    assert len(steps) == 28  # per size and format: 2 register, 2 verify, 2 analyze, 1 compare-runs
+    # per size and format: 2 register, 2 verify, 2 analyze, 1 compare-runs;
+    # per format, 2 analyze on the absent-model corpus
+    assert len(steps) == 32
     assert {name: actual[name] for name in steps} == {name: expected[name] for name in steps}
-    assert len(forks) == (n - 1) * 28  # each of those steps split its pass
+    assert len(forks) == (n - 1) * 32  # each of those steps split its pass
 
 
 @pytest.mark.parametrize("n", (2, 3))

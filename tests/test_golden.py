@@ -37,6 +37,8 @@ GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 SEED = 1010
 SIZES = {6: (2, 3), 30: (5, 6)}  # slides -> (lectures, slides per lecture)
 FORMATS = ("csv", "json")
+ABSENT = "vision-delta"  # left out of every third slide of the absent-model corpus
+EMPTY = "vision-beta"    # with empty concept and triple lists on every fourth
 
 
 def _digest(code: int, stdout: str, stderr: str, out: Path) -> str:
@@ -133,6 +135,32 @@ def _matrix(slides: int, fmt: str) -> dict[str, str]:
     return digests
 
 
+def _absent_model_matrix(fmt: str) -> dict[str, str]:
+    """``analyze`` on 30 slides where models differ in which slides they cover.
+
+    ABSENT is missing from every third slide and EMPTY extracts nothing from
+    every fourth; on the first slide no model extracts anything, so every
+    union is empty.
+    """
+    lectures, per_lecture = SIZES[30]
+    corpus = write_corpus(Path("corpus"), n_lectures=lectures,
+                          slides_per_lecture=per_lecture, seed=SEED)
+    keys = [(lecture, slide) for lecture in range(1, lectures + 1) for slide in range(1, per_lecture + 1)]
+    for index, (lecture, slide) in enumerate(keys):
+        path = corpus / "by_slide" / f"Lecture {lecture}" / f"Slide{slide}.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        emptied = doc["models"] if index == 0 else [EMPTY] if index % 4 == 0 else []
+        for model in emptied:
+            doc["models"][model]["concepts"] = doc["models"][model]["triples"] = []
+        if index % 3 == 0:
+            del doc["models"][ABSENT]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    common = ["--corpus", "corpus", "--format", fmt]
+    steps = [("analyze", ["analyze", *common]),
+             ("analyze-baseline", ["analyze", *common, "--baseline-model", ABSENT])]
+    return {f"absent/{fmt}/{name}": _run(argv, Path("out") / name) for name, argv in steps}
+
+
 def golden_digests(workdir: Path) -> dict[str, str]:
     """Every digest of the matrix, each (size, format) run in its own directory."""
     digests: dict[str, str] = {}
@@ -144,6 +172,11 @@ def golden_digests(workdir: Path) -> dict[str, str]:
                 run_dir.mkdir()
                 os.chdir(run_dir)
                 digests.update(_matrix(slides, fmt))
+        for fmt in FORMATS:
+            run_dir = workdir / f"absent-{fmt}"
+            run_dir.mkdir()
+            os.chdir(run_dir)
+            digests.update(_absent_model_matrix(fmt))
     finally:
         os.chdir(home)
     return digests

@@ -1,9 +1,11 @@
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_metrics import oracle_coverage, oracle_pair_means
 from slideprov import (
     Concept,
     InsufficientModels,
@@ -19,7 +21,6 @@ from slideprov.metrics import (
     MODERATE,
     STABLE,
     UNSTABLE,
-    SlideDisagreement,
     classify_stability,
     corpus_disagreement,
     corpus_models,
@@ -315,24 +316,37 @@ def test_stability_bands_equal_numpy_percentile(values):
 
 
 @st.composite
-def identity_sets(draw):
-    """One slide's identity sets for models a, b and c: (concepts, triples)."""
-    return [{m: frozenset(draw(st.sets(st.integers(0, 9), max_size=6))) for m in "abc"}
-            for _ in range(2)]
+def model_sets(draw):
+    """One slide's models among a, b and c, each with its concept terms and triple objects, either possibly empty."""
+    elements = st.lists(st.integers(0, 9).map(str), max_size=6, unique=True)
+    return {m: (draw(elements), draw(elements)) for m in sorted(draw(st.sets(st.sampled_from("abc"), min_size=1)))}
+
+
+def holds_a_set(value) -> bool:
+    if isinstance(value, (set, frozenset)):
+        return True
+    if isinstance(value, dict):
+        return any(holds_a_set(k) or holds_a_set(v) for k, v in value.items())
+    return isinstance(value, tuple) and any(map(holds_a_set, value))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(identity_sets(), min_size=1, max_size=30))
+@given(st.lists(model_sets(), min_size=1, max_size=30))
 def test_coverage_medians_equal_numpy_median(slides):
-    by_slide = {
-        SlideKey(1, i): SlideDisagreement(SlideKey(1, i), concepts, triples,
-                                          frozenset().union(*concepts.values()),
-                                          frozenset().union(*triples.values()))
-        for i, (concepts, triples) in enumerate(slides, start=1)
-    }
-    report = coverage_loss(by_slide, "a")
-    assert report.concept_median == float(np.median([l.concept_loss for l in report.losses]))
-    assert report.triple_median == float(np.median([l.triple_loss for l in report.losses]))
+    corpus = {SlideKey(1, i): make_record(1, i, sets) for i, sets in enumerate(slides, start=1)}
+    by_slide = corpus_disagreement(corpus.items())
+    # the summaries keep counts only: the identity sets are dropped in the pass
+    assert not any(holds_a_set(getattr(d, f.name)) for d in by_slide.values() for f in fields(d))
+    for baseline in corpus_models(by_slide):
+        report = coverage_loss(by_slide, baseline)
+        assert report.concept_median == float(np.median([l.concept_loss for l in report.losses]))
+        assert report.triple_median == float(np.median([l.triple_loss for l in report.losses]))
+        assert {l.key: (l.concept_loss, l.triple_loss) for l in report.losses} == \
+            oracle_coverage(corpus, baseline)
+    if len(corpus_models(by_slide)) > 1:
+        for kind in ("concepts", "triples"):
+            _, per_slide = pairwise_jaccard(by_slide, kind)
+            assert per_slide == {pair: values for pair, (_, values) in oracle_pair_means(corpus, kind).items()}
 
 
 def test_means_are_correctly_rounded():

@@ -309,11 +309,12 @@ def load_time_manifest(path: Path | str) -> dict[SlideKey, float]:
 
     Format: a non-empty list of objects with lecture_id, slide_id, and
     t_local (seconds).  Manifests make time-gap experiments reproducible
-    where mtimes are not portable.  A malformed manifest, or a t_local
-    that is not finite, raises ValueError.
+    where mtimes are not portable.  A malformed manifest, a slide listed
+    twice, or a t_local that is not finite, raises ValueError.
     """
     return dict(load_json_entries(path, "time manifest", lambda e: (
-        SlideKey(int(e["lecture_id"]), int(e["slide_id"])), _finite(e["t_local"], "t_local"))))
+        SlideKey(int(e["lecture_id"]), int(e["slide_id"])), _finite(e["t_local"], "t_local")),
+        key=lambda item: item[0]))
 
 
 def _finite(value: object, name: str) -> float:

@@ -7,9 +7,10 @@ timestamps genesis + n * interval, a multiplicative base-fee adjustment per
 block, and a parametric near-constant gas model per registration.
 
 The ordered registration log is the only ledger state: the per-slide
-index and the chain cursor are derived from it, and a ledger file is
-loaded by replaying its log through the same checks a live registration
-passes, then rejected unless its derived sections match the replay.
+index and the chain cursor are derived from it.  A ledger file holds the
+configs, the log and a checksum of them; it is loaded by replaying the log
+through the same checks a live registration passes, then rejected unless
+the replay exports exactly the file's document, checksum included.
 
 Fee arithmetic uses exact rationals so replays are bit-identical across
 platforms; nothing here touches a real network.
@@ -17,6 +18,7 @@ platforms; nothing here touches a real network.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import asdict, dataclass, field, fields
@@ -30,7 +32,7 @@ from .errors import AlreadyRegistered, CorruptLedgerFile, InvalidLecture, Invali
 from .keccak import keccak256_many
 from .records import SlideKey
 
-LEDGER_FORMAT = "slideprov-ledger/v1"
+LEDGER_FORMAT = "slideprov-ledger/v2"
 
 # Empirical per-registration gas for the canonical input shape
 # (66-char hash, 30-char uri) under the default GasConfig.
@@ -102,11 +104,6 @@ def parse_number(value: object, name: str, convert: Callable[[object], _T] = _ra
         raise ValueError(f"{name} is not a number: {value!r}") from None
 
 
-def _coerce(config: object, name: str, convert: Callable[[object], object]) -> None:
-    """Replace field ``name`` of a frozen config by ``parse_number`` of it."""
-    object.__setattr__(config, name, parse_number(getattr(config, name), name, convert))
-
-
 @dataclass(frozen=True)
 class GasConfig:
     """Linear calldata gas model, calibrated to the empirical constant.
@@ -126,7 +123,7 @@ class GasConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _coerce(self, f.name, int)
+            object.__setattr__(self, f.name, parse_number(getattr(self, f.name), f.name, int))
         if self.intrinsic < 1:
             raise ValueError("intrinsic gas must be at least 1")
         if min(self.nonzero_byte, self.zero_byte, self.exec_base) < 0:
@@ -177,7 +174,8 @@ class FeeConfig:
         ``block_interval >= 1`` keep every block timestamp > 0.
         """
         for f in fields(self):
-            _coerce(self, f.name, _rational if isinstance(f.default, Fraction) else int)
+            convert = _rational if isinstance(f.default, Fraction) else int
+            object.__setattr__(self, f.name, parse_number(getattr(self, f.name), f.name, convert))
         if self.initial_base_fee_wei < 1 or self.priority_tip_wei < 1:
             raise ValueError("fees must be at least 1 wei")
         for name in ("target_gas", "decay_denominator", "block_interval", "eth_usd_rate"):
@@ -277,12 +275,9 @@ class Ledger:
         return len(self.events) + 1
 
     @property
-    def last_timestamp(self) -> int:
-        return self.events[-1].timestamp if self.events else self.fee_config.genesis_time
-
-    @property
     def next_timestamp(self) -> int:
-        return self.last_timestamp + self.fee_config.block_interval
+        last = self.events[-1].timestamp if self.events else self.fee_config.genesis_time
+        return last + self.fee_config.block_interval
 
     # -- reads ---------------------------------------------------------
 
@@ -376,60 +371,54 @@ class Ledger:
     # -- persistence -----------------------------------------------------
 
     def to_document(self) -> dict:
-        """The log plus its derived ``records`` and ``chain`` copies, for readers."""
+        """``format``, both configs, the log, and the ``checksum`` of those four.
+
+        The checksum makes a lone edit of any value show; whoever edits the
+        file can recompute it, so it does not catch a consistent rewrite.
+        """
+        body = self._body()
+        return {**body, "checksum": checksum(body)}
+
+    def _body(self) -> dict:
         return {
             "format": LEDGER_FORMAT,
-            "chain": {
-                "next_block_number": self.next_block_number,
-                "next_timestamp": self.next_timestamp,
-                "last_timestamp": self.last_timestamp,
-                "base_fee_wei": self.base_fee_wei,
-                "wall_clock": False,  # v1 field; modeled time is the only block rule
-            },
             # rationals are written as text
             "fee_config": {name: str(v) if isinstance(v, Fraction) else v
                            for name, v in asdict(self.fee_config).items()},
             "gas_config": asdict(self.gas_config),
-            "records": [_entry_document(r) for _, r in sorted(self.records.items())],
             "events": [_entry_document(e) for e in self.events],
         }
 
     def export_bytes(self) -> bytes:
         """Canonical UTF-8 JSON export; identical states give identical bytes."""
-        doc = self.to_document()
-        return (json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n").encode("utf-8")
+        return _canonical(self.to_document()) + b"\n"
 
     @classmethod
     def from_document(cls, doc: object) -> "Ledger":
         """Rebuild a ledger by replaying the document's ``events``.
 
-        Each event passes the checks of a live registration, and the
-        rebuilt ledger must export exactly ``doc``; anything else raises
-        CorruptLedgerFile.
+        Each event passes the checks of a live registration, the rebuilt
+        ledger must export the values of ``doc``, and the checksum in ``doc``
+        must be theirs; anything else raises CorruptLedgerFile.
         """
-        if not isinstance(doc, dict) or doc.get("format") != LEDGER_FORMAT:
-            raise CorruptLedgerFile("unrecognized ledger format")
+        found = doc.get("format") if isinstance(doc, dict) else None
+        if found != LEDGER_FORMAT:
+            named = f" {found!r} (this version reads {LEDGER_FORMAT!r})" if isinstance(found, str) else ""
+            raise CorruptLedgerFile(f"unrecognized ledger format{named}")
         try:
-            fee_doc = doc["fee_config"]
-            gas_doc = doc["gas_config"]
-            fee = FeeConfig(**{f.name: fee_doc[f.name] for f in fields(FeeConfig)})
-            gas = GasConfig(**{f.name: gas_doc[f.name] for f in fields(GasConfig)})
+            fee = FeeConfig(**{f.name: doc["fee_config"][f.name] for f in fields(FeeConfig)})
+            gas = GasConfig(**{f.name: doc["gas_config"][f.name] for f in fields(GasConfig)})
             ledger = cls(fee, gas)
             for entry in doc["events"]:
                 ledger._append(SlideRecord(
-                    lecture_id=int(entry["lectureId"]),
-                    slide_id=int(entry["slideId"]),
-                    slide_hash=str(entry["slideHash"]),
-                    uri=str(entry["uri"]),
-                    timestamp=int(entry["timestamp"]),
-                    registrant=_parse_account(entry["registrant"]),
-                ))
-        except CorruptLedgerFile:
-            raise
+                    int(entry["lectureId"]), int(entry["slideId"]), str(entry["slideHash"]), str(entry["uri"]),
+                    int(entry["timestamp"]), _parse_account(entry["registrant"])))
         except (LedgerError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise CorruptLedgerFile(f"ledger document rejected: {exc}") from exc
-        if ledger.to_document() != doc:
-            raise CorruptLedgerFile("ledger records or chain disagree with its event log")
+        # the checksum of the file's own values: dict equality takes 6.0 and true for 6 and 1
+        body = {name: value for name, value in doc.items() if name != "checksum"}
+        if ledger._body() != body or checksum(body) != doc.get("checksum"):
+            raise CorruptLedgerFile("ledger file does not match its checksum")
         return ledger
 
     def save(self, path: Path | str) -> None:
@@ -453,13 +442,17 @@ class Ledger:
             raise CorruptLedgerFile(f"{path}: {exc}") from exc
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ledger):
-            return NotImplemented
-        return (
-            self.fee_config == other.fee_config
-            and self.gas_config == other.gas_config
-            and self.events == other.events
-        )
+        return self.to_document() == other.to_document() if isinstance(other, Ledger) else NotImplemented
+
+
+def _canonical(doc: dict) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def checksum(doc: dict) -> str:
+    """``"sha256:"`` and the SHA-256 hex digest of the canonical bytes of ``doc`` less its ``checksum``."""
+    body = {name: value for name, value in doc.items() if name != "checksum"}
+    return "sha256:" + hashlib.sha256(_canonical(body)).hexdigest()
 
 
 def _entry_document(r: SlideRecord) -> dict:
@@ -475,5 +468,5 @@ def _entry_document(r: SlideRecord) -> dict:
 
 def _parse_account(text: object) -> bytes:
     if not isinstance(text, str) or not text.startswith("0x") or len(text) != 42:
-        raise CorruptLedgerFile(f"bad account identifier: {text!r}")
+        raise ValueError(f"bad account identifier: {text!r}")
     return bytes.fromhex(text[2:])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -58,17 +59,18 @@ class SlideDisagreement:
 
 
 BySlide = dict[SlideKey, SlideDisagreement]
+_PAIRS: dict[tuple[str, str], tuple[str, str]] = {}  # one ``common`` key per model pair, for every slide
 
 
 def disagreement(record: ProvenanceRecord) -> SlideDisagreement:
     """Sizes of each model's identity sets, their unions (total semantic breadth) and each pair's intersections."""
-    names = sorted(record.models)
+    names = sorted(map(sys.intern, record.models))  # so the held summaries share one copy of each name
     concepts = {name: record.models[name].concept_identities() for name in names}
     triples = {name: record.models[name].triple_identities() for name in names}
     return SlideDisagreement(
         record.key, len(frozenset().union(*concepts.values())), len(frozenset().union(*triples.values())),
         {name: (len(concepts[name]), len(triples[name])) for name in names},
-        {(a, b): (len(concepts[a] & concepts[b]), len(triples[a] & triples[b]))
+        {_PAIRS.setdefault((a, b), (a, b)): (len(concepts[a] & concepts[b]), len(triples[a] & triples[b]))
          for a, b in combinations(names, 2)})
 
 

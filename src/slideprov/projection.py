@@ -60,10 +60,10 @@ def preset_profiles() -> list[NetworkProfile]:
 
 
 def load_profiles(path: Path | str) -> list[NetworkProfile]:
-    """Read custom profiles from a JSON list of {name, gas_price_gwei}."""
-    return load_json_entries(
-        path, "profile config", lambda e: NetworkProfile(str(e["name"]), e["gas_price_gwei"])
-    )
+    """Read custom profiles from a JSON list of {name, gas_price_gwei}, each name once."""
+    return load_json_entries(path, "profile config",
+                             lambda e: NetworkProfile(str(e["name"]), e["gas_price_gwei"]),
+                             key=lambda profile: profile.name)
 
 
 @dataclass(frozen=True)

@@ -669,11 +669,11 @@ def load_corpus(root: Path | str) -> Corpus:
     return dict(CorpusReader(root).read(normalize_record))
 
 
-def load_json_entries(path: Path | str, what: str, parse: Callable[[dict], object]) -> list:
-    """Parse each object of a non-empty JSON list file with ``parse``.
+def load_json_entries(path: Path | str, what: str, parse: Callable[[dict], object], key: Callable) -> list:
+    """Parse each object of a non-empty JSON list file with ``parse``; no two may have one ``key``.
 
-    A malformed file or entry raises ValueError naming the file and the
-    entry's index, so a bad config file is a usage error.
+    A malformed file or entry, or a repeated key, raises ValueError naming
+    the file and the entry's index, so a bad config file is a usage error.
     """
     try:
         _, entries = read_json(path)
@@ -681,12 +681,15 @@ def load_json_entries(path: Path | str, what: str, parse: Callable[[dict], objec
         raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: {what} must be a non-empty JSON list")
-    parsed = []
+    parsed, first = [], {}
     for index, entry in enumerate(entries):
         try:
             if not isinstance(entry, dict):
                 raise TypeError(f"expected an object, got {type(entry).__name__}")
-            parsed.append(parse(entry))
+            item = parse(entry)
+            if (earlier := first.setdefault(key(item), index)) != index:
+                raise ValueError(f"repeats entry {earlier}")
+            parsed.append(item)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}: {what} entry {index}: {detail}") from None

@@ -1,7 +1,8 @@
 """Malformed config input is a usage error at the command line.
 
 ``main()`` is driven with generated malformed time manifests (non-finite
-times included), profiles files, ``--eth-usd`` values, non-integer
+times and a slide listed twice included), profiles files (a name listed
+twice included), ``--eth-usd`` values, non-integer
 ``SLIDEPROV_*`` integers and unknown ``SLIDEPROV_FORMAT`` values.
 ``project`` reads ``--eth-usd`` and gas prices in the grammar of
 ``register``'s fee flags, ``p/q`` text included.
@@ -203,6 +204,37 @@ def test_manifest_messages_name_the_entry(tmp_path, workspace, entry, detail):
                           "--out", str(tmp_path / "out")])
     assert_config_error(code, err, path)
     assert detail in err
+
+
+@FUZZ
+@given(first=st.integers(0, len(SLIDES) - 1), offset=st.integers(1, len(SLIDES)), t_local=st.integers(-5, 5))
+@example(first=0, offset=len(SLIDES), t_local=100)  # slide (1, 1) at 0 s and again, last, at 100 s
+def test_slide_listed_twice_in_manifest_exit_2(tmp_path, workspace, first, offset, t_local):
+    entries = [dict(entry) for entry in VALID_MANIFEST]
+    repeat = min(first + offset, len(entries))
+    entries.insert(repeat, dict(entries[first], t_local=t_local))
+    path = tmp_path / "times.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    code, err = run_main(["time-gaps", "--corpus", str(workspace["corpus"]),
+                          "--ledger", str(workspace["ledger"]), "--manifest", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert_config_error(code, err, path)
+    assert err == f"error: {path}: time manifest entry {repeat}: repeats entry {first}\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("names, repeat, first", [
+    (["l1", "l1"], 1, 0),
+    (["l1", "l2", "l3", "l2"], 3, 1),
+])
+def test_profile_name_listed_twice_exit_2(tmp_path, names, repeat, first):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps([{"name": name, "gas_price_gwei": index + 1} for index, name in enumerate(names)]),
+                    encoding="utf-8")
+    code, err = run_main(["project", "--profiles", str(path), "--out", str(tmp_path / "out")])
+    assert_config_error(code, err, path)
+    assert err == f"error: {path}: profile config entry {repeat}: repeats entry {first}\n", err
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_manifest_message(tmp_path, workspace):

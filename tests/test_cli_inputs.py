@@ -143,7 +143,7 @@ def _verify_after(tmp_path, change):
     common = ["--corpus", str(corpus), "--ledger", str(tmp_path / "ledger.json"),
               "--out", str(tmp_path / "out")]
     assert run_cli(["register", *common])[0] == 0
-    stored = json.loads((tmp_path / "ledger.json").read_text(encoding="utf-8"))["records"]
+    stored = json.loads((tmp_path / "ledger.json").read_text(encoding="utf-8"))["events"]
     change(corpus / "by_slide" / "Lecture 1" / "Slide2.json")
     code, out, err = run_cli(["verify", *common])
     with open(tmp_path / "out" / "verdicts.csv", newline="", encoding="utf-8") as fh:
@@ -214,8 +214,7 @@ def test_register_fails_only_the_slide_whose_id_is_past_uint256(tmp_path, lectur
 
 def test_ledger_file_holding_an_id_past_uint256_exits_3(workspace, tmp_path):
     doc = json.loads(workspace["ledger"].read_text(encoding="utf-8"))
-    for section in ("events", "records"):
-        doc[section][-1]["slideId"] = 2**256
+    doc["events"][-1]["slideId"] = 2**256
     ledger = tmp_path / "ledger.json"
     ledger.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run_cli(["verify", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),

@@ -2,10 +2,11 @@
 
 A ledger written by ``register`` gets one edit, and every command that
 reads a ledger must then exit 3 with a single ``error:`` line, print no
-traceback and leave the file's bytes as they were.  The same fee and gas
-values out of range given as ``register`` flags exit 2 and write no
-ledger, or leave an existing one as it was; so do fee and gas values
-whose costs are past the float range of the reports.
+traceback and leave the file's bytes as they were; so must a ledger file
+of the earlier v1 format.  The same fee and gas values out of range given
+as ``register`` flags exit 2 and write no ledger, or leave an existing one
+as it was; so do fee and gas values whose costs are past the float range
+of the reports.
 """
 
 import contextlib
@@ -20,8 +21,7 @@ from conftest import run_cli, write_corpus
 from slideprov.cli import main
 from slideprov.ledger import FeeConfig, GasConfig, Ledger, account_hex, dev_accounts
 
-CHAIN_CURSOR = ["next_block_number", "next_timestamp", "last_timestamp", "base_fee_wei"]
-RECORD_FIELDS = ["lectureId", "slideId", "slideHash", "uri", "timestamp", "registrant"]
+EVENT_FIELDS = ["lectureId", "slideId", "slideHash", "uri", "timestamp", "registrant"]
 
 # a fee below 1 wei, zero and negative fees included; rationals are file text
 _BELOW_ONE_WEI = st.fractions(max_value=Fraction(1, 10**9)).filter(lambda f: f < Fraction(1, 10**9)).map(str)
@@ -75,9 +75,14 @@ def _changed(value):
         return value + 1
     if value.startswith("0x") and len(value) == 42:
         return next(account_hex(a) for a in dev_accounts() if account_hex(a) != value)
-    if value.startswith("0x"):
+    if value.startswith(("0x", "sha256:")):
         return value[:-1] + ("0" if value[-1] != "0" else "1")
     return value + "x"
+
+
+def _valid_change(value):
+    """A different value in a config field's range: rationals are file text."""
+    return str(Fraction(value) + 1) if isinstance(value, str) else value + 1
 
 
 def _edit(section, name, value):
@@ -88,8 +93,8 @@ def _edit(section, name, value):
 def edits(draw):
     """(description, function editing a ledger document in place)."""
     n = 6
-    kind = draw(st.sampled_from(["drop", "swap", "duplicate", "chain", "record", "zero-id", "extra-key",
-                                 "config"]))
+    kind = draw(st.sampled_from(["drop", "swap", "duplicate", "event", "zero-id", "extra-key",
+                                 "config", "config-value", "checksum"]))
     i = draw(st.integers(0, n - 1))
     if kind == "drop":
         return kind, lambda d: d["events"].pop(i)
@@ -102,22 +107,24 @@ def edits(draw):
     if kind == "duplicate":
         j = draw(st.integers(0, n))
         return f"{kind} {i}->{j}", lambda d: d["events"].insert(j, dict(d["events"][i]))
-    if kind == "chain":
-        name = draw(st.sampled_from(CHAIN_CURSOR))
-        delta = draw(st.integers(-3, 3).filter(bool))
-        return f"{kind} {name}{delta:+}", lambda d: d["chain"].update({name: d["chain"][name] + delta})
-    if kind == "record":
-        name = draw(st.sampled_from(RECORD_FIELDS))
-        return f"{kind} {i}.{name}", lambda d: d["records"][i].update({name: _changed(d["records"][i][name])})
+    if kind == "event":
+        name = draw(st.sampled_from(EVENT_FIELDS))
+        return f"{kind} {i}.{name}", lambda d: d["events"][i].update({name: _changed(d["events"][i][name])})
     if kind == "zero-id":
-        section = draw(st.sampled_from(["events", "records"]))
         name = draw(st.sampled_from(["lectureId", "slideId"]))
-        return f"{kind} {section}[{i}].{name}", lambda d: d[section][i].update({name: 0})
+        return f"{kind} {i}.{name}", lambda d: d["events"][i].update({name: 0})
     if kind == "config":
         section, name = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
         return _edit(section, name, draw(st.one_of(OUT_OF_RANGE[section, name], NOT_A_NUMBER)))
+    if kind == "config-value":
+        section, name = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        return f"{kind} {section}.{name}", lambda d: d[section].update({name: _valid_change(d[section][name])})
+    if kind == "checksum":
+        if draw(st.booleans()):
+            return f"{kind} dropped", lambda d: d.pop("checksum")
+        return f"{kind} altered", lambda d: d.update(checksum=_changed(d["checksum"]))
     key = draw(st.text(min_size=1, max_size=8).filter(
-        lambda k: k not in {"format", "chain", "fee_config", "gas_config", "records", "events"}))
+        lambda k: k not in {"format", "fee_config", "gas_config", "events", "checksum"}))
     value = draw(st.one_of(st.none(), st.integers(), st.text(max_size=8)))
     return f"{kind} {key!r}", lambda d: d.update({key: value})
 
@@ -140,7 +147,8 @@ def assert_rejected_by_every_reader(ws, data):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edit=edits())
-@example(edit=_edit("chain", "wall_clock", True))
+@example(edit=_edit("fee_config", "eth_usd_rate", "3001"))  # v1 files held no copy of it: exit 0
+@example(edit=("drop the last event", lambda d: d["events"].pop()))
 @example(edit=_edit("fee_config", "eth_usd_rate", "-3000"))
 @example(edit=_edit("fee_config", "priority_tip_gwei", "0"))
 @example(edit=_edit("fee_config", "block_interval", 0))
@@ -261,18 +269,30 @@ def test_cost_past_float_range_exit_2(workspace, flag, exponent, existing):
     assert not out.exists()
 
 
-def test_truncated_log_with_advanced_cursor_rejected(tmp_path, capsys):
-    # 30 registered slides; keep 3 events and claim block 7 is next
+def test_truncated_log_rejected(tmp_path, capsys):
+    # 30 registered slides; keep 3 events under the checksum of all 30
     corpus = write_corpus(tmp_path / "corpus", n_lectures=5, slides_per_lecture=6)
     ledger = tmp_path / "ledger.json"
     common = ["--corpus", str(corpus), "--ledger", str(ledger), "--out", str(tmp_path / "out")]
     assert main(["register", *common]) == 0
     doc = json.loads(ledger.read_text(encoding="utf-8"))
     doc["events"] = doc["events"][:3]
-    doc["chain"]["next_block_number"] = 7
     ledger.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
 
     for argv in (["verify", *common], ["tamper", *common], ["register", *common, "--skip-existing"]):
         assert main(argv) == 3
-        assert "disagree with its event log" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {ledger}: ledger file does not match its checksum\n"
+
+
+def test_v1_ledger_rejected_naming_its_format(workspace):
+    # the v1 layout: the same configs and log, plus their records and chain copies
+    doc = {name: value for name, value in workspace["doc"].items() if name != "checksum"}
+    events = doc["events"]
+    doc.update(format="slideprov-ledger/v1", records=sorted(events, key=lambda e: (e["lectureId"], e["slideId"])),
+               chain={"next_block_number": len(events) + 1, "next_timestamp": len(events) + 1,
+                      "last_timestamp": len(events), "base_fee_wei": 0, "wall_clock": False})
+    path = workspace["tmp"] / "edited.json"
+    for line in assert_rejected_by_every_reader(workspace, json.dumps(doc).encode("utf-8")):
+        assert line == (f"error: {path}: unrecognized ledger format 'slideprov-ledger/v1'"
+                        " (this version reads 'slideprov-ledger/v2')"), line

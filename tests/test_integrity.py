@@ -37,6 +37,7 @@ from slideprov.integrity import (
     verify_corpus,
 )
 from slideprov.commitment import commit_corpus
+from slideprov.ledger import checksum
 from slideprov.records import Concept, CorpusReader
 
 
@@ -88,36 +89,32 @@ class TestVerifySlide:
         assert verify_corpus(commitments([corpus[key]]), ledger)[0].verdict == MATCH
 
     @staticmethod
-    def _flip_stored_hash(doc, sections):
-        """Flip the last hex digit of the first slide's hash in ``sections``."""
-        first = doc["records"][0]
-        bad_key = SlideKey(first["lectureId"], first["slideId"])
-        for section in sections:
-            for entry in doc[section]:
-                if SlideKey(entry["lectureId"], entry["slideId"]) == bad_key:
-                    tail = entry["slideHash"][-1]
-                    entry["slideHash"] = entry["slideHash"][:-1] + ("0" if tail != "0" else "1")
-        return bad_key
+    def _flip_stored_hash(doc, name):
+        """Flip the last hex digit of ``name`` (``checksum``, or the first event's ``slideHash``)."""
+        entry = doc["events"][0] if name == "slideHash" else doc
+        entry[name] = entry[name][:-1] + ("0" if entry[name][-1] != "0" else "1")
+        return SlideKey(doc["events"][0]["lectureId"], doc["events"][0]["slideId"])
 
     def test_tampered_export_surfaces_on_verification(self, registered):
         # flip one hex character of a stored hash inside an exported ledger,
-        # consistently in the log and the records index, re-import, and
-        # check the corruption shows up as exactly one Mismatch
+        # recompute the file's checksum so the edit is consistent, re-import,
+        # and check the corruption shows up as exactly one Mismatch
         corpus, ledger = registered
         doc = json.loads(ledger.export_bytes())
-        bad_key = self._flip_stored_hash(doc, ("records", "events"))
+        bad_key = self._flip_stored_hash(doc, "slideHash")
+        doc["checksum"] = checksum(doc)
         reimported = Ledger.from_document(doc)
 
         verdicts = {r.key: r.verdict for r in verify_corpus(commitments(corpus.values()), reimported)}
         assert verdicts.pop(bad_key) == MISMATCH
         assert all(v == MATCH for v in verdicts.values())
 
-    @pytest.mark.parametrize("section", ["records", "events"])
+    @pytest.mark.parametrize("section", ["events", "checksum"])
     def test_hash_flipped_in_one_section_rejected(self, registered, section):
         _, ledger = registered
         doc = json.loads(ledger.export_bytes())
-        self._flip_stored_hash(doc, (section,))
-        with pytest.raises(CorruptLedgerFile):
+        self._flip_stored_hash(doc, "slideHash" if section == "events" else "checksum")
+        with pytest.raises(CorruptLedgerFile, match="does not match its checksum"):
             Ledger.from_document(doc)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import register_corpus
 from keccak_reference import reference_keccak256
 from slideprov.commitment import storage_key
-from slideprov.ledger import MAX_EXPONENT, ExponentOutOfRange
+from slideprov.ledger import LEDGER_FORMAT, MAX_EXPONENT, ExponentOutOfRange, checksum
 from slideprov import (
     AlreadyRegistered,
     CorruptLedgerFile,
@@ -222,9 +223,19 @@ class TestExportImport:
 
     def test_empty_export(self):
         doc = Ledger().to_document()
-        assert doc["records"] == []
+        assert sorted(doc) == ["checksum", "events", "fee_config", "format", "gas_config"]
+        assert doc["format"] == LEDGER_FORMAT == "slideprov-ledger/v2"
         assert doc["events"] == []
-        assert doc["chain"]["next_block_number"] == 1
+        assert doc["checksum"] == checksum(doc)
+
+    def test_checksum_is_sha256_of_the_other_four_keys(self, corpus):
+        data = register_corpus(corpus).export_bytes()
+        doc = json.loads(data)
+        body = {name: value for name, value in doc.items() if name != "checksum"}
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert doc["checksum"] == "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert data == (json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+                        + "\n").encode("utf-8")
 
     def test_save_load_file(self, tmp_path, corpus):
         ledger = register_corpus(corpus)
@@ -250,13 +261,13 @@ class TestExportImport:
         ledger = Ledger()
         ledger.register_slide(SlideKey(1, 1), HASH66, URI30)
         doc = json.loads(ledger.export_bytes())
-        del doc["chain"]["base_fee_wei"]
+        del doc["fee_config"]["genesis_time"]
         with pytest.raises(CorruptLedgerFile):
             Ledger.from_document(doc)
 
 
 class TestReplay:
-    """Loading replays ``events``; ``records`` and ``chain`` must agree with it."""
+    """Loading replays ``events``; the file must hold the replay's export, checksum included."""
 
     @pytest.fixture
     def doc(self):
@@ -265,42 +276,48 @@ class TestReplay:
             ledger.register_slide(SlideKey(1, i), HASH66, URI30)
         return json.loads(ledger.export_bytes())
 
-    def test_truncated_log_with_edited_cursor_rejected(self, doc):
+    def test_truncated_log_rejected(self, doc):
         doc["events"] = doc["events"][:3]
-        doc["chain"]["next_block_number"] = 4
-        with pytest.raises(CorruptLedgerFile, match="disagree"):
+        with pytest.raises(CorruptLedgerFile, match="does not match its checksum"):
             Ledger.from_document(doc)
 
-    # each edit below keeps records and chain in step with the edited log,
-    # so only the replay's registration checks can reject it
+    @pytest.mark.parametrize("name, value", [("timestamp", 1.0), ("lectureId", True), ("slideId", "1")])
+    def test_same_number_written_otherwise_rejected(self, doc, name, value):
+        # the replay reads each as the value it replaces, so only the checksum tells them apart
+        doc["events"][0][name] = value
+        with pytest.raises(CorruptLedgerFile, match="does not match its checksum"):
+            Ledger.from_document(doc)
+
+    def test_consistent_edit_with_recomputed_checksum_loads(self, doc):
+        # the documented limit: whoever edits the file can recompute its checksum
+        doc["events"][0]["slideHash"] = "0x" + "cd" * 32
+        doc["checksum"] = checksum(doc)
+        assert Ledger.from_document(doc).get_slide(SlideKey(1, 1)).slide_hash == "0x" + "cd" * 32
+
+    # each edit below recomputes the checksum, so only the replay's
+    # registration checks can reject it
 
     def test_zero_id_rejected_like_a_live_call(self, doc):
-        for section in ("events", "records"):
-            doc[section][0]["lectureId"] = 0
+        doc["events"][0]["lectureId"] = 0
+        doc["checksum"] = checksum(doc)
         with pytest.raises(CorruptLedgerFile, match="lectureId must be > 0"):
             Ledger.from_document(doc)
 
     def test_id_past_uint256_rejected_like_a_live_call(self, doc):
-        for section in ("events", "records"):
-            doc[section][0]["slideId"] = 2**256
+        doc["events"][0]["slideId"] = 2**256
+        doc["checksum"] = checksum(doc)
         with pytest.raises(CorruptLedgerFile, match="slideId must be < 2\\*\\*256"):
             Ledger.from_document(doc)
 
     def test_duplicate_rejected_like_a_live_call(self, doc):
-        chain = doc["chain"]
-        doc["events"].append(dict(doc["events"][0], timestamp=chain["next_timestamp"]))
-        doc["records"].insert(1, doc["events"][-1])
-        chain["base_fee_wei"] = FeeConfig().next_base_fee_wei(chain["base_fee_wei"], estimate_gas(HASH66, URI30))
-        for name in ("next_block_number", "next_timestamp", "last_timestamp"):
-            chain[name] += 1
+        doc["events"].append(dict(doc["events"][0], timestamp=doc["events"][-1]["timestamp"] + 1))
+        doc["checksum"] = checksum(doc)
         with pytest.raises(CorruptLedgerFile, match="already registered"):
             Ledger.from_document(doc)
 
     def test_timestamp_off_the_sealing_rule_rejected(self, doc):
-        for section in ("events", "records"):
-            doc[section][-1]["timestamp"] += 1
-        for name in ("next_timestamp", "last_timestamp"):
-            doc["chain"][name] += 1
+        doc["events"][-1]["timestamp"] += 1
+        doc["checksum"] = checksum(doc)
         with pytest.raises(CorruptLedgerFile, match="out-of-rule timestamp"):
             Ledger.from_document(doc)
 

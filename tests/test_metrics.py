@@ -92,6 +92,16 @@ class TestDisagreement:
             assert d.concept_union_size >= len(ext.concepts)
             assert d.triple_union_size >= len(ext.triples)
 
+    def test_slides_share_pair_keys_and_model_names(self):
+        # each slide's names are their own str objects, as when each file is parsed alone
+        def names():
+            return ["".join(["vision-", suffix]) for suffix in ("alpha", "beta", "gamma")]
+        first, second = (disagreement(make_record(1, slide, {name: (["x"], []) for name in names()}))
+                         for slide in (1, 2))
+        assert list(first.common) == list(second.common)
+        assert all(a is b for a, b in zip(first.common, second.common))
+        assert all(a is b for a, b in zip(first.counts, second.counts))
+
 
 class TestPairwiseJaccard:
     def corpus(self):

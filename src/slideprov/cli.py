@@ -17,6 +17,10 @@ Each command returns (exit code, reports keyed by file stem, stdout text);
 prints the text, so a command that stops on an error leaves --out untouched.
 Flag defaults come from ``SLIDEPROV_*`` variables through ``_env``, except
 for -n/--count, --mean-gas, --throughput, --skip-existing and --write.
+
+A command imports the modules it runs inside its ``cmd_*``, so that it
+loads no other: ``register`` never loads ``integrity``, ``metrics`` or
+``projection``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,8 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from . import integrity, metrics, projection
-from .commitment import commit_corpus
 from .errors import (
     CorruptLedgerFile,
     DisjointCorpora,
@@ -40,9 +42,10 @@ from .errors import (
     UnknownBaselineModel,
     UnregisteredCorpus,
 )
-from .ledger import CANONICAL_REGISTRATION_GAS, FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
-from .records import CorpusReader, normalize_record, read_runs, split_pass, write_record
 from .reports import Table, write_reports
+
+if TYPE_CHECKING:
+    from .records import CorpusReader
 
 EXIT_OK = 0
 EXIT_INTEGRITY = 1
@@ -78,10 +81,14 @@ Result = tuple[int, dict[str, Table | dict], str]
 
 
 def cmd_register(args: argparse.Namespace) -> Result:
+    from .commitment import commit_corpus
+    from .ledger import FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
+    from .records import CorpusReader
+
     # The fee and gas flags are checked even where an existing file's configs win.
     fee = FeeConfig(initial_base_fee_gwei=args.base_fee_gwei, priority_tip_gwei=args.tip_gwei,
                     eth_usd_rate=args.eth_usd, block_interval=args.block_interval)
-    gas = GasConfig(exec_base=args.gas_exec_base)
+    gas = GasConfig() if args.gas_exec_base is None else GasConfig(exec_base=args.gas_exec_base)
     # The ledger is read before the corpus: a bad one stops the command
     # first, and with --skip-existing the files of registered slides are
     # passed over unread.
@@ -135,16 +142,21 @@ def cmd_register(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify(args: argparse.Namespace) -> Result:
+    from .commitment import commit_corpus
+    from .integrity import MATCH, verify_corpus
+    from .ledger import Ledger
+    from .records import CorpusReader
+
     ledger = Ledger.load(args.ledger)
     reader = CorpusReader(args.corpus)
     with _skip_lines(reader):
         commitments = commit_corpus(reader)
     rows = [[v.key.lecture_id, v.key.slide_id, v.recomputed.hex if v.recomputed else "",
-             v.on_chain or "", v.verdict] for v in integrity.verify_corpus(commitments, ledger)]
+             v.on_chain or "", v.verdict] for v in verify_corpus(commitments, ledger)]
 
     reports = {"verdicts": Table(
         ["lecture_id", "slide_id", "recomputed", "on_chain", "verdict"], rows)}
-    bad = [row for row in rows if row[4] != integrity.MATCH]
+    bad = [row for row in rows if row[4] != MATCH]
     for lecture_id, slide_id, *_, verdict in bad:
         _err(f"({lecture_id},{slide_id}): {verdict}")
     text = f"verified {len(rows)} slides: {len(rows) - len(bad)} match, {len(bad)} fail"
@@ -152,6 +164,9 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 
 def cmd_analyze(args: argparse.Namespace) -> Result:
+    from . import metrics
+    from .records import CorpusReader, normalize_record, split_pass
+
     def summarize(only):  # one range's per-slide summaries, in key order
         return list(metrics.corpus_disagreement(reader.read(normalize_record, only)).items())
 
@@ -204,6 +219,10 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
 
 
 def cmd_tamper(args: argparse.Namespace) -> Result:
+    from . import integrity
+    from .ledger import Ledger
+    from .records import CorpusReader, write_record
+
     ledger = Ledger.load(args.ledger)
     reader = CorpusReader(args.corpus)
     with _skip_lines(reader):
@@ -234,15 +253,18 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
 
 
 def cmd_compare_runs(args: argparse.Namespace) -> Result:
+    from .integrity import compare_range, join_ranges
+    from .records import CorpusReader, normalize_record, read_runs, split_pass
+
     def compare(only):  # a file both runs hold byte for byte is loaded once
-        return [integrity.compare_range(read_runs(run_a, run_b, normalize_record, only))]
+        return [compare_range(read_runs(run_a, run_b, normalize_record, only))]
 
     run_a, run_b = CorpusReader(args.run_a), CorpusReader(args.run_b)
     with _skip_lines(run_a, run_b):
         parts = split_pass([run_a, run_b], sorted(run_a.paths.keys() | run_b.paths.keys()), compare)
         run_a.require_loaded()
         run_b.require_loaded()
-        comparison = integrity.join_ranges(parts)
+        comparison = join_ranges(parts)
 
     rows: list[list[object]] = [
         [p.key.lecture_id, p.key.slide_id, p.model, "compared", p.concept_jaccard, p.triple_jaccard]
@@ -275,6 +297,9 @@ def cmd_compare_runs(args: argparse.Namespace) -> Result:
 
 
 def cmd_time_gaps(args: argparse.Namespace) -> Result:
+    from . import integrity
+    from .ledger import Ledger
+
     ledger = Ledger.load(args.ledger)
     if args.manifest:
         local = integrity.load_time_manifest(args.manifest)
@@ -302,10 +327,12 @@ def cmd_time_gaps(args: argparse.Namespace) -> Result:
 
 
 def cmd_project(args: argparse.Namespace) -> Result:
+    from . import projection
+
     profiles = projection.load_profiles(args.profiles) if args.profiles else None
     projections = projection.project(
         n=args.count,
-        mean_gas=args.mean_gas,
+        mean_gas=projection.CANONICAL_REGISTRATION_GAS if args.mean_gas is None else args.mean_gas,
         profiles=profiles,
         eth_usd=args.eth_usd,
         throughput=args.throughput,
@@ -353,8 +380,7 @@ def _add_fee_flags(parser: argparse.ArgumentParser) -> None:
                         help="priority tip in gwei (default 1.0)")
     parser.add_argument("--block-interval", type=int, default=_env("block_interval", "1"),
                         help="modeled seconds per block (default 1)")
-    parser.add_argument("--gas-exec-base", type=int,
-                        default=_env("gas_exec_base", str(GasConfig().exec_base)),
+    parser.add_argument("--gas-exec-base", type=int, default=_env("gas_exec_base"),
                         help="execution-gas calibration constant")
 
 
@@ -408,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, corpus=False)
     p.add_argument("-n", "--count", type=int, default=1_000_000,
                    help="corpus size to project (default 1e6)")
-    p.add_argument("--mean-gas", type=int, default=CANONICAL_REGISTRATION_GAS,
-                   help="mean gas per registration")
+    p.add_argument("--mean-gas", type=int, help="mean gas per registration")
     p.add_argument("--eth-usd", default=_env("eth_usd", "3000"), help="ETH/USD rate")
     p.add_argument("--throughput", default=1.0, help="registrations per second")
     p.add_argument("--profiles", default=_env("profiles"),

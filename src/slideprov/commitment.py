@@ -13,25 +13,30 @@ slide_id) encoding, matching
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from .keccak import keccak256, keccak256_many
-from .records import CorpusReader, ProvenanceRecord, SlideKey, canonical_bytes, normalized_bytes, split_pass
+from .records import (Checked, CorpusReader, ProvenanceRecord, SlideKey, canonical_bytes, normalized_bytes,
+                      split_pass)
 
 # A storage key is exactly 32 bytes.
 StorageKey = bytes
 
 
-@dataclass(frozen=True)
-class Commitment:
-    """32-byte Keccak-256 digest with its canonical hex form."""
-
+class _CommitmentFields(NamedTuple):
     digest: bytes
 
-    def __post_init__(self) -> None:
-        if len(self.digest) != 32:
+
+class Commitment(Checked, _CommitmentFields):
+    """32-byte Keccak-256 digest with its canonical hex form."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(value: Commitment) -> Commitment:
+        if len(value.digest) != 32:
             raise ValueError("commitment digest must be exactly 32 bytes")
+        return value
 
     @property
     def hex(self) -> str:

@@ -16,14 +16,11 @@ import math
 import random
 import statistics
 import warnings
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
-from .commitment import Commitment, commit_records
 from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
-from .ledger import Ledger
 from .metrics import EMPTY_SET_JACCARD, jaccard
 from .records import (
     Concept,
@@ -38,14 +35,17 @@ from .records import (
     scan_slide_files,
 )
 
+if TYPE_CHECKING:  # only tamper_experiment hashes, and imports commitment when it runs
+    from .commitment import Commitment
+    from .ledger import Ledger
+
 MATCH = "Match"
 MISMATCH = "Mismatch"
 UNREGISTERED = "Unregistered"
 MISSING = "Missing"  # registered, but the corpus no longer yields the slide
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     key: SlideKey
     recomputed: Commitment | None  # None for a Missing slide
     on_chain: str | None           # None for an Unregistered slide
@@ -88,8 +88,7 @@ class TamperKind(Enum):
     EDIT_EVIDENCE = "EditEvidence"
 
 
-@dataclass(frozen=True)
-class TamperOp:
+class TamperOp(NamedTuple):
     kind: TamperKind
     target: str   # path into the record, e.g. models/<name>/triples/2
     payload: str  # replacement or injected text ("" for deletions)
@@ -176,23 +175,21 @@ def tamper_record(
                              if field is None or getattr(ext, field)))
     ext = record.models[name]
     changes, target, payload = edit(ext, rng)
-    tampered = replace(record, models={**record.models, name: replace(ext, **changes)})
+    tampered = record._replace(models={**record.models, name: ext._replace(**changes)})
     op = TamperOp(kind, f"models/{name}/{target}", payload)
     if canonical_bytes(tampered) == canonical_bytes(record):
         raise AssertionError(f"tamper op {op} produced identical canonical bytes")
     return tampered, op
 
 
-@dataclass(frozen=True)
-class TamperTrial:
+class TamperTrial(NamedTuple):
     key: SlideKey
     op: TamperOp
     verdict: str
     tampered: ProvenanceRecord
 
 
-@dataclass
-class TamperReport:
+class TamperReport(NamedTuple):
     trials: list[TamperTrial]
     seed: int
 
@@ -217,6 +214,8 @@ def tamper_experiment(reader: CorpusReader, ledger: Ledger, n: int, seed: int) -
     in ``reader.failures``.  Each copy that loads gets one random
     applicable perturbation and is verified against the registry.
     """
+    from .commitment import commit_records
+
     if not reader.paths:
         raise EmptyCorpus(f"no slide files found under {reader.root}")
     pool = [key for key in reader.paths if ledger.is_registered(key)]
@@ -238,15 +237,13 @@ def tamper_experiment(reader: CorpusReader, ledger: Ledger, n: int, seed: int) -
 # time gaps
 
 
-@dataclass(frozen=True)
-class TimeGap:
+class TimeGap(NamedTuple):
     key: SlideKey
     delta_seconds: float  # chain time minus local time
     anomaly: bool         # chain earlier than local
 
 
-@dataclass(frozen=True)
-class TimeGapSummary:
+class TimeGapSummary(NamedTuple):
     count: int
     mean: float
     minimum: float
@@ -309,12 +306,19 @@ def load_time_manifest(path: Path | str) -> dict[SlideKey, float]:
 
     Format: a non-empty list of objects with lecture_id, slide_id, and
     t_local (seconds).  Manifests make time-gap experiments reproducible
-    where mtimes are not portable.  A malformed manifest, a slide listed
-    twice, or a t_local that is not finite, raises ValueError.
+    where mtimes are not portable.  A malformed manifest, an id that is
+    not a JSON integer (``true``, ``1.9`` and ``"2"`` are not), a slide
+    listed twice, or a t_local that is not finite, raises ValueError.
     """
     return dict(load_json_entries(path, "time manifest", lambda e: (
-        SlideKey(int(e["lecture_id"]), int(e["slide_id"])), _finite(e["t_local"], "t_local")),
-        key=lambda item: item[0]))
+        SlideKey(_integer(e["lecture_id"], "lecture_id"), _integer(e["slide_id"], "slide_id")),
+        _finite(e["t_local"], "t_local")), key=lambda item: item[0]))
+
+
+def _integer(value: object, name: str) -> int:
+    if type(value) is not int:  # a bool is an int, too
+        raise ValueError(f"{name} is not an integer: {value!r}")
+    return value
 
 
 def _finite(value: object, name: str) -> float:
@@ -328,23 +332,20 @@ def _finite(value: object, name: str) -> float:
 # dual-run comparison
 
 
-@dataclass(frozen=True)
-class RunPair:
+class RunPair(NamedTuple):
     key: SlideKey
     model: str
     concept_jaccard: float
     triple_jaccard: float
 
 
-@dataclass(frozen=True)
-class AsymmetricPair:
+class AsymmetricPair(NamedTuple):
     key: SlideKey
     model: str
     present_in: str  # "a" or "b"
 
 
-@dataclass
-class RunComparison:
+class RunComparison(NamedTuple):
     pairs: list[RunPair]
     asymmetric: list[AsymmetricPair]
     byte_equal: dict[SlideKey, bool]
@@ -438,11 +439,11 @@ def join_ranges(parts: Iterable[RunComparison], stacklevel: int = 2) -> RunCompa
     """
     joined = RunComparison([], [], {}, [], [])
     for part in parts:
-        joined.pairs += part.pairs
-        joined.asymmetric += part.asymmetric
+        joined.pairs.extend(part.pairs)
+        joined.asymmetric.extend(part.asymmetric)
         joined.byte_equal.update(part.byte_equal)
-        joined.only_in_a += part.only_in_a
-        joined.only_in_b += part.only_in_b
+        joined.only_in_a.extend(part.only_in_a)
+        joined.only_in_b.extend(part.only_in_b)
     if not joined.byte_equal:
         raise DisjointCorpora("runs share no slide keys")
     if joined.asymmetric:

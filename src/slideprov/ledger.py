@@ -21,16 +21,15 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from . import records
 from .errors import AlreadyRegistered, CorruptLedgerFile, InvalidLecture, InvalidSlide, LedgerError
 from .keccak import keccak256_many
-from .records import SlideKey
+from .records import Checked, SlideKey
 
 LEDGER_FORMAT = "slideprov-ledger/v2"
 
@@ -104,8 +103,14 @@ def parse_number(value: object, name: str, convert: Callable[[object], _T] = _ra
         raise ValueError(f"{name} is not a number: {value!r}") from None
 
 
-@dataclass(frozen=True)
-class GasConfig:
+class _GasFields(NamedTuple):
+    intrinsic: int = 21_000
+    nonzero_byte: int = 16
+    zero_byte: int = 4
+    exec_base: int = 207_862
+
+
+class GasConfig(Checked, _GasFields):
     """Linear calldata gas model, calibrated to the empirical constant.
 
     gas = intrinsic + 16*nonzero_bytes + 4*zero_bytes + exec_base, where
@@ -116,18 +121,16 @@ class GasConfig:
     registration costs exactly CANONICAL_REGISTRATION_GAS.
     """
 
-    intrinsic: int = 21_000
-    nonzero_byte: int = 16
-    zero_byte: int = 4
-    exec_base: int = 207_862
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name, parse_number(getattr(self, f.name), f.name, int))
-        if self.intrinsic < 1:
+    @classmethod
+    def _check(cls, value: GasConfig) -> GasConfig:
+        cfg = tuple.__new__(cls, [parse_number(v, name, int) for name, v in zip(cls._fields, value)])
+        if cfg.intrinsic < 1:
             raise ValueError("intrinsic gas must be at least 1")
-        if min(self.nonzero_byte, self.zero_byte, self.exec_base) < 0:
+        if min(cfg.nonzero_byte, cfg.zero_byte, cfg.exec_base) < 0:
             raise ValueError("byte and execution gas must not be negative")
+        return cfg
 
 
 _SELECTOR_BYTES = 4
@@ -147,8 +150,17 @@ def estimate_gas(slide_hash: str, uri: str, cfg: GasConfig | None = None) -> int
 WEI_PER_GWEI = 10**9
 
 
-@dataclass(frozen=True)
-class FeeConfig:
+class _FeeFields(NamedTuple):
+    initial_base_fee_gwei: Fraction = Fraction(77, 100)
+    priority_tip_gwei: Fraction = Fraction(1)
+    target_gas: int = 15_000_000
+    decay_denominator: int = 8
+    eth_usd_rate: Fraction = Fraction(3000)
+    block_interval: int = 1                          # seconds
+    genesis_time: int = 0
+
+
+class FeeConfig(Checked, _FeeFields):
     """Chain fee parameters.
 
     Base fee and tip are held to 1-wei resolution and the per-block
@@ -158,31 +170,27 @@ class FeeConfig:
     1,117-slide batch lands near $780 total at $3000/ETH.
     """
 
-    initial_base_fee_gwei: Fraction = Fraction(77, 100)
-    priority_tip_gwei: Fraction = Fraction(1)
-    target_gas: int = 15_000_000
-    decay_denominator: int = 8
-    eth_usd_rate: Fraction = Fraction(3000)
-    block_interval: int = 1                          # seconds
-    genesis_time: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def _check(cls, value: FeeConfig) -> FeeConfig:
         """Coerce rationals and integers, then check every range.
 
         Rationals accept ints, decimal or ``p/q`` text, and floats (read
         through their shortest text).  ``genesis_time >= 0`` and
         ``block_interval >= 1`` keep every block timestamp > 0.
         """
-        for f in fields(self):
-            convert = _rational if isinstance(f.default, Fraction) else int
-            object.__setattr__(self, f.name, parse_number(getattr(self, f.name), f.name, convert))
-        if self.initial_base_fee_wei < 1 or self.priority_tip_wei < 1:
+        cfg = tuple.__new__(cls, [
+            parse_number(v, name, _rational if isinstance(cls._field_defaults[name], Fraction) else int)
+            for name, v in zip(cls._fields, value)])
+        if cfg.initial_base_fee_wei < 1 or cfg.priority_tip_wei < 1:
             raise ValueError("fees must be at least 1 wei")
         for name in ("target_gas", "decay_denominator", "block_interval", "eth_usd_rate"):
-            if getattr(self, name) <= 0:
+            if getattr(cfg, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.genesis_time < 0:
+        if cfg.genesis_time < 0:
             raise ValueError("genesis_time must not be negative")
+        return cfg
 
     @property
     def initial_base_fee_wei(self) -> int:
@@ -205,8 +213,7 @@ class FeeConfig:
         )
 
 
-@dataclass(frozen=True)
-class SlideRecord:
+class SlideRecord(NamedTuple):
     """One registration, as log entry and stored entry alike; timestamp > 0."""
 
     lecture_id: int
@@ -217,8 +224,7 @@ class SlideRecord:
     registrant: bytes
 
 
-@dataclass(frozen=True)
-class RegistrationReceipt:
+class RegistrationReceipt(NamedTuple):
     lecture_id: int
     slide_id: int
     gas_used: int
@@ -229,18 +235,17 @@ class RegistrationReceipt:
     tx_cost_usd: Fraction
 
 
-@dataclass
-class BatchSummary:
-    attempted: int = 0
-    registered: int = 0
-    failures: list[tuple[SlideKey, str]] = field(default_factory=list)
-    min_gas: int = 0
-    max_gas: int = 0
-    total_gas: int = 0
-    total_cost_eth: Fraction = Fraction(0)
-    total_cost_usd: Fraction = Fraction(0)
-    elapsed_seconds: int = 0
-    throughput: float = 0.0
+class BatchSummary(NamedTuple):
+    attempted: int
+    registered: int
+    failures: list[tuple[SlideKey, str]]
+    min_gas: int
+    max_gas: int
+    total_gas: int
+    total_cost_eth: Fraction
+    total_cost_usd: Fraction
+    elapsed_seconds: int
+    throughput: float
 
     @property
     def mean_gas(self) -> Fraction:
@@ -348,25 +353,21 @@ class Ledger:
     ) -> tuple[list[RegistrationReceipt], BatchSummary]:
         """Register (key, slide_hash, uri) items sequentially in input order."""
         receipts: list[RegistrationReceipt] = []
-        summary = BatchSummary(attempted=len(items))
+        failures: list[tuple[SlideKey, str]] = []
         for key, slide_hash, uri in items:
             try:
                 receipts.append(self.register_slide(key, slide_hash, uri))
             except (InvalidLecture, InvalidSlide, AlreadyRegistered) as exc:
-                summary.failures.append((key, str(exc)))
+                failures.append((key, str(exc)))
 
-        summary.registered = len(receipts)
-        if receipts:
-            gases = [r.gas_used for r in receipts]
-            summary.min_gas = min(gases)
-            summary.max_gas = max(gases)
-            summary.total_gas = sum(gases)
-            summary.total_cost_eth = sum((r.tx_cost_eth for r in receipts), Fraction(0))
-            summary.total_cost_usd = sum((r.tx_cost_usd for r in receipts), Fraction(0))
-            interval = self.fee_config.block_interval
-            summary.elapsed_seconds = (len(receipts) - 1) * interval
-            summary.throughput = len(receipts) / max(summary.elapsed_seconds, interval)
-        return receipts, summary
+        gases = [r.gas_used for r in receipts]
+        interval = self.fee_config.block_interval
+        elapsed = max(len(receipts) - 1, 0) * interval
+        return receipts, BatchSummary(
+            len(items), len(receipts), failures, min(gases, default=0), max(gases, default=0), sum(gases),
+            sum((r.tx_cost_eth for r in receipts), Fraction(0)),
+            sum((r.tx_cost_usd for r in receipts), Fraction(0)),
+            elapsed, len(receipts) / max(elapsed, interval) if receipts else 0.0)
 
     # -- persistence -----------------------------------------------------
 
@@ -384,8 +385,8 @@ class Ledger:
             "format": LEDGER_FORMAT,
             # rationals are written as text
             "fee_config": {name: str(v) if isinstance(v, Fraction) else v
-                           for name, v in asdict(self.fee_config).items()},
-            "gas_config": asdict(self.gas_config),
+                           for name, v in self.fee_config._asdict().items()},
+            "gas_config": self.gas_config._asdict(),
             "events": [_entry_document(e) for e in self.events],
         }
 
@@ -406,8 +407,8 @@ class Ledger:
             named = f" {found!r} (this version reads {LEDGER_FORMAT!r})" if isinstance(found, str) else ""
             raise CorruptLedgerFile(f"unrecognized ledger format{named}")
         try:
-            fee = FeeConfig(**{f.name: doc["fee_config"][f.name] for f in fields(FeeConfig)})
-            gas = GasConfig(**{f.name: doc["gas_config"][f.name] for f in fields(GasConfig)})
+            fee = FeeConfig._make(doc["fee_config"][name] for name in FeeConfig._fields)
+            gas = GasConfig._make(doc["gas_config"][name] for name in GasConfig._fields)
             ledger = cls(fee, gas)
             for entry in doc["events"]:
                 ledger._append(SlideRecord(

@@ -17,9 +17,8 @@ import math
 import statistics
 import sys
 import warnings
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .errors import InsufficientModels, ProvenanceWarning, TooFewSlides, UnknownBaselineModel
 from .records import ProvenanceRecord, SlideKey
@@ -47,8 +46,7 @@ def jaccard(a: frozenset, b: frozenset) -> float:
 # the per-slide pass
 
 
-@dataclass(frozen=True)
-class SlideDisagreement:
+class SlideDisagreement(NamedTuple):
     """One slide's set sizes, per kind: the union's, each model's, and each model pair's intersection's."""
 
     key: SlideKey
@@ -89,8 +87,7 @@ def corpus_models(by_slide: BySlide) -> list[str]:
 # pairwise similarity
 
 
-@dataclass
-class JaccardMatrix:
+class JaccardMatrix(NamedTuple):
     models: list[str]
     values: list[list[float]]  # symmetric, diagonal 1.0
     kind: SetKind
@@ -133,8 +130,7 @@ def pairwise_jaccard(
 # lecture aggregation
 
 
-@dataclass(frozen=True)
-class LectureAggregate:
+class LectureAggregate(NamedTuple):
     lecture_id: int
     slide_count: int
     mean_concept_disagreement: float
@@ -161,8 +157,7 @@ def lecture_aggregate(by_slide: BySlide) -> dict[int, LectureAggregate]:
 # stability classification
 
 
-@dataclass(frozen=True)
-class StabilityLabel:
+class StabilityLabel(NamedTuple):
     key: SlideKey
     label: str  # STABLE / MODERATE / UNSTABLE
     d_concept: int
@@ -200,8 +195,7 @@ def classify_stability(by_slide: BySlide) -> list[StabilityLabel]:
 # per-model footprint
 
 
-@dataclass(frozen=True)
-class ModelFootprint:
+class ModelFootprint(NamedTuple):
     model: str
     mean_concepts: float
     mean_triples: float
@@ -238,16 +232,14 @@ def densest_model(by_slide: BySlide) -> str:
 # single-model coverage loss
 
 
-@dataclass(frozen=True)
-class CoverageLoss:
+class CoverageLoss(NamedTuple):
     key: SlideKey
     concept_loss: float
     triple_loss: float
     baseline_model: str
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     baseline_model: str
     losses: list[CoverageLoss]
     concept_mean: float

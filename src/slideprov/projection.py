@@ -9,12 +9,12 @@ bit-stable across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .ledger import CANONICAL_REGISTRATION_GAS, GWEI, ExponentOutOfRange, parse_number
-from .records import load_json_entries
+from .records import Checked, load_json_entries
 
 
 _OUT_OF_RANGE = "projected values exceed the floating-point range"
@@ -39,15 +39,20 @@ def decimal_text(value: Fraction) -> str:
     return format(context.normalize(context.divide(value.numerator, value.denominator)), "f")
 
 
-@dataclass(frozen=True)
-class NetworkProfile:
+class _ProfileFields(NamedTuple):
     name: str
     gas_price_gwei: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gas_price_gwei", parse_number(self.gas_price_gwei, "gas_price_gwei"))
-        if self.gas_price_gwei <= 0:
+
+class NetworkProfile(Checked, _ProfileFields):
+    __slots__ = ()
+
+    @classmethod
+    def _check(cls, value: NetworkProfile) -> NetworkProfile:
+        price = parse_number(value.gas_price_gwei, "gas_price_gwei")
+        if price <= 0:
             raise ValueError("gas price must be positive")
+        return tuple.__new__(cls, (value.name, price))
 
 
 def preset_profiles() -> list[NetworkProfile]:
@@ -66,8 +71,7 @@ def load_profiles(path: Path | str) -> list[NetworkProfile]:
                              key=lambda profile: profile.name)
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(NamedTuple):
     n_slides: int
     network: str
     gas_price_gwei: Fraction

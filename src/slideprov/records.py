@@ -16,7 +16,6 @@ import os
 import re
 import threading
 import warnings
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import BinaryIO, Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -60,8 +59,25 @@ class SlideKey(NamedTuple):
         return self.lecture_id >= 1 and self.slide_id >= 1
 
 
-@dataclass(frozen=True)
-class Concept:
+class Checked(tuple):
+    """Base of a value type listed before the NamedTuple of its fields: ``class C(Checked, _Fields)``.
+
+    The constructor, ``_make`` and ``_replace`` (and unpickling) all return
+    ``cls._check(value)``, which raises ValueError for bad fields and
+    returns the value, coerced where it converts them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return cls._check(super().__new__(cls, *args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Concept(NamedTuple):
     """Atomic (category, term) semantic unit; evidence rides along verbatim."""
 
     category: str
@@ -73,8 +89,7 @@ class Concept:
         return (self.category, self.term)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """Relational assertion (s, p, o) with optional confidence in [0, 1]."""
 
     s: str
@@ -87,8 +102,7 @@ class Triple:
         return (self.s, self.p, self.o)
 
 
-@dataclass(frozen=True)
-class ModelExtraction:
+class ModelExtraction(NamedTuple):
     """One model's normalized output for one slide.
 
     concepts and triples are duplicate-free under their identity rules and
@@ -109,29 +123,26 @@ class ModelExtraction:
         return frozenset(t.identity for t in self.triples)
 
 
-@dataclass(frozen=True)
-class RecordPaths:
+class RecordPaths(NamedTuple):
     image: str = ""
     text: str = ""
     json: str = ""
 
 
-@dataclass(frozen=True)
-class RecordMetadata:
+class RecordMetadata(NamedTuple):
     timestamp: str = ""
     source: str = ""
     hash_input_format: str = CANONICAL_FORMAT
 
 
-@dataclass
-class ProvenanceRecord:
+class ProvenanceRecord(NamedTuple):
     """Canonical multi-model provenance record for one slide."""
 
     key: SlideKey
     lecture_label: str
     models: dict[str, ModelExtraction]
-    paths: RecordPaths = field(default_factory=RecordPaths)
-    metadata: RecordMetadata = field(default_factory=RecordMetadata)
+    paths: RecordPaths = RecordPaths()
+    metadata: RecordMetadata = RecordMetadata()
 
 
 Corpus = dict[SlideKey, ProvenanceRecord]
@@ -503,8 +514,7 @@ def read_json(path: Path | str, known: bytes | None = None) -> tuple[bytes, obje
         raise ValueError("JSON nested too deeply") from None
 
 
-@dataclass(frozen=True)
-class LoadFailure:
+class LoadFailure(NamedTuple):
     path: str
     key: SlideKey | None
     error: str

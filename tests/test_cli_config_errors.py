@@ -223,6 +223,31 @@ def test_slide_listed_twice_in_manifest_exit_2(tmp_path, workspace, first, offse
     assert not (tmp_path / "out").exists()
 
 
+# what json.loads gives for a value that is not a JSON integer
+not_a_json_integer = st.one_of(st.booleans(), st.floats(), st.integers(-3, 3).map(str), st.text(max_size=4),
+                               st.none(), st.lists(st.integers(), max_size=2))
+
+
+@FUZZ
+@given(index=st.integers(0, len(SLIDES) - 1), field=st.sampled_from(["lecture_id", "slide_id"]),
+       value=not_a_json_integer)
+@example(index=0, field="lecture_id", value=1.9)  # read as 1 by int()
+@example(index=0, field="slide_id", value="2")
+@example(index=3, field="lecture_id", value=True)  # a bool is an int
+def test_manifest_id_that_is_not_a_json_integer_exit_2(tmp_path, workspace, index, field, value):
+    entries = [dict(entry) for entry in VALID_MANIFEST]
+    entries[index][field] = value
+    path = tmp_path / "times.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    code, err = run_main(["time-gaps", "--corpus", str(workspace["corpus"]),
+                          "--ledger", str(workspace["ledger"]), "--manifest", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert_config_error(code, err, path)
+    loaded = json.loads(path.read_text(encoding="utf-8"))[index][field]
+    assert err == f"error: {path}: time manifest entry {index}: {field} is not an integer: {loaded!r}\n", err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("names, repeat, first", [
     (["l1", "l1"], 1, 0),
     (["l1", "l2", "l3", "l2"], 3, 1),

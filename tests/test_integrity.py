@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import shutil
@@ -65,7 +64,7 @@ class TestVerifySlide:
         old = ext.concepts[0]
         flipped = old.term[:-1] + ("a" if old.term[-1] != "a" else "b")
         concepts = (Concept(old.category, flipped, old.evidence),) + ext.concepts[1:]
-        record.models[name] = dataclasses.replace(ext, concepts=concepts)
+        record.models[name] = ext._replace(concepts=concepts)
         assert verify_corpus(commitments([record]), ledger)[0].verdict == MISMATCH
 
     def test_never_registered_key(self, corpus):

@@ -165,10 +165,11 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 def cmd_analyze(args: argparse.Namespace) -> Result:
     from . import metrics
-    from .records import CorpusReader, normalize_record, split_pass
+    from .records import CorpusReader, identity_tables, split_pass
 
     def summarize(only):  # one range's per-slide summaries, in key order
-        return list(metrics.corpus_disagreement(reader.read(normalize_record, only)).items())
+        return [(key, metrics.slide_disagreement(key, tables.identity_sets()))
+                for key, tables in reader.read(identity_tables, only)]
 
     reader = CorpusReader(args.corpus)
     with _skip_lines(reader):
@@ -254,10 +255,10 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
 
 def cmd_compare_runs(args: argparse.Namespace) -> Result:
     from .integrity import compare_range, join_ranges
-    from .records import CorpusReader, normalize_record, read_runs, split_pass
+    from .records import CorpusReader, identity_tables, read_runs, split_pass
 
     def compare(only):  # a file both runs hold byte for byte is loaded once
-        return [compare_range(read_runs(run_a, run_b, normalize_record, only))]
+        return [compare_range(read_runs(run_a, run_b, identity_tables, only))]
 
     run_a, run_b = CorpusReader(args.run_a), CorpusReader(args.run_b)
     with _skip_lines(run_a, run_b):

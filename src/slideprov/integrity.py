@@ -5,9 +5,10 @@ record back to disk is an explicit, separate step (``tamper --write``
 calls ``records.write_record``).  All randomized choices flow from a
 caller-supplied seed so every experiment replays exactly.  Each tamper
 kind is one table row.  Tamper opens only the files of the slides it
-draws, a dual-run comparison takes the two runs' records paired by key
-(``records.read_runs``), and time gaps from file mtimes list the corpus
-files without loading them.
+draws, and time gaps from file mtimes list the corpus files without
+loading them.  A dual-run comparison takes the two runs' identity tables
+paired by key (``records.read_runs``); it renders canonical bytes only
+for a slide whose identity sets agree in both runs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .metrics import EMPTY_SET_JACCARD, jaccard
 from .records import (
     Concept,
     CorpusReader,
+    DocumentTables,
     ModelExtraction,
     ProvenanceRecord,
     SlideKey,
@@ -32,7 +34,9 @@ from .records import (
     canonical_bytes,
     load_json_entries,
     normalize_record,
+    record_tables,
     scan_slide_files,
+    table_bytes,
 )
 
 if TYPE_CHECKING:  # only tamper_experiment hashes, and imports commitment when it runs
@@ -308,7 +312,8 @@ def load_time_manifest(path: Path | str) -> dict[SlideKey, float]:
     t_local (seconds).  Manifests make time-gap experiments reproducible
     where mtimes are not portable.  A malformed manifest, an id that is
     not a JSON integer (``true``, ``1.9`` and ``"2"`` are not), a slide
-    listed twice, or a t_local that is not finite, raises ValueError.
+    listed twice, or a t_local that is not a finite JSON number (``true``
+    and ``"5"`` are not), raises ValueError.
     """
     return dict(load_json_entries(path, "time manifest", lambda e: (
         SlideKey(_integer(e["lecture_id"], "lecture_id"), _integer(e["slide_id"], "slide_id")),
@@ -322,10 +327,9 @@ def _integer(value: object, name: str) -> int:
 
 
 def _finite(value: object, name: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
+    if type(value) not in (int, float) or not math.isfinite(value):  # not a bool, nor text
         raise ValueError(f"{name} is not a finite number: {value!r}")
-    return number
+    return float(value)
 
 
 # --------------------------------------------------------------------------
@@ -381,9 +385,9 @@ class RunComparison(NamedTuple):
         )
 
 
-def _self_jaccard(elements: tuple) -> float:
-    """``jaccard(s, s)`` for the identity set ``s`` of a model's ``elements``."""
-    return 1.0 if elements else EMPTY_SET_JACCARD
+def _self_jaccard(table: dict) -> float:
+    """``jaccard(s, s)`` for the identity set ``s`` of a model's ``table``."""
+    return 1.0 if table else EMPTY_SET_JACCARD
 
 
 def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
@@ -391,44 +395,50 @@ def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
     """Model-by-model Jaccard between two runs over their common slides.
 
     Each run is ``(key, record)`` pairs in any order, such as a corpus's
-    items or the stream of ``CorpusReader.read``; both are held by key
-    and paired.  When both runs give the same record object for a key,
-    as ``records.read_runs`` does for a file both runs hold byte for
-    byte, the slide is byte-equal and each model's Jaccard is
-    ``jaccard(s, s)``, found without encoding the record or building its
-    identity sets.
+    items or the stream of ``CorpusReader.read``; both are held by key,
+    paired, and compared through ``records.record_tables``.  When both
+    runs give the same record object for a key, the slide is byte-equal
+    and each model's Jaccard is ``jaccard(s, s)``.
     """
     a, b = dict(run_a), dict(run_b)
-    return join_ranges([compare_range((key, a.get(key), b.get(key)) for key in sorted(a.keys() | b.keys()))],
-                       stacklevel=3)
+    tables = {id(record): record_tables(record) for record in (*a.values(), *b.values())}  # one per record object
+    return join_ranges([compare_range((key, *(tables[id(run[key])] if key in run else None for run in (a, b)))
+                                      for key in sorted(a.keys() | b.keys()))], stacklevel=3)
 
 
-def compare_range(runs: Iterable[tuple[SlideKey, ProvenanceRecord | None, ProvenanceRecord | None]]
+def compare_range(runs: Iterable[tuple[SlideKey, DocumentTables | None, DocumentTables | None]]
                   ) -> RunComparison:
-    """``compare_corpora`` over one key range's ``records.read_runs`` triples, without the whole-run checks."""
+    """``compare_corpora`` over one key range's ``records.read_runs`` triples of tables, without the whole-run checks.
+
+    A slide whose runs differ in a model name or an identity set is not
+    byte-equal, as each identity's text is part of the canonical bytes;
+    only a slide whose sets all agree has both runs' bytes rendered.
+    """
     pairs: list[RunPair] = []
     asymmetric: list[AsymmetricPair] = []
     byte_equal: dict[SlideKey, bool] = {}
     only_in: tuple[list[SlideKey], list[SlideKey]] = ([], [])
-    for key, rec_a, rec_b in runs:
-        if rec_a is None or rec_b is None:  # a key of one run only: run A's at 0, run B's at 1
-            only_in[rec_a is None].append(key)
+    for key, tables_a, tables_b in runs:
+        if tables_a is None or tables_b is None:  # a key of one run only: run A's at 0, run B's at 1
+            only_in[tables_a is None].append(key)
             continue
-        if rec_a is rec_b:  # one record for both runs: each identity set is compared with itself
+        if tables_a is tables_b:  # one document for both runs: each identity set is compared with itself
             byte_equal[key] = True
-            pairs += (RunPair(key, model, _self_jaccard(ext.concepts), _self_jaccard(ext.triples))
-                      for model, ext in sorted(rec_a.models.items()))
+            pairs += (RunPair(key, model, _self_jaccard(m.concepts), _self_jaccard(m.triples))
+                      for model, m in sorted(tables_a.models.items()))
             continue
-        byte_equal[key] = canonical_bytes(rec_a) == canonical_bytes(rec_b)
-        for model in sorted(set(rec_a.models) | set(rec_b.models)):
-            in_a, in_b = model in rec_a.models, model in rec_b.models
+        models_a, models_b = tables_a.models, tables_b.models
+        same = models_a.keys() == models_b.keys()
+        for model in sorted(models_a.keys() | models_b.keys()):
+            in_a, in_b = model in models_a, model in models_b
             if in_a and in_b:
-                ext_a, ext_b = rec_a.models[model], rec_b.models[model]
-                pairs.append(RunPair(key, model,
-                                     jaccard(ext_a.concept_identities(), ext_b.concept_identities()),
-                                     jaccard(ext_a.triple_identities(), ext_b.triple_identities())))
+                concepts_a, concepts_b = models_a[model].concepts.keys(), models_b[model].concepts.keys()
+                triples_a, triples_b = models_a[model].triples.keys(), models_b[model].triples.keys()
+                pairs.append(RunPair(key, model, jaccard(concepts_a, concepts_b), jaccard(triples_a, triples_b)))
+                same = same and concepts_a == concepts_b and triples_a == triples_b
             else:
                 asymmetric.append(AsymmetricPair(key, model, "a" if in_a else "b"))
+        byte_equal[key] = same and table_bytes(tables_a) == table_bytes(tables_b)
     return RunComparison(pairs, asymmetric, byte_equal, *only_in)
 
 

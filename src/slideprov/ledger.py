@@ -391,8 +391,13 @@ class Ledger:
         }
 
     def export_bytes(self) -> bytes:
-        """Canonical UTF-8 JSON export; identical states give identical bytes."""
-        return _canonical(self.to_document()) + b"\n"
+        """Canonical UTF-8 JSON export; identical states give identical bytes.
+
+        The body is serialized once, for its checksum and for the file:
+        ``"checksum"`` sorts before every other key, so it leads the object.
+        """
+        body = _canonical(self._body())
+        return b'{"checksum":"' + _digest(body).encode("ascii") + b'",' + body[1:] + b"\n"
 
     @classmethod
     def from_document(cls, doc: object) -> "Ledger":
@@ -452,8 +457,11 @@ def _canonical(doc: dict) -> bytes:
 
 def checksum(doc: dict) -> str:
     """``"sha256:"`` and the SHA-256 hex digest of the canonical bytes of ``doc`` less its ``checksum``."""
-    body = {name: value for name, value in doc.items() if name != "checksum"}
-    return "sha256:" + hashlib.sha256(_canonical(body)).hexdigest()
+    return _digest(_canonical({name: value for name, value in doc.items() if name != "checksum"}))
+
+
+def _digest(body: bytes) -> str:
+    return "sha256:" + hashlib.sha256(body).hexdigest()
 
 
 def _entry_document(r: SlideRecord) -> dict:

@@ -5,10 +5,11 @@ All metrics operate on exact post-normalization identities: concepts as
 correctness; the numbers describe how much the models' outputs overlap
 and diverge.
 
-One pass builds every input: corpus_disagreement reads each model's
+One pass builds every input: ``slide_disagreement`` reads each model's
 identity sets once per slide and keeps only their sizes, those of their
-unions and of each model pair's intersections.  Every other metric is a
-ratio of those sizes and takes its output.
+unions and of each model pair's intersections.  ``analyze`` gives it the
+keys of ``records.identity_tables``, and ``disagreement`` a record's sets.
+Every other metric is a ratio of those sizes and takes its output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import statistics
 import sys
 import warnings
 from itertools import combinations
-from typing import Iterable, Literal, NamedTuple
+from typing import AbstractSet, Iterable, Literal, Mapping, NamedTuple
 
 from .errors import InsufficientModels, ProvenanceWarning, TooFewSlides, UnknownBaselineModel
 from .records import ProvenanceRecord, SlideKey
@@ -60,16 +61,25 @@ BySlide = dict[SlideKey, SlideDisagreement]
 _PAIRS: dict[tuple[str, str], tuple[str, str]] = {}  # one ``common`` key per model pair, for every slide
 
 
-def disagreement(record: ProvenanceRecord) -> SlideDisagreement:
-    """Sizes of each model's identity sets, their unions (total semantic breadth) and each pair's intersections."""
-    names = sorted(map(sys.intern, record.models))  # so the held summaries share one copy of each name
-    concepts = {name: record.models[name].concept_identities() for name in names}
-    triples = {name: record.models[name].triple_identities() for name in names}
+def slide_disagreement(key: SlideKey, sets: Mapping[str, tuple[AbstractSet, AbstractSet]]) -> SlideDisagreement:
+    """Sizes of each model's identity sets, their unions (total semantic breadth) and each pair's intersections.
+
+    ``sets`` maps each model name to its concept and triple identity sets.
+    """
+    names = sorted(map(sys.intern, sets))  # so the held summaries share one copy of each name
+    concepts = {name: sets[name][0] for name in names}
+    triples = {name: sets[name][1] for name in names}
     return SlideDisagreement(
-        record.key, len(frozenset().union(*concepts.values())), len(frozenset().union(*triples.values())),
+        key, len(frozenset().union(*concepts.values())), len(frozenset().union(*triples.values())),
         {name: (len(concepts[name]), len(triples[name])) for name in names},
         {_PAIRS.setdefault((a, b), (a, b)): (len(concepts[a] & concepts[b]), len(triples[a] & triples[b]))
          for a, b in combinations(names, 2)})
+
+
+def disagreement(record: ProvenanceRecord) -> SlideDisagreement:
+    """``slide_disagreement`` of a record's identity sets."""
+    return slide_disagreement(record.key, {name: (ext.concept_identities(), ext.triple_identities())
+                                           for name, ext in record.models.items()})
 
 
 def corpus_disagreement(records: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> BySlide:

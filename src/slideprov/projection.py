@@ -49,6 +49,8 @@ class NetworkProfile(Checked, _ProfileFields):
 
     @classmethod
     def _check(cls, value: NetworkProfile) -> NetworkProfile:
+        if not isinstance(value.name, str):  # null or 7 is no network name
+            raise ValueError(f"name is not a string: {value.name!r}")
         price = parse_number(value.gas_price_gwei, "gas_price_gwei")
         if price <= 0:
             raise ValueError("gas price must be positive")
@@ -65,9 +67,8 @@ def preset_profiles() -> list[NetworkProfile]:
 
 
 def load_profiles(path: Path | str) -> list[NetworkProfile]:
-    """Read custom profiles from a JSON list of {name, gas_price_gwei}, each name once."""
-    return load_json_entries(path, "profile config",
-                             lambda e: NetworkProfile(str(e["name"]), e["gas_price_gwei"]),
+    """Read custom profiles from a JSON list of {name, gas_price_gwei}, each name a JSON string, once."""
+    return load_json_entries(path, "profile config", lambda e: NetworkProfile(e["name"], e["gas_price_gwei"]),
                              key=lambda profile: profile.name)
 
 

@@ -5,6 +5,14 @@ one slide.  Normalization makes heterogeneous model output comparable
 (lowercase, collapsed whitespace, deduplicated); canonical serialization
 makes logically equal records byte-identical so they hash identically on
 every platform.
+
+One core, ``_tables``, reads a parsed document: it applies every rule
+and check and gives each model's identity tables (identity -> evidence
+or confidence).  Three views derive from them: ``normalize_record``
+(sorted records, for ``tamper`` and the library), ``normalized_bytes``
+(canonical bytes, for ``register`` and ``verify``) and ``identity_tables``
+(the tables themselves, whose keys are the identity sets that ``analyze``
+and ``compare-runs`` read).
 """
 
 from __future__ import annotations
@@ -16,9 +24,10 @@ import os
 import re
 import threading
 import warnings
+from itertools import chain, starmap
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import BinaryIO, Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import BinaryIO, Callable, Container, Iterable, Iterator, KeysView, NamedTuple, Sequence, TypeVar
 
 from .errors import EmptyCorpus, MalformedDocument, MissingKey, ProvenanceWarning
 
@@ -117,10 +126,10 @@ class ModelExtraction(NamedTuple):
     raw_output: str | None = None
 
     def concept_identities(self) -> frozenset[tuple[str, str]]:
-        return frozenset(c.identity for c in self.concepts)
+        return frozenset(c[:2] for c in self.concepts)
 
     def triple_identities(self) -> frozenset[tuple[str, str, str]]:
-        return frozenset(t.identity for t in self.triples)
+        return frozenset(t[:3] for t in self.triples)
 
 
 class RecordPaths(NamedTuple):
@@ -162,34 +171,28 @@ def _number(value: object) -> str:
 # An element's canonical text is ``_dumps`` of its document, written with
 # the keys in sorted order.
 
-def _concept_text(c: Concept) -> str:
-    evidence = "" if c.evidence is None else f',"evidence":{_quote(c.evidence)}'
-    return f'{{"category":{_quote(c.category)}{evidence},"term":{_quote(c.term)}}}'
+def _concept_text(identity: tuple[str, str], evidence: str | None) -> str:
+    category, term = identity
+    evidence = "" if evidence is None else f',"evidence":{_quote(evidence)}'
+    return f'{{"category":{_quote(category)}{evidence},"term":{_quote(term)}}}'
 
 
-def _triple_text(t: Triple) -> str:
-    confidence = "" if t.confidence is None else f'"confidence":{_number(t.confidence)},'
-    return f'{{{confidence}"o":{_quote(t.o)},"p":{_quote(t.p)},"s":{_quote(t.s)}}}'
+def _triple_text(identity: tuple[str, str, str], confidence: float | None) -> str:
+    s, p, o = identity
+    confidence = "" if confidence is None else f'"confidence":{_number(confidence)},'
+    return f'{{{confidence}"o":{_quote(o)},"p":{_quote(p)},"s":{_quote(s)}}}'
 
 
-def _model_text(ext: ModelExtraction, concept_texts: list[str] | None = None,
-                triple_texts: list[str] | None = None) -> str:
-    """A model's canonical text.
-
-    ``concept_texts`` and ``triple_texts``, when given, are the texts of
-    its concepts and triples, already in sorted order.
-    """
-    if concept_texts is None:
-        concept_texts = sorted(map(_concept_text, ext.concepts))
-    if triple_texts is None:
-        triple_texts = sorted(map(_triple_text, ext.triples))
-    raw = "" if ext.raw_output is None else f',"raw_output":{_quote(ext.raw_output)}'
-    return (f'{{"concepts":[{",".join(concept_texts)}],'
-            f'"evidence":[{",".join(map(_quote, ext.evidence))}]{raw},'
-            f'"triples":[{",".join(triple_texts)}]}}')
+def _model_text(concept_texts: Iterable[str], triple_texts: Iterable[str],
+                evidence: tuple[str, ...], raw_output: str | None) -> str:
+    """A model's canonical text, from the texts of its concepts and of its triples in any order."""
+    raw = "" if raw_output is None else f',"raw_output":{_quote(raw_output)}'
+    return (f'{{"concepts":[{",".join(sorted(concept_texts))}],'
+            f'"evidence":[{",".join(map(_quote, evidence))}]{raw},'
+            f'"triples":[{",".join(sorted(triple_texts))}]}}')
 
 
-def _record_bytes(record: ProvenanceRecord, model_texts: dict[str, str]) -> bytes:
+def _record_bytes(record: ProvenanceRecord | DocumentTables, model_texts: dict[str, str]) -> bytes:
     """The record's canonical bytes, given each model's canonical text by name."""
     models = ",".join(f"{_quote(name)}:{model_texts[name]}" for name in sorted(model_texts))
     paths, meta = record.paths, record.metadata
@@ -212,7 +215,30 @@ def canonical_bytes(record: ProvenanceRecord) -> bytes:
     that round-trips.  Pure function of record content.  The text is
     written directly, keys in sorted order, without building the document.
     """
-    return _record_bytes(record, {name: _model_text(ext) for name, ext in record.models.items()})
+    return _record_bytes(record, {
+        name: _model_text([_concept_text(c[:2], c.evidence) for c in ext.concepts],
+                          [_triple_text(t[:3], t.confidence) for t in ext.triples], ext.evidence, ext.raw_output)
+        for name, ext in record.models.items()})
+
+
+def table_bytes(tables: DocumentTables) -> bytes:
+    """The canonical bytes of the record the tables hold, rendered from their items.
+
+    Raises UnicodeEncodeError for text with no UTF-8 form, which
+    ``identity_tables`` has already ruled out.
+    """
+    return _record_bytes(tables, {
+        name: _model_text(starmap(_concept_text, m.concepts.items()), starmap(_triple_text, m.triples.items()),
+                          m.evidence, m.raw_output)
+        for name, m in tables.models.items()})
+
+
+def record_tables(record: ProvenanceRecord) -> DocumentTables:
+    """The tables of a record as ``normalize_record`` gives it, whose elements have distinct identities."""
+    return DocumentTables(record.key, record.lecture_label, {
+        name: ModelTables({c[:2]: c.evidence for c in ext.concepts}, {t[:3]: t.confidence for t in ext.triples},
+                          ext.evidence, ext.raw_output)
+        for name, ext in record.models.items()}, record.paths, record.metadata)
 
 
 def _layout_base(root: Path | str) -> Path:
@@ -256,97 +282,78 @@ def scan_slide_files(root: Path | str) -> list[tuple[SlideKey, Path]]:
 
 
 # --------------------------------------------------------------------------
-# normalization
+# normalization: one core, ``_tables``, and three views of its tables
+
+
+class ModelTables(NamedTuple):
+    """One model's normalized output: identity tables and its text fields.
+
+    ``concepts`` maps each (category, term) identity to its evidence and
+    ``triples`` each (s, p, o) identity to its confidence, in the order of
+    the document, the first entry with an identity winning.  evidence
+    keeps source order and exact text.
+    """
+
+    concepts: dict[tuple[str, str], str | None]
+    triples: dict[tuple[str, str, str], float | None]
+    evidence: tuple[str, ...]
+    raw_output: str | None
+
+
+class DocumentTables(NamedTuple):
+    """A normalized document: each model's ``ModelTables`` by name, and the header fields.
+
+    The fields are named as a ``ProvenanceRecord``'s, so both encode
+    through ``_record_bytes``.
+    """
+
+    key: SlideKey
+    lecture_label: str
+    models: dict[str, ModelTables]
+    paths: RecordPaths
+    metadata: RecordMetadata
+
+    def identity_sets(self) -> dict[str, tuple[KeysView, KeysView]]:
+        """Each model's concept and triple identity sets by name: its tables' keys."""
+        return {name: (m.concepts.keys(), m.triples.keys()) for name, m in self.models.items()}
 
 
 def _as_entry_list(value: object) -> list:
     """Harmonize list / single object / null into a list of candidates."""
-    if value is None:
-        return []
     if isinstance(value, list):
         return value
     if isinstance(value, dict):
         return [value]
-    return []  # malformed container treated as empty
+    return []  # null, or a malformed container, treated as empty
 
 
-def _in_text_order(elements: Iterable[_E], text: Callable[[_E], str],
-                   texts: list[str] | None) -> tuple[_E, ...]:
-    """``elements`` sorted by their canonical text.
-
-    When ``texts`` is a list, the sorted texts are appended to it, for the
-    caller to build the model's canonical text from.
-    """
-    if texts is None:
-        return tuple(sorted(elements, key=text))
-    by_text = {text(e): e for e in elements}  # distinct identities have distinct texts
-    texts += sorted(by_text)
-    return tuple(map(by_text.__getitem__, texts))
-
-
-def _normalize_concepts(value: object, texts: list[str] | None = None) -> tuple[Concept, ...]:
-    seen: dict[tuple[str, str], Concept] = {}
-    for entry in _as_entry_list(value):
-        if not isinstance(entry, dict):
-            continue
-        category = normalize_text(entry.get("category"))
-        term = normalize_text(entry.get("term"))
-        if not category or not term or (category, term) in seen:
-            continue  # first occurrence wins
-        evidence = entry.get("evidence")
-        evidence = evidence if isinstance(evidence, str) else None
-        seen[category, term] = Concept(category, term, evidence)
-    return _in_text_order(seen.values(), _concept_text, texts)
-
-
-def _normalize_confidence(value: object) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    if 0.0 <= value <= 1.0:
-        return float(value)
-    return None
-
-
-def _normalize_triples(value: object, texts: list[str] | None = None) -> tuple[Triple, ...]:
-    seen: dict[tuple[str, str, str], Triple] = {}
-    for entry in _as_entry_list(value):
-        if not isinstance(entry, dict):
-            continue
-        s = normalize_text(entry.get("s"))
-        p = normalize_text(entry.get("p"))
-        o = normalize_text(entry.get("o"))
-        if not (s and p and o) or (s, p, o) in seen:
-            continue
-        confidence = _normalize_confidence(entry.get("confidence"))
-        seen[s, p, o] = Triple(s, p, o, confidence)
-    return _in_text_order(seen.values(), _triple_text, texts)
-
-
-def _normalize_evidence(value: object) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        return (value,)
-    if not isinstance(value, list):
-        return ()
-    return tuple(item for item in value if isinstance(item, str))
-
-
-def _normalize_model(name: str, value: object, model_texts: dict[str, str] | None) -> ModelExtraction:
+def _model_tables(value: object) -> ModelTables:
+    """One model's tables.  ``normalize_text`` is inlined here: ``" ".join(text.split()).lower()``."""
     if not isinstance(value, dict):
         value = {}
-    raw_output = value.get("raw_output")
-    concept_texts, triple_texts = (None, None) if model_texts is None else ([], [])
-    ext = ModelExtraction(
-        model_name=name,
-        concepts=_normalize_concepts(value.get("concepts"), concept_texts),
-        triples=_normalize_triples(value.get("triples"), triple_texts),
-        evidence=_normalize_evidence(value.get("evidence")),
-        raw_output=raw_output if isinstance(raw_output, str) else None,
-    )
-    if model_texts is not None:
-        model_texts[name] = _model_text(ext, concept_texts, triple_texts)
-    return ext
+    concepts: dict[tuple[str, str], str | None] = {}
+    for entry in _as_entry_list(value.get("concepts")):
+        if isinstance(entry, dict):
+            category, term = entry.get("category"), entry.get("term")
+            if isinstance(category, str) and isinstance(term, str):
+                identity = (" ".join(category.split()).lower(), " ".join(term.split()).lower())
+                if identity[0] and identity[1] and identity not in concepts:
+                    evidence = entry.get("evidence")
+                    concepts[identity] = evidence if isinstance(evidence, str) else None
+    triples: dict[tuple[str, str, str], float | None] = {}
+    for entry in _as_entry_list(value.get("triples")):
+        if isinstance(entry, dict):
+            s, p, o = entry.get("s"), entry.get("p"), entry.get("o")
+            if isinstance(s, str) and isinstance(p, str) and isinstance(o, str):
+                identity = (" ".join(s.split()).lower(), " ".join(p.split()).lower(), " ".join(o.split()).lower())
+                if identity[0] and identity[1] and identity[2] and identity not in triples:
+                    c = entry.get("confidence")  # a number in [0, 1], not a bool
+                    triples[identity] = (float(c) if isinstance(c, (int, float)) and not isinstance(c, bool)
+                                         and 0.0 <= c <= 1.0 else None)
+    evidence, raw_output = value.get("evidence"), value.get("raw_output")
+    evidence = ((evidence,) if isinstance(evidence, str) else
+                tuple(item for item in evidence if isinstance(item, str)) if isinstance(evidence, list) else ())
+    return ModelTables(concepts, triples, evidence, raw_output if isinstance(raw_output, str) else None)
 
 
 def _int_or_none(value: object) -> int | None:
@@ -374,6 +381,85 @@ def _document_key(raw: dict) -> SlideKey | None:
     return SlideKey(lecture_id, slide_id)
 
 
+def _tables(raw: object, key: SlideKey | None) -> DocumentTables:
+    """The core: a parsed document's tables, checked but for UTF-8.
+
+    Only it and ``_model_tables`` read a document.  Every view calls it
+    itself, so that an id-conflict warning names the view's caller.
+    """
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"expected a JSON object, got {type(raw).__name__}")
+
+    doc_key = _document_key(raw)
+    if key is None:
+        key = doc_key
+    elif doc_key is not None and doc_key != key:
+        warnings.warn(f"document ids {doc_key} conflict with file-derived key {key}; file wins",
+                      ProvenanceWarning, stacklevel=3)
+    if key is None:
+        raise MissingKey("cannot establish (lecture_id, slide_id) identity")
+    if not key.is_valid():
+        raise MissingKey(f"invalid slide identity {key}")
+
+    models_raw = raw.get("models")
+    if not isinstance(models_raw, dict) or not models_raw:
+        raise MalformedDocument("record has no model extractions")
+    models = {name: _model_tables(value) for name, value in models_raw.items()}
+
+    lecture_label = raw.get("lecture")
+    if not isinstance(lecture_label, str) or not lecture_label:
+        lecture_label = f"Lecture {key.lecture_id}"
+
+    paths = raw.get("paths") if isinstance(raw.get("paths"), dict) else {}
+    meta = raw.get("metadata") if isinstance(raw.get("metadata"), dict) else {}
+
+    def text(container: dict, name: str, default: str = "") -> str:
+        value = container.get(name)
+        return value if isinstance(value, str) else default
+
+    return DocumentTables(key, lecture_label, models,
+                          RecordPaths(text(paths, "image"), text(paths, "text"), text(paths, "json")),
+                          RecordMetadata(text(meta, "timestamp"), text(meta, "source"),
+                                         text(meta, "hash_input_format", CANONICAL_FORMAT)))
+
+
+def _require_utf8(tables: DocumentTables) -> None:
+    """Raise MalformedDocument when some text the tables keep has no UTF-8 form.
+
+    JSON escapes can spell lone surrogates (``"\\ud800"``), which Python
+    strings hold but UTF-8 cannot encode; such a record has no canonical
+    bytes.
+    """
+    texts = [tables.lecture_label, *tables.paths, *tables.metadata]
+    for name, m in tables.models.items():
+        texts += (name, m.raw_output or "", *m.evidence)
+        texts += chain.from_iterable(m.concepts)
+        texts += filter(None, m.concepts.values())
+        texts += chain.from_iterable(m.triples)
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _not_utf8(exc) from None
+
+
+def identity_tables(raw: object, key: SlideKey | None = None) -> DocumentTables:
+    """Normalize a parsed document into its tables, with no record built.
+
+    The tables hold what ``normalize_record(raw, key)`` holds, unsorted.
+    Raises as ``normalize_record`` does.
+    """
+    tables = _tables(raw, key)
+    _require_utf8(tables)
+    return tables
+
+
+def _in_text_order(table: dict, text: Callable[[tuple, object], str], make: type[_E]) -> tuple[_E, ...]:
+    """A ``make`` NamedTuple of each identity and value of ``table``, sorted by the item's canonical text."""
+    # distinct identities have distinct texts, so no two tie; make._make calls tuple.__new__ so, and checks a length
+    ordered = sorted([(text(identity, value), (*identity, value)) for identity, value in table.items()])
+    return tuple([tuple.__new__(make, fields) for _, fields in ordered])
+
+
 def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceRecord:
     """Normalize a parsed document into a ProvenanceRecord.
 
@@ -386,97 +472,23 @@ def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceReco
     or some of its text has no UTF-8 form, and MissingKey when no slide
     identity can be established.
     """
-    record = _normalize(raw, key, None)
-    _require_utf8(record)
-    return record
+    tables = _tables(raw, key)
+    _require_utf8(tables)
+    models = {name: ModelExtraction(name, _in_text_order(m.concepts, _concept_text, Concept),
+                                    _in_text_order(m.triples, _triple_text, Triple), m.evidence, m.raw_output)
+              for name, m in tables.models.items()}
+    return ProvenanceRecord(tables.key, tables.lecture_label, models, tables.paths, tables.metadata)
 
 
 def normalized_bytes(raw: object, key: SlideKey) -> bytes:
-    """``canonical_bytes(normalize_record(raw, key))``, without encoding any element twice.
+    """``canonical_bytes(normalize_record(raw, key))``, rendered from the tables with no record built.
 
-    Normalization sorts each model's concepts and triples by their
-    canonical text; here those texts are kept, for this record only, and
-    joined into its bytes.  Raises as ``normalize_record`` does.
+    Raises as ``normalize_record`` does: encoding the bytes is the UTF-8
+    check, as every text of the record is part of them.
     """
-    model_texts: dict[str, str] = {}
-    record = _normalize(raw, key, model_texts)
+    tables = _tables(raw, key)
     try:
-        # every text of the record is part of its canonical text
-        return _record_bytes(record, model_texts)
-    except UnicodeEncodeError as exc:
-        raise _not_utf8(exc) from None
-
-
-def _normalize(raw: object, key: SlideKey | None,
-               model_texts: dict[str, str] | None) -> ProvenanceRecord:
-    """``normalize_record`` without the UTF-8 check; fills ``model_texts`` by model name if given."""
-    if not isinstance(raw, dict):
-        raise MalformedDocument(f"expected a JSON object, got {type(raw).__name__}")
-
-    doc_key = _document_key(raw)
-    if key is None:
-        key = doc_key
-    elif doc_key is not None and doc_key != key:
-        warnings.warn(
-            f"document ids {doc_key} conflict with file-derived key {key}; file wins",
-            ProvenanceWarning,
-            stacklevel=3,
-        )
-    if key is None:
-        raise MissingKey("cannot establish (lecture_id, slide_id) identity")
-    if not key.is_valid():
-        raise MissingKey(f"invalid slide identity {key}")
-
-    models_raw = raw.get("models")
-    if not isinstance(models_raw, dict) or not models_raw:
-        raise MalformedDocument("record has no model extractions")
-    models = {name: _normalize_model(name, value, model_texts) for name, value in models_raw.items()}
-
-    lecture_label = raw.get("lecture")
-    if not isinstance(lecture_label, str) or not lecture_label:
-        lecture_label = f"Lecture {key.lecture_id}"
-
-    paths_raw = raw.get("paths") if isinstance(raw.get("paths"), dict) else {}
-    meta_raw = raw.get("metadata") if isinstance(raw.get("metadata"), dict) else {}
-
-    def text_field(container: dict, name: str, default: str = "") -> str:
-        value = container.get(name)
-        return value if isinstance(value, str) else default
-
-    return ProvenanceRecord(
-        key=key,
-        lecture_label=lecture_label,
-        models=models,
-        paths=RecordPaths(
-            image=text_field(paths_raw, "image"),
-            text=text_field(paths_raw, "text"),
-            json=text_field(paths_raw, "json"),
-        ),
-        metadata=RecordMetadata(
-            timestamp=text_field(meta_raw, "timestamp"),
-            source=text_field(meta_raw, "source"),
-            hash_input_format=text_field(meta_raw, "hash_input_format", CANONICAL_FORMAT),
-        ),
-    )
-
-
-def _require_utf8(record: ProvenanceRecord) -> None:
-    """Raise MalformedDocument when some text of the record has no UTF-8 form.
-
-    JSON escapes can spell lone surrogates (``"\\ud800"``), which Python
-    strings hold but UTF-8 cannot encode; such a record has no canonical
-    bytes.
-    """
-    texts = [record.lecture_label, record.paths.image, record.paths.text, record.paths.json,
-             record.metadata.timestamp, record.metadata.source, record.metadata.hash_input_format]
-    for name, ext in record.models.items():
-        texts += (name, ext.raw_output or "", *ext.evidence)
-        for c in ext.concepts:
-            texts += (c.category, c.term, c.evidence or "")
-        for t in ext.triples:
-            texts += (t.s, t.p, t.o)
-    try:
-        "".join(texts).encode("utf-8")
+        return table_bytes(tables)
     except UnicodeEncodeError as exc:
         raise _not_utf8(exc) from None
 

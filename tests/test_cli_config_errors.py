@@ -1,8 +1,9 @@
 """Malformed config input is a usage error at the command line.
 
 ``main()`` is driven with generated malformed time manifests (non-finite
-times and a slide listed twice included), profiles files (a name listed
-twice included), ``--eth-usd`` values, non-integer
+times, times that are not JSON numbers and a slide listed twice
+included), profiles files (names that are not JSON strings and a name
+listed twice included), ``--eth-usd`` values, non-integer
 ``SLIDEPROV_*`` integers and unknown ``SLIDEPROV_FORMAT`` values.
 ``project`` reads ``--eth-usd`` and gas prices in the grammar of
 ``register``'s fee flags, ``p/q`` text included.
@@ -87,6 +88,11 @@ not_a_float = st.one_of(st.none(), st.lists(st.integers(), max_size=2),
 # json.dumps writes these as NaN, Infinity and -Infinity, which json.loads reads back
 not_finite = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf")]),
                        st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999"]))
+# what json.loads gives for a value that is not a JSON number, or not a JSON string
+not_a_json_number = st.one_of(st.booleans(), st.text(max_size=4), st.integers(-3, 3).map(str), st.none(),
+                              st.lists(st.integers(), max_size=2))
+not_a_json_string = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                              st.lists(st.text(max_size=2), max_size=2))
 not_a_price = st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.integers(max_value=0),
                         st.sampled_from(["NaN", "Infinity", "-1.5", "0"]),
                         st.text(max_size=6).filter(lambda s: not _parses(_positive_rational, s)))
@@ -120,9 +126,9 @@ def malformed_entries(draw, valid, bad_values):
 
 VALID_MANIFEST = [{"lecture_id": l, "slide_id": s, "t_local": 0} for l, s in SLIDES]
 MANIFEST_BAD_VALUES = {"lecture_id": not_an_int, "slide_id": not_an_int,
-                       "t_local": st.one_of(not_a_float, not_finite)}
+                       "t_local": st.one_of(not_a_float, not_finite, not_a_json_number)}
 VALID_PROFILES = [{"name": "l1", "gas_price_gwei": 30}, {"name": "l2", "gas_price_gwei": "0.5"}]
-PROFILE_BAD_VALUES = {"gas_price_gwei": not_a_price}
+PROFILE_BAD_VALUES = {"gas_price_gwei": not_a_price, "name": not_a_json_string}
 
 
 @FUZZ
@@ -245,6 +251,40 @@ def test_manifest_id_that_is_not_a_json_integer_exit_2(tmp_path, workspace, inde
     assert_config_error(code, err, path)
     loaded = json.loads(path.read_text(encoding="utf-8"))[index][field]
     assert err == f"error: {path}: time manifest entry {index}: {field} is not an integer: {loaded!r}\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@FUZZ
+@given(index=st.integers(0, len(SLIDES) - 1), value=not_a_json_number)
+@example(index=0, value=True)  # read as 1.0 s by float()
+@example(index=4, value="5")  # read as 5.0 s by float()
+def test_manifest_time_that_is_not_a_json_number_exit_2(tmp_path, workspace, index, value):
+    entries = [dict(entry) for entry in VALID_MANIFEST]
+    entries[index]["t_local"] = value
+    path = tmp_path / "times.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    code, err = run_main(["time-gaps", "--corpus", str(workspace["corpus"]),
+                          "--ledger", str(workspace["ledger"]), "--manifest", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert_config_error(code, err, path)
+    loaded = json.loads(path.read_text(encoding="utf-8"))[index]["t_local"]
+    assert err == f"error: {path}: time manifest entry {index}: t_local is not a finite number: {loaded!r}\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@FUZZ
+@given(index=st.integers(0, len(VALID_PROFILES) - 1), value=not_a_json_string)
+@example(index=0, value=None)  # the network 'None' by str()
+@example(index=1, value=7)  # the network '7' by str()
+def test_profile_name_that_is_not_a_json_string_exit_2(tmp_path, index, value):
+    entries = [dict(entry) for entry in VALID_PROFILES]
+    entries[index]["name"] = value
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    code, err = run_main(["project", "--profiles", str(path), "--out", str(tmp_path / "out")])
+    assert_config_error(code, err, path)
+    loaded = json.loads(path.read_text(encoding="utf-8"))[index]["name"]
+    assert err == f"error: {path}: profile config entry {index}: name is not a string: {loaded!r}\n", err
     assert not (tmp_path / "out").exists()
 
 

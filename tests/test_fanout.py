@@ -27,7 +27,7 @@ from conftest import forced_split, run_cli, write_corpus
 from slideprov import cli, commitment, records
 from slideprov.commitment import commit, commit_corpus
 from slideprov.errors import EmptyCorpus, ProvenanceWarning
-from slideprov.records import CorpusReader, SlideKey, normalize_record, normalized_bytes
+from slideprov.records import CorpusReader, SlideKey, normalized_bytes
 from test_golden import GOLDEN, golden_digests
 
 RANGES = (1, 2, 3)
@@ -278,12 +278,13 @@ def test_asymmetric_pairs_in_a_child_range_give_one_warning(tmp_path, n):
 
 
 def _failing_in_the_last_range(monkeypatch):
-    def failing_normalize(raw, key):
+    def failing_load(raw, key, load=records.identity_tables):
         if key == SlideKey(2, 3):  # the last key: always in the last range
             raise RuntimeError(f"cannot normalize {key}")
-        return normalize_record(raw, key)
+        return load(raw, key)
 
-    monkeypatch.setattr(records, "normalize_record", failing_normalize)  # cli imports it as a command runs
+    # the loader of both commands; cli imports it as a command runs
+    monkeypatch.setattr(records, "identity_tables", failing_load)
 
 
 @pytest.mark.parametrize("n", (2, 3))

@@ -26,6 +26,7 @@ BAD = [
     (FeeConfig, {}, "target_gas", True),
     (NetworkProfile, {"name": "l1", "gas_price_gwei": 30}, "gas_price_gwei", 0),
     (NetworkProfile, {"name": "l1", "gas_price_gwei": 30}, "gas_price_gwei", "thirty"),
+    (NetworkProfile, {"name": "l1", "gas_price_gwei": 30}, "name", None),
 ]
 ROUTES = {
     "constructor": lambda cls, good, field, bad: cls(**{**good, field: bad}),

@@ -17,15 +17,23 @@ items = [
 receipts, summary = ledger.batch_register(items)
 
 print("block  time  gas      price(gwei)  cost(USD)")
+# Receipts and totals are whole wei; a report divides once, at the end.
+rate = ledger.fee_config.eth_usd_rate
+
+
+def usd(wei: int) -> float:
+    return wei * rate.numerator / (10**18 * rate.denominator)
+
+
 for r in receipts:
     print(f"{r.block_number:>5}  {r.timestamp:>4}  {r.gas_used}  "
-          f"{float(r.effective_gas_price):<11.6f}  {float(r.tx_cost_usd):.6f}")
+          f"{r.price_wei / 10**9:<11.6f}  {usd(r.gas_used * r.price_wei):.6f}")
 
 print(f"\ntotal gas {summary.total_gas} = {summary.registered} x {receipts[0].gas_used}:",
       summary.total_gas == summary.registered * receipts[0].gas_used)
 print(f"elapsed {summary.elapsed_seconds}s modeled, throughput {summary.throughput:.4f}/s")
-print(f"total cost {float(summary.total_cost_eth):.6f} ETH"
-      f" (${float(summary.total_cost_usd):.2f} at the configured rate)")
+print(f"total cost {summary.total_cost_wei} wei = {summary.total_cost_wei / 10**18:.6f} ETH"
+      f" (${usd(summary.total_cost_wei):.2f} at the configured rate)")
 
 # The registry is append-only: same key again is a hard error.
 try:

@@ -101,11 +101,14 @@ def cmd_register(args: argparse.Namespace) -> Result:
     items = [(key, c.hex, canonical_uri(key)) for key, c in commitments.items()]
 
     receipts, summary = ledger.batch_register(items)
-    # The reports give costs as floats: a cost past the float range fails
+    # The reports give each amount as one integer division of its exact
+    # rational, a correctly rounded float: a cost past the float range fails
     # here, before the ledger file is written.
+    rate = ledger.fee_config.eth_usd_rate
+    usd_numerator, usd_denominator = rate.numerator, 10**18 * rate.denominator  # USD per wei
     try:
-        receipt_rows = [[r.lecture_id, r.slide_id, r.block_number, r.timestamp, r.gas_used,
-                         float(r.effective_gas_price), float(r.tx_cost_eth), float(r.tx_cost_usd)]
+        receipt_rows = [[r.lecture_id, r.slide_id, r.block_number, r.timestamp, r.gas_used, r.price_wei / 10**9,
+                         r.gas_used * r.price_wei / 10**18, r.gas_used * r.price_wei * usd_numerator / usd_denominator]
                         for r in receipts]
         summary_doc = {
             "attempted": summary.attempted,
@@ -113,11 +116,11 @@ def cmd_register(args: argparse.Namespace) -> Result:
             "skipped_existing": reader.skipped,
             "failed": len(summary.failures),
             "min_gas": summary.min_gas,
-            "mean_gas": float(summary.mean_gas),
+            "mean_gas": summary.total_gas / summary.registered if summary.registered else 0.0,
             "max_gas": summary.max_gas,
             "total_gas": summary.total_gas,
-            "total_cost_eth": float(summary.total_cost_eth),
-            "total_cost_usd": float(summary.total_cost_usd),
+            "total_cost_eth": summary.total_cost_wei / 10**18,
+            "total_cost_usd": summary.total_cost_wei * usd_numerator / usd_denominator,
             "elapsed_seconds": summary.elapsed_seconds,
             "throughput": summary.throughput,
         }

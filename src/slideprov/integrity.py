@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
-from .metrics import EMPTY_SET_JACCARD, jaccard
 from .records import (
     Concept,
     CorpusReader,
@@ -385,11 +384,6 @@ class RunComparison(NamedTuple):
         )
 
 
-def _self_jaccard(table: dict) -> float:
-    """``jaccard(s, s)`` for the identity set ``s`` of a model's ``table``."""
-    return 1.0 if table else EMPTY_SET_JACCARD
-
-
 def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
                     run_b: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> RunComparison:
     """Model-by-model Jaccard between two runs over their common slides.
@@ -414,6 +408,8 @@ def compare_range(runs: Iterable[tuple[SlideKey, DocumentTables | None, Document
     byte-equal, as each identity's text is part of the canonical bytes;
     only a slide whose sets all agree has both runs' bytes rendered.
     """
+    from .metrics import EMPTY_SET_JACCARD, jaccard  # here, so that verify, tamper and time-gaps load no metrics
+
     pairs: list[RunPair] = []
     asymmetric: list[AsymmetricPair] = []
     byte_equal: dict[SlideKey, bool] = {}
@@ -422,9 +418,10 @@ def compare_range(runs: Iterable[tuple[SlideKey, DocumentTables | None, Document
         if tables_a is None or tables_b is None:  # a key of one run only: run A's at 0, run B's at 1
             only_in[tables_a is None].append(key)
             continue
-        if tables_a is tables_b:  # one document for both runs: each identity set is compared with itself
+        if tables_a is tables_b:  # one document for both runs: each identity set s gets jaccard(s, s)
             byte_equal[key] = True
-            pairs += (RunPair(key, model, _self_jaccard(m.concepts), _self_jaccard(m.triples))
+            pairs += (RunPair(key, model, 1.0 if m.concepts else EMPTY_SET_JACCARD,
+                              1.0 if m.triples else EMPTY_SET_JACCARD)
                       for model, m in sorted(tables_a.models.items()))
             continue
         models_a, models_b = tables_a.models, tables_b.models

@@ -12,7 +12,8 @@ configs, the log and a checksum of them; it is loaded by replaying the log
 through the same checks a live registration passes, then rejected unless
 the replay exports exactly the file's document, checksum included.
 
-Fee arithmetic uses exact rationals so replays are bit-identical across
+Fees are whole wei: a configured rational is read once into wei, and every
+amount after is integer arithmetic, so replays are bit-identical across
 platforms; nothing here touches a real network.
 """
 
@@ -36,8 +37,6 @@ LEDGER_FORMAT = "slideprov-ledger/v2"
 # Empirical per-registration gas for the canonical input shape
 # (66-char hash, 30-char uri) under the default GasConfig.
 CANONICAL_REGISTRATION_GAS = 231_430
-
-GWEI = Fraction(1, 10**9)  # ETH per gwei
 
 _ACCOUNT_COUNT = 20
 
@@ -225,14 +224,14 @@ class SlideRecord(NamedTuple):
 
 
 class RegistrationReceipt(NamedTuple):
+    """One registration's block and fee; it cost ``gas_used * price_wei`` wei."""
+
     lecture_id: int
     slide_id: int
     gas_used: int
-    effective_gas_price: Fraction  # gwei
+    price_wei: int  # base fee plus tip, per gas
     block_number: int
     timestamp: int
-    tx_cost_eth: Fraction
-    tx_cost_usd: Fraction
 
 
 class BatchSummary(NamedTuple):
@@ -242,14 +241,9 @@ class BatchSummary(NamedTuple):
     min_gas: int
     max_gas: int
     total_gas: int
-    total_cost_eth: Fraction
-    total_cost_usd: Fraction
+    total_cost_wei: int
     elapsed_seconds: int
     throughput: float
-
-    @property
-    def mean_gas(self) -> Fraction:
-        return Fraction(self.total_gas, self.registered) if self.registered else Fraction(0)
 
 
 def canonical_uri(key: SlideKey) -> str:
@@ -274,6 +268,7 @@ class Ledger:
         self.events: list[SlideRecord] = []
         self.records: dict[SlideKey, SlideRecord] = {}
         self.base_fee_wei = self.fee_config.initial_base_fee_wei
+        self._tip_wei = self.fee_config.priority_tip_wei
 
     @property
     def next_block_number(self) -> int:
@@ -332,21 +327,10 @@ class Ledger:
         state untouched.
         """
         timestamp = self.next_timestamp
-        base_fee_wei = self.base_fee_wei
+        price_wei = self.base_fee_wei + self._tip_wei
         registrant = _dev_account_set()[0]
         gas_used = self._append(SlideRecord(key.lecture_id, key.slide_id, slide_hash, uri, timestamp, registrant))
-        price = Fraction(base_fee_wei + self.fee_config.priority_tip_wei, WEI_PER_GWEI)
-        cost_eth = gas_used * price * GWEI
-        return RegistrationReceipt(
-            lecture_id=key.lecture_id,
-            slide_id=key.slide_id,
-            gas_used=gas_used,
-            effective_gas_price=price,
-            block_number=len(self.events),
-            timestamp=timestamp,
-            tx_cost_eth=cost_eth,
-            tx_cost_usd=cost_eth * self.fee_config.eth_usd_rate,
-        )
+        return RegistrationReceipt(key.lecture_id, key.slide_id, gas_used, price_wei, len(self.events), timestamp)
 
     def batch_register(
         self, items: list[tuple[SlideKey, str, str]]
@@ -365,8 +349,7 @@ class Ledger:
         elapsed = max(len(receipts) - 1, 0) * interval
         return receipts, BatchSummary(
             len(items), len(receipts), failures, min(gases, default=0), max(gases, default=0), sum(gases),
-            sum((r.tx_cost_eth for r in receipts), Fraction(0)),
-            sum((r.tx_cost_usd for r in receipts), Fraction(0)),
+            sum(r.gas_used * r.price_wei for r in receipts),
             elapsed, len(receipts) / max(elapsed, interval) if receipts else 0.0)
 
     # -- persistence -----------------------------------------------------

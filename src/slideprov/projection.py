@@ -2,9 +2,8 @@
 
 Total gas scales exactly linearly in corpus size because registrations
 cost near-constant gas.  Prices, costs and times are exact rationals
-(``Fraction``), as in the ledger's fee arithmetic; only text output
-rounds them, once, in ``decimal_text``, so projected tables are
-bit-stable across platforms.
+(``Fraction``); only text output rounds them, once, in ``decimal_text``,
+so projected tables are bit-stable across platforms.
 """
 
 from __future__ import annotations
@@ -13,9 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .ledger import CANONICAL_REGISTRATION_GAS, GWEI, ExponentOutOfRange, parse_number
+from .ledger import CANONICAL_REGISTRATION_GAS, ExponentOutOfRange, parse_number
 from .records import Checked, load_json_entries
 
+GWEI = Fraction(1, 10**9)  # ETH per gwei
 
 _OUT_OF_RANGE = "projected values exceed the floating-point range"
 

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,7 +27,7 @@ class Table(NamedTuple):
 def format_cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, Fraction)):
+    if isinstance(value, float):
         return repr(float(value))
     return str(value)
 

@@ -24,6 +24,7 @@ from slideprov import (
     AlreadyRegistered,
     Concept,
     CorpusReader,
+    FeeConfig,
     InvalidLecture,
     InvalidSlide,
     Ledger,
@@ -157,9 +158,10 @@ def _paper_scale_run():
 def test_criterion_04_cost_envelope():
     start = time.monotonic()
     receipts, summary = _paper_scale_run()
-    first = float(receipts[0].tx_cost_usd)
-    floor = float(min(r.tx_cost_usd for r in receipts))
-    total = float(summary.total_cost_usd)
+    usd_per_wei = FeeConfig().eth_usd_rate / 10**18
+    first = float(receipts[0].gas_used * receipts[0].price_wei * usd_per_wei)
+    floor = float(min(r.gas_used * r.price_wei for r in receipts) * usd_per_wei)
+    total = float(summary.total_cost_wei * usd_per_wei)
     ok = _close(first, 1.23, 0.02)
     ok &= _close(floor, 0.69, 0.02)
     ok &= _close(total, 780.0, 0.05)

@@ -122,16 +122,16 @@ class TestFees:
     def test_first_block_price(self):
         ledger = Ledger()
         receipt = ledger.register_slide(SlideKey(1, 1), HASH66, URI30)
-        assert receipt.effective_gas_price == Fraction(177, 100)
-        assert receipt.tx_cost_eth == 231_430 * Fraction(177, 100) * Fraction(1, 10**9)
+        # 0.77 gwei base fee plus the 1 gwei tip
+        assert (receipt.gas_used, receipt.price_wei) == (231_430, 1_770_000_000)
 
     def test_price_non_increasing_bounded_by_tip(self):
         ledger = Ledger()
         prices = [
-            ledger.register_slide(SlideKey(1, i), HASH66, URI30).effective_gas_price
+            ledger.register_slide(SlideKey(1, i), HASH66, URI30).price_wei
             for i in range(1, 40)
         ]
-        tip = ledger.fee_config.priority_tip_gwei
+        tip = ledger.fee_config.priority_tip_wei
         assert all(a >= b for a, b in zip(prices, prices[1:]))
         assert all(p >= tip for p in prices)
 

@@ -54,11 +54,11 @@ def workspace(tmp_path_factory):
 # command -> modules it must not load
 NOT_LOADED = {
     "register": {"integrity", "metrics", "projection"},
-    "verify": {"projection"},
+    "verify": {"metrics", "projection"},
     "analyze": {"commitment", "integrity", "projection"},
-    "tamper": {"projection"},
+    "tamper": {"metrics", "projection"},
     "compare-runs": {"projection"},
-    "time-gaps": {"projection"},
+    "time-gaps": {"metrics", "projection"},
     "project": {"commitment", "integrity", "metrics"},
 }
 

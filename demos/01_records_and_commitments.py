@@ -39,9 +39,9 @@ raw = {
 }
 
 record = normalize_record(raw)
-print("normalized concepts (vision-alpha):")
-for concept in record.models["vision-alpha"].concepts:
-    print("   ", concept.identity)
+print("normalized concepts (vision-alpha), identity -> evidence:")
+for identity, evidence in record.models["vision-alpha"].concepts.items():
+    print("   ", identity, "->", evidence)
 print("vision-beta triples:", record.models["vision-beta"].triples, "(null became empty)")
 print("evidence kept verbatim:", record.models["vision-alpha"].evidence[0])
 

@@ -6,7 +6,7 @@ lecture-level averages, quartile stability bands, and how much a single
 "best" model would miss.
 """
 
-from slideprov import Concept, ModelExtraction, ProvenanceRecord, SlideKey, Triple
+from slideprov import ModelExtraction, ProvenanceRecord, SlideKey
 from slideprov.metrics import (
     classify_stability,
     corpus_disagreement,
@@ -17,16 +17,16 @@ from slideprov.metrics import (
 )
 
 
-def extraction(name, terms, objects=()):
+def extraction(terms, objects=()):
+    # each element's identity maps to its evidence (concepts) or confidence (triples)
     return ModelExtraction(
-        model_name=name,
-        concepts=tuple(Concept("topic", t) for t in terms),
-        triples=tuple(Triple("slide", "mentions", o) for o in objects),
+        concepts={("topic", t): None for t in terms},
+        triples={("slide", "mentions", o): None for o in objects},
     )
 
 
 def record(lecture, slide, per_model):
-    models = {name: extraction(name, *sets) for name, sets in per_model.items()}
+    models = {name: extraction(*sets) for name, sets in per_model.items()}
     return ProvenanceRecord(SlideKey(lecture, slide), f"Lecture {lecture}", models)
 
 

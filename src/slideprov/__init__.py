@@ -27,9 +27,9 @@ _MODULE_NAMES = {
                " StabilityLabel classify_stability corpus_disagreement corpus_models coverage_loss disagreement"
                " jaccard lecture_aggregate model_footprint pairwise_jaccard",
     "projection": "NetworkProfile Projection load_profiles preset_profiles project",
-    "records": "CANONICAL_FORMAT Concept Corpus CorpusReader LoadFailure ModelExtraction ProvenanceRecord"
-               " RecordMetadata RecordPaths SlideKey Triple canonical_bytes load_corpus normalize_record"
-               " normalize_text record_path write_record",
+    "records": "CANONICAL_FORMAT Corpus CorpusReader LoadFailure ModelExtraction ProvenanceRecord RecordMetadata"
+               " RecordPaths SlideKey canonical_bytes load_corpus normalize_record normalize_text record_path"
+               " write_record",
 }
 _HOME = {name: module for module, names in _MODULE_NAMES.items() for name in names.split()}  # name -> module
 

@@ -168,11 +168,10 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 def cmd_analyze(args: argparse.Namespace) -> Result:
     from . import metrics
-    from .records import CorpusReader, identity_tables, split_pass
+    from .records import CorpusReader, normalize_record, split_pass
 
     def summarize(only):  # one range's per-slide summaries, in key order
-        return [(key, metrics.slide_disagreement(key, tables.identity_sets()))
-                for key, tables in reader.read(identity_tables, only)]
+        return [(key, metrics.disagreement(record)) for key, record in reader.read(normalize_record, only)]
 
     reader = CorpusReader(args.corpus)
     with _skip_lines(reader):
@@ -258,10 +257,10 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
 
 def cmd_compare_runs(args: argparse.Namespace) -> Result:
     from .integrity import compare_range, join_ranges
-    from .records import CorpusReader, identity_tables, read_runs, split_pass
+    from .records import CorpusReader, normalize_record, read_runs, split_pass
 
     def compare(only):  # a file both runs hold byte for byte is loaded once
-        return [compare_range(read_runs(run_a, run_b, identity_tables, only))]
+        return [compare_range(read_runs(run_a, run_b, normalize_record, only))]
 
     run_a, run_b = CorpusReader(args.run_a), CorpusReader(args.run_b)
     with _skip_lines(run_a, run_b):

@@ -4,11 +4,12 @@ Tampering operates on in-memory copies only; persisting a tampered
 record back to disk is an explicit, separate step (``tamper --write``
 calls ``records.write_record``).  All randomized choices flow from a
 caller-supplied seed so every experiment replays exactly.  Each tamper
-kind is one table row.  Tamper opens only the files of the slides it
-draws, and time gaps from file mtimes list the corpus files without
-loading them.  A dual-run comparison takes the two runs' identity tables
-paired by key (``records.read_runs``); it renders canonical bytes only
-for a slide whose identity sets agree in both runs.
+kind is one table row; an edit draws its element in the order of the
+record's canonical bytes, where its target index points.  Tamper opens
+only the files of the slides it draws, and time gaps from file mtimes
+list the corpus files without loading them.  A dual-run comparison takes the two runs' records paired
+by key (``records.read_runs``); it renders canonical bytes only for a
+slide whose identity sets agree in both runs.
 """
 
 from __future__ import annotations
@@ -19,23 +20,20 @@ import statistics
 import warnings
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping, NamedTuple
 
 from .errors import DisjointCorpora, EmptyCorpus, ProvenanceWarning, UnregisteredCorpus
 from .records import (
-    Concept,
     CorpusReader,
-    DocumentTables,
     ModelExtraction,
     ProvenanceRecord,
     SlideKey,
-    Triple,
+    _concept_text,
+    _triple_text,
     canonical_bytes,
     load_json_entries,
     normalize_record,
-    record_tables,
     scan_slide_files,
-    table_bytes,
 )
 
 if TYPE_CHECKING:  # only tamper_experiment hashes, and imports commitment when it runs
@@ -97,52 +95,62 @@ class TamperOp(NamedTuple):
     payload: str  # replacement or injected text ("" for deletions)
 
 
-def _fresh(rng: random.Random, taken: frozenset, make: Callable[[int], tuple]) -> tuple:
+def _fresh(rng: random.Random, taken: Container, make: Callable[[int], tuple]) -> tuple:
     """First ``make(n)`` outside ``taken``, drawing n = rng.randrange(10**6)."""
     while (identity := make(rng.randrange(10**6))) in taken:
         pass
     return identity
 
 
-def _set_at(items: tuple, index: int, value: object) -> tuple:
-    return items[:index] + (value,) + items[index + 1:]
+def _draw(table: dict, text: Callable[[tuple, object], str], rng: random.Random) -> tuple[int, tuple, object]:
+    """A uniform draw from ``table``: an item's index in the order of canonical bytes, identity and value.
+
+    Items sort by their canonical text, as ``records.canonical_bytes`` writes
+    them, so an index names a place in the record's bytes; distinct
+    identities have distinct texts, so no two tie.
+    """
+    items = sorted(table.items(), key=lambda item: text(*item))
+    idx = rng.randrange(len(items))
+    return idx, *items[idx]
 
 
 def _modify_concept_term(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
-    idx = rng.randrange(len(ext.concepts))
-    old = ext.concepts[idx]
-    _, term = _fresh(rng, ext.concept_identities(),
-                     lambda n: (old.category, f"{old.term} tampered {n}"))
-    concepts = _set_at(ext.concepts, idx, Concept(old.category, term, old.evidence))
-    return {"concepts": concepts}, f"concepts/{idx}/term", term
+    idx, old, evidence = _draw(ext.concepts, _concept_text, rng)
+    new = _fresh(rng, ext.concepts.keys(), lambda n: (old[0], f"{old[1]} tampered {n}"))
+    concepts = dict(ext.concepts)
+    del concepts[old]
+    concepts[new] = evidence
+    return {"concepts": concepts}, f"concepts/{idx}/term", new[1]
 
 
 def _alter_triple(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
-    idx = rng.randrange(len(ext.triples))
-    old = ext.triples[idx]
-    _, _, o = _fresh(rng, ext.triple_identities(), lambda n: (old.s, old.p, f"{old.o} tampered {n}"))
-    triples = _set_at(ext.triples, idx, Triple(old.s, old.p, o, old.confidence))
-    return {"triples": triples}, f"triples/{idx}/o", o
+    idx, old, confidence = _draw(ext.triples, _triple_text, rng)
+    new = _fresh(rng, ext.triples.keys(), lambda n: (*old[:2], f"{old[2]} tampered {n}"))
+    triples = dict(ext.triples)
+    del triples[old]
+    triples[new] = confidence
+    return {"triples": triples}, f"triples/{idx}/o", new[2]
 
 
 def _delete_triple(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
-    idx = rng.randrange(len(ext.triples))
-    return {"triples": ext.triples[:idx] + ext.triples[idx + 1:]}, f"triples/{idx}", ""
+    idx, old, _ = _draw(ext.triples, _triple_text, rng)
+    triples = dict(ext.triples)
+    del triples[old]
+    return {"triples": triples}, f"triples/{idx}", ""
 
 
 def _inject_spurious_element(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
     if rng.random() < 0.5:
-        _, term = _fresh(rng, ext.concept_identities(), lambda n: ("tampered", f"spurious {n}"))
-        return {"concepts": ext.concepts + (Concept("tampered", term),)}, "concepts/+", term
-    triple = Triple(*_fresh(rng, ext.triple_identities(),
-                            lambda n: (f"spurious {n}", "relates to", "tampered target")))
-    return {"triples": ext.triples + (triple,)}, "triples/+", triple.s
+        new = _fresh(rng, ext.concepts.keys(), lambda n: ("tampered", f"spurious {n}"))
+        return {"concepts": {**ext.concepts, new: None}}, "concepts/+", new[1]
+    new = _fresh(rng, ext.triples.keys(), lambda n: (f"spurious {n}", "relates to", "tampered target"))
+    return {"triples": {**ext.triples, new: None}}, "triples/+", new[0]
 
 
 def _edit_evidence(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
     idx = rng.randrange(len(ext.evidence))
     edited = f"{ext.evidence[idx]} [tampered {rng.randrange(10**6)}]"
-    return {"evidence": _set_at(ext.evidence, idx, edited)}, f"evidence/{idx}", edited
+    return {"evidence": (*ext.evidence[:idx], edited, *ext.evidence[idx + 1:])}, f"evidence/{idx}", edited
 
 
 # kind -> (extraction field a model needs non-empty, or None for any model;
@@ -389,20 +397,18 @@ def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
     """Model-by-model Jaccard between two runs over their common slides.
 
     Each run is ``(key, record)`` pairs in any order, such as a corpus's
-    items or the stream of ``CorpusReader.read``; both are held by key,
-    paired, and compared through ``records.record_tables``.  When both
-    runs give the same record object for a key, the slide is byte-equal
-    and each model's Jaccard is ``jaccard(s, s)``.
+    items or the stream of ``CorpusReader.read``; both are held by key and
+    paired.  When both runs give the same record object for a key, the
+    slide is byte-equal and each model's Jaccard is ``jaccard(s, s)``.
     """
     a, b = dict(run_a), dict(run_b)
-    tables = {id(record): record_tables(record) for record in (*a.values(), *b.values())}  # one per record object
-    return join_ranges([compare_range((key, *(tables[id(run[key])] if key in run else None for run in (a, b)))
-                                      for key in sorted(a.keys() | b.keys()))], stacklevel=3)
+    return join_ranges([compare_range((key, a.get(key), b.get(key)) for key in sorted(a.keys() | b.keys()))],
+                       stacklevel=3)
 
 
-def compare_range(runs: Iterable[tuple[SlideKey, DocumentTables | None, DocumentTables | None]]
+def compare_range(runs: Iterable[tuple[SlideKey, ProvenanceRecord | None, ProvenanceRecord | None]]
                   ) -> RunComparison:
-    """``compare_corpora`` over one key range's ``records.read_runs`` triples of tables, without the whole-run checks.
+    """``compare_corpora`` over one key range's ``records.read_runs`` triples, without the whole-run checks.
 
     A slide whose runs differ in a model name or an identity set is not
     byte-equal, as each identity's text is part of the canonical bytes;
@@ -414,17 +420,17 @@ def compare_range(runs: Iterable[tuple[SlideKey, DocumentTables | None, Document
     asymmetric: list[AsymmetricPair] = []
     byte_equal: dict[SlideKey, bool] = {}
     only_in: tuple[list[SlideKey], list[SlideKey]] = ([], [])
-    for key, tables_a, tables_b in runs:
-        if tables_a is None or tables_b is None:  # a key of one run only: run A's at 0, run B's at 1
-            only_in[tables_a is None].append(key)
+    for key, record_a, record_b in runs:
+        if record_a is None or record_b is None:  # a key of one run only: run A's at 0, run B's at 1
+            only_in[record_a is None].append(key)
             continue
-        if tables_a is tables_b:  # one document for both runs: each identity set s gets jaccard(s, s)
+        if record_a is record_b:  # one document for both runs: each identity set s gets jaccard(s, s)
             byte_equal[key] = True
             pairs += (RunPair(key, model, 1.0 if m.concepts else EMPTY_SET_JACCARD,
                               1.0 if m.triples else EMPTY_SET_JACCARD)
-                      for model, m in sorted(tables_a.models.items()))
+                      for model, m in sorted(record_a.models.items()))
             continue
-        models_a, models_b = tables_a.models, tables_b.models
+        models_a, models_b = record_a.models, record_b.models
         same = models_a.keys() == models_b.keys()
         for model in sorted(models_a.keys() | models_b.keys()):
             in_a, in_b = model in models_a, model in models_b
@@ -435,7 +441,7 @@ def compare_range(runs: Iterable[tuple[SlideKey, DocumentTables | None, Document
                 same = same and concepts_a == concepts_b and triples_a == triples_b
             else:
                 asymmetric.append(AsymmetricPair(key, model, "a" if in_a else "b"))
-        byte_equal[key] = same and table_bytes(tables_a) == table_bytes(tables_b)
+        byte_equal[key] = same and canonical_bytes(record_a) == canonical_bytes(record_b)
     return RunComparison(pairs, asymmetric, byte_equal, *only_in)
 
 

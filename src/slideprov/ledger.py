@@ -24,6 +24,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, TypeVar
 
@@ -386,25 +387,31 @@ class Ledger:
     def from_document(cls, doc: object) -> "Ledger":
         """Rebuild a ledger by replaying the document's ``events``.
 
-        Each event passes the checks of a live registration, the rebuilt
-        ledger must export the values of ``doc``, and the checksum in ``doc``
-        must be theirs; anything else raises CorruptLedgerFile.
+        Each config integer and each event's ids and timestamp must be a JSON
+        integer, and its texts JSON strings, read as they are; each event
+        passes the checks of a live registration, the rebuilt ledger must
+        export the values of ``doc``, and the checksum in ``doc`` must be
+        theirs.  Anything else raises CorruptLedgerFile.
         """
         found = doc.get("format") if isinstance(doc, dict) else None
         if found != LEDGER_FORMAT:
             named = f" {found!r} (this version reads {LEDGER_FORMAT!r})" if isinstance(found, str) else ""
             raise CorruptLedgerFile(f"unrecognized ledger format{named}")
         try:
-            fee = FeeConfig._make(doc["fee_config"][name] for name in FeeConfig._fields)
-            gas = GasConfig._make(doc["gas_config"][name] for name in GasConfig._fields)
+            fee = FeeConfig._make(_config_values(doc, "fee_config", FeeConfig))
+            gas = GasConfig._make(_config_values(doc, "gas_config", GasConfig))
             ledger = cls(fee, gas)
-            for entry in doc["events"]:
-                ledger._append(SlideRecord(
-                    int(entry["lectureId"]), int(entry["slideId"]), str(entry["slideHash"]), str(entry["uri"]),
-                    int(entry["timestamp"]), _parse_account(entry["registrant"])))
+            for index, entry in enumerate(doc["events"]):
+                lecture_id, slide_id, slide_hash, uri, timestamp = _event_values(entry)
+                # dict equality takes 1.0 and true for 1, so a kind is checked here, not by the export
+                if not (type(lecture_id) is type(slide_id) is type(timestamp) is int
+                        and type(slide_hash) is type(uri) is str):
+                    raise ValueError(_kind_error(entry, _EVENT_TYPES, f"event {index}"))
+                ledger._append(SlideRecord(lecture_id, slide_id, slide_hash, uri, timestamp,
+                                           _parse_account(entry["registrant"])))
         except (LedgerError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise CorruptLedgerFile(f"ledger document rejected: {exc}") from exc
-        # the checksum of the file's own values: dict equality takes 6.0 and true for 6 and 1
+        # the checksum of the file's own values
         body = {name: value for name, value in doc.items() if name != "checksum"}
         if ledger._body() != body or checksum(body) != doc.get("checksum"):
             raise CorruptLedgerFile("ledger file does not match its checksum")
@@ -456,6 +463,26 @@ def _entry_document(r: SlideRecord) -> dict:
         "timestamp": r.timestamp,
         "registrant": account_hex(r.registrant),
     }
+
+
+# the JSON kind of each event field but the registrant, which _parse_account reads
+_EVENT_TYPES = {"lectureId": int, "slideId": int, "slideHash": str, "uri": str, "timestamp": int}
+_event_values = itemgetter(*_EVENT_TYPES)
+
+
+def _kind_error(section: dict, kinds: dict[str, type], where: str) -> str:
+    """The message for the first of ``section``'s values at ``kinds``' names that is not of its JSON kind."""
+    name, kind = next((name, kind) for name, kind in kinds.items() if type(section[name]) is not kind)
+    return f"{where}: {name} is not a JSON {'integer' if kind is int else 'string'}: {section[name]!r}"
+
+
+def _config_values(doc: dict, section: str, config: type) -> list:
+    """The values of ``doc[section]`` in ``config``'s field order; an integer field's must be a JSON integer."""
+    values = doc[section]
+    kinds = {name: int for name, default in config._field_defaults.items() if type(default) is int}
+    if any(type(values[name]) is not int for name in kinds):
+        raise ValueError(_kind_error(values, kinds, section))
+    return [values[name] for name in config._fields]
 
 
 def _parse_account(text: object) -> bytes:

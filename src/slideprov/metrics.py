@@ -7,9 +7,9 @@ and diverge.
 
 One pass builds every input: ``slide_disagreement`` reads each model's
 identity sets once per slide and keeps only their sizes, those of their
-unions and of each model pair's intersections.  ``analyze`` gives it the
-keys of ``records.identity_tables``, and ``disagreement`` a record's sets.
-Every other metric is a ratio of those sizes and takes its output.
+unions and of each model pair's intersections; ``disagreement`` gives it
+a record's ``identity_sets()``.  Every other metric is a ratio of those
+sizes and takes its output.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ def slide_disagreement(key: SlideKey, sets: Mapping[str, tuple[AbstractSet, Abst
 
 def disagreement(record: ProvenanceRecord) -> SlideDisagreement:
     """``slide_disagreement`` of a record's identity sets."""
-    return slide_disagreement(record.key, {name: (ext.concept_identities(), ext.triple_identities())
-                                           for name, ext in record.models.items()})
+    return slide_disagreement(record.key, record.identity_sets())
 
 
 def corpus_disagreement(records: Iterable[tuple[SlideKey, ProvenanceRecord]]) -> BySlide:

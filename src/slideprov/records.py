@@ -7,12 +7,12 @@ makes logically equal records byte-identical so they hash identically on
 every platform.
 
 One core, ``_tables``, reads a parsed document: it applies every rule
-and check and gives each model's identity tables (identity -> evidence
-or confidence).  Three views derive from them: ``normalize_record``
-(sorted records, for ``tamper`` and the library), ``normalized_bytes``
-(canonical bytes, for ``register`` and ``verify``) and ``identity_tables``
-(the tables themselves, whose keys are the identity sets that ``analyze``
-and ``compare-runs`` read).
+and check and gives the record, whose extractions map each element's
+identity to its evidence or confidence; those maps' keys are the
+identity sets ``analyze`` and ``compare-runs`` read.  One encoder,
+``canonical_bytes``, writes a record.  ``normalize_record`` is the core
+and a UTF-8 check; ``normalized_bytes``, for ``register`` and
+``verify``, is the core and the encoder, whose output is that check.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import warnings
 from itertools import chain, starmap
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import BinaryIO, Callable, Container, Iterable, Iterator, KeysView, NamedTuple, Sequence, TypeVar
+from typing import BinaryIO, Callable, Container, Iterator, KeysView, NamedTuple, Sequence, TypeVar
 
 from .errors import EmptyCorpus, MalformedDocument, MissingKey, ProvenanceWarning
 
@@ -39,7 +39,6 @@ _LECTURE_DIR = re.compile(r"^Lecture\s*(\d+)$")
 _SLIDE_FILE = re.compile(r"^Slide(\d+)\.json$")
 _TRAILING_INT = re.compile(r"(\d+)\s*$")
 
-_E = TypeVar("_E")
 _T = TypeVar("_T")
 
 
@@ -86,50 +85,19 @@ class Checked(tuple):
         return cls(*iterable)
 
 
-class Concept(NamedTuple):
-    """Atomic (category, term) semantic unit; evidence rides along verbatim."""
-
-    category: str
-    term: str
-    evidence: str | None = None
-
-    @property
-    def identity(self) -> tuple[str, str]:
-        return (self.category, self.term)
-
-
-class Triple(NamedTuple):
-    """Relational assertion (s, p, o) with optional confidence in [0, 1]."""
-
-    s: str
-    p: str
-    o: str
-    confidence: float | None = None
-
-    @property
-    def identity(self) -> tuple[str, str, str]:
-        return (self.s, self.p, self.o)
-
-
 class ModelExtraction(NamedTuple):
     """One model's normalized output for one slide.
 
-    concepts and triples are duplicate-free under their identity rules and
-    stored in canonical-encoding order; evidence keeps source order and
-    exact text.
+    ``concepts`` maps each (category, term) identity to its evidence and
+    ``triples`` each (s, p, o) identity to its confidence, in any order:
+    ``normalize_record`` keeps the document's, the first entry with an
+    identity winning.  evidence keeps source order and exact text.
     """
 
-    model_name: str
-    concepts: tuple[Concept, ...] = ()
-    triples: tuple[Triple, ...] = ()
+    concepts: dict[tuple[str, str], str | None]
+    triples: dict[tuple[str, str, str], float | None]
     evidence: tuple[str, ...] = ()
     raw_output: str | None = None
-
-    def concept_identities(self) -> frozenset[tuple[str, str]]:
-        return frozenset(c[:2] for c in self.concepts)
-
-    def triple_identities(self) -> frozenset[tuple[str, str, str]]:
-        return frozenset(t[:3] for t in self.triples)
 
 
 class RecordPaths(NamedTuple):
@@ -145,13 +113,17 @@ class RecordMetadata(NamedTuple):
 
 
 class ProvenanceRecord(NamedTuple):
-    """Canonical multi-model provenance record for one slide."""
+    """Canonical multi-model provenance record for one slide: each model's extraction by name."""
 
     key: SlideKey
     lecture_label: str
     models: dict[str, ModelExtraction]
     paths: RecordPaths = RecordPaths()
     metadata: RecordMetadata = RecordMetadata()
+
+    def identity_sets(self) -> dict[str, tuple[KeysView, KeysView]]:
+        """Each model's concept and triple identity sets by name: the keys of its two maps."""
+        return {name: (m.concepts.keys(), m.triples.keys()) for name, m in self.models.items()}
 
 
 Corpus = dict[SlideKey, ProvenanceRecord]
@@ -183,27 +155,11 @@ def _triple_text(identity: tuple[str, str, str], confidence: float | None) -> st
     return f'{{{confidence}"o":{_quote(o)},"p":{_quote(p)},"s":{_quote(s)}}}'
 
 
-def _model_text(concept_texts: Iterable[str], triple_texts: Iterable[str],
-                evidence: tuple[str, ...], raw_output: str | None) -> str:
-    """A model's canonical text, from the texts of its concepts and of its triples in any order."""
-    raw = "" if raw_output is None else f',"raw_output":{_quote(raw_output)}'
-    return (f'{{"concepts":[{",".join(sorted(concept_texts))}],'
-            f'"evidence":[{",".join(map(_quote, evidence))}]{raw},'
-            f'"triples":[{",".join(sorted(triple_texts))}]}}')
-
-
-def _record_bytes(record: ProvenanceRecord | DocumentTables, model_texts: dict[str, str]) -> bytes:
-    """The record's canonical bytes, given each model's canonical text by name."""
-    models = ",".join(f"{_quote(name)}:{model_texts[name]}" for name in sorted(model_texts))
-    paths, meta = record.paths, record.metadata
-    return (
-        f'{{"lecture":{_quote(record.lecture_label)},"lecture_id":{record.key.lecture_id},'
-        f'"metadata":{{"hash_input_format":{_quote(meta.hash_input_format)},'
-        f'"source":{_quote(meta.source)},"timestamp":{_quote(meta.timestamp)}}},'
-        f'"models":{{{models}}},'
-        f'"paths":{{"image":{_quote(paths.image)},"json":{_quote(paths.json)},'
-        f'"text":{_quote(paths.text)}}},"slide_id":{record.key.slide_id}}}'
-    ).encode("utf-8")
+def _model_text(m: ModelExtraction) -> str:
+    raw = "" if m.raw_output is None else f',"raw_output":{_quote(m.raw_output)}'
+    return (f'{{"concepts":[{",".join(sorted(starmap(_concept_text, m.concepts.items())))}],'
+            f'"evidence":[{",".join(map(_quote, m.evidence))}]{raw},'
+            f'"triples":[{",".join(sorted(starmap(_triple_text, m.triples.items())))}]}}')
 
 
 def canonical_bytes(record: ProvenanceRecord) -> bytes:
@@ -214,31 +170,19 @@ def canonical_bytes(record: ProvenanceRecord) -> bytes:
     insignificant whitespace, and floats use the shortest decimal form
     that round-trips.  Pure function of record content.  The text is
     written directly, keys in sorted order, without building the document.
-    """
-    return _record_bytes(record, {
-        name: _model_text([_concept_text(c[:2], c.evidence) for c in ext.concepts],
-                          [_triple_text(t[:3], t.confidence) for t in ext.triples], ext.evidence, ext.raw_output)
-        for name, ext in record.models.items()})
-
-
-def table_bytes(tables: DocumentTables) -> bytes:
-    """The canonical bytes of the record the tables hold, rendered from their items.
-
     Raises UnicodeEncodeError for text with no UTF-8 form, which
-    ``identity_tables`` has already ruled out.
+    ``normalize_record`` rules out.
     """
-    return _record_bytes(tables, {
-        name: _model_text(starmap(_concept_text, m.concepts.items()), starmap(_triple_text, m.triples.items()),
-                          m.evidence, m.raw_output)
-        for name, m in tables.models.items()})
-
-
-def record_tables(record: ProvenanceRecord) -> DocumentTables:
-    """The tables of a record as ``normalize_record`` gives it, whose elements have distinct identities."""
-    return DocumentTables(record.key, record.lecture_label, {
-        name: ModelTables({c[:2]: c.evidence for c in ext.concepts}, {t[:3]: t.confidence for t in ext.triples},
-                          ext.evidence, ext.raw_output)
-        for name, ext in record.models.items()}, record.paths, record.metadata)
+    models = ",".join(f"{_quote(name)}:{_model_text(record.models[name])}" for name in sorted(record.models))
+    paths, meta = record.paths, record.metadata
+    return (
+        f'{{"lecture":{_quote(record.lecture_label)},"lecture_id":{record.key.lecture_id},'
+        f'"metadata":{{"hash_input_format":{_quote(meta.hash_input_format)},'
+        f'"source":{_quote(meta.source)},"timestamp":{_quote(meta.timestamp)}}},'
+        f'"models":{{{models}}},'
+        f'"paths":{{"image":{_quote(paths.image)},"json":{_quote(paths.json)},'
+        f'"text":{_quote(paths.text)}}},"slide_id":{record.key.slide_id}}}'
+    ).encode("utf-8")
 
 
 def _layout_base(root: Path | str) -> Path:
@@ -282,40 +226,7 @@ def scan_slide_files(root: Path | str) -> list[tuple[SlideKey, Path]]:
 
 
 # --------------------------------------------------------------------------
-# normalization: one core, ``_tables``, and three views of its tables
-
-
-class ModelTables(NamedTuple):
-    """One model's normalized output: identity tables and its text fields.
-
-    ``concepts`` maps each (category, term) identity to its evidence and
-    ``triples`` each (s, p, o) identity to its confidence, in the order of
-    the document, the first entry with an identity winning.  evidence
-    keeps source order and exact text.
-    """
-
-    concepts: dict[tuple[str, str], str | None]
-    triples: dict[tuple[str, str, str], float | None]
-    evidence: tuple[str, ...]
-    raw_output: str | None
-
-
-class DocumentTables(NamedTuple):
-    """A normalized document: each model's ``ModelTables`` by name, and the header fields.
-
-    The fields are named as a ``ProvenanceRecord``'s, so both encode
-    through ``_record_bytes``.
-    """
-
-    key: SlideKey
-    lecture_label: str
-    models: dict[str, ModelTables]
-    paths: RecordPaths
-    metadata: RecordMetadata
-
-    def identity_sets(self) -> dict[str, tuple[KeysView, KeysView]]:
-        """Each model's concept and triple identity sets by name: its tables' keys."""
-        return {name: (m.concepts.keys(), m.triples.keys()) for name, m in self.models.items()}
+# normalization: one core, ``_tables``, read by ``normalize_record`` and ``normalized_bytes``
 
 
 def _as_entry_list(value: object) -> list:
@@ -327,8 +238,8 @@ def _as_entry_list(value: object) -> list:
     return []  # null, or a malformed container, treated as empty
 
 
-def _model_tables(value: object) -> ModelTables:
-    """One model's tables.  ``normalize_text`` is inlined here: ``" ".join(text.split()).lower()``."""
+def _extraction(value: object) -> ModelExtraction:
+    """One model's extraction.  ``normalize_text`` is inlined here: ``" ".join(text.split()).lower()``."""
     if not isinstance(value, dict):
         value = {}
     concepts: dict[tuple[str, str], str | None] = {}
@@ -353,7 +264,7 @@ def _model_tables(value: object) -> ModelTables:
     evidence, raw_output = value.get("evidence"), value.get("raw_output")
     evidence = ((evidence,) if isinstance(evidence, str) else
                 tuple(item for item in evidence if isinstance(item, str)) if isinstance(evidence, list) else ())
-    return ModelTables(concepts, triples, evidence, raw_output if isinstance(raw_output, str) else None)
+    return ModelExtraction(concepts, triples, evidence, raw_output if isinstance(raw_output, str) else None)
 
 
 def _int_or_none(value: object) -> int | None:
@@ -381,11 +292,11 @@ def _document_key(raw: dict) -> SlideKey | None:
     return SlideKey(lecture_id, slide_id)
 
 
-def _tables(raw: object, key: SlideKey | None) -> DocumentTables:
-    """The core: a parsed document's tables, checked but for UTF-8.
+def _tables(raw: object, key: SlideKey | None) -> ProvenanceRecord:
+    """The core: a parsed document's record, checked but for UTF-8.
 
-    Only it and ``_model_tables`` read a document.  Every view calls it
-    itself, so that an id-conflict warning names the view's caller.
+    Only it and ``_extraction`` read a document.  Both readers call it
+    themselves, so that an id-conflict warning names the reader's caller.
     """
     if not isinstance(raw, dict):
         raise MalformedDocument(f"expected a JSON object, got {type(raw).__name__}")
@@ -404,7 +315,7 @@ def _tables(raw: object, key: SlideKey | None) -> DocumentTables:
     models_raw = raw.get("models")
     if not isinstance(models_raw, dict) or not models_raw:
         raise MalformedDocument("record has no model extractions")
-    models = {name: _model_tables(value) for name, value in models_raw.items()}
+    models = {name: _extraction(value) for name, value in models_raw.items()}
 
     lecture_label = raw.get("lecture")
     if not isinstance(lecture_label, str) or not lecture_label:
@@ -417,47 +328,10 @@ def _tables(raw: object, key: SlideKey | None) -> DocumentTables:
         value = container.get(name)
         return value if isinstance(value, str) else default
 
-    return DocumentTables(key, lecture_label, models,
-                          RecordPaths(text(paths, "image"), text(paths, "text"), text(paths, "json")),
-                          RecordMetadata(text(meta, "timestamp"), text(meta, "source"),
-                                         text(meta, "hash_input_format", CANONICAL_FORMAT)))
-
-
-def _require_utf8(tables: DocumentTables) -> None:
-    """Raise MalformedDocument when some text the tables keep has no UTF-8 form.
-
-    JSON escapes can spell lone surrogates (``"\\ud800"``), which Python
-    strings hold but UTF-8 cannot encode; such a record has no canonical
-    bytes.
-    """
-    texts = [tables.lecture_label, *tables.paths, *tables.metadata]
-    for name, m in tables.models.items():
-        texts += (name, m.raw_output or "", *m.evidence)
-        texts += chain.from_iterable(m.concepts)
-        texts += filter(None, m.concepts.values())
-        texts += chain.from_iterable(m.triples)
-    try:
-        "".join(texts).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise _not_utf8(exc) from None
-
-
-def identity_tables(raw: object, key: SlideKey | None = None) -> DocumentTables:
-    """Normalize a parsed document into its tables, with no record built.
-
-    The tables hold what ``normalize_record(raw, key)`` holds, unsorted.
-    Raises as ``normalize_record`` does.
-    """
-    tables = _tables(raw, key)
-    _require_utf8(tables)
-    return tables
-
-
-def _in_text_order(table: dict, text: Callable[[tuple, object], str], make: type[_E]) -> tuple[_E, ...]:
-    """A ``make`` NamedTuple of each identity and value of ``table``, sorted by the item's canonical text."""
-    # distinct identities have distinct texts, so no two tie; make._make calls tuple.__new__ so, and checks a length
-    ordered = sorted([(text(identity, value), (*identity, value)) for identity, value in table.items()])
-    return tuple([tuple.__new__(make, fields) for _, fields in ordered])
+    return ProvenanceRecord(key, lecture_label, models,
+                            RecordPaths(text(paths, "image"), text(paths, "text"), text(paths, "json")),
+                            RecordMetadata(text(meta, "timestamp"), text(meta, "source"),
+                                           text(meta, "hash_input_format", CANONICAL_FORMAT)))
 
 
 def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceRecord:
@@ -472,23 +346,31 @@ def normalize_record(raw: object, key: SlideKey | None = None) -> ProvenanceReco
     or some of its text has no UTF-8 form, and MissingKey when no slide
     identity can be established.
     """
-    tables = _tables(raw, key)
-    _require_utf8(tables)
-    models = {name: ModelExtraction(name, _in_text_order(m.concepts, _concept_text, Concept),
-                                    _in_text_order(m.triples, _triple_text, Triple), m.evidence, m.raw_output)
-              for name, m in tables.models.items()}
-    return ProvenanceRecord(tables.key, tables.lecture_label, models, tables.paths, tables.metadata)
+    record = _tables(raw, key)
+    # JSON escapes can spell lone surrogates ("\ud800"), which Python strings
+    # hold but UTF-8 cannot encode; such a record has no canonical bytes
+    texts = [record.lecture_label, *record.paths, *record.metadata]
+    for name, m in record.models.items():
+        texts += (name, m.raw_output or "", *m.evidence)
+        texts += chain.from_iterable(m.concepts)
+        texts += filter(None, m.concepts.values())
+        texts += chain.from_iterable(m.triples)
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _not_utf8(exc) from None
+    return record
 
 
 def normalized_bytes(raw: object, key: SlideKey) -> bytes:
-    """``canonical_bytes(normalize_record(raw, key))``, rendered from the tables with no record built.
+    """``canonical_bytes(normalize_record(raw, key))``, with no second pass over the record's text.
 
     Raises as ``normalize_record`` does: encoding the bytes is the UTF-8
     check, as every text of the record is part of them.
     """
-    tables = _tables(raw, key)
+    record = _tables(raw, key)
     try:
-        return table_bytes(tables)
+        return canonical_bytes(record)
     except UnicodeEncodeError as exc:
         raise _not_utf8(exc) from None
 

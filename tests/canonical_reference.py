@@ -8,24 +8,26 @@ the document, and shares no code with this module.
 
 import json
 
-from slideprov.records import Concept, ProvenanceRecord, Triple
+from slideprov.records import ProvenanceRecord
 
 
 def reference_dumps(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def concept_doc(c: Concept) -> dict:
-    doc: dict = {"category": c.category, "term": c.term}
-    if c.evidence is not None:
-        doc["evidence"] = c.evidence
+def concept_doc(identity: tuple[str, str], evidence: str | None) -> dict:
+    category, term = identity
+    doc: dict = {"category": category, "term": term}
+    if evidence is not None:
+        doc["evidence"] = evidence
     return doc
 
 
-def triple_doc(t: Triple) -> dict:
-    doc: dict = {"s": t.s, "p": t.p, "o": t.o}
-    if t.confidence is not None:
-        doc["confidence"] = t.confidence
+def triple_doc(identity: tuple[str, str, str], confidence: float | None) -> dict:
+    s, p, o = identity
+    doc: dict = {"s": s, "p": p, "o": o}
+    if confidence is not None:
+        doc["confidence"] = confidence
     return doc
 
 
@@ -39,8 +41,8 @@ def to_document(record: ProvenanceRecord) -> dict:
     models_doc = {}
     for name, ext in record.models.items():
         model_doc: dict = {
-            "concepts": sorted((concept_doc(c) for c in ext.concepts), key=reference_dumps),
-            "triples": sorted((triple_doc(t) for t in ext.triples), key=reference_dumps),
+            "concepts": sorted((concept_doc(*item) for item in ext.concepts.items()), key=reference_dumps),
+            "triples": sorted((triple_doc(*item) for item in ext.triples.items()), key=reference_dumps),
             "evidence": list(ext.evidence),
         }
         if ext.raw_output is not None:

@@ -8,16 +8,16 @@ over record fields, independently of the library's metric code paths.
 def oracle_concept_set(record, model):
     out = set()
     if model in record.models:
-        for concept in record.models[model].concepts:
-            out.add((concept.category, concept.term))
+        for category, term in record.models[model].concepts:
+            out.add((category, term))
     return out
 
 
 def oracle_triple_set(record, model):
     out = set()
     if model in record.models:
-        for triple in record.models[model].triples:
-            out.add((triple.s, triple.p, triple.o))
+        for s, p, o in record.models[model].triples:
+            out.add((s, p, o))
     return out
 
 

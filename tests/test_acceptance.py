@@ -22,7 +22,6 @@ from oracle_metrics import (
 from keccak_reference import reference_keccak256
 from slideprov import (
     AlreadyRegistered,
-    Concept,
     CorpusReader,
     FeeConfig,
     InvalidLecture,
@@ -31,7 +30,6 @@ from slideprov import (
     ModelExtraction,
     ProvenanceRecord,
     SlideKey,
-    Triple,
     canonical_bytes,
     commit,
     load_corpus,
@@ -237,9 +235,8 @@ def _random_oracle_corpus(rng: random.Random):
                 ("s", "p", rng.choice(_OBJS)) for _ in range(rng.randint(0, 4))
             }
             extractions[name] = ModelExtraction(
-                model_name=name,
-                concepts=tuple(Concept(c, t) for c, t in sorted(concepts)),
-                triples=tuple(Triple(s, p, o) for s, p, o in sorted(triples)),
+                concepts=dict.fromkeys(sorted(concepts)),
+                triples=dict.fromkeys(sorted(triples)),
             )
         corpus[key] = ProvenanceRecord(key=key, lecture_label=f"Lecture {lecture}", models=extractions)
     return corpus, models

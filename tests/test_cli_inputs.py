@@ -20,6 +20,7 @@ import pytest
 
 from conftest import run_cli, synthetic_document, write_corpus
 from slideprov import records
+from slideprov.ledger import checksum
 
 FORMS = {
     "deep-array": b"[" * 200_000 + b"]" * 200_000,
@@ -221,3 +222,33 @@ def test_ledger_file_holding_an_id_past_uint256_exits_3(workspace, tmp_path):
                             "--out", str(tmp_path / "out")])
     assert (code, err.splitlines()) == (
         3, [f"error: {ledger}: ledger document rejected: slideId must be < 2**256"])
+
+
+# (edit, the error it gets): each value is the JSON kind's near twin, under a recomputed checksum
+KIND_EDITS = {
+    "lectureId true": (lambda d: d["events"][0].update(lectureId=True),
+                       "event 0: lectureId is not a JSON integer: True"),
+    "timestamp float": (lambda d: d["events"][1].update(timestamp=float(d["events"][1]["timestamp"])),
+                        "event 1: timestamp is not a JSON integer: 2.0"),
+    "exec_base float": (lambda d: d["gas_config"].update(exec_base=207862.0),
+                        "gas_config: exec_base is not a JSON integer: 207862.0"),
+    "target_gas float": (lambda d: d["fee_config"].update(target_gas=15000000.0),
+                         "fee_config: target_gas is not a JSON integer: 15000000.0"),
+    "uri number": (lambda d: d["events"][2].update(uri=5), "event 2: uri is not a JSON string: 5"),
+}
+
+
+@pytest.mark.parametrize("edit", KIND_EDITS)
+def test_ledger_value_of_another_json_kind_exits_3_naming_its_field(workspace, tmp_path, edit):
+    apply, message = KIND_EDITS[edit]
+    doc = json.loads(workspace["ledger"].read_text(encoding="utf-8"))
+    apply(doc)
+    doc["checksum"] = checksum(doc)  # a consistent rewrite: only the kind is wrong
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps(doc), encoding="utf-8")
+    data = ledger.read_bytes()
+    common = ["--corpus", str(workspace["corpus"]), "--ledger", str(ledger), "--out", str(tmp_path / "out")]
+    for argv in (["verify", *common], ["register", *common, "--skip-existing"]):
+        code, _, err = run_cli(argv)
+        assert (code, err.splitlines()) == (3, [f"error: {ledger}: ledger document rejected: {message}"]), argv
+    assert ledger.read_bytes() == data  # register did not rewrite the value

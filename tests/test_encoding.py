@@ -6,17 +6,15 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from canonical_reference import concept_doc, reference_bytes, reference_dumps, triple_doc
+from canonical_reference import concept_doc, reference_bytes, reference_dumps, to_document, triple_doc
 from conftest import synthetic_document
-from slideprov.integrity import applicable_kinds, tamper_record
+from slideprov.integrity import TamperKind, applicable_kinds, tamper_record
 from slideprov.records import (
-    Concept,
     ModelExtraction,
     ProvenanceRecord,
     RecordMetadata,
     RecordPaths,
     SlideKey,
-    Triple,
     _concept_text,
     _triple_text,
     canonical_bytes,
@@ -33,15 +31,15 @@ _CONFIDENCE = (st.none() | st.sampled_from([1e-07, 0.1, 1.0, 0.0, 1, 0, 5e-324, 
                | st.floats(min_value=0.0, max_value=1.0) | st.integers(-3, 3)
                | st.floats() | st.booleans())
 
-_concepts = st.builds(Concept, _TEXT, _TEXT, st.none() | _TEXT)
-_triples = st.builds(Triple, _TEXT, _TEXT, _TEXT, _CONFIDENCE)
+# an element is an (identity, evidence or confidence) item of its table
+_concepts = st.tuples(st.tuples(_TEXT, _TEXT), st.none() | _TEXT)
+_triples = st.tuples(st.tuples(_TEXT, _TEXT, _TEXT), _CONFIDENCE)
 _extractions = st.builds(
-    lambda name, concepts, triples, evidence, raw: ModelExtraction(
-        name, tuple(concepts), tuple(triples), tuple(evidence), raw),
-    _TEXT, st.lists(_concepts, max_size=3), st.lists(_triples, max_size=3),
+    lambda concepts, triples, evidence, raw: ModelExtraction(dict(concepts), dict(triples), tuple(evidence), raw),
+    st.lists(_concepts, max_size=3), st.lists(_triples, max_size=3),
     st.lists(_TEXT, max_size=2), st.none() | _TEXT,
 )
-# element tuples in any order: the encoder sorts them as to_document does
+# element items in any order: the encoder sorts them as to_document does
 _records = st.builds(
     lambda lecture, slide, label, models, paths, meta: ProvenanceRecord(
         SlideKey(lecture, slide), label, models, RecordPaths(*paths), RecordMetadata(*meta)),
@@ -61,8 +59,8 @@ def test_canonical_bytes_equal_json_dumps_of_the_document(record):
 @settings(max_examples=100, deadline=None)
 def test_element_text_equals_json_dumps(concept, triple):
     # an element's text is rendered from its identity and its evidence or confidence
-    assert _concept_text(concept[:2], concept.evidence) == reference_dumps(concept_doc(concept))
-    assert _triple_text(triple[:3], triple.confidence) == reference_dumps(triple_doc(triple))
+    assert _concept_text(*concept) == reference_dumps(concept_doc(*concept))
+    assert _triple_text(*triple) == reference_dumps(triple_doc(*triple))
 
 
 def test_int_confidence_stays_int():
@@ -76,14 +74,17 @@ def test_int_confidence_stays_int():
 def test_normalized_and_tampered_records_match_the_reference(seed):
     rng = random.Random(seed)
     record = normalize_record(synthetic_document(rng, 1 + seed % 9, 1 + seed % 40))
-    for ext in record.models.values():  # stored in canonical-encoding order
-        assert list(ext.concepts) == sorted(ext.concepts, key=lambda c: reference_dumps(concept_doc(c)))
-        assert list(ext.triples) == sorted(ext.triples, key=lambda t: reference_dumps(triple_doc(t)))
     assert canonical_bytes(record) == reference_bytes(record)
+    before = to_document(record)["models"]
     for kind in applicable_kinds(record):
-        # injected elements are appended, so the tampered tuples are out of order
-        tampered, _ = tamper_record(record, kind, rng)
+        tampered, op = tamper_record(record, kind, rng)
         assert canonical_bytes(tampered) == reference_bytes(tampered)
+        # an element's index names its place in the reference document, the one element edited
+        _, name, field, *place = op.target.split("/")
+        if field != "evidence" and place[0] != "+":
+            after = to_document(tampered)["models"][name][field]
+            assert before[name][field][int(place[0])] not in after
+            assert len(after) == len(before[name][field]) - (kind is TamperKind.DELETE_TRIPLE)
 
 
 def test_regex_whitespace_is_str_isspace_on_every_code_point():

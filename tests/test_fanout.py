@@ -106,11 +106,11 @@ def test_golden_digests_hold_at_every_split(tmp_path, monkeypatch, n):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     split_commands = ("register", "verify", "analyze", "compare-runs")
     steps = [name for name in expected if name.split("/")[2].startswith(split_commands)]
-    # per size and format: 2 register, 2 verify, 2 analyze, 1 compare-runs;
+    # per size and format: 2 register, 3 verify, 2 analyze, 1 compare-runs;
     # per format, 2 analyze on the absent-model corpus
-    assert len(steps) == 32
+    assert len(steps) == 36
     assert {name: actual[name] for name in steps} == {name: expected[name] for name in steps}
-    assert len(forks) == (n - 1) * 32  # each of those steps split its pass
+    assert len(forks) == (n - 1) * 36  # each of those steps split its pass
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -278,13 +278,13 @@ def test_asymmetric_pairs_in_a_child_range_give_one_warning(tmp_path, n):
 
 
 def _failing_in_the_last_range(monkeypatch):
-    def failing_load(raw, key, load=records.identity_tables):
+    def failing_load(raw, key, load=records.normalize_record):
         if key == SlideKey(2, 3):  # the last key: always in the last range
             raise RuntimeError(f"cannot normalize {key}")
         return load(raw, key)
 
     # the loader of both commands; cli imports it as a command runs
-    monkeypatch.setattr(records, "identity_tables", failing_load)
+    monkeypatch.setattr(records, "normalize_record", failing_load)
 
 
 @pytest.mark.parametrize("n", (2, 3))

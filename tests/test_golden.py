@@ -132,6 +132,14 @@ def _matrix(slides: int, fmt: str) -> dict[str, str]:
         ["verify", *with_ledger], Path("out") / "verify-edited")
     digests[f"{slides}/{fmt}/compare-runs"] = _run(
         ["compare-runs", "before-edit", "corpus", "--format", fmt], Path("out") / "compare-runs")
+
+    # --write rewrites files no report shows; the next verify's verdicts
+    # hold each rewritten file's Keccak, so its digest pins their bytes
+    digests[f"{slides}/{fmt}/tamper-write"] = _run(
+        ["tamper", *with_ledger, "--write", "-n", str(slides), "--seed", "5"],
+        Path("out") / "tamper-write")
+    digests[f"{slides}/{fmt}/verify-tampered"] = _run(
+        ["verify", *with_ledger], Path("out") / "verify-tampered")
     return digests
 
 

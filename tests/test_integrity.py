@@ -37,7 +37,7 @@ from slideprov.integrity import (
 )
 from slideprov.commitment import commit_corpus
 from slideprov.ledger import checksum
-from slideprov.records import Concept, CorpusReader
+from slideprov.records import CorpusReader
 
 
 def commitments(records):
@@ -61,9 +61,9 @@ class TestVerifySlide:
         ext = record.models[name]
         # ensure there is a concept to flip
         assert ext.concepts
-        old = ext.concepts[0]
-        flipped = old.term[:-1] + ("a" if old.term[-1] != "a" else "b")
-        concepts = (Concept(old.category, flipped, old.evidence),) + ext.concepts[1:]
+        concepts = dict(ext.concepts)
+        (category, term), evidence = concepts.popitem()
+        concepts[category, term[:-1] + ("a" if term[-1] != "a" else "b")] = evidence
         record.models[name] = ext._replace(concepts=concepts)
         assert verify_corpus(commitments([record]), ledger)[0].verdict == MISMATCH
 

@@ -283,9 +283,10 @@ class TestReplay:
 
     @pytest.mark.parametrize("name, value", [("timestamp", 1.0), ("lectureId", True), ("slideId", "1")])
     def test_same_number_written_otherwise_rejected(self, doc, name, value):
-        # the replay reads each as the value it replaces, so only the checksum tells them apart
+        # dict equality takes each for the value it replaces, so the replay reads the JSON kind first
         doc["events"][0][name] = value
-        with pytest.raises(CorruptLedgerFile, match="does not match its checksum"):
+        message = f"^ledger document rejected: event 0: {name} is not a JSON integer: "
+        with pytest.raises(CorruptLedgerFile, match=message):
             Ledger.from_document(doc)
 
     def test_consistent_edit_with_recomputed_checksum_loads(self, doc):

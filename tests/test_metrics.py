@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracle_metrics import oracle_coverage, oracle_pair_means
 from slideprov import (
-    Concept,
     InsufficientModels,
     ModelExtraction,
     ProvenanceRecord,
     ProvenanceWarning,
     SlideKey,
     TooFewSlides,
-    Triple,
     UnknownBaselineModel,
 )
 from slideprov.metrics import (
@@ -39,9 +37,8 @@ def make_record(lecture, slide, model_sets, lecture_label=None):
     models = {}
     for name, (terms, objects) in model_sets.items():
         models[name] = ModelExtraction(
-            model_name=name,
-            concepts=tuple(Concept("cat", t) for t in terms),
-            triples=tuple(Triple("s", "p", o) for o in objects),
+            concepts={("cat", t): None for t in terms},
+            triples={("s", "p", o): None for o in objects},
         )
     return ProvenanceRecord(
         key=SlideKey(lecture, slide),

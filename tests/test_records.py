@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from canonical_reference import to_document
 from conftest import synthetic_document, write_corpus
 from slideprov import (
-    Concept,
     CorpusReader,
     EmptyCorpus,
     MalformedDocument,
@@ -47,23 +46,23 @@ class TestNormalizeRecord:
             {"category": "modality", "term": "x-ray"},
         ]}})
         record = normalize_record(doc)
-        assert record.models["m"].concepts == (Concept("modality", "x-ray"),)
+        assert record.models["m"].concepts == {("modality", "x-ray"): None}
 
     def test_null_triples_become_empty_set(self):
         doc = minimal_doc(models={"m": {"triples": None}})
-        assert normalize_record(doc).models["m"].triples == ()
+        assert normalize_record(doc).models["m"].triples == {}
 
     def test_malformed_triples_become_empty_set(self):
         doc = minimal_doc(models={"m": {"triples": "not a list"}})
-        assert normalize_record(doc).models["m"].triples == ()
+        assert normalize_record(doc).models["m"].triples == {}
 
     def test_empty_term_dropped(self):
         doc = minimal_doc(models={"m": {"concepts": [{"category": "x", "term": "  "}]}})
-        assert normalize_record(doc).models["m"].concepts == ()
+        assert normalize_record(doc).models["m"].concepts == {}
 
     def test_single_object_where_list_expected(self):
         doc = minimal_doc(models={"m": {"concepts": {"category": "a", "term": "b"}}})
-        assert normalize_record(doc).models["m"].concepts == (Concept("a", "b"),)
+        assert normalize_record(doc).models["m"].concepts == {("a", "b"): None}
 
     def test_evidence_preserved_verbatim(self):
         doc = minimal_doc(models={"m": {"evidence": ["  Mixed CASE  evidence "]}})
@@ -79,7 +78,7 @@ class TestNormalizeRecord:
             {"s": "a", "p": "b", "o": "d", "confidence": 0.75},
         ]}})
         triples = normalize_record(doc).models["m"].triples
-        by_o = {t.o: t.confidence for t in triples}
+        by_o = {o: confidence for (_, _, o), confidence in triples.items()}
         assert by_o == {"c": None, "d": 0.75}
 
     def test_missing_models_is_malformed(self):
@@ -113,8 +112,7 @@ class TestNormalizeRecord:
             {"category": "c", "term": "t", "evidence": "first"},
             {"category": "C ", "term": " T", "evidence": "second"},
         ]}})
-        (concept,) = normalize_record(doc).models["m"].concepts
-        assert concept.evidence == "first"
+        assert normalize_record(doc).models["m"].concepts == {("c", "t"): "first"}
 
 
 class TestCanonicalBytes:
@@ -217,8 +215,9 @@ def test_normalization_idempotent(doc):
 def test_sets_are_duplicate_free(doc):
     record = normalize_record(doc)
     for ext in record.models.values():
-        assert len(ext.concept_identities()) == len(ext.concepts)
-        assert len(ext.triple_identities()) == len(ext.triples)
+        # identities are keys, so duplicate-free once every part is normalized and non-empty
+        for identity in [*ext.concepts, *ext.triples]:
+            assert all(part and normalize_text(part) == part for part in identity)
 
 
 def test_to_document_round_trips_structure():

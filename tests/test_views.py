@@ -1,8 +1,8 @@
-"""The three views of the one normalization core agree on every document.
+"""Both readers of the one normalization core agree on every document.
 
-``normalize_record`` (sorted records), ``normalized_bytes`` (canonical
-bytes) and ``identity_tables`` (the tables ``analyze`` and ``compare-runs``
-read) are generated here from documents with non-object entries, blank
+``normalize_record`` (the record every command but ``register`` and
+``verify`` reads) and ``normalized_bytes`` (its canonical bytes, which
+those two hash) are given documents with non-object entries, blank
 and non-string fields, case and whitespace variants of one identity,
 single-object and ``null`` containers, boolean, out-of-range and ``-0.0``
 confidences, lone-surrogate escapes in any kept field, ids that conflict
@@ -10,15 +10,16 @@ with the file key, and missing or empty ``models``.
 """
 
 import copy
+import json
 import warnings
 
 from hypothesis import given, settings, strategies as st
 
+from canonical_reference import reference_bytes
 from slideprov.errors import MalformedDocument, MissingKey
 from slideprov.integrity import compare_range
 from slideprov.metrics import disagreement, slide_disagreement
-from slideprov.records import (SlideKey, canonical_bytes, identity_tables, normalize_record, normalized_bytes,
-                               record_tables, table_bytes)
+from slideprov.records import SlideKey, canonical_bytes, normalize_record, normalized_bytes
 
 SURROGATES = ["\ud800", "a\udfff"]  # what json.loads gives for "\ud800" and "a\udfff"
 # spellings of few identities, so that duplicates and variants are common
@@ -101,27 +102,27 @@ def _view(view, doc, key):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-def _sets(record) -> dict:
-    return {name: (ext.concept_identities(), ext.triple_identities()) for name, ext in record.models.items()}
+def _byte_sets(data: bytes) -> dict:
+    """Each model's concept and triple identity sets, read back from canonical bytes."""
+    return {name: ({(c["category"], c["term"]) for c in m["concepts"]},
+                   {(t["s"], t["p"], t["o"]) for t in m["triples"]})
+            for name, m in json.loads(data)["models"].items()}
 
 
 @given(doc=document(), key=KEY)
 @settings(max_examples=300, deadline=None)
 def test_every_view_of_a_document_agrees(doc, key):
-    (record, shown), *others = [_view(view, doc, key) for view in (normalize_record, normalized_bytes,
-                                                                    identity_tables)]
-    (data, _), (tables, _) = others
-    assert all(caught == shown for _, caught in others)  # the same warnings
-    if isinstance(record, Exception):  # (c) each view fails alike
-        assert all(type(r) is type(record) and str(r) == str(record) for r, _ in others)
+    (record, shown), (data, caught) = [_view(view, doc, key) for view in (normalize_record, normalized_bytes)]
+    assert caught == shown  # the same warnings
+    if isinstance(record, Exception):  # (c) both fail alike
+        assert type(data) is type(record) and str(data) == str(record)
         return
-    # (a) the identity view is each extraction's identity sets
-    assert tables.identity_sets() == _sets(record)
-    # (b) analyze's summary is the record's
-    assert slide_disagreement(tables.key, tables.identity_sets()) == disagreement(record)
-    # (d) the bytes view, and the bytes rendered from the tables, are the record's canonical bytes
-    assert data == table_bytes(tables) == canonical_bytes(record)
-    assert record_tables(record) == tables
+    # (a) the identity sets analyze reads are those of the hashed bytes
+    assert record.identity_sets() == _byte_sets(data)
+    # (b) analyze's summary is that of the hashed bytes
+    assert disagreement(record) == slide_disagreement(record.key, _byte_sets(data))
+    # (d) the bytes are the record's canonical bytes, which are json.dumps of its document
+    assert data == canonical_bytes(record) == reference_bytes(record)
 
 
 def _edits(draw, doc: dict) -> dict:
@@ -181,10 +182,9 @@ def test_byte_equal_is_canonical_byte_equality(runs):
             records = [normalize_record(copy.deepcopy(doc), key) for doc in runs]
         except MalformedDocument:  # a lone surrogate in a kept field: compare-runs skips that file
             return
-        tables = [identity_tables(copy.deepcopy(doc), key) for doc in runs]
     same_bytes = canonical_bytes(records[0]) == canonical_bytes(records[1])
     # (e) differing identity sets mean differing canonical bytes
-    if _sets(records[0]) != _sets(records[1]):
+    if records[0].identity_sets() != records[1].identity_sets():
         assert not same_bytes
-    comparison = compare_range([(key, *tables)])
+    comparison = compare_range([(key, *records)])
     assert comparison.byte_equal == {key: same_bytes}

@@ -82,8 +82,8 @@ Result = tuple[int, dict[str, Table | dict], str]
 
 def cmd_register(args: argparse.Namespace) -> Result:
     from .commitment import commit_corpus
-    from .ledger import FeeConfig, GasConfig, Ledger, account_hex, canonical_uri
-    from .records import CorpusReader
+    from .ledger import FeeConfig, GasConfig, Ledger, canonical_uri
+    from .records import FIELDS, CorpusReader
 
     # The fee and gas flags are checked even where an existing file's configs win.
     fee = FeeConfig(initial_base_fee_gwei=args.base_fee_gwei, priority_tip_gwei=args.tip_gwei,
@@ -131,9 +131,7 @@ def cmd_register(args: argparse.Namespace) -> Result:
     reports = {
         "receipts": Table(["lecture_id", "slide_id", "block", "timestamp", "gas_used",
                            "effective_gas_price_gwei", "cost_eth", "cost_usd"], receipt_rows),
-        "events": Table(["lectureId", "slideId", "slideHash", "uri", "registrant", "timestamp"],
-                        [[e.lecture_id, e.slide_id, e.slide_hash, e.uri, account_hex(e.registrant),
-                          e.timestamp] for e in ledger.events]),
+        "events": Table(list(FIELDS["event"]), ledger.events),
         "register_summary": summary_doc,
     }
     for key, reason in summary.failures:

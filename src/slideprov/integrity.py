@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 import warnings
 from enum import Enum
 from pathlib import Path
@@ -33,6 +32,7 @@ from .records import (
     canonical_bytes,
     load_json_entries,
     normalize_record,
+    read_fields,
     scan_slide_files,
 )
 
@@ -287,10 +287,9 @@ def time_gaps(
     except OverflowError:
         raise ValueError(_OUT_OF_RANGE) from None
     gaps = [TimeGap(key, delta, delta < 0) for key, delta in zip(keys, deltas)]
-    try:
-        mean = statistics.fmean(deltas)
-        # population stddev; statistics.pstdev rounds differently across Python versions
-        stddev = math.sqrt(statistics.fmean((d - mean) ** 2 for d in deltas))
+    try:  # statistics.fmean's sums; its pstdev rounds differently across Python versions
+        mean = math.fsum(deltas) / len(deltas)
+        stddev = math.sqrt(math.fsum((d - mean) ** 2 for d in deltas) / len(deltas))  # population stddev
     except (OverflowError, ValueError):  # fsum or ** past the largest float, or inf - inf
         mean = stddev = math.inf
     summary = TimeGapSummary(count=len(gaps), mean=mean, minimum=min(deltas), maximum=max(deltas),
@@ -313,30 +312,18 @@ def local_mtimes(root: Path | str) -> dict[SlideKey, float]:
 
 
 def load_time_manifest(path: Path | str) -> dict[SlideKey, float]:
-    """Read local creation times from a JSON manifest.
+    """Local creation times from a JSON manifest: a non-empty list of objects with lecture_id, slide_id, t_local.
 
-    Format: a non-empty list of objects with lecture_id, slide_id, and
-    t_local (seconds).  Manifests make time-gap experiments reproducible
-    where mtimes are not portable.  A malformed manifest, an id that is
-    not a JSON integer (``true``, ``1.9`` and ``"2"`` are not), a slide
-    listed twice, or a t_local that is not a finite JSON number (``true``
-    and ``"5"`` are not), raises ValueError.
+    Manifests make time-gap experiments reproducible where mtimes are not
+    portable.  A malformed manifest, a field not of its kind in
+    ``records.FIELDS`` or a slide listed twice raises ValueError.
     """
-    return dict(load_json_entries(path, "time manifest", lambda e: (
-        SlideKey(_integer(e["lecture_id"], "lecture_id"), _integer(e["slide_id"], "slide_id")),
-        _finite(e["t_local"], "t_local")), key=lambda item: item[0]))
+    return dict(load_json_entries(path, "time manifest", _manifest_entry, key=lambda item: item[0]))
 
 
-def _integer(value: object, name: str) -> int:
-    if type(value) is not int:  # a bool is an int, too
-        raise ValueError(f"{name} is not an integer: {value!r}")
-    return value
-
-
-def _finite(value: object, name: str) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):  # not a bool, nor text
-        raise ValueError(f"{name} is not a finite number: {value!r}")
-    return float(value)
+def _manifest_entry(entry: dict) -> tuple[SlideKey, float]:
+    lecture_id, slide_id, t_local = read_fields(entry, "time manifest").values()
+    return SlideKey(lecture_id, slide_id), float(t_local)
 
 
 # --------------------------------------------------------------------------

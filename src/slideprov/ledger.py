@@ -214,14 +214,14 @@ class FeeConfig(Checked, _FeeFields):
 
 
 class SlideRecord(NamedTuple):
-    """One registration, as log entry and stored entry alike; timestamp > 0."""
+    """One registration as the ledger file holds it, log entry and stored entry alike; timestamp > 0."""
 
     lecture_id: int
     slide_id: int
     slide_hash: str
     uri: str
+    registrant: str  # account_hex of a 20-byte account
     timestamp: int
-    registrant: bytes
 
 
 class RegistrationReceipt(NamedTuple):
@@ -309,8 +309,6 @@ class Ledger:
             raise InvalidSlide("slideId must be < 2**256")
         if key in self.records:
             raise AlreadyRegistered(f"slide already registered: {key}")
-        if not isinstance(record.registrant, bytes) or len(record.registrant) != 20:
-            raise ValueError("registrant must be a 20-byte account identifier")
         # FeeConfig keeps this > 0, since 0 reads as unregistered
         if record.timestamp != self.next_timestamp:
             raise ValueError(f"block {self.next_block_number} has out-of-rule timestamp {record.timestamp}")
@@ -329,8 +327,7 @@ class Ledger:
         """
         timestamp = self.next_timestamp
         price_wei = self.base_fee_wei + self._tip_wei
-        registrant = _dev_account_set()[0]
-        gas_used = self._append(SlideRecord(key.lecture_id, key.slide_id, slide_hash, uri, timestamp, registrant))
+        gas_used = self._append(SlideRecord(*key, slide_hash, uri, account_hex(_dev_account_set()[0]), timestamp))
         return RegistrationReceipt(key.lecture_id, key.slide_id, gas_used, price_wei, len(self.events), timestamp)
 
     def batch_register(
@@ -387,28 +384,24 @@ class Ledger:
     def from_document(cls, doc: object) -> "Ledger":
         """Rebuild a ledger by replaying the document's ``events``.
 
-        Each config integer and each event's ids and timestamp must be a JSON
-        integer, and its texts JSON strings, read as they are; each event
-        passes the checks of a live registration, the rebuilt ledger must
-        export the values of ``doc``, and the checksum in ``doc`` must be
-        theirs.  Anything else raises CorruptLedgerFile.
+        Each config value and event field must be of its JSON kind in ``records.FIELDS``, read as it is;
+        each event passes the checks of a live registration, the rebuilt ledger must export the values
+        of ``doc``, and the checksum in ``doc`` must be theirs.  Anything else raises CorruptLedgerFile.
         """
         found = doc.get("format") if isinstance(doc, dict) else None
         if found != LEDGER_FORMAT:
             named = f" {found!r} (this version reads {LEDGER_FORMAT!r})" if isinstance(found, str) else ""
             raise CorruptLedgerFile(f"unrecognized ledger format{named}")
         try:
-            fee = FeeConfig._make(_config_values(doc, "fee_config", FeeConfig))
-            gas = GasConfig._make(_config_values(doc, "gas_config", GasConfig))
+            fee = FeeConfig(**records.read_fields(doc["fee_config"], "fee_config", "fee_config"))
+            gas = GasConfig(**records.read_fields(doc["gas_config"], "gas_config", "gas_config"))
             ledger = cls(fee, gas)
             for index, entry in enumerate(doc["events"]):
-                lecture_id, slide_id, slide_hash, uri, timestamp = _event_values(entry)
+                values = _event_values(entry)
                 # dict equality takes 1.0 and true for 1, so a kind is checked here, not by the export
-                if not (type(lecture_id) is type(slide_id) is type(timestamp) is int
-                        and type(slide_hash) is type(uri) is str):
-                    raise ValueError(_kind_error(entry, _EVENT_TYPES, f"event {index}"))
-                ledger._append(SlideRecord(lecture_id, slide_id, slide_hash, uri, timestamp,
-                                           _parse_account(entry["registrant"])))
+                if not all([test(value) for test, value in zip(_EVENT_TESTS, values)]):
+                    records.read_fields(entry, "event", f"event {index}")  # raises, naming the field
+                ledger._append(SlideRecord._make(values))
         except (LedgerError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise CorruptLedgerFile(f"ledger document rejected: {exc}") from exc
         # the checksum of the file's own values
@@ -454,38 +447,11 @@ def _digest(body: bytes) -> str:
     return "sha256:" + hashlib.sha256(body).hexdigest()
 
 
+# each event field's key in the file and its JSON kind, in SlideRecord's order
+_EVENT = records.FIELDS["event"]
+_EVENT_TESTS = [test for _, test in _EVENT.values()]
+_event_values = itemgetter(*_EVENT)
+
+
 def _entry_document(r: SlideRecord) -> dict:
-    return {
-        "lectureId": r.lecture_id,
-        "slideId": r.slide_id,
-        "slideHash": r.slide_hash,
-        "uri": r.uri,
-        "timestamp": r.timestamp,
-        "registrant": account_hex(r.registrant),
-    }
-
-
-# the JSON kind of each event field but the registrant, which _parse_account reads
-_EVENT_TYPES = {"lectureId": int, "slideId": int, "slideHash": str, "uri": str, "timestamp": int}
-_event_values = itemgetter(*_EVENT_TYPES)
-
-
-def _kind_error(section: dict, kinds: dict[str, type], where: str) -> str:
-    """The message for the first of ``section``'s values at ``kinds``' names that is not of its JSON kind."""
-    name, kind = next((name, kind) for name, kind in kinds.items() if type(section[name]) is not kind)
-    return f"{where}: {name} is not a JSON {'integer' if kind is int else 'string'}: {section[name]!r}"
-
-
-def _config_values(doc: dict, section: str, config: type) -> list:
-    """The values of ``doc[section]`` in ``config``'s field order; an integer field's must be a JSON integer."""
-    values = doc[section]
-    kinds = {name: int for name, default in config._field_defaults.items() if type(default) is int}
-    if any(type(values[name]) is not int for name in kinds):
-        raise ValueError(_kind_error(values, kinds, section))
-    return [values[name] for name in config._fields]
-
-
-def _parse_account(text: object) -> bytes:
-    if not isinstance(text, str) or not text.startswith("0x") or len(text) != 42:
-        raise ValueError(f"bad account identifier: {text!r}")
-    return bytes.fromhex(text[2:])
+    return dict(zip(_EVENT, r))

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .ledger import CANONICAL_REGISTRATION_GAS, ExponentOutOfRange, parse_number
-from .records import Checked, load_json_entries
+from .records import Checked, load_json_entries, read_fields
 
 GWEI = Fraction(1, 10**9)  # ETH per gwei
 
@@ -49,8 +49,7 @@ class NetworkProfile(Checked, _ProfileFields):
 
     @classmethod
     def _check(cls, value: NetworkProfile) -> NetworkProfile:
-        if not isinstance(value.name, str):  # null or 7 is no network name
-            raise ValueError(f"name is not a string: {value.name!r}")
+        read_fields(value._asdict(), "profile config")  # null or 7 is no network name
         price = parse_number(value.gas_price_gwei, "gas_price_gwei")
         if price <= 0:
             raise ValueError("gas price must be positive")

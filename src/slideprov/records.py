@@ -22,6 +22,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import warnings
 from itertools import chain, starmap
@@ -406,6 +407,53 @@ def read_json(path: Path | str, known: bytes | None = None) -> tuple[bytes, obje
         return data, json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")  # no exponent, so Fraction reads it at once
+_ACCOUNT_TEXT = re.compile(r"0x[0-9a-f]{40}")
+
+
+def _rational_text(value: object) -> bool:
+    from fractions import Fraction  # only the ledger has rationals, and it imports fractions itself
+
+    try:  # "1/0", or digits past int's limit, raise
+        return type(value) is str and _RATIONAL_TEXT.fullmatch(value) is not None and str(Fraction(value)) == value
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+# Each JSON kind that a field of an input file can have: its name in messages, and its test.
+INTEGER = ("a JSON integer", lambda value: type(value) is int)  # a bool is an int, too
+# NaN, infinities and ints past the float range are not finite
+NUMBER = ("a finite number", lambda value: type(value) in (int, float) and abs(value) <= sys.float_info.max)
+STRING = ("a JSON string", lambda value: type(value) is str)
+RATIONAL = ("rational text in lowest terms", _rational_text)  # as str(Fraction) writes it: "77/100", "3000"
+ACCOUNT = ("an account identifier", lambda value: type(value) is str and _ACCOUNT_TEXT.fullmatch(value) is not None)
+
+# The JSON kind of each field of every input file but a corpus file, less a profile's gas_price_gwei
+# (any number ledger.parse_number reads).  An event's fields are a ledger.SlideRecord's, in order.
+FIELDS = {
+    "time manifest": {"lecture_id": INTEGER, "slide_id": INTEGER, "t_local": NUMBER},
+    "profile config": {"name": STRING},
+    "fee_config": {"initial_base_fee_gwei": RATIONAL, "priority_tip_gwei": RATIONAL, "target_gas": INTEGER,
+                   "decay_denominator": INTEGER, "eth_usd_rate": RATIONAL, "block_interval": INTEGER,
+                   "genesis_time": INTEGER},
+    "gas_config": dict.fromkeys(["intrinsic", "nonzero_byte", "zero_byte", "exec_base"], INTEGER),
+    "event": {"lectureId": INTEGER, "slideId": INTEGER, "slideHash": STRING, "uri": STRING,
+              "registrant": ACCOUNT, "timestamp": INTEGER},
+}
+
+
+def read_fields(entry: dict, what: str, where: str | None = None) -> dict:
+    """``entry``'s value of each field of ``FIELDS[what]`` by name, in order; KeyError for a missing field.
+
+    The first value not of its field's kind raises ValueError ``[<where>: ]<field> is not <kind>: <value!r>``.
+    """
+    values = {name: entry[name] for name in FIELDS[what]}
+    for (name, value), (kind, test) in zip(values.items(), FIELDS[what].values()):
+        if not test(value):
+            raise ValueError(f"{'' if where is None else where + ': '}{name} is not {kind}: {value!r}")
+    return values
 
 
 class LoadFailure(NamedTuple):

@@ -2,9 +2,11 @@
 
 ``main()`` is driven with generated malformed time manifests (non-finite
 times, times that are not JSON numbers and a slide listed twice
-included), profiles files (names that are not JSON strings and a name
-listed twice included), ``--eth-usd`` values, non-integer
-``SLIDEPROV_*`` integers and unknown ``SLIDEPROV_FORMAT`` values.
+included), profiles files (names that are not JSON strings, prices that
+are not numbers and a name listed twice included), ``--eth-usd`` values,
+non-integer ``SLIDEPROV_*`` integers and unknown ``SLIDEPROV_FORMAT``
+values.  A value of another kind in any field of either file gets the
+whole line ``<file>: <what> entry <i>: <field> is not <kind>: <value>``.
 ``project`` reads ``--eth-usd`` and gas prices in the grammar of
 ``register``'s fee flags, ``p/q`` text included.
 Each run must exit 2 without a traceback; a bad file must be named in
@@ -250,7 +252,7 @@ def test_manifest_id_that_is_not_a_json_integer_exit_2(tmp_path, workspace, inde
                           "--out", str(tmp_path / "out")])
     assert_config_error(code, err, path)
     loaded = json.loads(path.read_text(encoding="utf-8"))[index][field]
-    assert err == f"error: {path}: time manifest entry {index}: {field} is not an integer: {loaded!r}\n", err
+    assert err == f"error: {path}: time manifest entry {index}: {field} is not a JSON integer: {loaded!r}\n", err
     assert not (tmp_path / "out").exists()
 
 
@@ -284,7 +286,30 @@ def test_profile_name_that_is_not_a_json_string_exit_2(tmp_path, index, value):
     code, err = run_main(["project", "--profiles", str(path), "--out", str(tmp_path / "out")])
     assert_config_error(code, err, path)
     loaded = json.loads(path.read_text(encoding="utf-8"))[index]["name"]
-    assert err == f"error: {path}: profile config entry {index}: name is not a string: {loaded!r}\n", err
+    assert err == f"error: {path}: profile config entry {index}: name is not a JSON string: {loaded!r}\n", err
+    assert not (tmp_path / "out").exists()
+
+
+# what json.loads gives for a value that is neither a JSON number nor number text
+not_a_number = st.one_of(st.none(), st.booleans(), st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                         st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+                         st.text(max_size=6).filter(lambda s: not _parses(Fraction, s)))
+
+
+@FUZZ
+@given(index=st.integers(0, len(VALID_PROFILES) - 1), value=not_a_number)
+@example(index=0, value=True)  # a bool is an int, but no price
+@example(index=1, value="5 gwei")
+def test_profile_price_that_is_not_a_number_exit_2(tmp_path, index, value):
+    entries = [dict(entry) for entry in VALID_PROFILES]
+    entries[index]["gas_price_gwei"] = value
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    code, err = run_main(["project", "--profiles", str(path), "--out", str(tmp_path / "out")])
+    assert_config_error(code, err, path)
+    loaded = json.loads(path.read_text(encoding="utf-8"))[index]["gas_price_gwei"]
+    assert err == f"error: {path}: profile config entry {index}: gas_price_gwei is not a number: {loaded!r}\n", err
     assert not (tmp_path / "out").exists()
 
 
@@ -424,8 +449,8 @@ def test_exponent_past_bound_is_rejected_before_fraction_reads_it(tmp_path, work
         (["register", "--corpus", corpus, "--ledger", "new.json", "--tip-gwei", HUGE_EXPONENT],
          2, f"error: priority_tip_gwei has an exponent past 4300: '{HUGE_EXPONENT}'"),
         (["verify", "--corpus", corpus, "--ledger", "ledger.json"],
-         3, f"error: ledger.json: ledger document rejected: eth_usd_rate has an exponent past 4300:"
-            f" '{HUGE_EXPONENT}'"),
+         3, f"error: ledger.json: ledger document rejected: fee_config: eth_usd_rate is not rational text"
+            f" in lowest terms: '{HUGE_EXPONENT}'"),
         (["verify", "--corpus", corpus, "--ledger", "list.json"],
          3, "error: list.json: unrecognized ledger format"),
         (["project", "--eth-usd", HUGE_EXPONENT],

@@ -235,6 +235,13 @@ KIND_EDITS = {
     "target_gas float": (lambda d: d["fee_config"].update(target_gas=15000000.0),
                          "fee_config: target_gas is not a JSON integer: 15000000.0"),
     "uri number": (lambda d: d["events"][2].update(uri=5), "event 2: uri is not a JSON string: 5"),
+    # a rational that is not the text the ledger writes: the export comparison alone took it for a bad checksum
+    "eth_usd_rate int": (lambda d: d["fee_config"].update(eth_usd_rate=3000),
+                         "fee_config: eth_usd_rate is not rational text in lowest terms: 3000"),
+    "initial_base_fee_gwei float": (lambda d: d["fee_config"].update(initial_base_fee_gwei=0.77),
+                                    "fee_config: initial_base_fee_gwei is not rational text in lowest terms: 0.77"),
+    "priority_tip_gwei decimal text": (lambda d: d["fee_config"].update(priority_tip_gwei="1.0"),
+                                       "fee_config: priority_tip_gwei is not rational text in lowest terms: '1.0'"),
 }
 
 

@@ -3,10 +3,12 @@
 A ledger written by ``register`` gets one edit, and every command that
 reads a ledger must then exit 3 with a single ``error:`` line, print no
 traceback and leave the file's bytes as they were; so must a ledger file
-of the earlier v1 format.  The same fee and gas values out of range given
-as ``register`` flags exit 2 and write no ledger, or leave an existing one
-as it was; so do fee and gas values whose costs are past the float range
-of the reports.
+of the earlier v1 format.  A value of another JSON kind in any field,
+under a recomputed checksum, gets the line that names the file, the
+config or event, and the field.  The same fee and gas values out of
+range given as ``register`` flags exit 2 and write no ledger, or leave
+an existing one as it was; so do fee and gas values whose costs are past
+the float range of the reports.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import run_cli, write_corpus
 from slideprov.cli import main
-from slideprov.ledger import FeeConfig, GasConfig, Ledger, account_hex, dev_accounts
+from slideprov.ledger import FeeConfig, GasConfig, Ledger, account_hex, checksum, dev_accounts
 
 EVENT_FIELDS = ["lectureId", "slideId", "slideHash", "uri", "timestamp", "registrant"]
 
@@ -160,6 +162,85 @@ def test_edited_ledger_rejected_by_every_reader(workspace, edit):
     doc = json.loads(json.dumps(workspace["doc"]))
     apply(doc)
     assert_rejected_by_every_reader(workspace, json.dumps(doc).encode("utf-8"))
+
+
+def _lowest_terms(text):
+    try:
+        return str(Fraction(text)) == text
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+# what json.loads gives for a value that is neither a JSON integer nor a JSON string
+_NEITHER = st.one_of(st.none(), st.booleans(), st.floats(), st.lists(st.integers(), max_size=2),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_JSON = st.one_of(_NEITHER, st.integers(), st.text(max_size=6))
+_ACCOUNT = account_hex(dev_accounts()[0])
+# each kind as the error names it, and values not of it: near twins first
+OTHER_KIND = {
+    "a JSON integer": st.one_of(st.sampled_from([True, False, 1.0, "1", -0.0]), _NEITHER, st.text(max_size=6)),
+    "a JSON string": st.one_of(_NEITHER, st.integers()),
+    "an account identifier": st.one_of(
+        st.sampled_from(["0x" + _ACCOUNT[2:].upper(), "0X" + _ACCOUNT[2:], _ACCOUNT[2:], _ACCOUNT[:-1],
+                         _ACCOUNT + "0", "zz" + _ACCOUNT[2:], _ACCOUNT[:2] + "g" + _ACCOUNT[3:],
+                         _ACCOUNT.encode().hex()]),
+        _JSON),  # no text of 6 characters is an account
+    "rational text in lowest terms": st.one_of(
+        st.sampled_from([3000, 0.77, "1.0", "0.77", "6/4", "3/1", "-0", "0/1", " 3", "+3", "1e3", "1e-100000000"]),
+        _NEITHER, st.integers(), st.text(max_size=6).filter(lambda v: not _lowest_terms(v))),
+}
+# (section, field) of every config value and event field -> its kind
+FIELD_KINDS = {
+    **{("fee_config", name): "rational text in lowest terms"
+       for name in ("initial_base_fee_gwei", "priority_tip_gwei", "eth_usd_rate")},
+    **{("fee_config", name): "a JSON integer"
+       for name in ("target_gas", "decay_denominator", "block_interval", "genesis_time")},
+    **{("gas_config", name): "a JSON integer" for name in ("intrinsic", "nonzero_byte", "zero_byte", "exec_base")},
+    **{("events", name): "a JSON integer" for name in ("lectureId", "slideId", "timestamp")},
+    **{("events", name): "a JSON string" for name in ("slideHash", "uri")},
+    ("events", "registrant"): "an account identifier",
+}
+
+
+@st.composite
+def other_kinds(draw):
+    """(section, or None for the file itself; event index; field; a value of another JSON kind than the field's)."""
+    section, name = draw(st.sampled_from([*FIELD_KINDS, (None, "format"), (None, "checksum")]))
+    kind = FIELD_KINDS.get((section, name))
+    value = draw(OTHER_KIND[kind] if kind else _JSON.filter(lambda v: v != "slideprov-ledger/v2"))
+    return section, draw(st.integers(0, 5)), name, value
+
+
+def _holder(doc, section, index):
+    """The object that holds a field of ``section``: the document itself, a config, or event ``index``."""
+    return doc if section is None else doc["events"][index] if section == "events" else doc[section]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=other_kinds())
+@example(case=("fee_config", 0, "eth_usd_rate", 3000))
+@example(case=("events", 5, "registrant", "0x" + _ACCOUNT[2:].upper()))
+@example(case=(None, 0, "format", 2))
+@example(case=(None, 0, "checksum", None))
+def test_every_field_of_another_json_kind_rejected_naming_it(workspace, case):
+    section, index, name, value = case
+    doc = json.loads(json.dumps(workspace["doc"]))
+    _holder(doc, section, index)[name] = value
+    if name != "checksum":  # a consistent rewrite: only the kind is wrong
+        doc["checksum"] = checksum(doc)
+    data = json.dumps(doc).encode("utf-8")
+    value = _holder(json.loads(data), section, index)[name]  # as the file holds it: NaN and -0.0 included
+    path = workspace["tmp"] / "edited.json"
+    if name == "format":
+        named = f" {value!r} (this version reads 'slideprov-ledger/v2')" if isinstance(value, str) else ""
+        expected = f"error: {path}: unrecognized ledger format{named}"
+    elif name == "checksum":
+        expected = f"error: {path}: ledger file does not match its checksum"
+    else:
+        where = f"event {index}" if section == "events" else section
+        expected = (f"error: {path}: ledger document rejected: {where}: {name} is not"
+                    f" {FIELD_KINDS[section, name]}: {value!r}")
+    assert assert_rejected_by_every_reader(workspace, data) == [expected] * 4
 
 
 def test_ledger_file_not_utf8_rejected(workspace):

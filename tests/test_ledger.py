@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import register_corpus
 from keccak_reference import reference_keccak256
+from slideprov import records
 from slideprov.commitment import storage_key
 from slideprov.ledger import LEDGER_FORMAT, MAX_EXPONENT, ExponentOutOfRange, checksum
 from slideprov import (
@@ -20,6 +22,7 @@ from slideprov import (
     InvalidSlide,
     Ledger,
     SlideKey,
+    SlideRecord,
     canonical_uri,
     dev_accounts,
     estimate_gas,
@@ -327,6 +330,19 @@ class TestReplay:
         assert (ledger.next_block_number, ledger.next_timestamp) == (6, 6)
         receipt = ledger.register_slide(SlideKey(2, 1), HASH66, URI30)
         assert (receipt.block_number, receipt.timestamp) == (6, 6)
+
+
+def test_the_kind_table_names_every_field_the_ledger_reads():
+    # each config reads its values by name, and each event's values are a SlideRecord's, in order
+    assert list(records.FIELDS["fee_config"]) == list(FeeConfig._fields)
+    assert list(records.FIELDS["gas_config"]) == list(GasConfig._fields)
+    assert [re.sub("([A-Z])", r"_\1", key).lower() for key in records.FIELDS["event"]] == list(SlideRecord._fields)
+    ledger = Ledger()
+    ledger.register_slide(SlideKey(1, 1), HASH66, URI30)
+    account = "0x" + dev_accounts()[0].hex()
+    assert ledger.events[0] == (1, 1, HASH66, URI30, account, 1)
+    assert json.loads(ledger.export_bytes())["events"] == [
+        {"lectureId": 1, "slideId": 1, "slideHash": HASH66, "uri": URI30, "registrant": account, "timestamp": 1}]
 
 
 def test_dev_accounts_fixed_and_distinct():

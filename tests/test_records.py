@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from canonical_reference import to_document
 from conftest import synthetic_document, write_corpus
+from slideprov import records
 from slideprov import (
     CorpusReader,
     EmptyCorpus,
@@ -256,3 +257,31 @@ class TestLoadCorpus:
         (tmp_path / "by_slide" / "README.txt").write_text("hi")
         (tmp_path / "by_slide" / "Lecture 1" / "notes.json").write_text("{}")
         assert set(load_corpus(tmp_path)) == {SlideKey(1, 1)}
+
+
+@pytest.mark.parametrize("kind, holds, fails", [
+    (records.INTEGER, [0, -3, 10**400], [True, 1.0, "1", None]),
+    (records.NUMBER, [0, -1.5, -0.0, 10**300, 1.7e308],
+     [True, "5", float("nan"), float("inf"), 10**400, None]),
+    (records.STRING, ["", "x"], [None, 5, b"x", ["x"]]),
+    (records.RATIONAL, ["77/100", "3000", "-3/2", "0"],
+     [3000, 0.77, "1.0", "6/4", "3/1", "-0", "0/1", " 3", "+3", "1e3", "1/0", "1e-100000000"]),
+    (records.ACCOUNT, ["0x" + "ab" * 20], ["0x" + "AB" * 20, "0X" + "ab" * 20, "ab" * 21, "0x" + "ab" * 19 + "a",
+                                         "0x" + "ab" * 19 + "ag", b"0x" + b"ab" * 20, None]),
+], ids=["integer", "number", "string", "rational", "account"])
+def test_json_kinds(kind, holds, fails):
+    _, test = kind
+    assert [value for value in holds if not test(value)] == []
+    assert [value for value in fails if test(value)] == []
+
+
+def test_read_fields_names_the_first_field_of_another_kind():
+    entry = {"lecture_id": 1, "slide_id": True, "t_local": "5", "other": None}
+    with pytest.raises(ValueError, match=r"^entry 3: slide_id is not a JSON integer: True$"):
+        records.read_fields(entry, "time manifest", "entry 3")
+    with pytest.raises(ValueError, match=r"^t_local is not a finite number: '5'$"):
+        records.read_fields(dict(entry, slide_id=2), "time manifest")
+    with pytest.raises(KeyError):
+        records.read_fields({"lecture_id": 1}, "time manifest")
+    values = records.read_fields(dict(entry, slide_id=2, t_local=5), "time manifest")
+    assert list(values.items()) == [("lecture_id", 1), ("slide_id", 2), ("t_local", 5)]

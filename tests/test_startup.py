@@ -1,8 +1,9 @@
 """A command imports only the modules it runs.
 
 Each command runs in a fresh interpreter, which then lists the
-``slideprov.*`` modules it loaded: an in-process test cannot see an import
-that another test happened to make first.  ``import slideprov`` alone
+``slideprov.*`` modules it loaded, and ``statistics`` if it did: an
+in-process test cannot see an import that another test happened to make
+first.  ``import slideprov`` alone
 loads no submodule; its public names resolve on first use to the objects
 of their home modules.  No module imports ``dataclasses``, whose import
 pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
@@ -26,8 +27,9 @@ from conftest import run_cli, write_corpus
 
 PACKAGE = Path(slideprov.__file__).resolve().parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
-# the modules run() reports, whatever else the command loads
-LISTED = "sorted(m.split('.')[1] for m in sys.modules if m.startswith('slideprov.'))"
+# the modules run() reports, whatever else the command loads: the package's by their short names, and statistics
+LISTED = ("sorted(m.split('.')[1] if m.startswith('slideprov.') else m for m in sys.modules"
+          " if m.startswith('slideprov.') or m == 'statistics')")
 
 
 def run(code: str, *args: str) -> list[str]:
@@ -51,15 +53,15 @@ def workspace(tmp_path_factory):
     return tmp, corpus, ledger
 
 
-# command -> modules it must not load
+# command -> modules it must not load; only the metrics of analyze and compare-runs need statistics
 NOT_LOADED = {
-    "register": {"integrity", "metrics", "projection"},
-    "verify": {"metrics", "projection"},
+    "register": {"integrity", "metrics", "projection", "statistics"},
+    "verify": {"metrics", "projection", "statistics"},
     "analyze": {"commitment", "integrity", "projection"},
-    "tamper": {"metrics", "projection"},
+    "tamper": {"metrics", "projection", "statistics"},
     "compare-runs": {"projection"},
-    "time-gaps": {"metrics", "projection"},
-    "project": {"commitment", "integrity", "metrics"},
+    "time-gaps": {"metrics", "projection", "statistics"},
+    "project": {"commitment", "integrity", "metrics", "statistics"},
 }
 
 

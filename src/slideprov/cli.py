@@ -15,8 +15,6 @@ skipped`` line per failed file, also before an empty pass's error.
 Each command returns (exit code, reports keyed by file stem, stdout text);
 ``main`` writes every report with one ``reports.write_reports`` call, then
 prints the text, so a command that stops on an error leaves --out untouched.
-Flag defaults come from ``SLIDEPROV_*`` variables through ``_env``, except
-for -n/--count, --mean-gas, --throughput, --skip-existing and --write.
 
 A command imports the modules it runs inside its ``cmd_*``, so that it
 loads no other: ``register`` never loads ``integrity``, ``metrics`` or
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -51,13 +48,6 @@ EXIT_OK = 0
 EXIT_INTEGRITY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-ENV_PREFIX = "SLIDEPROV_"
-
-
-def _env(flag: str, fallback: str | None = None) -> str | None:
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
-
 
 def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
@@ -351,38 +341,29 @@ def cmd_project(args: argparse.Namespace) -> Result:
 # parser
 
 
-def _report_format(text: str) -> str:
-    # a type, not choices: argparse checks choices only on the command line,
-    # while a type also converts an environment-supplied default
-    if text not in ("csv", "json"):
-        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'csv', 'json')")
-    return text
-
-
 def _add_common(parser: argparse.ArgumentParser, *, corpus: bool = True, ledger: bool = False) -> None:
     if corpus:
-        parser.add_argument("--corpus", default=_env("corpus"), required=_env("corpus") is None,
+        parser.add_argument("--corpus", required=True,
                             help="corpus root containing by_slide/Lecture <n>/Slide<m>.json")
     if ledger:
-        parser.add_argument("--ledger", default=_env("ledger", "ledger.json"),
+        parser.add_argument("--ledger", default="ledger.json",
                             help="ledger export file (default ledger.json)")
-    parser.add_argument("--out", default=_env("out", "reports"),
+    parser.add_argument("--out", default="reports",
                         help="output directory for report files (default reports/)")
-    parser.add_argument("--format", type=_report_format, metavar="{csv,json}",
-                        default=_env("format", "csv"), help="tabular report format (default csv)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="tabular report format (default csv)")
 
 
 def _add_fee_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eth-usd", default=_env("eth_usd", "3000"),
+    parser.add_argument("--eth-usd", default="3000",
                         help="ETH/USD reference rate (default 3000)")
-    parser.add_argument("--base-fee-gwei", default=_env("base_fee_gwei", "0.77"),
+    parser.add_argument("--base-fee-gwei", default="0.77",
                         help="initial base fee in gwei (default 0.77)")
-    parser.add_argument("--tip-gwei", default=_env("tip_gwei", "1.0"),
+    parser.add_argument("--tip-gwei", default="1.0",
                         help="priority tip in gwei (default 1.0)")
-    parser.add_argument("--block-interval", type=int, default=_env("block_interval", "1"),
+    parser.add_argument("--block-interval", type=int, default=1,
                         help="modeled seconds per block (default 1)")
-    parser.add_argument("--gas-exec-base", type=int, default=_env("gas_exec_base"),
-                        help="execution-gas calibration constant")
+    parser.add_argument("--gas-exec-base", type=int, help="execution-gas calibration constant")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,14 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="semantic disagreement, similarity, and coverage reports")
     _add_common(p)
-    p.add_argument("--baseline-model", default=_env("baseline_model"),
-                   help="coverage-loss baseline (default: densest model)")
+    p.add_argument("--baseline-model", help="coverage-loss baseline (default: densest model)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tamper", help="seeded tamper-detection protocol")
     _add_common(p, ledger=True)
     p.add_argument("-n", "--count", type=int, default=20, help="slides to perturb (default 20)")
-    p.add_argument("--seed", type=int, default=_env("seed", "0"),
+    p.add_argument("--seed", type=int, default=0,
                    help="seed of the slide and perturbation choices (default 0)")
     p.add_argument("--write", action="store_true",
                    help="destructive: persist tampered records into the corpus")
@@ -427,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("time-gaps", help="chain-minus-local registration delay audit")
     _add_common(p, ledger=True)
-    p.add_argument("--manifest", default=_env("manifest"),
+    p.add_argument("--manifest",
                    help="JSON manifest of local creation times (default: file mtimes)")
     p.set_defaults(func=cmd_time_gaps)
 
@@ -436,10 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--count", type=int, default=1_000_000,
                    help="corpus size to project (default 1e6)")
     p.add_argument("--mean-gas", type=int, help="mean gas per registration")
-    p.add_argument("--eth-usd", default=_env("eth_usd", "3000"), help="ETH/USD rate")
+    p.add_argument("--eth-usd", default="3000", help="ETH/USD rate")
     p.add_argument("--throughput", default=1.0, help="registrations per second")
-    p.add_argument("--profiles", default=_env("profiles"),
-                   help="JSON file with custom network profiles")
+    p.add_argument("--profiles", help="JSON file with custom network profiles")
     p.set_defaults(func=cmd_project)
 
     return parser

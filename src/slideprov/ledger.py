@@ -384,23 +384,25 @@ class Ledger:
     def from_document(cls, doc: object) -> "Ledger":
         """Rebuild a ledger by replaying the document's ``events``.
 
-        Each config value and event field must be of its JSON kind in ``records.FIELDS``, read as it is;
-        each event passes the checks of a live registration, the rebuilt ledger must export the values
-        of ``doc``, and the checksum in ``doc`` must be theirs.  Anything else raises CorruptLedgerFile.
+        Each section, event, config value and event field must be of its JSON kind in ``records.FIELDS``,
+        read as it is; each event passes the checks of a live registration, the rebuilt ledger must export
+        the values of ``doc``, and the checksum in ``doc`` must be theirs.  Anything else raises
+        CorruptLedgerFile.
         """
         found = doc.get("format") if isinstance(doc, dict) else None
         if found != LEDGER_FORMAT:
             named = f" {found!r} (this version reads {LEDGER_FORMAT!r})" if isinstance(found, str) else ""
             raise CorruptLedgerFile(f"unrecognized ledger format{named}")
         try:
-            fee = FeeConfig(**records.read_fields(doc["fee_config"], "fee_config", "fee_config"))
-            gas = GasConfig(**records.read_fields(doc["gas_config"], "gas_config", "gas_config"))
+            sections = records.read_fields(doc, "ledger")
+            fee = FeeConfig(**records.read_fields(sections["fee_config"], "fee_config", "fee_config"))
+            gas = GasConfig(**records.read_fields(sections["gas_config"], "gas_config", "gas_config"))
             ledger = cls(fee, gas)
-            for index, entry in enumerate(doc["events"]):
-                values = _event_values(entry)
+            for index, entry in enumerate(sections["events"]):
+                values = _event_values(entry) if type(entry) is dict else None
                 # dict equality takes 1.0 and true for 1, so a kind is checked here, not by the export
-                if not all([test(value) for test, value in zip(_EVENT_TESTS, values)]):
-                    records.read_fields(entry, "event", f"event {index}")  # raises, naming the field
+                if values is None or not all([test(value) for test, value in zip(_EVENT_TESTS, values)]):
+                    records.read_fields(entry, "event", f"event {index}")  # raises, naming the event or field
                 ledger._append(SlideRecord._make(values))
         except (LedgerError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise CorruptLedgerFile(f"ledger document rejected: {exc}") from exc

@@ -429,10 +429,13 @@ NUMBER = ("a finite number", lambda value: type(value) in (int, float) and abs(v
 STRING = ("a JSON string", lambda value: type(value) is str)
 RATIONAL = ("rational text in lowest terms", _rational_text)  # as str(Fraction) writes it: "77/100", "3000"
 ACCOUNT = ("an account identifier", lambda value: type(value) is str and _ACCOUNT_TEXT.fullmatch(value) is not None)
+OBJECT = ("a JSON object", lambda value: type(value) is dict)
+LIST = ("a JSON list", lambda value: type(value) is list)
 
 # The JSON kind of each field of every input file but a corpus file, less a profile's gas_price_gwei
 # (any number ledger.parse_number reads).  An event's fields are a ledger.SlideRecord's, in order.
 FIELDS = {
+    "ledger": {"fee_config": OBJECT, "gas_config": OBJECT, "events": LIST},  # a ledger document's sections
     "time manifest": {"lecture_id": INTEGER, "slide_id": INTEGER, "t_local": NUMBER},
     "profile config": {"name": STRING},
     "fee_config": {"initial_base_fee_gwei": RATIONAL, "priority_tip_gwei": RATIONAL, "target_gas": INTEGER,
@@ -447,8 +450,11 @@ FIELDS = {
 def read_fields(entry: dict, what: str, where: str | None = None) -> dict:
     """``entry``'s value of each field of ``FIELDS[what]`` by name, in order; KeyError for a missing field.
 
-    The first value not of its field's kind raises ValueError ``[<where>: ]<field> is not <kind>: <value!r>``.
+    An ``entry`` that is not an object raises ValueError ``<where or what> is not a JSON object: <entry!r>``;
+    the first value not of its field's kind ``[<where>: ]<field> is not <kind>: <value!r>``.
     """
+    if type(entry) is not dict:
+        raise ValueError(f"{where or what} is not {OBJECT[0]}: {entry!r}")
     values = {name: entry[name] for name in FIELDS[what]}
     for (name, value), (kind, test) in zip(values.items(), FIELDS[what].values()):
         if not test(value):

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import synthetic_document, write_corpus
 from slideprov import canonical_bytes, load_corpus, normalize_record, records
-from slideprov.cli import build_parser, main
+from slideprov.cli import main
 from slideprov.integrity import compare_corpora
 from slideprov.reports import Table, write_reports
 
@@ -415,81 +415,53 @@ class TestProject:
         assert written == (reference / "projections.csv").read_bytes()
 
 
-# (command, flag's dest, SLIDEPROV_* variable, value set, default parse_args returns)
-ENV_FLAGS = [
-    ("analyze", "corpus", "CORPUS", "c", "c"),
-    ("verify", "ledger", "LEDGER", "l.json", "l.json"),
-    ("project", "out", "OUT", "o", "o"),
-    ("project", "format", "FORMAT", "json", "json"),
-    ("tamper", "seed", "SEED", "7", 7),
-    ("register", "eth_usd", "ETH_USD", "2500", "2500"),
-    ("project", "eth_usd", "ETH_USD", "2500", "2500"),
-    ("register", "base_fee_gwei", "BASE_FEE_GWEI", "0.5", "0.5"),
-    ("register", "tip_gwei", "TIP_GWEI", "2", "2"),
-    ("register", "block_interval", "BLOCK_INTERVAL", "12", 12),
-    ("register", "gas_exec_base", "GAS_EXEC_BASE", "5", 5),
-    ("analyze", "baseline_model", "BASELINE_MODEL", "m", "m"),
-    ("time-gaps", "manifest", "MANIFEST", "t.json", "t.json"),
-    ("project", "profiles", "PROFILES", "p.json", "p.json"),
-]
-
-# flags that read no variable: (command, the variable their name would give)
-NO_ENV_FLAGS = [
-    ("tamper", "COUNT"),
-    ("project", "COUNT"),
-    ("project", "MEAN_GAS"),
-    ("project", "THROUGHPUT"),
-    ("register", "SKIP_EXISTING"),
-    ("tamper", "WRITE"),
-]
+# Each name of a variable the command line once read, set to a value that changed a run or
+# failed it, and the names the flags that never had one would give: a run reads none of them.
+IGNORED_VARIABLES = {
+    "CORPUS": "{tmp}/elsewhere", "LEDGER": "{tmp}/missing/ledger.json", "OUT": "{tmp}/elsewhere",
+    "FORMAT": "xml", "SEED": "abc", "ETH_USD": "-1", "BASE_FEE_GWEI": "0", "TIP_GWEI": "abc",
+    "BLOCK_INTERVAL": "abc", "GAS_EXEC_BASE": "1.5", "BASELINE_MODEL": "no-such-model",
+    "MANIFEST": "{tmp}/missing.json", "PROFILES": "{tmp}/missing.json",
+    "COUNT": "abc", "MEAN_GAS": "abc", "THROUGHPUT": "abc", "SKIP_EXISTING": "1", "WRITE": "1",
+}
+# every command and its exit code, with only the flags a run cannot do without; --ledger and --out
+# keep their defaults, and a second register exits 1 unless something turns on --skip-existing
+DEFAULT_RUNS = [(["register", "--corpus", "{corpus}"], 0), (["register", "--corpus", "{corpus}"], 1),
+                (["verify", "--corpus", "{corpus}"], 0), (["analyze", "--corpus", "{corpus}"], 0),
+                (["tamper", "--corpus", "{corpus}"], 0), (["compare-runs", "{corpus}", "{corpus}"], 0),
+                (["time-gaps", "--corpus", "{corpus}"], 0), (["project"], 0)]
 
 
-def parsed_defaults(command: str, corpus: bool = True) -> dict:
-    argv = [command, *(["run_a", "run_b"] if command == "compare-runs" else [])]
-    if corpus and command not in ("project", "compare-runs"):
-        argv += ["--corpus", "corpus"]
-    return vars(build_parser().parse_args(argv))
+def test_no_environment_variable_changes_a_run(tmp_path, monkeypatch, capsys):
+    corpus = write_corpus(tmp_path / "corpus", n_lectures=4, slides_per_lecture=5)  # tamper's 20 slides
 
+    def session(cwd, variables):
+        """Each command's (exit code, stdout, stderr) in ``cwd``, then the bytes of every file left there."""
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for name, value in variables.items():
+            monkeypatch.setenv(f"SLIDEPROV_{name}", value.format(tmp=tmp_path))
+        outcomes = []
+        for argv, _ in DEFAULT_RUNS:
+            code = main([arg.format(corpus=corpus) for arg in argv])
+            outcomes.append((argv[0], code, *capsys.readouterr()))
+        return outcomes, {str(path.relative_to(cwd)): path.read_bytes() for path in sorted(cwd.rglob("*"))
+                          if path.is_file()}
 
-class TestEnvironmentOverrides:
-    @pytest.fixture(autouse=True)
-    def no_variables(self, monkeypatch):
-        for name in [n for n in os.environ if n.startswith("SLIDEPROV_")]:
-            monkeypatch.delenv(name)
+    plain = session(tmp_path / "plain", {})
+    assert [code for _, code, *_ in plain[0]] == [code for _, code in DEFAULT_RUNS], plain[0]
+    assert session(tmp_path / "set", IGNORED_VARIABLES) == plain
+    assert not (tmp_path / "elsewhere").exists()
 
-    @pytest.mark.parametrize("command, dest, variable, value, parsed", [
-        pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in ENV_FLAGS])
-    def test_variable_sets_one_default(self, monkeypatch, command, dest, variable, value, parsed):
-        monkeypatch.setenv(f"SLIDEPROV_{variable}", value)
-        with_variable = parsed_defaults(command, corpus=variable != "CORPUS")
-        assert with_variable[dest] == parsed
-        monkeypatch.delenv(f"SLIDEPROV_{variable}")
-        if variable == "CORPUS":
-            with pytest.raises(SystemExit):  # --corpus is required without its variable
-                parsed_defaults(command, corpus=False)
-            return
-        without = parsed_defaults(command)
-        assert {name for name in without if without[name] != with_variable[name]} == {dest}
-
-    @pytest.mark.parametrize("command, variable", [
-        pytest.param(*case, id="-".join(case)) for case in NO_ENV_FLAGS])
-    def test_flag_reads_no_variable(self, monkeypatch, command, variable):
-        without = parsed_defaults(command)
-        monkeypatch.setenv(f"SLIDEPROV_{variable}", "3")
-        assert parsed_defaults(command) == without
-
-    def test_seed_from_environment(self, env, monkeypatch):
-        run("register", env)
-        monkeypatch.setenv("SLIDEPROV_SEED", "11")
-        run("tamper", env, "-n", "4")
-        summary = json.loads((Path(env["out"]) / "tamper_summary.json").read_text())
-        assert summary["seed"] == 11
-
-    def test_out_from_environment(self, env, monkeypatch):
-        alt = str(env["tmp"] / "alt_reports")
-        monkeypatch.setenv("SLIDEPROV_OUT", alt)
-        assert main(["analyze", "--corpus", env["corpus"]]) == 0
-        assert (Path(alt) / "disagreement.csv").exists()
+    monkeypatch.setenv("SLIDEPROV_CORPUS", str(corpus))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze"])
+    assert excinfo.value.code == 2 and "--corpus" in capsys.readouterr().err
+    monkeypatch.setenv("SLIDEPROV_FORMAT", "csv")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["register", "--corpus", str(corpus), "--ledger", "new.json", "--format", "xml"])
+    assert excinfo.value.code == 2 and "--format" in capsys.readouterr().err
+    assert not Path("new.json").exists()
 
 
 def test_write_reports_rejects_unknown_format(tmp_path):

@@ -3,8 +3,7 @@
 ``main()`` is driven with generated malformed time manifests (non-finite
 times, times that are not JSON numbers and a slide listed twice
 included), profiles files (names that are not JSON strings, prices that
-are not numbers and a name listed twice included), ``--eth-usd`` values,
-non-integer ``SLIDEPROV_*`` integers and unknown ``SLIDEPROV_FORMAT``
+are not numbers and a name listed twice included) and ``--eth-usd``
 values.  A value of another kind in any field of either file gets the
 whole line ``<file>: <what> entry <i>: <field> is not <kind>: <value>``.
 ``project`` reads ``--eth-usd`` and gas prices in the grammar of
@@ -21,7 +20,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -36,11 +34,10 @@ FUZZ = settings(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def run_main(argv, env=None):
+def run_main(argv):
     """(exit code, stderr) of one in-process run; argparse exits count too."""
     err = io.StringIO()
-    with mock.patch.dict(os.environ, env or {}), contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -159,44 +156,6 @@ def test_bad_eth_usd_exit_2(workspace, rate):
     code, err = run_main(["project", f"--eth-usd={rate}", "--out", str(workspace["tmp"] / "out")])
     assert_config_error(code, err)
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
-
-
-@FUZZ
-@given(name=st.sampled_from(["SEED", "BLOCK_INTERVAL", "GAS_EXEC_BASE"]),
-       value=st.text(max_size=6).filter(lambda s: "\x00" not in s and not _parses(int, s)))
-def test_non_integer_env_exit_2(workspace, name, value):
-    command = "tamper" if name == "SEED" else "register"  # the one command with --seed
-    code, err = run_main([command, "--corpus", str(workspace["corpus"]),
-                          "--ledger", str(workspace["tmp"] / "unused.json"),
-                          "--out", str(workspace["tmp"] / "out")],
-                         env={f"SLIDEPROV_{name}": value})
-    assert_config_error(code, err)
-    assert f"--{name.lower().replace('_', '-')}" in err
-    assert not (workspace["tmp"] / "unused.json").exists()
-
-
-def test_seed_variable_is_ignored_outside_tamper(tmp_path, workspace):
-    corpus, ledger, out = str(workspace["corpus"]), str(tmp_path / "ledger.json"), str(tmp_path / "out")
-    for argv in (["register", "--corpus", corpus, "--ledger", ledger],
-                 ["verify", "--corpus", corpus, "--ledger", ledger],
-                 ["analyze", "--corpus", corpus],
-                 ["compare-runs", corpus, corpus],
-                 ["time-gaps", "--corpus", corpus, "--ledger", ledger],
-                 ["project"]):
-        code, err = run_main([*argv, "--out", out], env={"SLIDEPROV_SEED": "abc"})
-        assert code == 0, (argv, err)
-
-
-@FUZZ
-@given(value=st.one_of(st.text(max_size=6), st.sampled_from(["xml", "CSV", " json", ""]))
-       .filter(lambda s: "\x00" not in s and s not in ("csv", "json")))
-def test_bad_format_env_exit_2(workspace, value):
-    ledger = workspace["tmp"] / "unused.json"
-    code, err = run_main(["register", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
-                          "--out", str(workspace["tmp"] / "out")], env={"SLIDEPROV_FORMAT": value})
-    assert_config_error(code, err)
-    assert "--format" in err
-    assert not ledger.exists()
 
 
 @pytest.mark.parametrize("entry, detail", [
@@ -388,15 +347,16 @@ def test_gaps_timestamp_out_of_float_range_exit_2(tmp_path, workspace):
 @example(rate="6000/2")
 @example(rate="1/0")
 def test_eth_usd_one_grammar(workspace, rate):
-    # project accepts exactly the SLIDEPROV_ETH_USD values that register's FeeConfig accepts
+    # project accepts exactly the --eth-usd values that register's FeeConfig accepts; with "=" a
+    # leading "-" is the value, not a flag
     try:
         FeeConfig(eth_usd_rate=rate)
     except ValueError:
         expected = 2
     else:
         expected = 0
-    code, err = run_main(["project", "-n", "1000", "--out", str(workspace["tmp"] / "grammar")],
-                         env={"SLIDEPROV_ETH_USD": rate})
+    code, err = run_main(["project", "-n", "1000", f"--eth-usd={rate}",
+                          "--out", str(workspace["tmp"] / "grammar")])
     assert code == expected, err
     assert "Traceback" not in err
 
@@ -431,8 +391,7 @@ HUGE_EXPONENT = "1e-100000000"
 
 
 def run_process(argv, cwd):
-    env = {name: value for name, value in os.environ.items() if not name.startswith("SLIDEPROV_")}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     return subprocess.run([sys.executable, "-m", "slideprov.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=30)
 

@@ -242,6 +242,13 @@ KIND_EDITS = {
                                     "fee_config: initial_base_fee_gwei is not rational text in lowest terms: 0.77"),
     "priority_tip_gwei decimal text": (lambda d: d["fee_config"].update(priority_tip_gwei="1.0"),
                                        "fee_config: priority_tip_gwei is not rational text in lowest terms: '1.0'"),
+    # a section or event of another kind: Python's own wording named no key
+    "fee_config int": (lambda d: d.update(fee_config=5), "fee_config is not a JSON object: 5"),
+    "gas_config list": (lambda d: d.update(gas_config=[1]), "gas_config is not a JSON object: [1]"),
+    "events int": (lambda d: d.update(events=5), "events is not a JSON list: 5"),
+    "events object": (lambda d: d.update(events={"a": 1}), "events is not a JSON list: {'a': 1}"),
+    "events string": (lambda d: d.update(events="abc"), "events is not a JSON list: 'abc'"),
+    "event int": (lambda d: d["events"].__setitem__(0, 5), "event 0 is not a JSON object: 5"),
 }
 
 

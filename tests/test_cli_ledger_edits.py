@@ -4,8 +4,8 @@ A ledger written by ``register`` gets one edit, and every command that
 reads a ledger must then exit 3 with a single ``error:`` line, print no
 traceback and leave the file's bytes as they were; so must a ledger file
 of the earlier v1 format.  A value of another JSON kind in any field,
-under a recomputed checksum, gets the line that names the file, the
-config or event, and the field.  The same fee and gas values out of
+section or event, under a recomputed checksum, gets the line that names
+the file, the config or event, and the field.  The same fee and gas values out of
 range given as ``register`` flags exit 2 and write no ledger, or leave
 an existing one as it was; so do fee and gas values whose costs are past
 the float range of the reports.
@@ -188,9 +188,17 @@ OTHER_KIND = {
     "rational text in lowest terms": st.one_of(
         st.sampled_from([3000, 0.77, "1.0", "0.77", "6/4", "3/1", "-0", "0/1", " 3", "+3", "1e3", "1e-100000000"]),
         _NEITHER, st.integers(), st.text(max_size=6).filter(lambda v: not _lowest_terms(v))),
+    "a JSON object": st.one_of(st.sampled_from([[], [1], "abc", 5]), _NEITHER.filter(lambda v: type(v) is not dict),
+                               st.integers(), st.text(max_size=6)),
+    "a JSON list": st.one_of(st.sampled_from([{}, {"a": 1}, "abc", 5]), _NEITHER.filter(lambda v: type(v) is not list),
+                             st.integers(), st.text(max_size=6)),
 }
-# (section, field) of every config value and event field -> its kind
+# (section, field) of every section, config value and event field -> its kind; ("events", None) is an event itself
 FIELD_KINDS = {
+    (None, "fee_config"): "a JSON object",
+    (None, "gas_config"): "a JSON object",
+    (None, "events"): "a JSON list",
+    ("events", None): "a JSON object",
     **{("fee_config", name): "rational text in lowest terms"
        for name in ("initial_base_fee_gwei", "priority_tip_gwei", "eth_usd_rate")},
     **{("fee_config", name): "a JSON integer"
@@ -211,9 +219,16 @@ def other_kinds(draw):
     return section, draw(st.integers(0, 5)), name, value
 
 
-def _holder(doc, section, index):
-    """The object that holds a field of ``section``: the document itself, a config, or event ``index``."""
-    return doc if section is None else doc["events"][index] if section == "events" else doc[section]
+def _place(doc, section, index, name):
+    """The holder of a field of ``section`` and its key there: the document itself, a config or event ``index``.
+
+    With no field, the list of events and ``index``: the event itself.
+    """
+    if section is None:
+        return doc, name
+    if section == "events":
+        return (doc["events"], index) if name is None else (doc["events"][index], name)
+    return doc[section], name
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -222,14 +237,20 @@ def _holder(doc, section, index):
 @example(case=("events", 5, "registrant", "0x" + _ACCOUNT[2:].upper()))
 @example(case=(None, 0, "format", 2))
 @example(case=(None, 0, "checksum", None))
+@example(case=(None, 0, "fee_config", 5))
+@example(case=(None, 0, "gas_config", [1]))
+@example(case=(None, 0, "events", {"a": 1}))
+@example(case=("events", 0, None, 5))
 def test_every_field_of_another_json_kind_rejected_naming_it(workspace, case):
     section, index, name, value = case
     doc = json.loads(json.dumps(workspace["doc"]))
-    _holder(doc, section, index)[name] = value
+    holder, key = _place(doc, section, index, name)
+    holder[key] = value
     if name != "checksum":  # a consistent rewrite: only the kind is wrong
         doc["checksum"] = checksum(doc)
     data = json.dumps(doc).encode("utf-8")
-    value = _holder(json.loads(data), section, index)[name]  # as the file holds it: NaN and -0.0 included
+    holder, key = _place(json.loads(data), section, index, name)
+    value = holder[key]  # as the file holds it: NaN and -0.0 included
     path = workspace["tmp"] / "edited.json"
     if name == "format":
         named = f" {value!r} (this version reads 'slideprov-ledger/v2')" if isinstance(value, str) else ""
@@ -238,7 +259,8 @@ def test_every_field_of_another_json_kind_rejected_naming_it(workspace, case):
         expected = f"error: {path}: ledger file does not match its checksum"
     else:
         where = f"event {index}" if section == "events" else section
-        expected = (f"error: {path}: ledger document rejected: {where}: {name} is not"
+        named = name if where is None else where if name is None else f"{where}: {name}"  # a section, an event, a field
+        expected = (f"error: {path}: ledger document rejected: {named} is not"
                     f" {FIELD_KINDS[section, name]}: {value!r}")
     assert assert_rejected_by_every_reader(workspace, data) == [expected] * 4
 

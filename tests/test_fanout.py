@@ -97,10 +97,7 @@ def test_nothing_loads_raises_the_same_empty_corpus(tmp_path, n):
 
 
 @pytest.mark.parametrize("n", RANGES)
-def test_golden_digests_hold_at_every_split(tmp_path, monkeypatch, n):
-    for name in list(os.environ):
-        if name.startswith("SLIDEPROV_"):
-            monkeypatch.delenv(name)
+def test_golden_digests_hold_at_every_split(tmp_path, n):
     with forced_split(n) as forks:
         actual = golden_digests(tmp_path)
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))

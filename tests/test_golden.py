@@ -190,10 +190,7 @@ def golden_digests(workdir: Path) -> dict[str, str]:
     return digests
 
 
-def test_golden_digests(tmp_path, monkeypatch):
-    for name in list(os.environ):
-        if name.startswith("SLIDEPROV_"):
-            monkeypatch.delenv(name)
+def test_golden_digests(tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     actual = golden_digests(tmp_path)
     assert list(actual) == list(expected), "the command matrix changed"
@@ -203,8 +200,6 @@ def test_golden_digests(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    for name in [n for n in os.environ if n.startswith("SLIDEPROV_")]:
-        del os.environ[name]
     with tempfile.TemporaryDirectory() as scratch:
         result = golden_digests(Path(scratch))
     previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}

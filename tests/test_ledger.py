@@ -334,6 +334,8 @@ class TestReplay:
 
 def test_the_kind_table_names_every_field_the_ledger_reads():
     # each config reads its values by name, and each event's values are a SlideRecord's, in order
+    assert list(records.FIELDS["ledger"]) == [name for name in Ledger().to_document()
+                                              if name not in ("checksum", "format")]
     assert list(records.FIELDS["fee_config"]) == list(FeeConfig._fields)
     assert list(records.FIELDS["gas_config"]) == list(GasConfig._fields)
     assert [re.sub("([A-Z])", r"_\1", key).lower() for key in records.FIELDS["event"]] == list(SlideRecord._fields)

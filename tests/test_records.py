@@ -268,7 +268,9 @@ class TestLoadCorpus:
      [3000, 0.77, "1.0", "6/4", "3/1", "-0", "0/1", " 3", "+3", "1e3", "1/0", "1e-100000000"]),
     (records.ACCOUNT, ["0x" + "ab" * 20], ["0x" + "AB" * 20, "0X" + "ab" * 20, "ab" * 21, "0x" + "ab" * 19 + "a",
                                          "0x" + "ab" * 19 + "ag", b"0x" + b"ab" * 20, None]),
-], ids=["integer", "number", "string", "rational", "account"])
+    (records.OBJECT, [{}, {"a": 1}], [[], [("a", 1)], "abc", 5, None]),
+    (records.LIST, [[], [1]], [{}, (1,), "abc", 5, None]),
+], ids=["integer", "number", "string", "rational", "account", "object", "list"])
 def test_json_kinds(kind, holds, fails):
     _, test = kind
     assert [value for value in holds if not test(value)] == []
@@ -283,5 +285,9 @@ def test_read_fields_names_the_first_field_of_another_kind():
         records.read_fields(dict(entry, slide_id=2), "time manifest")
     with pytest.raises(KeyError):
         records.read_fields({"lecture_id": 1}, "time manifest")
+    with pytest.raises(ValueError, match=r"^entry 3 is not a JSON object: \[1\]$"):
+        records.read_fields([1], "time manifest", "entry 3")
+    with pytest.raises(ValueError, match=r"^time manifest is not a JSON object: 5$"):
+        records.read_fields(5, "time manifest")
     values = records.read_fields(dict(entry, slide_id=2, t_local=5), "time manifest")
     assert list(values.items()) == [("lecture_id", 1), ("slide_id", 2), ("t_local", 5)]

@@ -36,8 +36,6 @@ def run(code: str, *args: str) -> list[str]:
     """The ``slideprov.*`` modules a fresh interpreter holds after ``code``, which may read ``args``."""
     paths = [str(PACKAGE.parent), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    for name in [n for n in env if n.startswith("SLIDEPROV_")]:
-        del env[name]
     done = subprocess.run([sys.executable, "-c", f"import json, sys\n{code}\nprint(json.dumps({LISTED}))", *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

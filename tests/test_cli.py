@@ -12,7 +12,7 @@ import pytest
 
 from conftest import synthetic_document, write_corpus
 from slideprov import canonical_bytes, load_corpus, normalize_record, records
-from slideprov.cli import main
+from slideprov.cli import build_parser, main
 from slideprov.integrity import compare_corpora
 from slideprov.reports import Table, write_reports
 
@@ -462,6 +462,36 @@ def test_no_environment_variable_changes_a_run(tmp_path, monkeypatch, capsys):
         main(["register", "--corpus", str(corpus), "--ledger", "new.json", "--format", "xml"])
     assert excinfo.value.code == 2 and "--format" in capsys.readouterr().err
     assert not Path("new.json").exists()
+
+
+# flags whose names would give a SLIDEPROV_* variable: (command, that variable's suffix)
+NO_ENV_FLAGS = [
+    ("tamper", "COUNT"),
+    ("project", "COUNT"),
+    ("project", "MEAN_GAS"),
+    ("project", "THROUGHPUT"),
+    ("register", "SKIP_EXISTING"),
+    ("tamper", "WRITE"),
+]
+
+
+def parsed_defaults(command: str) -> dict:
+    argv = [command] if command == "project" else [command, "--corpus", "corpus"]
+    return vars(build_parser().parse_args(argv))
+
+
+class TestEnvironmentOverrides:
+    @pytest.fixture(autouse=True)
+    def no_variables(self, monkeypatch):
+        for name in [n for n in os.environ if n.startswith("SLIDEPROV_")]:
+            monkeypatch.delenv(name)
+
+    @pytest.mark.parametrize("command, variable", [
+        pytest.param(*case, id="-".join(case)) for case in NO_ENV_FLAGS])
+    def test_flag_reads_no_variable(self, monkeypatch, command, variable):
+        without = parsed_defaults(command)
+        monkeypatch.setenv(f"SLIDEPROV_{variable}", "3")
+        assert parsed_defaults(command) == without
 
 
 def test_write_reports_rejects_unknown_format(tmp_path):

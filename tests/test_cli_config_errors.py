@@ -158,6 +158,18 @@ def test_bad_eth_usd_exit_2(workspace, rate):
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
+def test_seed_variable_is_ignored_outside_tamper(tmp_path, workspace, monkeypatch):
+    corpus, ledger, out = str(workspace["corpus"]), str(tmp_path / "ledger.json"), str(tmp_path / "out")
+    monkeypatch.setenv("SLIDEPROV_SEED", "abc")
+    for argv in (["register", "--corpus", corpus, "--ledger", ledger],
+                 ["verify", "--corpus", corpus, "--ledger", ledger],
+                 ["analyze", "--corpus", corpus],
+                 ["compare-runs", corpus, corpus],
+                 ["time-gaps", "--corpus", corpus, "--ledger", ledger],
+                 ["project"]):
+        code, err = run_main([*argv, "--out", out])
+        assert code == 0, (argv, err)
+
 @pytest.mark.parametrize("entry, detail", [
     ({"lecture_id": 1, "t_local": 0}, "missing 'slide_id'"),
     (1, "entry 0"),

@@ -47,17 +47,17 @@ print("evidence kept verbatim:", record.models["vision-alpha"].evidence[0])
 
 encoded = canonical_bytes(record)
 print("\ncanonical encoding starts:", encoded[:70].decode(), "...")
-print("commitment:", commit_record(record).hex)
+print("commitment:", commit_record(record))
 
 # Shuffle everything that does not carry meaning: key order, list order.
 shuffled = json.loads(json.dumps(raw))
 shuffled["models"]["vision-alpha"]["concepts"].reverse()
 shuffled["models"] = dict(reversed(list(shuffled["models"].items())))
 print("\nafter shuffling input order, same commitment:",
-      commit_record(normalize_record(shuffled)).hex == commit_record(record).hex)
+      commit_record(normalize_record(shuffled)) == commit_record(record))
 
 # Change one character of one term: completely different digest.
 edited = json.loads(json.dumps(raw))
 edited["models"]["vision-alpha"]["concepts"][2]["term"] = "chest wal"
 print("after a one-character edit, same commitment: ",
-      commit_record(normalize_record(edited)).hex == commit_record(record).hex)
+      commit_record(normalize_record(edited)) == commit_record(record))

@@ -60,7 +60,7 @@ corpus = load_corpus(root)
 commitments = commitments_of(corpus)
 ledger = Ledger()
 for key, commitment in commitments.items():
-    ledger.register_slide(key, commitment.hex, canonical_uri(key))
+    ledger.register_slide(key, commitment, canonical_uri(key))
 print(f"registered {len(corpus)} slides in blocks 1..{len(corpus)}")
 
 # -- verification ------------------------------------------------------------

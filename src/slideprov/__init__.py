@@ -13,7 +13,7 @@ imports ``slideprov.ledger`` on first use and is the object it holds.
 import importlib
 
 _MODULE_NAMES = {
-    "commitment": "Commitment StorageKey commit commit_record commit_records storage_key",
+    "commitment": "StorageKey commit commit_record commit_records storage_key",
     "errors": "AlreadyRegistered CorruptLedgerFile DisjointCorpora EmptyCorpus InsufficientModels IntegrityError"
               " InvalidLecture InvalidSlide LedgerError MalformedDocument MetricsError MissingKey ProvenanceError"
               " ProvenanceWarning TooFewSlides UnknownBaselineModel UnregisteredCorpus",

@@ -9,8 +9,9 @@ config error, 3 I/O or corpus failure.
 
 Every command reads its corpus through ``records.CorpusReader`` (both runs
 of ``compare-runs`` paired by ``records.read_runs``), all but ``tamper`` in
-one ``records.split_pass``; ``_skip_lines`` then prints a ``warning:
-skipped`` line per failed file, also before an empty pass's error.
+one ``records.split_pass``, which takes the readers' keys and raises
+EmptyCorpus for a reader that loaded nothing; ``_skip_lines`` then prints
+a ``warning: skipped`` line per failed file, also before that error.
 
 Each command returns (exit code, reports keyed by file stem, stdout text);
 ``main`` writes every report with one ``reports.write_reports`` call, then
@@ -88,7 +89,7 @@ def cmd_register(args: argparse.Namespace) -> Result:
     with _skip_lines(reader):
         commitments = commit_corpus(reader)
 
-    items = [(key, c.hex, canonical_uri(key)) for key, c in commitments.items()]
+    items = [(key, commitment, canonical_uri(key)) for key, commitment in commitments.items()]
 
     receipts, summary = ledger.batch_register(items)
     # The reports give each amount as one integer division of its exact
@@ -142,7 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     reader = CorpusReader(args.corpus)
     with _skip_lines(reader):
         commitments = commit_corpus(reader)
-    rows = [[v.key.lecture_id, v.key.slide_id, v.recomputed.hex if v.recomputed else "",
+    rows = [[v.key.lecture_id, v.key.slide_id, v.recomputed or "",
              v.on_chain or "", v.verdict] for v in verify_corpus(commitments, ledger)]
 
     reports = {"verdicts": Table(
@@ -158,13 +159,12 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     from . import metrics
     from .records import CorpusReader, normalize_record, split_pass
 
-    def summarize(only):  # one range's per-slide summaries, in key order
-        return [(key, metrics.disagreement(record)) for key, record in reader.read(normalize_record, only)]
+    def summarize(keys):  # one range's per-slide summaries, in key order
+        return [(key, metrics.disagreement(record)) for key, record in reader.read(normalize_record, keys)]
 
     reader = CorpusReader(args.corpus)
     with _skip_lines(reader):
-        by_slide = dict(split_pass([reader], list(reader.paths), summarize))
-        reader.require_loaded()
+        by_slide = dict(split_pass([reader], summarize))
     reports: dict[str, Table | dict] = {"disagreement": Table(
         ["lecture_id", "slide_id", "d_concept", "d_triple"],
         [[d.key.lecture_id, d.key.slide_id, d.concept_union_size, d.triple_union_size]
@@ -247,15 +247,12 @@ def cmd_compare_runs(args: argparse.Namespace) -> Result:
     from .integrity import compare_range, join_ranges
     from .records import CorpusReader, normalize_record, read_runs, split_pass
 
-    def compare(only):  # a file both runs hold byte for byte is loaded once
-        return [compare_range(read_runs(run_a, run_b, normalize_record, only))]
+    def compare(keys):  # a file both runs hold byte for byte is loaded once
+        return [compare_range(read_runs(run_a, run_b, normalize_record, keys))]
 
     run_a, run_b = CorpusReader(args.run_a), CorpusReader(args.run_b)
     with _skip_lines(run_a, run_b):
-        parts = split_pass([run_a, run_b], sorted(run_a.paths.keys() | run_b.paths.keys()), compare)
-        run_a.require_loaded()
-        run_b.require_loaded()
-        comparison = join_ranges(parts)
+        comparison = join_ranges(split_pass([run_a, run_b], compare))
 
     rows: list[list[object]] = [
         [p.key.lecture_id, p.key.slide_id, p.model, "compared", p.concept_jaccard, p.triple_jaccard]

@@ -36,8 +36,7 @@ from .records import (
     scan_slide_files,
 )
 
-if TYPE_CHECKING:  # only tamper_experiment hashes, and imports commitment when it runs
-    from .commitment import Commitment
+if TYPE_CHECKING:
     from .ledger import Ledger
 
 MATCH = "Match"
@@ -48,21 +47,21 @@ MISSING = "Missing"  # registered, but the corpus no longer yields the slide
 
 class VerificationResult(NamedTuple):
     key: SlideKey
-    recomputed: Commitment | None  # None for a Missing slide
+    recomputed: str | None         # the commitment's 0x text; None for a Missing slide
     on_chain: str | None           # None for an Unregistered slide
     verdict: str
 
 
-def _verdict(recomputed: Commitment | None, on_chain: str | None) -> str:
-    """The one verdict rule; hex comparison is case-insensitive."""
+def _verdict(recomputed: str | None, on_chain: str | None) -> str:
+    """The one verdict rule; hex comparison is case-insensitive (a commitment's own text is lowercase)."""
     if recomputed is None:
         return MISSING
     if on_chain is None:
         return UNREGISTERED
-    return MATCH if recomputed.matches_hex(on_chain) else MISMATCH
+    return MATCH if recomputed == on_chain.lower() else MISMATCH
 
 
-def verify_corpus(commitments: Mapping[SlideKey, Commitment], ledger: Ledger) -> list[VerificationResult]:
+def verify_corpus(commitments: Mapping[SlideKey, str], ledger: Ledger) -> list[VerificationResult]:
     """One verdict per key that is recomputed or registered, in key order.
 
     Absence on either side is a verdict (Unregistered, Missing), not an
@@ -235,7 +234,7 @@ def tamper_experiment(reader: CorpusReader, ledger: Ledger, n: int, seed: int) -
 
     rng = random.Random(seed)
     chosen = rng.sample(pool, n)
-    loaded = dict(reader.read(normalize_record, only=frozenset(chosen)))
+    loaded = dict(reader.read(normalize_record, sorted(chosen)))
     drawn = [key for key in chosen if key in loaded]
     tampered = [tamper_record(loaded[key], rng.choice(applicable_kinds(loaded[key])), rng) for key in drawn]
     commitments = commit_records(record for record, _ in tampered)

@@ -20,7 +20,6 @@ platforms; nothing here touches a real network.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -255,30 +254,35 @@ def canonical_uri(key: SlideKey) -> str:
 class Ledger:
     """Append-only slide registry held as one ordered registration log.
 
-    ``events`` lists every registration in block order and is the only
-    state.  ``records`` indexes it by ``SlideKey``; the next block number
-    and timestamps follow from its length and last entry; the base fee is
-    folded forward over each entry's gas as it is appended.  Reads never
-    mutate; registrations must be serialized by the caller (the CLI and
-    batch helpers do).  Block n is stamped genesis + n * interval.
+    ``records`` maps each ``SlideKey`` to its registration in block order
+    and is the only state: ``events`` is its values; the next block number
+    follows from its length, and its timestamp from the sealing rule every
+    entry keeps (block n is stamped genesis + n * interval); the base fee
+    is folded forward over each entry's gas as it is appended.  Ledgers
+    are equal when ``export_bytes``, the one serializer, gives equal bytes.
+    Reads never mutate; registrations must be serialized by the caller
+    (the CLI and batch helpers do).
     """
 
     def __init__(self, fee_config: FeeConfig | None = None, gas_config: GasConfig | None = None) -> None:
         self.fee_config = fee_config or FeeConfig()
         self.gas_config = gas_config or GasConfig()
-        self.events: list[SlideRecord] = []
         self.records: dict[SlideKey, SlideRecord] = {}
         self.base_fee_wei = self.fee_config.initial_base_fee_wei
         self._tip_wei = self.fee_config.priority_tip_wei
 
     @property
+    def events(self) -> list[SlideRecord]:
+        """Every registration in block order."""
+        return list(self.records.values())
+
+    @property
     def next_block_number(self) -> int:
-        return len(self.events) + 1
+        return len(self.records) + 1
 
     @property
     def next_timestamp(self) -> int:
-        last = self.events[-1].timestamp if self.events else self.fee_config.genesis_time
-        return last + self.fee_config.block_interval
+        return self.fee_config.genesis_time + self.next_block_number * self.fee_config.block_interval
 
     # -- reads ---------------------------------------------------------
 
@@ -313,7 +317,6 @@ class Ledger:
         if record.timestamp != self.next_timestamp:
             raise ValueError(f"block {self.next_block_number} has out-of-rule timestamp {record.timestamp}")
         gas_used = estimate_gas(record.slide_hash, record.uri, self.gas_config)
-        self.events.append(record)
         self.records[key] = record
         self.base_fee_wei = self.fee_config.next_base_fee_wei(self.base_fee_wei, gas_used)
         return gas_used
@@ -328,7 +331,7 @@ class Ledger:
         timestamp = self.next_timestamp
         price_wei = self.base_fee_wei + self._tip_wei
         gas_used = self._append(SlideRecord(*key, slide_hash, uri, account_hex(_dev_account_set()[0]), timestamp))
-        return RegistrationReceipt(key.lecture_id, key.slide_id, gas_used, price_wei, len(self.events), timestamp)
+        return RegistrationReceipt(key.lecture_id, key.slide_id, gas_used, price_wei, len(self.records), timestamp)
 
     def batch_register(
         self, items: list[tuple[SlideKey, str, str]]
@@ -352,15 +355,6 @@ class Ledger:
 
     # -- persistence -----------------------------------------------------
 
-    def to_document(self) -> dict:
-        """``format``, both configs, the log, and the ``checksum`` of those four.
-
-        The checksum makes a lone edit of any value show; whoever edits the
-        file can recompute it, so it does not catch a consistent rewrite.
-        """
-        body = self._body()
-        return {**body, "checksum": checksum(body)}
-
     def _body(self) -> dict:
         return {
             "format": LEDGER_FORMAT,
@@ -368,14 +362,18 @@ class Ledger:
             "fee_config": {name: str(v) if isinstance(v, Fraction) else v
                            for name, v in self.fee_config._asdict().items()},
             "gas_config": self.gas_config._asdict(),
-            "events": [_entry_document(e) for e in self.events],
+            "events": [_entry_document(e) for e in self.records.values()],
         }
 
     def export_bytes(self) -> bytes:
         """Canonical UTF-8 JSON export; identical states give identical bytes.
 
-        The body is serialized once, for its checksum and for the file:
-        ``"checksum"`` sorts before every other key, so it leads the object.
+        It holds ``format``, both configs, the log, and the ``checksum`` of
+        those four.  The checksum makes a lone edit of any value show;
+        whoever edits the file can recompute it, so it does not catch a
+        consistent rewrite.  The body is serialized once, for its checksum
+        and for the file: ``"checksum"`` sorts before every other key, so it
+        leads the object.
         """
         body = _canonical(self._body())
         return b'{"checksum":"' + _digest(body).encode("ascii") + b'",' + body[1:] + b"\n"
@@ -433,11 +431,11 @@ class Ledger:
             raise CorruptLedgerFile(f"{path}: {exc}") from exc
 
     def __eq__(self, other: object) -> bool:
-        return self.to_document() == other.to_document() if isinstance(other, Ledger) else NotImplemented
+        return self.export_bytes() == other.export_bytes() if isinstance(other, Ledger) else NotImplemented
 
 
 def _canonical(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return records._dumps(doc).encode("utf-8")
 
 
 def checksum(doc: dict) -> str:

@@ -28,7 +28,7 @@ import warnings
 from itertools import chain, starmap
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import BinaryIO, Callable, Container, Iterator, KeysView, NamedTuple, Sequence, TypeVar
+from typing import BinaryIO, Callable, Container, Iterable, Iterator, KeysView, NamedTuple, Sequence, TypeVar
 
 from .errors import EmptyCorpus, MalformedDocument, MissingKey, ProvenanceWarning
 
@@ -487,16 +487,16 @@ class CorpusReader:
         self.loaded = 0
 
     def read(self, load: Callable[[object, SlideKey], _T],
-             only: Container[SlideKey] | None = None) -> Iterator[tuple[SlideKey, _T]]:
-        """``(key, load(document, key))`` for each file, or each file of ``only``, one at a time.
+             keys: Iterable[SlideKey] | None = None) -> Iterator[tuple[SlideKey, _T]]:
+        """``(key, load(document, key))`` for each file, or each of ``keys`` (keys of ``paths``) in their order.
 
         A pass over every file ends with ``require_loaded()``: EmptyCorpus when
         nothing loaded and nothing was skipped, as for a layout without files.
         """
-        for key in self.paths:
-            if (only is None or key in only) and (item := self._load(key, load)):
+        for key in self.paths if keys is None else keys:
+            if item := self._load(key, load):
                 yield key, item[1]
-        if only is None:
+        if keys is None:
             self.require_loaded()
 
     def _load(self, key: SlideKey, load: Callable[[object, SlideKey], _T],
@@ -527,14 +527,13 @@ class CorpusReader:
 
 
 def read_runs(run_a: CorpusReader, run_b: CorpusReader, load: Callable[[object, SlideKey], _T],
-              only: Container[SlideKey] | None = None) -> Iterator[tuple[SlideKey, _T | None, _T | None]]:
-    """``(key, a, b)`` in key order for each key of either run, or of ``only``, that loads in either.
+              keys: Iterable[SlideKey] | None = None) -> Iterator[tuple[SlideKey, _T | None, _T | None]]:
+    """``(key, a, b)`` for each key of either run in key order, or each of ``keys`` in theirs, that loads in either.
 
     ``a`` and ``b`` are each run's ``load(document, key)``, or None where it lacks the file or the
     file fails to load.  Run B's file with the bytes of run A's is neither parsed nor loaded: ``b is a``.
     """
-    keys = run_a.paths.keys() | run_b.paths.keys()
-    for key in sorted(keys if only is None else [key for key in keys if key in only]):
+    for key in sorted(run_a.paths.keys() | run_b.paths.keys()) if keys is None else keys:
         a = run_a._load(key, load) if key in run_a.paths else None
         b = run_b._load(key, load, a) if key in run_b.paths else None
         if a or b:
@@ -547,29 +546,32 @@ def read_runs(run_a: CorpusReader, run_b: CorpusReader, load: Callable[[object, 
 MIN_FILES_PER_WORKER = 32
 
 
-def split_pass(readers: Sequence[CorpusReader], keys: Sequence[SlideKey],
-               work: Callable[[Container[SlideKey]], list[_T]]) -> list[_T]:
-    """``work(only)`` over W contiguous ranges of ``keys``, its lists joined in key order.
+def split_pass(readers: Sequence[CorpusReader], work: Callable[[list[SlideKey]], list[_T]]) -> list[_T]:
+    """``work(keys)`` over W contiguous ranges of the readers' keys in key order, its lists joined in order.
 
-    W = min(usable CPUs, len(keys) // MIN_FILES_PER_WORKER), or 1 without
+    The keys are the sorted union of the readers' ``paths``.  W =
+    min(usable CPUs, len(keys) // MIN_FILES_PER_WORKER), or 1 without
     fork or with another thread alive.  This process works on the first
     range and a forked child on each other; a child's list, the readers'
     new load counts and failures, and its warnings are added here in key
     order, as one process's pass has them.  A child's exception is raised
-    here, and no child outlives the call.
+    here, and no child outlives the call.  Then each reader's
+    ``require_loaded()`` runs, in order: EmptyCorpus names the first
+    reader that loaded no file and skipped none.
     """
+    keys = sorted(set().union(*[reader.paths for reader in readers]))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     serial = not hasattr(os, "fork") or threading.active_count() > 1
     n = 1 if serial else max(1, min(cpus, len(keys) // MIN_FILES_PER_WORKER))
     if n > 1:  # only a split pass uses them, and they take ~3 ms to import
         import pickle
         import signal
-    ranges = [frozenset(keys[len(keys) * i // n:len(keys) * (i + 1) // n]) for i in range(n)]
+    ranges = [keys[len(keys) * i // n:len(keys) * (i + 1) // n] for i in range(n)]
     children: list[tuple[int, BinaryIO]] = []
     collecting = gc.isenabled()
     try:
-        for only in ranges[1:]:
-            children.append(_fork(readers, work, only))
+        for part in ranges[1:]:
+            children.append(_fork(readers, work, part))
         result = work(ranges[0])
         gc.disable()  # unpickling makes no garbage, and collecting as it goes doubled its time
         for pid, pipe in children:
@@ -592,12 +594,14 @@ def split_pass(readers: Sequence[CorpusReader], keys: Sequence[SlideKey],
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    for reader in readers:
+        reader.require_loaded()
     return result
 
 
-def _fork(readers: Sequence[CorpusReader], work: Callable[[Container[SlideKey]], list],
-          only: Container[SlideKey]) -> tuple[int, BinaryIO]:
-    """Fork a child that sends ``work(only)``'s list, the readers' new loads and failures, its warnings, or its error."""
+def _fork(readers: Sequence[CorpusReader], work: Callable[[list[SlideKey]], list],
+          keys: list[SlideKey]) -> tuple[int, BinaryIO]:
+    """Fork a child that sends ``work(keys)``'s list, the readers' new loads and failures, its warnings, or its error."""
     import pickle  # not at the top, as in split_pass
 
     read_end, write_end = os.pipe()
@@ -609,7 +613,7 @@ def _fork(readers: Sequence[CorpusReader], work: Callable[[Container[SlideKey]],
         starts = [(reader.loaded, len(reader.failures)) for reader in readers]
         try:
             with warnings.catch_warnings(record=True) as caught:
-                result = work(only)
+                result = work(keys)
             sent = (result, [(reader.loaded - loaded, reader.failures[failed:])
                              for reader, (loaded, failed) in zip(readers, starts)],
                     [(w.message, w.category, w.filename, w.lineno) for w in caught])

@@ -106,7 +106,7 @@ def forced_split(n: int):
 def register_corpus(corpus, ledger: Ledger | None = None) -> Ledger:
     ledger = ledger or Ledger()
     for key in sorted(corpus):
-        ledger.register_slide(key, commit_record(corpus[key]).hex, canonical_uri(key))
+        ledger.register_slide(key, commit_record(corpus[key]), canonical_uri(key))
     return ledger
 
 

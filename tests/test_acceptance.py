@@ -108,7 +108,7 @@ def test_criterion_02_hash_correctness(tmp_path):
     expected_empty = "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
     ok = keccak256(b"").hex() == expected_empty
     ok &= reference_keccak256(b"").hex() == expected_empty
-    ok &= commit(b"").hex == "0x" + expected_empty
+    ok &= commit(b"") == "0x" + expected_empty
 
     rng = random.Random(202)
     for _ in range(1000):

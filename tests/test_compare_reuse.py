@@ -226,7 +226,7 @@ def test_read_runs_yields_no_key_that_neither_run_loads(tmp_path):
     assert [(key, a, b is not None) for key, a, b in read_runs(run_a, run_b, normalize_record)] == [
         (SlideKey(2, 1), None, True)]
     assert (len(run_a.failures), len(run_b.failures), run_a.loaded, run_b.loaded) == (2, 1, 0, 1)
-    # only the keys of ``only`` are read
+    # only the given keys are read
     run_a, run_b = CorpusReader(tmp_path / "a"), CorpusReader(tmp_path / "b")
-    assert list(read_runs(run_a, run_b, normalize_record, only={SlideKey(1, 2)})) == []
+    assert list(read_runs(run_a, run_b, normalize_record, keys=[SlideKey(1, 2)])) == []
     assert [f.key for f in run_a.failures + run_b.failures] == [SlideKey(1, 2)]

@@ -79,11 +79,15 @@ def test_split_pass_equals_the_serial_one(tmp_path, n):
     assert all(category is ProvenanceWarning for category, *_ in actual[2])
 
 
-@pytest.mark.parametrize("n", RANGES)
-def test_nothing_loads_raises_the_same_empty_corpus(tmp_path, n):
-    root = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3)
+def _unloadable(root: Path) -> Path:
     for path in root.rglob("Slide*.json"):
         path.write_text("[1]", encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("n", RANGES)
+def test_nothing_loads_raises_the_same_empty_corpus(tmp_path, n):
+    root = _unloadable(write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3))
     serial = CorpusReader(root)
     with pytest.raises(EmptyCorpus) as expected:
         _serial(serial)
@@ -94,6 +98,33 @@ def test_nothing_loads_raises_the_same_empty_corpus(tmp_path, n):
     assert str(actual.value) == str(expected.value)
     assert "(6 files failed to parse)" in str(actual.value)
     assert reader.failures == serial.failures
+
+
+@pytest.mark.parametrize("n", RANGES)
+@pytest.mark.parametrize("empty", ("a", "b", "both"))
+def test_split_pass_names_the_first_reader_that_loads_nothing(tmp_path, n, empty):
+    roots = {run: write_corpus(tmp_path / run, n_lectures=2, slides_per_lecture=3) for run in "ab"}
+    for run in ("a", "b") if empty == "both" else (empty,):
+        _unloadable(roots[run])
+    run_a, run_b = CorpusReader(roots["a"]), CorpusReader(roots["b"])
+    with forced_split(n) as forks, pytest.raises(EmptyCorpus) as raised:
+        records.split_pass([run_a, run_b],
+                           lambda keys: list(records.read_runs(run_a, run_b, records.normalize_record, keys)))
+    assert len(forks) == n - 1
+    named = roots["b" if empty == "b" else "a"]
+    assert str(raised.value) == f"no provenance records loaded from {named} (6 files failed to parse)"
+    assert [len(run_a.failures), len(run_b.failures)] == [6 if empty in (run, "both") else 0 for run in "ab"]
+
+
+@pytest.mark.parametrize("n", RANGES)
+def test_split_pass_checks_the_loads_even_when_work_returns_nothing(tmp_path, n):
+    root = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3)
+    with forced_split(n) as forks, pytest.raises(EmptyCorpus, match="no provenance records loaded from"):
+        records.split_pass([CorpusReader(root)], lambda keys: [])
+    assert len(forks) == n - 1
+    # a reader that skipped every file loaded none and is not empty
+    skipping = CorpusReader(root, skip={key for key, _ in records.scan_slide_files(root)})
+    assert records.split_pass([skipping], lambda keys: [keys]) == [[]]
 
 
 @pytest.mark.parametrize("n", RANGES)

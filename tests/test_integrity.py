@@ -84,7 +84,7 @@ class TestVerifySlide:
     def test_case_insensitive_hash_comparison(self, corpus):
         key = sorted(corpus)[0]
         ledger = Ledger()
-        ledger.register_slide(key, commit_record(corpus[key]).hex.upper().replace("0X", "0x"), "u")
+        ledger.register_slide(key, commit_record(corpus[key]).upper().replace("0X", "0x"), "u")
         assert verify_corpus(commitments([corpus[key]]), ledger)[0].verdict == MATCH
 
     @staticmethod

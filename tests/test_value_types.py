@@ -1,6 +1,6 @@
 """Value types are NamedTuples, and the checked ones are checked on every route.
 
-``Commitment``, ``GasConfig``, ``FeeConfig`` and ``NetworkProfile`` check
+``GasConfig``, ``FeeConfig`` and ``NetworkProfile`` check
 (and coerce) their fields.  A NamedTuple's ``_make`` and ``_replace`` build
 the tuple without its constructor, so each route is tried here: a bad
 field raises ValueError from the constructor, from ``_replace`` and from
@@ -11,11 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from slideprov import Commitment, FeeConfig, GasConfig, NetworkProfile, SlideRecord
+from slideprov import FeeConfig, GasConfig, NetworkProfile, SlideRecord
 
 # (type, a valid value's fields, a field, a bad value for it)
 BAD = [
-    (Commitment, {"digest": bytes(32)}, "digest", b"short"),
     (GasConfig, {}, "intrinsic", 0),
     (GasConfig, {}, "exec_base", -1),
     (GasConfig, {}, "zero_byte", "four"),

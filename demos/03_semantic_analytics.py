@@ -80,8 +80,8 @@ for name, values in zip(matrix.models, matrix.values):
 
 print("\nlecture-level mean disagreement:")
 for agg in lecture_aggregate(by_slide).values():
-    print(f"  Lecture {agg.lecture_id}: concepts {agg.mean_concept_disagreement:.2f},"
-          f" triples {agg.mean_triple_disagreement:.2f} over {agg.slide_count} slides")
+    print(f"  Lecture {agg.lecture_id}: concepts {agg.mean_d_concept:.2f},"
+          f" triples {agg.mean_d_triple:.2f} over {agg.slide_count} slides")
 
 print("\nstability bands from concept-disagreement quartiles:")
 for label in classify_stability(by_slide):

@@ -80,44 +80,54 @@ def cmd_register(args: argparse.Namespace) -> Result:
     fee = FeeConfig(initial_base_fee_gwei=args.base_fee_gwei, priority_tip_gwei=args.tip_gwei,
                     eth_usd_rate=args.eth_usd, block_interval=args.block_interval)
     gas = GasConfig() if args.gas_exec_base is None else GasConfig(exec_base=args.gas_exec_base)
-    # The ledger is read before the corpus: a bad one stops the command
-    # first, and with --skip-existing the files of registered slides are
-    # passed over unread.
-    path = Path(args.ledger)
-    ledger = Ledger.load(path) if path.exists() else Ledger(fee, gas)
-    reader = CorpusReader(args.corpus, ledger.records if args.skip_existing else ())
-    with _skip_lines(reader):
-        commitments = commit_corpus(reader)
-
-    items = [(key, commitment, canonical_uri(key)) for key, commitment in commitments.items()]
-
-    receipts, summary = ledger.batch_register(items)
-    # The reports give each amount as one integer division of its exact
-    # rational, a correctly rounded float: a cost past the float range fails
-    # here, before the ledger file is written.
-    rate = ledger.fee_config.eth_usd_rate
-    usd_numerator, usd_denominator = rate.numerator, 10**18 * rate.denominator  # USD per wei
     try:
-        receipt_rows = [[r.lecture_id, r.slide_id, r.block_number, r.timestamp, r.gas_used, r.price_wei / 10**9,
-                         r.gas_used * r.price_wei / 10**18, r.gas_used * r.price_wei * usd_numerator / usd_denominator]
-                        for r in receipts]
-        summary_doc = {
-            "attempted": summary.attempted,
-            "registered": summary.registered,
-            "skipped_existing": reader.skipped,
-            "failed": len(summary.failures),
-            "min_gas": summary.min_gas,
-            "mean_gas": summary.total_gas / summary.registered if summary.registered else 0.0,
-            "max_gas": summary.max_gas,
-            "total_gas": summary.total_gas,
-            "total_cost_eth": summary.total_cost_wei / 10**18,
-            "total_cost_usd": summary.total_cost_wei * usd_numerator / usd_denominator,
-            "elapsed_seconds": summary.elapsed_seconds,
-            "throughput": summary.throughput,
-        }
-    except OverflowError:
-        raise ValueError("registration costs exceed the floating-point range") from None
-    ledger.save(args.ledger)
+        import fcntl
+    except ImportError:  # no flock on this platform: concurrent writers are not serialized
+        fcntl = None
+    path = Path(args.ledger)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # One writer at a time: a second register waits here until the first has
+    # renamed its file into place, then loads it.  The lock file stays.
+    with open(f"{path}.lock", "ab") as lock:
+        if fcntl:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+        # The ledger is read before the corpus: a bad one stops the command
+        # first, and with --skip-existing the files of registered slides are
+        # passed over unread.
+        ledger = Ledger.load(path) if path.exists() else Ledger(fee, gas)
+        reader = CorpusReader(args.corpus, ledger.records if args.skip_existing else ())
+        with _skip_lines(reader):
+            commitments = commit_corpus(reader)
+
+        items = [(key, commitment, canonical_uri(key)) for key, commitment in commitments.items()]
+
+        receipts, summary = ledger.batch_register(items)
+        # The reports give each amount as one integer division of its exact
+        # rational, a correctly rounded float: a cost past the float range fails
+        # here, before the ledger file is written.
+        rate = ledger.fee_config.eth_usd_rate
+        usd_numerator, usd_denominator = rate.numerator, 10**18 * rate.denominator  # USD per wei
+        try:
+            receipt_rows = [[r.lecture_id, r.slide_id, r.block_number, r.timestamp, r.gas_used, r.price_wei / 10**9,
+                             r.gas_used * r.price_wei / 10**18,
+                             r.gas_used * r.price_wei * usd_numerator / usd_denominator] for r in receipts]
+            summary_doc = {
+                "attempted": summary.attempted,
+                "registered": summary.registered,
+                "skipped_existing": reader.skipped,
+                "failed": len(summary.failures),
+                "min_gas": summary.min_gas,
+                "mean_gas": summary.total_gas / summary.registered if summary.registered else 0.0,
+                "max_gas": summary.max_gas,
+                "total_gas": summary.total_gas,
+                "total_cost_eth": summary.total_cost_wei / 10**18,
+                "total_cost_usd": summary.total_cost_wei * usd_numerator / usd_denominator,
+                "elapsed_seconds": summary.elapsed_seconds,
+                "throughput": summary.throughput,
+            }
+        except OverflowError:
+            raise ValueError("registration costs exceed the floating-point range") from None
+        ledger.save(args.ledger)
 
     reports = {
         "receipts": Table(["lecture_id", "slide_id", "block", "timestamp", "gas_used",
@@ -159,12 +169,10 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     from . import metrics
     from .records import CorpusReader, normalize_record, split_pass
 
-    def summarize(keys):  # one range's per-slide summaries, in key order
-        return [(key, metrics.disagreement(record)) for key, record in reader.read(normalize_record, keys)]
-
     reader = CorpusReader(args.corpus)
     with _skip_lines(reader):
-        by_slide = dict(split_pass([reader], summarize))
+        by_slide = dict(split_pass([reader], lambda keys: list(
+            metrics.corpus_disagreement(reader.read(normalize_record, keys)).items())))
     reports: dict[str, Table | dict] = {"disagreement": Table(
         ["lecture_id", "slide_id", "d_concept", "d_triple"],
         [[d.key.lecture_id, d.key.slide_id, d.concept_union_size, d.triple_union_size]
@@ -181,11 +189,8 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     except InsufficientModels as exc:
         print(f"note: Jaccard matrices skipped: {exc}", file=sys.stderr)
 
-    reports["lecture_aggregates"] = Table(
-        ["lecture_id", "slide_count", "mean_d_concept", "mean_d_triple"],
-        [[a.lecture_id, a.slide_count, a.mean_concept_disagreement, a.mean_triple_disagreement]
-         for a in metrics.lecture_aggregate(by_slide).values()],
-    )
+    reports["lecture_aggregates"] = Table(list(metrics.LectureAggregate._fields),
+                                          list(metrics.lecture_aggregate(by_slide).values()))
 
     try:
         reports["stability"] = Table(
@@ -300,14 +305,7 @@ def cmd_time_gaps(args: argparse.Namespace) -> Result:
             ["lecture_id", "slide_id", "delta_seconds", "anomaly"],
             [[g.key.lecture_id, g.key.slide_id, g.delta_seconds, g.anomaly] for g in gaps],
         ),
-        "time_gap_summary": {
-            "count": summary.count,
-            "mean": summary.mean,
-            "min": summary.minimum,
-            "max": summary.maximum,
-            "stddev": summary.stddev,
-            "anomalies": summary.anomalies,
-        },
+        "time_gap_summary": summary._asdict(),
     }
     text = (f"time gaps over {summary.count} slides: mean {summary.mean:.1f}s,"
             f" stddev {summary.stddev:.1f}s, {summary.anomalies} anomalies")

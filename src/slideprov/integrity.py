@@ -113,22 +113,23 @@ def _draw(table: dict, text: Callable[[tuple, object], str], rng: random.Random)
     return idx, *items[idx]
 
 
+def _rename(table: dict, text: Callable[[tuple, object], str], rng: random.Random) -> tuple[dict, int, str]:
+    """``table`` with a drawn identity's last part made fresh, value kept; the draw's index, and the new part."""
+    idx, old, _ = _draw(table, text, rng)
+    new = _fresh(rng, table.keys(), lambda n: (*old[:-1], f"{old[-1]} tampered {n}"))
+    renamed = dict(table)
+    renamed[new] = renamed.pop(old)
+    return renamed, idx, new[-1]
+
+
 def _modify_concept_term(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
-    idx, old, evidence = _draw(ext.concepts, _concept_text, rng)
-    new = _fresh(rng, ext.concepts.keys(), lambda n: (old[0], f"{old[1]} tampered {n}"))
-    concepts = dict(ext.concepts)
-    del concepts[old]
-    concepts[new] = evidence
-    return {"concepts": concepts}, f"concepts/{idx}/term", new[1]
+    concepts, idx, term = _rename(ext.concepts, _concept_text, rng)
+    return {"concepts": concepts}, f"concepts/{idx}/term", term
 
 
 def _alter_triple(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
-    idx, old, confidence = _draw(ext.triples, _triple_text, rng)
-    new = _fresh(rng, ext.triples.keys(), lambda n: (*old[:2], f"{old[2]} tampered {n}"))
-    triples = dict(ext.triples)
-    del triples[old]
-    triples[new] = confidence
-    return {"triples": triples}, f"triples/{idx}/o", new[2]
+    triples, idx, o = _rename(ext.triples, _triple_text, rng)
+    return {"triples": triples}, f"triples/{idx}/o", o
 
 
 def _delete_triple(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str, str]:
@@ -153,21 +154,21 @@ def _edit_evidence(ext: ModelExtraction, rng: random.Random) -> tuple[dict, str,
 
 
 # kind -> (extraction field a model needs non-empty, or None for any model;
-#          edit(ext, rng) -> (field changes, target below models/<name>/, payload))
+#          edit(ext, rng) -> (field changes, target below models/<name>/, payload)),
+# in the order of the kinds' values: tamper draws a kind from the applicable ones in this order
 _TAMPERS = {
-    TamperKind.MODIFY_CONCEPT_TERM: ("concepts", _modify_concept_term),
     TamperKind.ALTER_TRIPLE: ("triples", _alter_triple),
     TamperKind.DELETE_TRIPLE: ("triples", _delete_triple),
-    TamperKind.INJECT_SPURIOUS_ELEMENT: (None, _inject_spurious_element),
     TamperKind.EDIT_EVIDENCE: ("evidence", _edit_evidence),
+    TamperKind.INJECT_SPURIOUS_ELEMENT: (None, _inject_spurious_element),
+    TamperKind.MODIFY_CONCEPT_TERM: ("concepts", _modify_concept_term),
 }
 
 
 def applicable_kinds(record: ProvenanceRecord) -> list[TamperKind]:
-    """Tamper kinds that have material to act on in this record."""
-    kinds = [kind for kind, (field, _) in _TAMPERS.items()
-             if field is None or any(getattr(ext, field) for ext in record.models.values())]
-    return sorted(kinds, key=lambda k: k.value)
+    """Tamper kinds that have material to act on in this record, in ``_TAMPERS``' order."""
+    return [kind for kind, (field, _) in _TAMPERS.items()
+            if field is None or any(getattr(ext, field) for ext in record.models.values())]
 
 
 def tamper_record(
@@ -253,11 +254,11 @@ class TimeGap(NamedTuple):
     anomaly: bool         # chain earlier than local
 
 
-class TimeGapSummary(NamedTuple):
+class TimeGapSummary(NamedTuple):  # its fields are the time_gap_summary report's names
     count: int
     mean: float
-    minimum: float
-    maximum: float
+    min: float
+    max: float
     stddev: float
     anomalies: int
 
@@ -281,21 +282,16 @@ def time_gaps(
     missing = [key for key, record in zip(keys, stored) if record is None]
     if missing:
         raise UnregisteredCorpus(f"{len(missing)} slides unregistered, first: {missing[0]}")
-    try:  # a block timestamp past the largest float
+    try:  # a block timestamp, a sum or a square past the largest float
         deltas = [float(record.timestamp - local_times[key]) for key, record in zip(keys, stored)]
+        mean = math.fsum(deltas) / len(deltas)  # statistics.fmean's; its pstdev rounds differently across versions
+        stddev = math.sqrt(math.fsum((d - mean) ** 2 for d in deltas) / len(deltas))  # population stddev
     except OverflowError:
         raise ValueError(_OUT_OF_RANGE) from None
-    gaps = [TimeGap(key, delta, delta < 0) for key, delta in zip(keys, deltas)]
-    try:  # statistics.fmean's sums; its pstdev rounds differently across Python versions
-        mean = math.fsum(deltas) / len(deltas)
-        stddev = math.sqrt(math.fsum((d - mean) ** 2 for d in deltas) / len(deltas))  # population stddev
-    except (OverflowError, ValueError):  # fsum or ** past the largest float, or inf - inf
-        mean = stddev = math.inf
-    summary = TimeGapSummary(count=len(gaps), mean=mean, minimum=min(deltas), maximum=max(deltas),
-                             stddev=stddev, anomalies=sum(1 for g in gaps if g.anomaly))
-    if not all(map(math.isfinite, (summary.mean, summary.maximum, summary.minimum, summary.stddev))):
+    if not math.isfinite(stddev):  # a delta or a d - mean past the largest float makes it inf or nan
         raise ValueError(_OUT_OF_RANGE)
-    return gaps, summary
+    gaps = [TimeGap(key, delta, delta < 0) for key, delta in zip(keys, deltas)]
+    return gaps, TimeGapSummary(len(gaps), mean, min(deltas), max(deltas), stddev, sum(1 for g in gaps if g.anomaly))
 
 
 def local_mtimes(root: Path | str) -> dict[SlideKey, float]:
@@ -388,8 +384,7 @@ def compare_corpora(run_a: Iterable[tuple[SlideKey, ProvenanceRecord]],
     slide is byte-equal and each model's Jaccard is ``jaccard(s, s)``.
     """
     a, b = dict(run_a), dict(run_b)
-    return join_ranges([compare_range((key, a.get(key), b.get(key)) for key in sorted(a.keys() | b.keys()))],
-                       stacklevel=3)
+    return join_ranges([compare_range((key, a.get(key), b.get(key)) for key in sorted(a.keys() | b.keys()))])
 
 
 def compare_range(runs: Iterable[tuple[SlideKey, ProvenanceRecord | None, ProvenanceRecord | None]]
@@ -431,7 +426,7 @@ def compare_range(runs: Iterable[tuple[SlideKey, ProvenanceRecord | None, Proven
     return RunComparison(pairs, asymmetric, byte_equal, *only_in)
 
 
-def join_ranges(parts: Iterable[RunComparison], stacklevel: int = 2) -> RunComparison:
+def join_ranges(parts: Iterable[RunComparison]) -> RunComparison:
     """Two runs' comparison from ``compare_range``'s over consecutive key ranges.
 
     Raises DisjointCorpora when no range has a common key; warns once of every range's asymmetric pairs.
@@ -447,5 +442,5 @@ def join_ranges(parts: Iterable[RunComparison], stacklevel: int = 2) -> RunCompa
         raise DisjointCorpora("runs share no slide keys")
     if joined.asymmetric:
         warnings.warn(f"{len(joined.asymmetric)} (slide, model) pairs present in only one run; reported "
-                      "separately, excluded from similarity counts", ProvenanceWarning, stacklevel=stacklevel)
+                      "separately, excluded from similarity counts", ProvenanceWarning, stacklevel=2)
     return joined

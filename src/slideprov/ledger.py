@@ -247,8 +247,8 @@ class BatchSummary(NamedTuple):
 
 
 def canonical_uri(key: SlideKey) -> str:
-    """Canonical off-chain URI recorded alongside a commitment."""
-    return f"Lecture {key.lecture_id}/Slide{key.slide_id}.json"
+    """Canonical off-chain URI recorded alongside a commitment: the slide's file in the corpus layout."""
+    return records.slide_file(key)
 
 
 class Ledger:

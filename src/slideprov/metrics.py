@@ -139,11 +139,11 @@ def pairwise_jaccard(
 # lecture aggregation
 
 
-class LectureAggregate(NamedTuple):
+class LectureAggregate(NamedTuple):  # its fields are the lecture_aggregates report's columns
     lecture_id: int
     slide_count: int
-    mean_concept_disagreement: float
-    mean_triple_disagreement: float
+    mean_d_concept: float
+    mean_d_triple: float
 
 
 def lecture_aggregate(by_slide: BySlide) -> dict[int, LectureAggregate]:
@@ -155,8 +155,8 @@ def lecture_aggregate(by_slide: BySlide) -> dict[int, LectureAggregate]:
         lecture_id: LectureAggregate(
             lecture_id=lecture_id,
             slide_count=len(items),
-            mean_concept_disagreement=sum(d.concept_union_size for d in items) / len(items),
-            mean_triple_disagreement=sum(d.triple_union_size for d in items) / len(items),
+            mean_d_concept=sum(d.concept_union_size for d in items) / len(items),
+            mean_d_triple=sum(d.triple_union_size for d in items) / len(items),
         )
         for lecture_id, items in sorted(by_lecture.items())
     }

@@ -192,37 +192,39 @@ def _layout_base(root: Path | str) -> Path:
     return root / "by_slide" if (root / "by_slide").is_dir() else root
 
 
+def slide_file(key: SlideKey) -> str:
+    """A slide's file below the layout's base: ``Lecture <n>/Slide<m>.json``, also its registered URI."""
+    return f"Lecture {key.lecture_id}/Slide{key.slide_id}.json"
+
+
 def record_path(root: Path | str, key: SlideKey) -> Path:
     """On-disk location of a slide record under the corpus layout."""
-    return _layout_base(root) / f"Lecture {key.lecture_id}" / f"Slide{key.slide_id}.json"
+    return _layout_base(root) / slide_file(key)
 
 
 def scan_slide_files(root: Path | str) -> list[tuple[SlideKey, Path]]:
     """Every ``Lecture <n>/Slide<m>.json`` file under the corpus layout, by key.
 
     Only names are read: no file is opened or parsed.  Of the files of one
-    key (``Slide1.json`` and ``Slide01.json``), the one at its ``record_path``
+    key (``Slide1.json`` and ``Slide01.json``), the one at its ``slide_file``
     is kept, or else the first by name; a ProvenanceWarning names each other.
     """
     base = _layout_base(root)
-    found: list[tuple[SlideKey, bool, Path]] = []  # (key, not at its record_path, file)
+    found: list[tuple[SlideKey, bool, Path]] = []  # (key, not at its slide_file, file)
     if base.is_dir():
         for lecture_dir in base.iterdir():
             match = _LECTURE_DIR.match(lecture_dir.name)
             if not match or not lecture_dir.is_dir():
                 continue
-            lecture_id = int(match.group(1))
-            aliased = lecture_dir.name != f"Lecture {lecture_id}"
-            for slide_file in lecture_dir.iterdir():
-                s_match = _SLIDE_FILE.match(slide_file.name)
+            for path in lecture_dir.iterdir():
+                s_match = _SLIDE_FILE.match(path.name)
                 if s_match:
-                    slide_id = int(s_match.group(1))
-                    found.append((SlideKey(lecture_id, slide_id),
-                                  aliased or slide_file.name != f"Slide{slide_id}.json", slide_file))
+                    key = SlideKey(int(match.group(1)), int(s_match.group(1)))
+                    found.append((key, f"{lecture_dir.name}/{path.name}" != slide_file(key), path))
     kept: dict[SlideKey, Path] = {}
-    for key, _, slide_file in sorted(found):
-        if kept.setdefault(key, slide_file) is not slide_file:
-            warnings.warn(f"skipped {slide_file}: the same slide as {kept[key]}", ProvenanceWarning, stacklevel=2)
+    for key, _, path in sorted(found):
+        if kept.setdefault(key, path) is not path:
+            warnings.warn(f"skipped {path}: the same slide as {kept[key]}", ProvenanceWarning, stacklevel=2)
     return list(kept.items())
 
 

@@ -266,8 +266,8 @@ def test_criterion_08_metric_oracles():
 
         for lecture_id, agg in lecture_aggregate(corpus_disagreement(corpus.items())).items():
             exp_c, exp_t = oracle_lecture_means(corpus)[lecture_id]
-            ok &= _rel_ok(agg.mean_concept_disagreement, exp_c)
-            ok &= _rel_ok(agg.mean_triple_disagreement, exp_t)
+            ok &= _rel_ok(agg.mean_d_concept, exp_c)
+            ok &= _rel_ok(agg.mean_d_triple, exp_t)
 
         expected_labels, (exp_q1, exp_q3) = oracle_stability(corpus)
         d_values = [oracle_disagreement(corpus[k])[0] for k in sorted(corpus)]

@@ -6,7 +6,9 @@ and its ``HOOKS`` add counters from the spans of a few of them by name:
 and ``reports.files`` (which the traced benchmark run requires to be above
 0) counts the calls of ``reports.write_csv`` and ``reports.write_json``.
 A renamed function or attribute would leave its counter at 0 or raise in
-the traced run only.  The tracer file is imported here as it is.
+the traced run only; so would a command that stops calling the function a
+per-layer figure is named after, as ``analyze`` once did with
+``metrics.corpus_disagreement``.  The tracer file is imported here as it is.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from pathlib import Path
 
 from conftest import run_cli, write_corpus
-from slideprov import Ledger
+from slideprov import Ledger, metrics
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -71,3 +73,12 @@ def test_the_hooks_count_the_saved_events_and_the_reports_written(tmp_path, monk
     assert tracer.counters["ledger.saved_slides"] == len(Ledger.load(ledger_path).records) == len(events) == 9
     assert tracer.counters["ledger.file_bytes"] == ledger_path.stat().st_size
     assert tracer.counters["reports.files"] == len(list(out.iterdir())) == 3
+
+
+def test_analyze_calls_the_traced_per_slide_pass(tmp_path, monkeypatch):
+    root = write_corpus(tmp_path / "corpus", n_lectures=2, slides_per_lecture=3)  # one process: under 64 files
+    tracer = _tracer().Tracer()
+    span = "metrics.corpus_disagreement"
+    monkeypatch.setattr(metrics, "corpus_disagreement", tracer.wrap(span, metrics.corpus_disagreement))
+    assert run_cli(["analyze", "--corpus", str(root), "--out", str(tmp_path / "out")])[0] == 0
+    assert list(tracer.ids).count(tracer.names.index(span)) >= 1

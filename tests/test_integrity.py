@@ -262,7 +262,7 @@ class TestTimeGaps:
         _, summary = time_gaps(local, ledger)
         assert summary.mean == 3300.0
         assert summary.stddev == 0.0
-        assert summary.minimum == summary.maximum == 3300.0
+        assert summary.min == summary.max == 3300.0
 
     def test_negative_delta_flagged(self, registered):
         corpus, ledger = registered

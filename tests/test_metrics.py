@@ -146,12 +146,12 @@ class TestLectureAggregate:
             SlideKey(1, 2): make_record(1, 2, {"a": (["x", "y", "z", "w"], [])}),
         }
         agg = lecture_aggregate(corpus_disagreement(corpus.items()))
-        assert agg[1].mean_concept_disagreement == 3.0
+        assert agg[1].mean_d_concept == 3.0
         assert agg[1].slide_count == 2
 
     def test_single_slide_lecture(self):
         corpus = {SlideKey(4, 1): make_record(4, 1, {"a": (["x"], [])})}
-        assert lecture_aggregate(corpus_disagreement(corpus.items()))[4].mean_concept_disagreement == 1.0
+        assert lecture_aggregate(corpus_disagreement(corpus.items()))[4].mean_d_concept == 1.0
 
     def test_corpus_mean_is_weighted_lecture_mean(self):
         rng = random.Random(9)
@@ -161,7 +161,7 @@ class TestLectureAggregate:
                 terms = [f"t{i}" for i in range(rng.randrange(0, 9))]
                 corpus[SlideKey(lecture, slide)] = make_record(lecture, slide, {"a": (terms, [])})
         agg = lecture_aggregate(corpus_disagreement(corpus.items()))
-        weighted = sum(a.mean_concept_disagreement * a.slide_count for a in agg.values())
+        weighted = sum(a.mean_d_concept * a.slide_count for a in agg.values())
         total = sum(a.slide_count for a in agg.values())
         direct = sum(disagreement(r).concept_union_size for r in corpus.values()) / len(corpus)
         assert weighted / total == pytest.approx(direct, rel=1e-12)

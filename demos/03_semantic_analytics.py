@@ -69,7 +69,7 @@ by_slide = corpus_disagreement(corpus.items())
 print("per-slide disagreement (union of all models' sets):")
 for key, d in by_slide.items():
     print(f"  ({key.lecture_id},{key.slide_id}): "
-          f"{d.concept_union_size} concepts, {d.triple_union_size} triples")
+          f"{d.d_concept} concepts, {d.d_triple} triples")
 
 matrix, _ = pairwise_jaccard(by_slide, "concepts")
 print("\nmean pairwise concept Jaccard:")

@@ -40,9 +40,10 @@ from .errors import (
     UnknownBaselineModel,
     UnregisteredCorpus,
 )
-from .reports import Table, write_reports
+from .reports import KEY, Table, table, write_reports
 
 if TYPE_CHECKING:
+    from .integrity import RunComparison
     from .records import CorpusReader
 
 EXIT_OK = 0
@@ -153,15 +154,13 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     reader = CorpusReader(args.corpus)
     with _skip_lines(reader):
         commitments = commit_corpus(reader)
-    rows = [[v.key.lecture_id, v.key.slide_id, v.recomputed or "",
-             v.on_chain or "", v.verdict] for v in verify_corpus(commitments, ledger)]
+    results = verify_corpus(commitments, ledger)
 
-    reports = {"verdicts": Table(
-        ["lecture_id", "slide_id", "recomputed", "on_chain", "verdict"], rows)}
-    bad = [row for row in rows if row[4] != MATCH]
-    for lecture_id, slide_id, *_, verdict in bad:
-        _err(f"({lecture_id},{slide_id}): {verdict}")
-    text = f"verified {len(rows)} slides: {len(rows) - len(bad)} match, {len(bad)} fail"
+    reports = {"verdicts": table(results, *KEY, "recomputed", "on_chain", "verdict")}
+    bad = [v for v in results if v.verdict != MATCH]
+    for v in bad:
+        _err(f"({v.key.lecture_id},{v.key.slide_id}): {v.verdict}")
+    text = f"verified {len(results)} slides: {len(results) - len(bad)} match, {len(bad)} fail"
     return (EXIT_INTEGRITY if bad else EXIT_OK), reports, text
 
 
@@ -173,11 +172,7 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     with _skip_lines(reader):
         by_slide = dict(split_pass([reader], lambda keys: list(
             metrics.corpus_disagreement(reader.read(normalize_record, keys)).items())))
-    reports: dict[str, Table | dict] = {"disagreement": Table(
-        ["lecture_id", "slide_id", "d_concept", "d_triple"],
-        [[d.key.lecture_id, d.key.slide_id, d.concept_union_size, d.triple_union_size]
-         for d in by_slide.values()],
-    )}
+    reports: dict[str, Table | dict] = {"disagreement": table(by_slide.values(), *KEY, "d_concept", "d_triple")}
 
     try:
         for kind in ("concepts", "triples"):
@@ -189,24 +184,16 @@ def cmd_analyze(args: argparse.Namespace) -> Result:
     except InsufficientModels as exc:
         print(f"note: Jaccard matrices skipped: {exc}", file=sys.stderr)
 
-    reports["lecture_aggregates"] = Table(list(metrics.LectureAggregate._fields),
-                                          list(metrics.lecture_aggregate(by_slide).values()))
+    reports["lecture_aggregates"] = table(metrics.lecture_aggregate(by_slide).values(),
+                                          "lecture_id", "slide_count", "mean_d_concept", "mean_d_triple")
 
     try:
-        reports["stability"] = Table(
-            ["lecture_id", "slide_id", "d_concept", "label"],
-            [[l.key.lecture_id, l.key.slide_id, l.d_concept, l.label]
-             for l in metrics.classify_stability(by_slide)],
-        )
+        reports["stability"] = table(metrics.classify_stability(by_slide), *KEY, "d_concept", "label")
     except TooFewSlides as exc:
         print(f"note: stability classification skipped: {exc}", file=sys.stderr)
 
     report = metrics.coverage_loss(by_slide, args.baseline_model)
-    reports["coverage_loss"] = Table(
-        ["lecture_id", "slide_id", "baseline_model", "concept_loss", "triple_loss"],
-        [[l.key.lecture_id, l.key.slide_id, l.baseline_model, l.concept_loss, l.triple_loss]
-         for l in report.losses],
-    )
+    reports["coverage_loss"] = table(report.losses, *KEY, "baseline_model", "concept_loss", "triple_loss")
 
     text = (f"analyzed {len(by_slide)} slides, {len(metrics.corpus_models(by_slide))} models;"
             f" coverage baseline {report.baseline_model}"
@@ -227,17 +214,8 @@ def cmd_tamper(args: argparse.Namespace) -> Result:
         _err(f"({failure.key.lecture_id},{failure.key.slide_id}): {integrity.MISSING}, no trial run")
 
     reports = {
-        "tamper_report": Table(
-            ["lecture_id", "slide_id", "kind", "target", "verdict"],
-            [[t.key.lecture_id, t.key.slide_id, t.op.kind.value, t.op.target, t.verdict]
-             for t in report.trials],
-        ),
-        "tamper_summary": {
-            "seed": report.seed,
-            "total": report.total,
-            "detected": report.detected,
-            "detection_rate": report.detection_rate,
-        },
+        "tamper_report": table(report.trials, *KEY, "op.kind", "op.target", "verdict"),
+        "tamper_summary": {name: getattr(report, name) for name in ("seed", "total", "detected", "detection_rate")},
     }
     text = (f"tamper protocol: {report.detected}/{report.total} detected"
             f" (rate {report.detection_rate:.4f}, seed {report.seed})")
@@ -259,17 +237,17 @@ def cmd_compare_runs(args: argparse.Namespace) -> Result:
     with _skip_lines(run_a, run_b):
         comparison = join_ranges(split_pass([run_a, run_b], compare))
 
-    rows: list[list[object]] = [
-        [p.key.lecture_id, p.key.slide_id, p.model, "compared", p.concept_jaccard, p.triple_jaccard]
-        for p in comparison.pairs
-    ]
-    rows += [
-        [a.key.lecture_id, a.key.slide_id, a.model, f"only_in_{a.present_in}", "", ""]
-        for a in comparison.asymmetric
-    ]
-    reports = {
-        "compare_runs": Table(
-            ["lecture_id", "slide_id", "model", "status", "concept_jaccard", "triple_jaccard"], rows),
+    text = (f"compared {comparison.n_pairs} (slide, model) pairs over"
+            f" {len(comparison.byte_equal)} common slides:"
+            f" {comparison.n_perfect} perfect, {comparison.n_byte_equal} byte-identical")
+    return EXIT_OK, compare_reports(comparison), text
+
+
+def compare_reports(comparison: RunComparison) -> dict[str, Table | dict]:
+    """The reports of ``compare-runs``: the compared pairs' rows, then the one-run pairs'."""
+    return {
+        "compare_runs": table(comparison.pairs + comparison.asymmetric, *KEY, "model", "status",
+                              "concept_jaccard", "triple_jaccard"),
         "compare_summary": {
             "common_keys": len(comparison.byte_equal),
             "only_in_a": len(comparison.only_in_a),
@@ -283,10 +261,6 @@ def cmd_compare_runs(args: argparse.Namespace) -> Result:
             "identical": comparison.identical,
         },
     }
-    text = (f"compared {comparison.n_pairs} (slide, model) pairs over"
-            f" {len(comparison.byte_equal)} common slides:"
-            f" {comparison.n_perfect} perfect, {comparison.n_byte_equal} byte-identical")
-    return EXIT_OK, reports, text
 
 
 def cmd_time_gaps(args: argparse.Namespace) -> Result:
@@ -301,10 +275,7 @@ def cmd_time_gaps(args: argparse.Namespace) -> Result:
     gaps, summary = integrity.time_gaps(local, ledger)
 
     reports = {
-        "time_gaps": Table(
-            ["lecture_id", "slide_id", "delta_seconds", "anomaly"],
-            [[g.key.lecture_id, g.key.slide_id, g.delta_seconds, g.anomaly] for g in gaps],
-        ),
+        "time_gaps": table(gaps, *KEY, "delta_seconds", "anomaly"),
         "time_gap_summary": summary._asdict(),
     }
     text = (f"time gaps over {summary.count} slides: mean {summary.mean:.1f}s,"

@@ -328,19 +328,14 @@ def _manifest_entry(entry: dict) -> tuple[SlideKey, float]:
 class RunPair(NamedTuple):
     key: SlideKey
     model: str
-    concept_jaccard: float
-    triple_jaccard: float
-
-
-class AsymmetricPair(NamedTuple):
-    key: SlideKey
-    model: str
-    present_in: str  # "a" or "b"
+    status: str                    # "compared", or "only_in_a" or "only_in_b" for a model of one run
+    concept_jaccard: float | None  # None for a model of one run
+    triple_jaccard: float | None
 
 
 class RunComparison(NamedTuple):
-    pairs: list[RunPair]
-    asymmetric: list[AsymmetricPair]
+    pairs: list[RunPair]       # the compared ones
+    asymmetric: list[RunPair]  # a model of one run
     byte_equal: dict[SlideKey, bool]
     only_in_a: list[SlideKey]
     only_in_b: list[SlideKey]
@@ -398,7 +393,7 @@ def compare_range(runs: Iterable[tuple[SlideKey, ProvenanceRecord | None, Proven
     from .metrics import EMPTY_SET_JACCARD, jaccard  # here, so that verify, tamper and time-gaps load no metrics
 
     pairs: list[RunPair] = []
-    asymmetric: list[AsymmetricPair] = []
+    asymmetric: list[RunPair] = []
     byte_equal: dict[SlideKey, bool] = {}
     only_in: tuple[list[SlideKey], list[SlideKey]] = ([], [])
     for key, record_a, record_b in runs:
@@ -407,7 +402,7 @@ def compare_range(runs: Iterable[tuple[SlideKey, ProvenanceRecord | None, Proven
             continue
         if record_a is record_b:  # one document for both runs: each identity set s gets jaccard(s, s)
             byte_equal[key] = True
-            pairs += (RunPair(key, model, 1.0 if m.concepts else EMPTY_SET_JACCARD,
+            pairs += (RunPair(key, model, "compared", 1.0 if m.concepts else EMPTY_SET_JACCARD,
                               1.0 if m.triples else EMPTY_SET_JACCARD)
                       for model, m in sorted(record_a.models.items()))
             continue
@@ -418,10 +413,11 @@ def compare_range(runs: Iterable[tuple[SlideKey, ProvenanceRecord | None, Proven
             if in_a and in_b:
                 concepts_a, concepts_b = models_a[model].concepts.keys(), models_b[model].concepts.keys()
                 triples_a, triples_b = models_a[model].triples.keys(), models_b[model].triples.keys()
-                pairs.append(RunPair(key, model, jaccard(concepts_a, concepts_b), jaccard(triples_a, triples_b)))
+                pairs.append(RunPair(key, model, "compared", jaccard(concepts_a, concepts_b),
+                                     jaccard(triples_a, triples_b)))
                 same = same and concepts_a == concepts_b and triples_a == triples_b
             else:
-                asymmetric.append(AsymmetricPair(key, model, "a" if in_a else "b"))
+                asymmetric.append(RunPair(key, model, "only_in_a" if in_a else "only_in_b", None, None))
         byte_equal[key] = same and canonical_bytes(record_a) == canonical_bytes(record_b)
     return RunComparison(pairs, asymmetric, byte_equal, *only_in)
 

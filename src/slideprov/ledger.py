@@ -1,7 +1,8 @@
 """Deterministic in-process slide registry with development-chain behavior.
 
 Replicates the registry contract's observable semantics (validated ids,
-reject-on-duplicate, zeroed-struct reads) plus the execution model of a
+reject-on-duplicate; a read of an unregistered slide gives ``None``, where
+the contract reads a zeroed struct) plus the execution model of a
 single-node dev chain: one block sealed per transaction, modeled
 timestamps genesis + n * interval, a multiplicative base-fee adjustment per
 block, and a parametric near-constant gas model per registration.

@@ -51,8 +51,8 @@ class SlideDisagreement(NamedTuple):
     """One slide's set sizes, per kind: the union's, each model's, and each model pair's intersection's."""
 
     key: SlideKey
-    concept_union_size: int
-    triple_union_size: int
+    d_concept: int  # the disagreement: the size of the union of every model's set
+    d_triple: int
     counts: dict[str, tuple[int, int]]               # model -> (concepts, triples)
     common: dict[tuple[str, str], tuple[int, int]]   # (a, b), a < b -> (concepts, triples) in both
 
@@ -139,7 +139,7 @@ def pairwise_jaccard(
 # lecture aggregation
 
 
-class LectureAggregate(NamedTuple):  # its fields are the lecture_aggregates report's columns
+class LectureAggregate(NamedTuple):
     lecture_id: int
     slide_count: int
     mean_d_concept: float
@@ -155,8 +155,8 @@ def lecture_aggregate(by_slide: BySlide) -> dict[int, LectureAggregate]:
         lecture_id: LectureAggregate(
             lecture_id=lecture_id,
             slide_count=len(items),
-            mean_d_concept=sum(d.concept_union_size for d in items) / len(items),
-            mean_d_triple=sum(d.triple_union_size for d in items) / len(items),
+            mean_d_concept=sum(d.d_concept for d in items) / len(items),
+            mean_d_triple=sum(d.d_triple for d in items) / len(items),
         )
         for lecture_id, items in sorted(by_lecture.items())
     }
@@ -186,7 +186,7 @@ def classify_stability(by_slide: BySlide) -> list[StabilityLabel]:
     """
     if len(by_slide) < 4:
         raise TooFewSlides(f"stability classification needs >= 4 slides, got {len(by_slide)}")
-    d_values = [d.concept_union_size for d in by_slide.values()]
+    d_values = [d.d_concept for d in by_slide.values()]
     q1, q3 = stability_bands(d_values)
     labels = []
     for key, d in zip(by_slide, d_values):
@@ -270,7 +270,7 @@ def coverage_loss(by_slide: BySlide, baseline_model: str | None = None) -> Cover
         raise UnknownBaselineModel(f"baseline model {baseline_model!r} not present in corpus")
 
     def loss(d: SlideDisagreement, k: int) -> float:
-        union = (d.concept_union_size, d.triple_union_size)[k]
+        union = (d.d_concept, d.d_triple)[k]
         return (union - d.counts.get(baseline_model, (0, 0))[k]) / union if union else 0.0
 
     losses = [CoverageLoss(key, loss(d, 0), loss(d, 1), baseline_model) for key, d in by_slide.items()]

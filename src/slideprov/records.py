@@ -413,6 +413,7 @@ def read_json(path: Path | str, known: bytes | None = None) -> tuple[bytes, obje
 
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")  # no exponent, so Fraction reads it at once
 _ACCOUNT_TEXT = re.compile(r"0x[0-9a-f]{40}")
+_NO_UTF8 = re.compile("[\ud800-\udfff]")  # lone surrogates: the code points that UTF-8 cannot encode
 
 
 def _rational_text(value: object) -> bool:
@@ -428,7 +429,8 @@ def _rational_text(value: object) -> bool:
 INTEGER = ("a JSON integer", lambda value: type(value) is int)  # a bool is an int, too
 # NaN, infinities and ints past the float range are not finite
 NUMBER = ("a finite number", lambda value: type(value) in (int, float) and abs(value) <= sys.float_info.max)
-STRING = ("a JSON string", lambda value: type(value) is str)
+STRING = ("a JSON string with a UTF-8 form",
+          lambda value: type(value) is str and (value.isascii() or _NO_UTF8.search(value) is None))
 RATIONAL = ("rational text in lowest terms", _rational_text)  # as str(Fraction) writes it: "77/100", "3000"
 ACCOUNT = ("an account identifier", lambda value: type(value) is str and _ACCOUNT_TEXT.fullmatch(value) is not None)
 OBJECT = ("a JSON object", lambda value: type(value) is dict)

@@ -2,6 +2,7 @@
 
 Same data in, same bytes out: fixed column order, LF line endings,
 shortest round-trip float formatting, canonical JSON key order.
+``table`` makes a report of result rows, a column per attribute path.
 ``write_csv`` and ``write_json`` are the only functions that write a
 report file; ``write_reports`` writes a command's reports through them.
 """
@@ -13,18 +14,33 @@ import io
 import json
 import os
 import tempfile
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
+
+KEY = ("key.lecture_id", "key.slide_id")  # the columns of a slide key
 
 
 class Table(NamedTuple):
     """A tabular report: written as CSV, or as a JSON list of row objects."""
 
     header: list[str]
-    rows: list[list[object]]
+    rows: list[Sequence[object]]
+
+
+def table(rows: Iterable, *columns: str) -> Table:
+    """A row per item of ``rows``: a cell per dotted attribute path (two or more), headed by its last name."""
+    get = attrgetter(*columns)  # a tuple of cells, as there are two or more paths
+    return Table([column.rpartition(".")[2] for column in columns], [get(row) for row in rows])
 
 
 def format_cell(value: object) -> str:
+    """A cell's text: ``None`` is the empty cell and an ``Enum`` its value."""
+    if value is None:
+        return ""
+    if isinstance(value, Enum):
+        value = value.value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -50,7 +66,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def write_csv(path: Path | str, header: list[str], rows: list[list[object]]) -> Path:
+def write_csv(path: Path | str, header: list[str], rows: list[Sequence[object]]) -> Path:
     path = Path(path)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -255,7 +255,7 @@ def test_criterion_08_metric_oracles():
 
         for key, d in corpus_disagreement(corpus.items()).items():
             expected = oracle_disagreement(corpus[key])
-            ok &= (d.concept_union_size, d.triple_union_size) == expected
+            ok &= (d.d_concept, d.d_triple) == expected
 
         for kind in ("concepts", "triples"):
             matrix, per_slide = pairwise_jaccard(corpus_disagreement(corpus.items()), kind)

@@ -7,14 +7,15 @@ import shutil
 import stat
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from conftest import synthetic_document, write_corpus
-from slideprov import canonical_bytes, load_corpus, normalize_record, records
+from slideprov import SlideKey, canonical_bytes, load_corpus, normalize_record, records
 from slideprov.cli import build_parser, main
-from slideprov.integrity import compare_corpora
-from slideprov.reports import Table, write_reports
+from slideprov.integrity import TamperKind, TamperOp, compare_corpora
+from slideprov.reports import KEY, Table, table, write_reports
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -499,6 +500,29 @@ def test_write_reports_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="unknown report format 'xml'"):
         write_reports(tmp_path / "out", {"t": Table(["a"], [[1]]), "s": {"a": 1}}, "xml")
     assert not (tmp_path / "out").exists()
+
+
+class _Result(NamedTuple):
+    key: SlideKey
+    op: TamperOp
+    gap: float | None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_cells_by_attribute_path(tmp_path, fmt):
+    # a dotted path headed by its last name; None the empty cell, an Enum its value
+    results = [_Result(SlideKey(1, 2), TamperOp(TamperKind.ALTER_TRIPLE, "models/a/triples/0", "x"), 0.5),
+               _Result(SlideKey(3, 4), TamperOp(TamperKind.EDIT_EVIDENCE, "models/b/concepts/1", ""), None)]
+    write_reports(tmp_path, {"t": table(results, *KEY, "op.kind", "op.target", "gap")}, fmt)
+    if fmt == "csv":
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == (
+            "lecture_id,slide_id,kind,target,gap\n"
+            "1,2,AlterTriple,models/a/triples/0,0.5\n"
+            "3,4,EditEvidence,models/b/concepts/1,\n")
+    else:
+        assert json.loads((tmp_path / "t.json").read_text(encoding="utf-8")) == [
+            {"lecture_id": "1", "slide_id": "2", "kind": "AlterTriple", "target": "models/a/triples/0", "gap": "0.5"},
+            {"lecture_id": "3", "slide_id": "4", "kind": "EditEvidence", "target": "models/b/concepts/1", "gap": ""}]
 
 
 def test_usage_error_exit_2(capsys):

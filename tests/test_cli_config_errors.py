@@ -91,7 +91,7 @@ not_finite = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"
 not_a_json_number = st.one_of(st.booleans(), st.text(max_size=4), st.integers(-3, 3).map(str), st.none(),
                               st.lists(st.integers(), max_size=2))
 not_a_json_string = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
-                              st.lists(st.text(max_size=2), max_size=2))
+                              st.lists(st.text(max_size=2), max_size=2), st.sampled_from(["x\ud800", "\udfff"]))
 not_a_price = st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.integers(max_value=0),
                         st.sampled_from(["NaN", "Infinity", "-1.5", "0"]),
                         st.text(max_size=6).filter(lambda s: not _parses(_positive_rational, s)))
@@ -249,6 +249,7 @@ def test_manifest_time_that_is_not_a_json_number_exit_2(tmp_path, workspace, ind
 @given(index=st.integers(0, len(VALID_PROFILES) - 1), value=not_a_json_string)
 @example(index=0, value=None)  # the network 'None' by str()
 @example(index=1, value=7)  # the network '7' by str()
+@example(index=0, value="x\ud800")  # a lone surrogate: a string that UTF-8 cannot encode
 def test_profile_name_that_is_not_a_json_string_exit_2(tmp_path, index, value):
     entries = [dict(entry) for entry in VALID_PROFILES]
     entries[index]["name"] = value
@@ -257,7 +258,8 @@ def test_profile_name_that_is_not_a_json_string_exit_2(tmp_path, index, value):
     code, err = run_main(["project", "--profiles", str(path), "--out", str(tmp_path / "out")])
     assert_config_error(code, err, path)
     loaded = json.loads(path.read_text(encoding="utf-8"))[index]["name"]
-    assert err == f"error: {path}: profile config entry {index}: name is not a JSON string: {loaded!r}\n", err
+    assert err == (f"error: {path}: profile config entry {index}: name is not a JSON string with a UTF-8 form:"
+                   f" {loaded!r}\n"), err
     assert not (tmp_path / "out").exists()
 
 

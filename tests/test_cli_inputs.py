@@ -10,6 +10,7 @@ opened, and ``verify`` can name registered slides the corpus no longer
 yields.
 """
 
+import contextlib
 import csv
 import json
 import random
@@ -234,7 +235,10 @@ KIND_EDITS = {
                         "gas_config: exec_base is not a JSON integer: 207862.0"),
     "target_gas float": (lambda d: d["fee_config"].update(target_gas=15000000.0),
                          "fee_config: target_gas is not a JSON integer: 15000000.0"),
-    "uri number": (lambda d: d["events"][2].update(uri=5), "event 2: uri is not a JSON string: 5"),
+    "uri number": (lambda d: d["events"][2].update(uri=5), "event 2: uri is not a JSON string with a UTF-8 form: 5"),
+    # a lone surrogate: a string that UTF-8 cannot encode
+    "uri lone surrogate": (lambda d: d["events"][2].update(uri="x\ud800"),
+                           "event 2: uri is not a JSON string with a UTF-8 form: 'x\\ud800'"),
     # a rational that is not the text the ledger writes: the export comparison alone took it for a bad checksum
     "eth_usd_rate int": (lambda d: d["fee_config"].update(eth_usd_rate=3000),
                          "fee_config: eth_usd_rate is not rational text in lowest terms: 3000"),
@@ -257,7 +261,8 @@ def test_ledger_value_of_another_json_kind_exits_3_naming_its_field(workspace, t
     apply, message = KIND_EDITS[edit]
     doc = json.loads(workspace["ledger"].read_text(encoding="utf-8"))
     apply(doc)
-    doc["checksum"] = checksum(doc)  # a consistent rewrite: only the kind is wrong
+    with contextlib.suppress(UnicodeEncodeError):  # text with no UTF-8 form has no checksum: the old one stays
+        doc["checksum"] = checksum(doc)  # a consistent rewrite: only the kind is wrong
     ledger = tmp_path / "ledger.json"
     ledger.write_text(json.dumps(doc), encoding="utf-8")
     data = ledger.read_bytes()

@@ -179,7 +179,7 @@ _ACCOUNT = account_hex(dev_accounts()[0])
 # each kind as the error names it, and values not of it: near twins first
 OTHER_KIND = {
     "a JSON integer": st.one_of(st.sampled_from([True, False, 1.0, "1", -0.0]), _NEITHER, st.text(max_size=6)),
-    "a JSON string": st.one_of(_NEITHER, st.integers()),
+    "a JSON string with a UTF-8 form": st.one_of(st.sampled_from(["x\ud800", "\udfff"]), _NEITHER, st.integers()),
     "an account identifier": st.one_of(
         st.sampled_from(["0x" + _ACCOUNT[2:].upper(), "0X" + _ACCOUNT[2:], _ACCOUNT[2:], _ACCOUNT[:-1],
                          _ACCOUNT + "0", "zz" + _ACCOUNT[2:], _ACCOUNT[:2] + "g" + _ACCOUNT[3:],
@@ -205,7 +205,7 @@ FIELD_KINDS = {
        for name in ("target_gas", "decay_denominator", "block_interval", "genesis_time")},
     **{("gas_config", name): "a JSON integer" for name in ("intrinsic", "nonzero_byte", "zero_byte", "exec_base")},
     **{("events", name): "a JSON integer" for name in ("lectureId", "slideId", "timestamp")},
-    **{("events", name): "a JSON string" for name in ("slideHash", "uri")},
+    **{("events", name): "a JSON string with a UTF-8 form" for name in ("slideHash", "uri")},
     ("events", "registrant"): "an account identifier",
 }
 
@@ -241,13 +241,15 @@ def _place(doc, section, index, name):
 @example(case=(None, 0, "gas_config", [1]))
 @example(case=(None, 0, "events", {"a": 1}))
 @example(case=("events", 0, None, 5))
+@example(case=("events", 1, "uri", "x\ud800"))  # a lone surrogate
 def test_every_field_of_another_json_kind_rejected_naming_it(workspace, case):
     section, index, name, value = case
     doc = json.loads(json.dumps(workspace["doc"]))
     holder, key = _place(doc, section, index, name)
     holder[key] = value
     if name != "checksum":  # a consistent rewrite: only the kind is wrong
-        doc["checksum"] = checksum(doc)
+        with contextlib.suppress(UnicodeEncodeError):  # text with no UTF-8 form has no checksum: the old one stays
+            doc["checksum"] = checksum(doc)
     data = json.dumps(doc).encode("utf-8")
     holder, key = _place(json.loads(data), section, index, name)
     value = holder[key]  # as the file holds it: NaN and -0.0 included

@@ -20,10 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import forced_split, synthetic_document
 from slideprov import load_corpus, records
-from slideprov.cli import main
-from slideprov.integrity import RunComparison, compare_corpora
+from slideprov.cli import compare_reports, main
+from slideprov.integrity import compare_corpora
 from slideprov.records import CorpusReader, SlideKey, normalize_record, read_runs
-from slideprov.reports import Table, write_reports
+from slideprov.reports import write_reports
 
 KEYS = [SlideKey(lecture, slide) for lecture in (1, 2) for slide in (1, 2, 3, 4)]
 ANCHOR = SlideKey(3, 1)  # valid and byte-identical in both runs, so the runs always share a key
@@ -66,27 +66,6 @@ def _runs(root: Path, files: dict[SlideKey, tuple[str, str]], seed: int) -> tupl
     return run_a, run_b
 
 
-def _reports(comparison: RunComparison) -> dict:
-    """The reports ``compare-runs`` writes for a comparison."""
-    rows: list[list[object]] = [
-        [p.key.lecture_id, p.key.slide_id, p.model, "compared", p.concept_jaccard, p.triple_jaccard]
-        for p in comparison.pairs]
-    rows += [[a.key.lecture_id, a.key.slide_id, a.model, f"only_in_{a.present_in}", "", ""]
-             for a in comparison.asymmetric]
-    return {
-        "compare_runs": Table(["lecture_id", "slide_id", "model", "status", "concept_jaccard",
-                               "triple_jaccard"], rows),
-        "compare_summary": {
-            "common_keys": len(comparison.byte_equal), "only_in_a": len(comparison.only_in_a),
-            "only_in_b": len(comparison.only_in_b), "pairs": comparison.n_pairs,
-            "concept_perfect": comparison.n_concept_perfect,
-            "triple_perfect": comparison.n_triple_perfect, "perfect_pairs": comparison.n_perfect,
-            "asymmetric": len(comparison.asymmetric), "byte_equal": comparison.n_byte_equal,
-            "identical": comparison.identical,
-        },
-    }
-
-
 @contextlib.contextmanager
 def _warnings_as_printed():
     """The messages of the warnings a command would print, under the default filter."""
@@ -124,7 +103,7 @@ def _check_compare_runs(files: dict, seed: int, ranges: int) -> None:
             reference = compare_corpora(corpus_a.items(), corpus_b.items())
         reference_warnings = sorted(str(w.message) for w in caught)
         assert not any(corpus_a[key] is corpus_b[key] for key in corpus_a.keys() & corpus_b.keys())
-        write_reports(root / "reference", _reports(reference), "json")
+        write_reports(root / "reference", compare_reports(reference), "json")
 
         stderr = io.StringIO()
         with forced_split(ranges) as forks, _warnings_as_printed() as caught, \

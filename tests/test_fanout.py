@@ -303,6 +303,11 @@ def test_asymmetric_pairs_in_a_child_range_give_one_warning(tmp_path, n):
     assert messages == ["3 (slide, model) pairs present in only one run; "
                         "reported separately, excluded from similarity counts"]
     assert json.loads(reports["compare_summary.json"])["asymmetric"] == 3
+    # the one-run pairs' rows come last, their Jaccards empty
+    assert json.loads(reports["compare_runs.json"])[-3:] == [
+        {"lecture_id": str(lecture), "slide_id": str(slide), "model": model, "status": "only_in_a",
+         "concept_jaccard": "", "triple_jaccard": ""}
+        for lecture, slide, model in ((1, 1, "vision-beta"), (2, 2, "vision-delta"), (2, 3, "vision-alpha"))]
 
 
 def _failing_in_the_last_range(monkeypatch):

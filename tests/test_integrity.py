@@ -26,6 +26,7 @@ from slideprov.integrity import (
     MISMATCH,
     MISSING,
     UNREGISTERED,
+    RunPair,
     TamperKind,
     applicable_kinds,
     compare_corpora,
@@ -347,9 +348,7 @@ class TestCompareRuns:
         del other[key].models[dropped]
         with pytest.warns(ProvenanceWarning):
             comparison = compare_corpora(corpus.items(), other.items())
-        assert [(a.key, a.model, a.present_in) for a in comparison.asymmetric] == [
-            (key, dropped, "a")
-        ]
+        assert comparison.asymmetric == [RunPair(key, dropped, "only_in_a", None, None)]
         assert not comparison.identical
 
     def test_disjoint_corpora(self, corpus):

@@ -68,25 +68,25 @@ class TestDisagreement:
     def test_identical_sets(self):
         record = make_record(1, 1, {"a": (["x"], []), "b": (["x"], [])})
         d = disagreement(record)
-        assert d.concept_union_size == 1
+        assert d.d_concept == 1
 
     def test_union_of_distinct(self):
         record = make_record(1, 1, {
             "a": (["x", "y"], []), "b": (["z"], []), "c": ([], []), "d": ([], []),
         })
-        assert disagreement(record).concept_union_size == 3
+        assert disagreement(record).d_concept == 3
 
     def test_all_empty(self):
         record = make_record(1, 1, {"a": ([], []), "b": ([], [])})
         d = disagreement(record)
-        assert (d.concept_union_size, d.triple_union_size) == (0, 0)
+        assert (d.d_concept, d.d_triple) == (0, 0)
 
     def test_union_at_least_each_model(self):
         record = make_record(1, 1, {"a": (["x", "y"], ["q"]), "b": (["y", "z", "w"], [])})
         d = disagreement(record)
         for ext in record.models.values():
-            assert d.concept_union_size >= len(ext.concepts)
-            assert d.triple_union_size >= len(ext.triples)
+            assert d.d_concept >= len(ext.concepts)
+            assert d.d_triple >= len(ext.triples)
 
     def test_slides_share_pair_keys_and_model_names(self):
         # each slide's names are their own str objects, as when each file is parsed alone
@@ -163,7 +163,7 @@ class TestLectureAggregate:
         agg = lecture_aggregate(corpus_disagreement(corpus.items()))
         weighted = sum(a.mean_d_concept * a.slide_count for a in agg.values())
         total = sum(a.slide_count for a in agg.values())
-        direct = sum(disagreement(r).concept_union_size for r in corpus.values()) / len(corpus)
+        direct = sum(disagreement(r).d_concept for r in corpus.values()) / len(corpus)
         assert weighted / total == pytest.approx(direct, rel=1e-12)
 
 

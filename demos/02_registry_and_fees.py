@@ -6,7 +6,10 @@ base fee that decays toward the priority-tip floor, and hard rejection
 of duplicates and invalid ids.
 """
 
+from fractions import Fraction
+
 from slideprov import AlreadyRegistered, InvalidLecture, Ledger, SlideKey
+from slideprov.reports import format_cell
 
 ledger = Ledger()
 
@@ -17,23 +20,25 @@ items = [
 receipts, summary = ledger.batch_register(items)
 
 print("block  time  gas      price(gwei)  cost(USD)")
-# Receipts and totals are whole wei; a report divides once, at the end.
+# Receipts and totals are whole wei; a report holds their exact rationals
+# and rounds each once, as text, as format_cell does here.
 rate = ledger.fee_config.eth_usd_rate
 
 
-def usd(wei: int) -> float:
-    return wei * rate.numerator / (10**18 * rate.denominator)
+def usd(wei: int) -> str:
+    return format_cell(Fraction(wei, 10**18) * rate)
 
 
 for r in receipts:
     print(f"{r.block_number:>5}  {r.timestamp:>4}  {r.gas_used}  "
-          f"{r.price_wei / 10**9:<11.6f}  {usd(r.gas_used * r.price_wei):.6f}")
+          f"{format_cell(Fraction(r.price_wei, 10**9)):<11}  {usd(r.gas_used * r.price_wei)}")
 
 print(f"\ntotal gas {summary.total_gas} = {summary.registered} x {receipts[0].gas_used}:",
       summary.total_gas == summary.registered * receipts[0].gas_used)
-print(f"elapsed {summary.elapsed_seconds}s modeled, throughput {summary.throughput:.4f}/s")
-print(f"total cost {summary.total_cost_wei} wei = {summary.total_cost_wei / 10**18:.6f} ETH"
-      f" (${usd(summary.total_cost_wei):.2f} at the configured rate)")
+print(f"elapsed {summary.elapsed_seconds}s modeled, throughput {summary.throughput}"
+      f" = {format_cell(summary.throughput)}/s")
+print(f"total cost {summary.total_cost_wei} wei = {format_cell(Fraction(summary.total_cost_wei, 10**18))} ETH"
+      f" (${usd(summary.total_cost_wei)} at the configured rate)")
 
 # The registry is append-only: same key again is a hard error.
 try:

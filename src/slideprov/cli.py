@@ -40,7 +40,7 @@ from .errors import (
     UnknownBaselineModel,
     UnregisteredCorpus,
 )
-from .reports import KEY, Table, table, write_reports
+from .reports import KEY, Table, format_cell, table, write_reports
 
 if TYPE_CHECKING:
     from .integrity import RunComparison
@@ -73,6 +73,9 @@ Result = tuple[int, dict[str, Table | dict], str]
 
 
 def cmd_register(args: argparse.Namespace) -> Result:
+    from decimal import Decimal
+    from fractions import Fraction
+
     from .commitment import commit_corpus
     from .ledger import FeeConfig, GasConfig, Ledger, canonical_uri
     from .records import FIELDS, CorpusReader
@@ -103,44 +106,40 @@ def cmd_register(args: argparse.Namespace) -> Result:
         items = [(key, commitment, canonical_uri(key)) for key, commitment in commitments.items()]
 
         receipts, summary = ledger.batch_register(items)
-        # The reports give each amount as one integer division of its exact
-        # rational, a correctly rounded float: a cost past the float range fails
-        # here, before the ledger file is written.
-        rate = ledger.fee_config.eth_usd_rate
-        usd_numerator, usd_denominator = rate.numerator, 10**18 * rate.denominator  # USD per wei
-        try:
-            receipt_rows = [[r.lecture_id, r.slide_id, r.block_number, r.timestamp, r.gas_used, r.price_wei / 10**9,
-                             r.gas_used * r.price_wei / 10**18,
-                             r.gas_used * r.price_wei * usd_numerator / usd_denominator] for r in receipts]
-            summary_doc = {
-                "attempted": summary.attempted,
-                "registered": summary.registered,
-                "skipped_existing": reader.skipped,
-                "failed": len(summary.failures),
-                "min_gas": summary.min_gas,
-                "mean_gas": summary.total_gas / summary.registered if summary.registered else 0.0,
-                "max_gas": summary.max_gas,
-                "total_gas": summary.total_gas,
-                "total_cost_eth": summary.total_cost_wei / 10**18,
-                "total_cost_usd": summary.total_cost_wei * usd_numerator / usd_denominator,
-                "elapsed_seconds": summary.elapsed_seconds,
-                "throughput": summary.throughput,
-            }
-        except OverflowError:
-            raise ValueError("registration costs exceed the floating-point range") from None
         ledger.save(args.ledger)
 
+    # each figure is the exact rational of its whole wei; the report writer rounds it
+    eth_usd = ledger.fee_config.eth_usd_rate
+    total_usd = Fraction(summary.total_cost_wei, 10**18) * eth_usd
+    receipt_rows = [[r.lecture_id, r.slide_id, r.block_number, r.timestamp, r.gas_used,
+                     Fraction(r.price_wei, 10**9), eth := Fraction(r.gas_used * r.price_wei, 10**18),
+                     eth * eth_usd] for r in receipts]
     reports = {
         "receipts": Table(["lecture_id", "slide_id", "block", "timestamp", "gas_used",
                            "effective_gas_price_gwei", "cost_eth", "cost_usd"], receipt_rows),
         "events": Table(list(FIELDS["event"]), ledger.events),
-        "register_summary": summary_doc,
+        "register_summary": {
+            "attempted": summary.attempted,
+            "registered": summary.registered,
+            "skipped_existing": reader.skipped,
+            "failed": len(summary.failures),
+            "min_gas": summary.min_gas,
+            "mean_gas": Fraction(summary.total_gas, max(summary.registered, 1)),  # 0 if none registered
+            "max_gas": summary.max_gas,
+            "total_gas": summary.total_gas,
+            "total_cost_eth": Fraction(summary.total_cost_wei, 10**18),
+            "total_cost_usd": total_usd,
+            "elapsed_seconds": summary.elapsed_seconds,
+            "throughput": summary.throughput,
+        },
     }
     for key, reason in summary.failures:
         _err(f"({key.lecture_id},{key.slide_id}): {reason}")
+    # whole cents, rounded half-even; a Decimal prints past the 4300 digits where str(int) stops
+    cents = Decimal(round(total_usd * 100)).as_tuple()._replace(exponent=-2)
     text = (f"registered {summary.registered}/{summary.attempted} slides"
             f" (skipped {reader.skipped}, failed {len(summary.failures)});"
-            f" total gas {summary.total_gas}, cost ${summary_doc['total_cost_usd']:.2f}")
+            f" total gas {summary.total_gas}, cost ${Decimal(cents):f}")
     return (EXIT_INTEGRITY if summary.failures else EXIT_OK), reports, text
 
 
@@ -294,12 +293,11 @@ def cmd_project(args: argparse.Namespace) -> Result:
         eth_usd=args.eth_usd,
         throughput=args.throughput,
     )
-    text = projection.decimal_text
-    rows = [[p.n_slides, p.network, p.total_gas, text(p.total_cost_eth), text(p.total_cost_usd),
-             text(p.expected_seconds)] for p in projections]
+    rows = [[p.n_slides, p.network, p.total_gas, p.total_cost_eth, p.total_cost_usd, p.expected_seconds]
+            for p in projections]
     reports = {"projections": Table(["n", "network", "total_gas", "eth", "usd", "seconds"], rows)}
     return EXIT_OK, reports, "\n".join(
-        f"{network:>15}: {total_gas} gas, {eth} ETH, ${usd}, ~{seconds}s"
+        f"{network:>15}: {total_gas} gas, {format_cell(eth)} ETH, ${format_cell(usd)}, ~{format_cell(seconds)}s"
         for _, network, total_gas, eth, usd, seconds in rows)
 
 

@@ -68,19 +68,9 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 
 
-class ExponentOutOfRange(ValueError):
-    """Decimal text whose exponent is past ``MAX_EXPONENT``."""
-
-
 def _rational(value: object) -> Fraction:
     # floats go through str() so 0.77 becomes 77/100, not its binary expansion
-    if isinstance(value, float):
-        value = str(value)
-    elif isinstance(value, str) and (match := _EXPONENT.search(value)):
-        digits = match.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
-            raise ExponentOutOfRange
-    return Fraction(value)  # type: ignore[arg-type]
+    return Fraction(str(value) if isinstance(value, float) else value)  # type: ignore[arg-type]
 
 
 def parse_number(value: object, name: str, convert: Callable[[object], _T] = _rational) -> _T:
@@ -89,16 +79,17 @@ def parse_number(value: object, name: str, convert: Callable[[object], _T] = _ra
     The default reads ints, Decimals, Fractions, floats (through their
     shortest text) and decimal or ``p/q`` text.  A value that is not a
     number, a bool included, raises ValueError naming ``name``, so a bad
-    flag and a bad file fail alike; decimal text with an exponent past
-    ``MAX_EXPONENT`` raises ExponentOutOfRange, a ValueError.
+    flag and a bad file fail alike.  The default raises it also for
+    decimal text whose exponent is past ``MAX_EXPONENT``, unread.
     """
+    if convert is _rational and isinstance(value, str) and (match := _EXPONENT.search(value)):
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ValueError(f"{name} has an exponent past {MAX_EXPONENT}: {value!r}")
     try:
         if isinstance(value, bool):
             raise TypeError
         return convert(value)
-    except ExponentOutOfRange:
-        raise ExponentOutOfRange(
-            f"{name} has an exponent past {MAX_EXPONENT}: {value!r}") from None
     except (TypeError, ValueError, ArithmeticError):
         raise ValueError(f"{name} is not a number: {value!r}") from None
 
@@ -244,7 +235,7 @@ class BatchSummary(NamedTuple):
     total_gas: int
     total_cost_wei: int
     elapsed_seconds: int
-    throughput: float
+    throughput: Fraction  # registrations per modeled second
 
 
 def canonical_uri(key: SlideKey) -> str:
@@ -352,7 +343,7 @@ class Ledger:
         return receipts, BatchSummary(
             len(items), len(receipts), failures, min(gases, default=0), max(gases, default=0), sum(gases),
             sum(r.gas_used * r.price_wei for r in receipts),
-            elapsed, len(receipts) / max(elapsed, interval) if receipts else 0.0)
+            elapsed, Fraction(len(receipts), max(elapsed, interval)))
 
     # -- persistence -----------------------------------------------------
 

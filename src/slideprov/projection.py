@@ -2,8 +2,8 @@
 
 Total gas scales exactly linearly in corpus size because registrations
 cost near-constant gas.  Prices, costs and times are exact rationals
-(``Fraction``); only text output rounds them, once, in ``decimal_text``,
-so projected tables are bit-stable across platforms.
+(``Fraction``); only text output rounds them, once, in
+``reports.format_cell``, so projected tables are bit-stable across platforms.
 """
 
 from __future__ import annotations
@@ -12,31 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .ledger import CANONICAL_REGISTRATION_GAS, ExponentOutOfRange, parse_number
+from .ledger import CANONICAL_REGISTRATION_GAS, parse_number
 from .records import Checked, load_json_entries, read_fields
 
 GWEI = Fraction(1, 10**9)  # ETH per gwei
-
-_OUT_OF_RANGE = "projected values exceed the floating-point range"
-
-
-def decimal_text(value: Fraction) -> str:
-    """``value`` in positional notation, rounded half-even to 28 significant digits.
-
-    Trailing zeros are dropped.  A value past the float range, or one
-    that rounds to float 0, raises ValueError, as registration costs do.
-    """
-    try:
-        in_range = float(value) != 0
-    except OverflowError:
-        in_range = False
-    if not in_range:
-        raise ValueError(_OUT_OF_RANGE)
-    # decimal only formats the text here: no Decimal is kept or computed on
-    from decimal import Context
-
-    context = Context(prec=28)
-    return format(context.normalize(context.divide(value.numerator, value.denominator)), "f")
 
 
 class _ProfileFields(NamedTuple):
@@ -92,19 +71,14 @@ def project(
 
     total_gas is n * mean_gas; costs multiply it by the profile gas
     price and the ETH/USD rate, and time divides n by the throughput,
-    all exactly.  A rate or throughput written with an exponent past
-    ``ledger.MAX_EXPONENT`` raises the out-of-range error of the values
-    it would give, unread.
+    all exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mean_gas < 1:
         raise ValueError("mean_gas must be >= 1")
-    try:
-        rate = parse_number(eth_usd, "eth_usd")
-        speed = parse_number(throughput, "throughput")
-    except ExponentOutOfRange:
-        raise ValueError(_OUT_OF_RANGE) from None
+    rate = parse_number(eth_usd, "eth_usd")
+    speed = parse_number(throughput, "throughput")
     if rate <= 0 or speed <= 0:
         raise ValueError("eth_usd and throughput must be positive")
     profiles = profiles if profiles is not None else preset_profiles()

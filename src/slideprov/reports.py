@@ -1,7 +1,8 @@
 """Deterministic report files: CSV and JSON, written atomically.
 
 Same data in, same bytes out: fixed column order, LF line endings,
-shortest round-trip float formatting, canonical JSON key order.
+shortest round-trip float formatting, canonical JSON key order.  An exact
+number (a ``Fraction``) is rounded once, here, to decimal text.
 ``table`` makes a report of result rows, a column per attribute path.
 ``write_csv`` and ``write_json`` are the only functions that write a
 report file; ``write_reports`` writes a command's reports through them.
@@ -14,12 +15,17 @@ import io
 import json
 import os
 import tempfile
+from decimal import Context
 from enum import Enum
+from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 KEY = ("key.lecture_id", "key.slide_id")  # the columns of a slide key
+
+# decimal only formats the text: no Decimal is kept or computed on
+_DECIMAL = Context(prec=28)  # half-even, its default rounding
 
 
 class Table(NamedTuple):
@@ -36,7 +42,11 @@ def table(rows: Iterable, *columns: str) -> Table:
 
 
 def format_cell(value: object) -> str:
-    """A cell's text: ``None`` is the empty cell and an ``Enum`` its value."""
+    """A cell's text: ``None`` is the empty cell and an ``Enum`` its value.
+
+    A ``Fraction`` is written in positional notation, rounded half-even to
+    28 significant digits, with trailing zeros dropped.
+    """
     if value is None:
         return ""
     if isinstance(value, Enum):
@@ -45,6 +55,8 @@ def format_cell(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))
+    if type(value) is Fraction:  # not isinstance: its ABC check would cost every int and str cell 10x
+        return format(_DECIMAL.normalize(_DECIMAL.divide(value.numerator, value.denominator)), "f")
     return str(value)
 
 

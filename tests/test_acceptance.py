@@ -8,6 +8,7 @@ import random
 import shutil
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from conftest import register_corpus, write_corpus
@@ -49,6 +50,7 @@ from slideprov.metrics import (
     stability_bands,
 )
 from slideprov.projection import project
+from slideprov.reports import format_cell
 
 HASH66 = "0x" + "5a" * 32
 URI30 = "u" * 30
@@ -174,8 +176,8 @@ def test_criterion_04_cost_envelope():
 def test_criterion_05_throughput_model():
     _, summary = _paper_scale_run()
     ok = summary.elapsed_seconds == 1116
-    ok &= abs(summary.throughput - 1.0009) <= 0.0001
-    _verdict(5, f"throughput model ({summary.throughput:.5f} slides/sec)", ok)
+    ok &= summary.throughput == Fraction(1117, 1116)
+    _verdict(5, f"throughput model ({format_cell(summary.throughput)} slides/sec)", ok)
 
 
 def test_criterion_06_tamper_detection(tmp_path):

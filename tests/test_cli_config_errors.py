@@ -22,6 +22,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import write_corpus
@@ -381,22 +384,29 @@ def test_report_json_rejects_non_finite(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("flags", [
-    ["--eth-usd", "1e400"],
-    ["--eth-usd", "1e-400"],
-    ["--eth-usd", "1e800000"],
-    ["--eth-usd", "1e-800000"],
-    ["--profiles", "profiles.json"],
-], ids=["rate-1e400", "rate-1e-400", "rate-1e800000", "rate-1e-800000", "profile-price-1e400"])
-def test_projection_out_of_float_range_exit_2(tmp_path, flags):
-    # exact rationals, but a float holds no cost of theirs
+@pytest.mark.parametrize("rate", ["1e800000", "1e-800000"], ids=lambda rate: f"rate-{rate}")
+def test_projection_out_of_float_range_exit_2(tmp_path, rate):
+    # an exponent past the bound is not read
+    code, err = run_main(["project", "--eth-usd", rate, "--out", str(tmp_path / "out")])
+    assert_config_error(code, err)
+    assert err == f"error: eth_usd has an exponent past 4300: '{rate}'\n", err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, usd", [
+    (["--eth-usd", "1e400"], "69429" + "0" * 399),
+    (["--eth-usd", "1e-400"], "0." + "0" * 396 + "69429"),
+    (["--profiles", "profiles.json"], "69429" + "0" * 401),
+], ids=["rate-1e400", "rate-1e-400", "profile-price-1e400"])
+def test_projection_past_float_range_is_exact(tmp_path, flags, usd):
+    # no float holds these costs; the report holds each exactly
     (tmp_path / "profiles.json").write_text(json.dumps([{"name": "x", "gas_price_gwei": "1e400"}]),
                                             encoding="utf-8")
     flags = [str(tmp_path / flag) if flag == "profiles.json" else flag for flag in flags]
-    code, err = run_main(["project", *flags, "--out", str(tmp_path / "out")])
-    assert_config_error(code, err)
-    assert err == "error: projected values exceed the floating-point range\n", err
-    assert not (tmp_path / "out").exists()
+    code, err = run_main(["project", *flags, "--format", "json", "--out", str(tmp_path / "out")])
+    assert (code, err) == (0, "")
+    rows = json.loads((tmp_path / "out" / "projections.json").read_text(encoding="utf-8"))
+    assert rows[0]["usd"] == usd
 
 
 # Fraction would build 10**100000000 from this text: minutes of work, so a
@@ -427,7 +437,7 @@ def test_exponent_past_bound_is_rejected_before_fraction_reads_it(tmp_path, work
         (["verify", "--corpus", corpus, "--ledger", "list.json"],
          3, "error: list.json: unrecognized ledger format"),
         (["project", "--eth-usd", HUGE_EXPONENT],
-         2, "error: projected values exceed the floating-point range"),
+         2, f"error: eth_usd has an exponent past 4300: '{HUGE_EXPONENT}'"),
     ]
     for argv, code, line in runs:
         proc = run_process([*argv, "--out", "out"], tmp_path)

@@ -7,16 +7,21 @@ of the earlier v1 format.  A value of another JSON kind in any field,
 section or event, under a recomputed checksum, gets the line that names
 the file, the config or event, and the field.  The same fee and gas values out of
 range given as ``register`` flags exit 2 and write no ledger, or leave
-an existing one as it was; so do fee and gas values whose costs are past
-the float range of the reports.
+an existing one as it was.  Fee and gas values whose costs are past the
+float range are registered, and their costs written exactly.
 """
 
 import contextlib
 import io
 import json
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import run_cli, write_corpus
@@ -351,27 +356,28 @@ COST_FLAGS = {
 @given(flag=st.sampled_from(sorted(COST_FLAGS)), exponent=st.integers(320, 400), existing=st.booleans())
 @example(flag="--eth-usd", exponent=400, existing=False)
 @example(flag="--gas-exec-base", exponent=400, existing=False)
-def test_cost_past_float_range_exit_2(workspace, flag, exponent, existing):
-    # the reports give each cost as a float; 10**exponent puts the costs past the float range
+def test_cost_past_float_range_exit_0(workspace, flag, exponent, existing):
+    # 10**exponent puts the costs past the float range: the reports write them exactly all the same
     ledger = workspace["tmp"] / "costly.json"
     ledger.unlink(missing_ok=True)
     value = 10**exponent
+    config, name = COST_FLAGS[flag]
     if existing:  # a file whose own configs hold the value: they win over the flags
-        config, name = COST_FLAGS[flag]
         configs = {config: config(**{name: value})}
         Ledger(configs.get(FeeConfig), configs.get(GasConfig)).save(ledger)
-        before = ledger.read_bytes()
     out = workspace["tmp"] / "costly-out"
     text = str(value) if flag == "--gas-exec-base" else f"1e{exponent}"
-    code, _, err = run_cli(["register", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
-                            "--out", str(out), f"{flag}={text}"] + ["--skip-existing"] * existing)
-    assert code == 2, err
-    assert err == "error: registration costs exceed the floating-point range\n", err
-    if existing:
-        assert ledger.read_bytes() == before
-    else:
-        assert not ledger.exists()
-    assert not out.exists()
+    code, stdout, err = run_cli(["register", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
+                                 "--out", str(out), f"{flag}={text}"] + ["--skip-existing"] * existing)
+    assert (code, err) == (0, "")
+    saved = Ledger.load(ledger)
+    assert len(saved.events) == 6
+    assert getattr(saved.fee_config if config is FeeConfig else saved.gas_config, name) == value
+    usd = json.loads((out / "register_summary.json").read_text(encoding="utf-8"))["total_cost_usd"]
+    assert Fraction(usd) > sys.float_info.max and usd.isdigit()
+    # stdout rounds the same cost to the cent, the report to 28 digits
+    dollars = re.fullmatch(r"registered 6/6 slides .*, cost \$([0-9]+\.[0-9]{2})\n", stdout)[1]
+    assert abs(Fraction(dollars) - Fraction(usd)) <= Fraction(usd) / 10**27
 
 
 def test_truncated_log_rejected(tmp_path, capsys):

@@ -16,6 +16,9 @@ import warnings
 from pathlib import Path
 
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings, strategies as st
 
 from conftest import forced_split, synthetic_document

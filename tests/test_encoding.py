@@ -4,6 +4,10 @@ import random
 import re
 import sys
 
+import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings, strategies as st
 
 from canonical_reference import concept_doc, reference_bytes, reference_dumps, to_document, triple_doc

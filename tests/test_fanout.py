@@ -134,11 +134,11 @@ def test_golden_digests_hold_at_every_split(tmp_path, n):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     split_commands = ("register", "verify", "analyze", "compare-runs")
     steps = [name for name in expected if name.split("/")[2].startswith(split_commands)]
-    # per size and format: 2 register, 3 verify, 2 analyze, 1 compare-runs;
+    # per size and format: 2 register, 4 verify, 2 analyze, 2 compare-runs;
     # per format, 2 analyze on the absent-model corpus
-    assert len(steps) == 36
+    assert len(steps) == 44
     assert {name: actual[name] for name in steps} == {name: expected[name] for name in steps}
-    assert len(forks) == (n - 1) * 36  # each of those steps split its pass
+    assert len(forks) == (n - 1) * 44  # each of those steps split its pass
 
 
 @pytest.mark.parametrize("n", (2, 3))

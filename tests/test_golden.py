@@ -140,6 +140,23 @@ def _matrix(slides: int, fmt: str) -> dict[str, str]:
         Path("out") / "tamper-write")
     digests[f"{slides}/{fmt}/verify-tampered"] = _run(
         ["verify", *with_ledger], Path("out") / "verify-tampered")
+
+    # a registered file deleted and an unregistered slide added: the
+    # Missing row has no recomputed commitment, the Unregistered no on-chain one
+    (corpus / "by_slide" / "Lecture 1" / "Slide2.json").unlink()
+    doc = synthetic_document(rng, lectures + 1, 3)
+    (new_lecture / "Slide3.json").write_text(json.dumps(doc), encoding="utf-8")
+    digests[f"{slides}/{fmt}/verify-missing"] = _run(
+        ["verify", *with_ledger], Path("out") / "verify-missing")
+
+    # run B drops a model from one slide: that pair is in one run only, with no Jaccards
+    shutil.copytree(corpus, "dropped-model")
+    path = Path("dropped-model") / "by_slide" / "Lecture 1" / "Slide3.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["models"][sorted(doc["models"])[-1]]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    digests[f"{slides}/{fmt}/compare-runs-dropped-model"] = _run(
+        ["compare-runs", "corpus", "dropped-model", "--format", fmt], Path("out") / "compare-runs-dropped-model")
     return digests
 
 

@@ -5,6 +5,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import register_corpus, synthetic_document, write_corpus

@@ -2,6 +2,9 @@ import hashlib
 import random
 
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings, strategies as st
 
 from keccak_reference import reference_keccak256

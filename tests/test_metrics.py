@@ -1,7 +1,11 @@
 import random
 
-import numpy as np
 import pytest
+
+pytest.importorskip("hypothesis")
+pytest.importorskip("numpy")
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracle_metrics import oracle_coverage, oracle_pair_means

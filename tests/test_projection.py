@@ -3,11 +3,14 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, strategies as st
 
 from slideprov import NetworkProfile, load_profiles, preset_profiles, project
 from slideprov.ledger import CANONICAL_REGISTRATION_GAS
-from slideprov.projection import decimal_text
+from slideprov.reports import format_cell
 
 
 def by_network(projections):
@@ -59,7 +62,7 @@ class TestProject:
         # 10**7 gas at 1/3 gwei and $3000/ETH is $10, with no rounding on the way
         p = project(1, mean_gas=10**7, profiles=[NetworkProfile("x", "1/3")])[0]
         assert p.total_cost_usd == 10
-        assert decimal_text(p.total_cost_usd) == "10"
+        assert format_cell(p.total_cost_usd) == "10"
 
     @pytest.mark.parametrize("kwargs", [
         {"n": 0}, {"n": -5}, {"n": 10, "mean_gas": 0},
@@ -121,6 +124,8 @@ def reference_text(value: Fraction) -> str:
 
 
 class TestDecimalText:
+    """``reports.format_cell`` writes each exact number of a report, ``project``'s and ``register``'s."""
+
     @pytest.mark.parametrize("value, text", [
         (Fraction(69429, 10), "6942.9"),
         (Fraction(20828700), "20828700"),
@@ -133,18 +138,21 @@ class TestDecimalText:
         (Fraction(15, 10**28) + 1, "1.000000000000000000000000002"),
     ])
     def test_table(self, value, text):
-        assert decimal_text(value) == text
+        assert format_cell(value) == text
         assert reference_text(value) == text
 
     @given(numerator=st.integers(1, 10**40), denominator=st.integers(1, 10**40),
            scale=st.integers(-250, 250))
     def test_matches_decimal_reference(self, numerator, denominator, scale):
         value = Fraction(numerator, denominator) * Fraction(10) ** scale
-        assert decimal_text(value) == reference_text(value)
+        assert format_cell(value) == reference_text(value)
 
-    @pytest.mark.parametrize("value", [
-        Fraction(10**400), Fraction(1, 10**400), Fraction(2**1024), Fraction(1, 2**1080),
-    ])
-    def test_rejects_values_no_float_holds(self, value):
-        with pytest.raises(ValueError, match="^projected values exceed the floating-point range$"):
-            decimal_text(value)
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(10**400), "1" + "0" * 400),
+        (Fraction(1, 10**400), "0." + "0" * 399 + "1"),
+        (Fraction(2**1024), "1797693134862315907729305191" + "0" * 281),  # ...05190|789 rounds up
+        (Fraction(1, 2**1080), "0." + "0" * 325 + "7719775716269477252758887389"),
+    ], ids=["10**400", "10**-400", "2**1024", "2**-1080"])
+    def test_writes_values_no_float_holds(self, value, text):
+        # past the float range, or below its least subnormal: the text is exact all the same
+        assert format_cell(value) == reference_text(value) == text

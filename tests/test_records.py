@@ -2,6 +2,9 @@ import json
 import random
 
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings, strategies as st
 
 from canonical_reference import to_document

@@ -6,6 +6,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli as run, synthetic_document, write_corpus

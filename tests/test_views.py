@@ -13,6 +13,10 @@ import copy
 import json
 import warnings
 
+import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings, strategies as st
 
 from canonical_reference import reference_bytes

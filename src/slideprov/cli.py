@@ -12,6 +12,8 @@ of ``compare-runs`` paired by ``records.read_runs``), all but ``tamper`` in
 one ``records.split_pass``, which takes the readers' keys and raises
 EmptyCorpus for a reader that loaded nothing; ``_skip_lines`` then prints
 a ``warning: skipped`` line per failed file, also before that error.
+``verify`` first settles each file that holds the bytes registered with
+its commitment (``integrity.settle``), and passes over the others only.
 
 Each command returns (exit code, reports keyed by file stem, stdout text);
 ``main`` writes every report with one ``reports.write_reports`` call, then
@@ -19,7 +21,8 @@ prints the text, so a command that stops on an error leaves --out untouched.
 
 A command imports the modules it runs inside its ``cmd_*``, so that it
 loads no other: ``register`` never loads ``integrity``, ``metrics`` or
-``projection``.
+``projection``, and ``verify`` loads ``commitment`` only for files it
+does not settle.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def cmd_register(args: argparse.Namespace) -> Result:
     from fractions import Fraction
 
     from .commitment import commit_corpus
-    from .ledger import FeeConfig, GasConfig, Ledger, canonical_uri
+    from .ledger import MAX_DIGITS, FeeConfig, GasConfig, Ledger, canonical_uri
     from .records import FIELDS, CorpusReader
 
     # The fee and gas flags are checked even where an existing file's configs win.
@@ -103,9 +106,15 @@ def cmd_register(args: argparse.Namespace) -> Result:
         with _skip_lines(reader):
             commitments = commit_corpus(reader)
 
-        items = [(key, commitment, canonical_uri(key)) for key, commitment in commitments.items()]
+        items = [(key, commitment, canonical_uri(key), digest) for key, (commitment, digest) in commitments.items()]
 
         receipts, summary = ledger.batch_register(items)
+        # Gas figures and seconds are written as integer text: the total gas bounds every gas
+        # figure, and the last block's timestamp every timestamp and elapsed_seconds.
+        for name, figure in (("total gas", summary.total_gas),
+                             ("the last block's timestamp", ledger.next_timestamp - ledger.fee_config.block_interval)):
+            if figure >= 10**MAX_DIGITS:
+                raise ValueError(f"{name} has more than {MAX_DIGITS} digits")
         ledger.save(args.ledger)
 
     # each figure is the exact rational of its whole wei; the report writer rounds it
@@ -144,21 +153,28 @@ def cmd_register(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify(args: argparse.Namespace) -> Result:
-    from .commitment import commit_corpus
-    from .integrity import MATCH, verify_corpus
+    from .integrity import CHANGED, MATCH, settle, verify_corpus
     from .ledger import Ledger
     from .records import CorpusReader
 
     ledger = Ledger.load(args.ledger)
     reader = CorpusReader(args.corpus)
-    with _skip_lines(reader):
-        commitments = commit_corpus(reader)
-    results = verify_corpus(commitments, ledger)
+    commitments = settled = settle(reader, ledger)
+    if reader.paths or not settled:  # the files left, or over no file at all the EmptyCorpus check
+        from .commitment import commit_corpus
 
-    reports = {"verdicts": table(results, *KEY, "recomputed", "on_chain", "verdict")}
+        with _skip_lines(reader):
+            commitments = {**settled, **{key: c for key, (c, _) in commit_corpus(reader).items()}}
+    results = verify_corpus(commitments, ledger, settled)
+
+    reports = {"verdicts": table(results, *KEY, "recomputed", "on_chain", "verdict", "file")}
     bad = [v for v in results if v.verdict != MATCH]
-    for v in bad:
-        _err(f"({v.key.lecture_id},{v.key.slide_id}): {v.verdict}")
+    for v in results:
+        if v.verdict != MATCH:
+            _err(f"({v.key.lecture_id},{v.key.slide_id}): {v.verdict}")
+        elif v.file == CHANGED:
+            print(f"warning: ({v.key.lecture_id},{v.key.slide_id}): {MATCH}, but the file's bytes are not"
+                  " the ones registered", file=sys.stderr)
     text = f"verified {len(results)} slides: {len(results) - len(bad)} match, {len(bad)} fail"
     return (EXIT_INTEGRITY if bad else EXIT_OK), reports, text
 

@@ -6,17 +6,21 @@ Keccak-256 digest, the form the registry stores and every report prints.
 encodes each record's canonical bytes only when its batch is taken.
 ``commit_corpus`` does the same for a corpus on disk in one streamed pass,
 split across processes by ``records.split_pass``: each file is read,
-parsed, normalized and encoded when the hasher draws it, and only its key
-and commitment are kept.  Storage keys hash the packed 64-byte
+parsed, normalized and encoded when the hasher draws it, and only its key,
+commitment and file digest (``ledger.file_digest`` of the bytes it read)
+are kept.  Storage keys hash the packed 64-byte
 (lecture_id, slide_id) encoding, matching
 ``keccak256(abi.encodePacked(uint256, uint256))``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable
 
+from . import keccak
 from .keccak import keccak256, keccak256_many
+from .ledger import file_digest
 from .records import CorpusReader, ProvenanceRecord, SlideKey, canonical_bytes, normalized_bytes, split_pass
 
 # A storage key is exactly 32 bytes.
@@ -42,22 +46,21 @@ def commit_records(records: Iterable[ProvenanceRecord]) -> list[str]:
     return [_hex(d) for d in keccak256_many(canonical_bytes(r) for r in records)]
 
 
-def commit_corpus(reader: CorpusReader) -> dict[SlideKey, str]:
-    """Commitments of the files ``reader`` loads, by key in key order, from one split pass.
+def commit_corpus(reader: CorpusReader) -> dict[SlideKey, tuple[str, str]]:
+    """The commitment and file digest of each file ``reader`` loads, by key in key order, from one split pass.
 
     Raises EmptyCorpus as ``split_pass`` does.
     """
-    def commit_range(keys: list[SlideKey]) -> list[tuple[SlideKey, bytes]]:
-        loaded: list[SlideKey] = []
+    def commit_range(keys: list[SlideKey]) -> list[tuple[SlideKey, tuple[str, str]]]:
+        files = ((key, item) for key in keys if (item := reader.load_file(key, normalized_bytes)))
+        committed = []
+        # one hasher's batch at a time: a file's bytes are held only until its commitment is known
+        while batch := list(islice(files, keccak._BATCH)):
+            digests = keccak256_many(encoded for _, (_, encoded) in batch)
+            committed += [(key, (c, file_digest(c, data))) for (key, (data, _)), c in zip(batch, map(_hex, digests))]
+        return committed
 
-        def encoded() -> Iterator[bytes]:
-            for key, data in reader.read(normalized_bytes, keys):
-                loaded.append(key)
-                yield data
-
-        return list(zip(loaded, keccak256_many(encoded())))  # keys fill as the hasher draws
-
-    return {key: _hex(digest) for key, digest in split_pass([reader], commit_range)}
+    return dict(split_pass([reader], commit_range))
 
 
 def storage_key(key: SlideKey) -> StorageKey:

@@ -1,5 +1,9 @@
 """Audit protocols: hash verification, tamper injection, time gaps, dual runs.
 
+Verification settles a file that holds the bytes registered with its
+commitment by their file digest, unparsed; every other file's commitment
+is made again.
+
 Tampering operates on in-memory copies only; persisting a tampered
 record back to disk is an explicit, separate step (``tamper --write``
 calls ``records.write_record``).  All randomized choices flow from a
@@ -44,12 +48,17 @@ MISMATCH = "Mismatch"
 UNREGISTERED = "Unregistered"
 MISSING = "Missing"  # registered, but the corpus no longer yields the slide
 
+# A verdict's ``file``: its bytes are the ones registered, or they are not and its commitment was recomputed.
+SAME = "same"
+CHANGED = "changed"
+
 
 class VerificationResult(NamedTuple):
     key: SlideKey
     recomputed: str | None         # the commitment's 0x text; None for a Missing slide
     on_chain: str | None           # None for an Unregistered slide
     verdict: str
+    file: str | None               # SAME or CHANGED; None for a Missing or Unregistered slide
 
 
 def _verdict(recomputed: str | None, on_chain: str | None) -> str:
@@ -61,18 +70,47 @@ def _verdict(recomputed: str | None, on_chain: str | None) -> str:
     return MATCH if recomputed == on_chain.lower() else MISMATCH
 
 
-def verify_corpus(commitments: Mapping[SlideKey, str], ledger: Ledger) -> list[VerificationResult]:
+def settle(reader: CorpusReader, ledger: Ledger) -> dict[SlideKey, str]:
+    """The registered commitment of each of ``reader``'s files that holds the bytes registered with it.
+
+    A file is settled when ``ledger.file_digest`` of its registered
+    commitment and its bytes is the registered file digest: the commitment
+    was made of exactly these bytes, so it is not made again.  Each settled
+    key is left out of ``reader``, so no later pass opens its file; a file
+    that cannot be read is left to that pass.
+    """
+    from .ledger import file_digest  # verify has loaded ledger already; tamper and compare-runs need not
+
+    settled = {}
+    for key, path in reader.paths.items():
+        if (stored := ledger.records.get(key)) is not None:
+            try:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            except OSError:
+                continue
+            if file_digest(stored.slide_hash, data) == stored.file_digest:
+                settled[key] = stored.slide_hash
+    reader.leave_out(settled)
+    return settled
+
+
+def verify_corpus(commitments: Mapping[SlideKey, str], ledger: Ledger,
+                  settled: Container[SlideKey] = frozenset()) -> list[VerificationResult]:
     """One verdict per key that is recomputed or registered, in key order.
 
     Absence on either side is a verdict (Unregistered, Missing), not an
-    error.
+    error.  A slide on both sides has ``file`` SAME when its key is in
+    ``settled`` (its commitment is the registered one, as ``settle`` gives
+    it) and CHANGED otherwise.
     """
     results = []
     for key in sorted(commitments.keys() | ledger.records.keys()):
         recomputed = commitments.get(key)
         stored = ledger.get_slide(key)
         on_chain = None if stored is None else stored.slide_hash
-        results.append(VerificationResult(key, recomputed, on_chain, _verdict(recomputed, on_chain)))
+        file = None if recomputed is None or on_chain is None else SAME if key in settled else CHANGED
+        results.append(VerificationResult(key, recomputed, on_chain, _verdict(recomputed, on_chain), file))
     return results
 
 

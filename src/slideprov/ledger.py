@@ -11,7 +11,10 @@ The ordered registration log is the only ledger state: the per-slide
 index and the chain cursor are derived from it.  A ledger file holds the
 configs, the log and a checksum of them; it is loaded by replaying the log
 through the same checks a live registration passes, then rejected unless
-the replay exports exactly the file's document, checksum included.
+the replay exports exactly the file's document, checksum included.  Each
+registration made from a file also records that file's digest, bound to
+its commitment, so ``verify`` can settle an unchanged file without
+reading its record.
 
 Fees are whole wei: a configured rational is read once into wei, and every
 amount after is integer arithmetic, so replays are bit-identical across
@@ -33,7 +36,10 @@ from .errors import AlreadyRegistered, CorruptLedgerFile, InvalidLecture, Invali
 from .keccak import keccak256_many
 from .records import Checked, SlideKey
 
-LEDGER_FORMAT = "slideprov-ledger/v2"
+# v3 added each event's file digest.  A file digest vouches for a commitment
+# made by today's ``records.canonical_bytes``: a change to the canonical form
+# must bump this format, so that no digest stands for a commitment of another form.
+LEDGER_FORMAT = "slideprov-ledger/v3"
 
 # Empirical per-registration gas for the canonical input shape
 # (66-char hash, 30-char uri) under the default GasConfig.
@@ -59,12 +65,16 @@ def account_hex(account: bytes) -> str:
     return "0x" + account.hex()
 
 
+# The default limit on the digits of integer text (sys.int_max_str_digits).
+# The ledger file writes each config figure as such text, and register its
+# gas totals and block timestamps, so no figure may have more digits.
+MAX_DIGITS = 4300
+_PAST_DIGITS = 10**MAX_DIGITS
 # Fraction builds 10**exponent for decimal text such as "1e-2000000", which
 # takes seconds at a few million, so an exponent past this bound is
-# rejected before Fraction reads the text.  It is the default limit on the
-# digits of integer text (sys.int_max_str_digits), past which a ledger file
-# could not hold such a value as p/q text either.
-MAX_EXPONENT = 4300
+# rejected before Fraction reads the text.  10**4299 is the largest power
+# of ten with at most MAX_DIGITS digits.
+MAX_EXPONENT = MAX_DIGITS - 1
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 
 
@@ -94,6 +104,13 @@ def parse_number(value: object, name: str, convert: Callable[[object], _T] = _ra
         raise ValueError(f"{name} is not a number: {value!r}") from None
 
 
+def _check_digits(cfg: tuple) -> None:
+    """ValueError naming the first field of ``cfg`` (an int, or a rational's terms) past ``MAX_DIGITS`` digits."""
+    for name, value in zip(cfg._fields, cfg):  # type: ignore[attr-defined]
+        if max(abs(value.numerator), value.denominator) >= _PAST_DIGITS:
+            raise ValueError(f"{name} has more than {MAX_DIGITS} digits")
+
+
 class _GasFields(NamedTuple):
     intrinsic: int = 21_000
     nonzero_byte: int = 16
@@ -117,6 +134,7 @@ class GasConfig(Checked, _GasFields):
     @classmethod
     def _check(cls, value: GasConfig) -> GasConfig:
         cfg = tuple.__new__(cls, [parse_number(v, name, int) for name, v in zip(cls._fields, value)])
+        _check_digits(cfg)
         if cfg.intrinsic < 1:
             raise ValueError("intrinsic gas must be at least 1")
         if min(cfg.nonzero_byte, cfg.zero_byte, cfg.exec_base) < 0:
@@ -174,6 +192,7 @@ class FeeConfig(Checked, _FeeFields):
         cfg = tuple.__new__(cls, [
             parse_number(v, name, _rational if isinstance(cls._field_defaults[name], Fraction) else int)
             for name, v in zip(cls._fields, value)])
+        _check_digits(cfg)
         if cfg.initial_base_fee_wei < 1 or cfg.priority_tip_wei < 1:
             raise ValueError("fees must be at least 1 wei")
         for name in ("target_gas", "decay_denominator", "block_interval", "eth_usd_rate"):
@@ -213,6 +232,7 @@ class SlideRecord(NamedTuple):
     uri: str
     registrant: str  # account_hex of a 20-byte account
     timestamp: int
+    file_digest: str  # file_digest(slide_hash, the file's bytes), or "" for a registration made without a file
 
 
 class RegistrationReceipt(NamedTuple):
@@ -236,6 +256,17 @@ class BatchSummary(NamedTuple):
     total_cost_wei: int
     elapsed_seconds: int
     throughput: Fraction  # registrations per modeled second
+
+
+def file_digest(slide_hash: str, data: bytes) -> str:
+    """``"sha256:"`` and the SHA-256 hex digest of ``slide_hash``'s UTF-8 text (ASCII for a commitment), then ``data``.
+
+    Binding the commitment in means that an edit of either the file or the
+    registered commitment alone gives another digest.
+    """
+    digest = hashlib.sha256(slide_hash.encode("utf-8"))
+    digest.update(data)
+    return "sha256:" + digest.hexdigest()
 
 
 def canonical_uri(key: SlideKey) -> str:
@@ -313,27 +344,30 @@ class Ledger:
         self.base_fee_wei = self.fee_config.next_base_fee_wei(self.base_fee_wei, gas_used)
         return gas_used
 
-    def register_slide(self, key: SlideKey, slide_hash: str, uri: str) -> RegistrationReceipt:
+    def register_slide(self, key: SlideKey, slide_hash: str, uri: str, file_digest: str = "") -> RegistrationReceipt:
         """Register one slide from the first dev account, seal one block, return the receipt.
 
+        ``file_digest`` is the slide's file's, by ``ledger.file_digest``; the
+        empty default matches no file, so ``verify`` recomputes such a slide.
         Raises InvalidLecture/InvalidSlide for ids outside [1, 2**256)
         and AlreadyRegistered when the key exists; failed calls leave the
         state untouched.
         """
         timestamp = self.next_timestamp
         price_wei = self.base_fee_wei + self._tip_wei
-        gas_used = self._append(SlideRecord(*key, slide_hash, uri, account_hex(_dev_account_set()[0]), timestamp))
+        gas_used = self._append(
+            SlideRecord(*key, slide_hash, uri, account_hex(_dev_account_set()[0]), timestamp, file_digest))
         return RegistrationReceipt(key.lecture_id, key.slide_id, gas_used, price_wei, len(self.records), timestamp)
 
     def batch_register(
-        self, items: list[tuple[SlideKey, str, str]]
+        self, items: list[tuple[SlideKey, str, str]] | list[tuple[SlideKey, str, str, str]]
     ) -> tuple[list[RegistrationReceipt], BatchSummary]:
-        """Register (key, slide_hash, uri) items sequentially in input order."""
+        """Register (key, slide_hash, uri[, file_digest]) items sequentially in input order."""
         receipts: list[RegistrationReceipt] = []
         failures: list[tuple[SlideKey, str]] = []
-        for key, slide_hash, uri in items:
+        for key, *registration in items:
             try:
-                receipts.append(self.register_slide(key, slide_hash, uri))
+                receipts.append(self.register_slide(key, *registration))
             except (InvalidLecture, InvalidSlide, AlreadyRegistered) as exc:
                 failures.append((key, str(exc)))
 

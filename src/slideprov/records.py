@@ -392,7 +392,8 @@ KNOWN = object()  # the document ``read_json`` gives for bytes equal to its ``kn
 def read_json(path: Path | str, known: bytes | None = None) -> tuple[bytes, object]:
     """The bytes of the file at ``path`` and the JSON document they hold.
 
-    Every input file, corpus file and ledger alike, is opened here.  Bytes
+    Every input file that is parsed, corpus file and ledger alike, is opened
+    here (``verify`` reads the bytes of a file it settles unparsed).  Bytes
     equal to ``known`` are not parsed: their document is ``KNOWN``.  Every
     way the bytes can fail to be JSON raises ValueError: bytes that are
     not UTF-8, bad syntax, nesting past the recursion limit, or an integer
@@ -447,7 +448,7 @@ FIELDS = {
                    "genesis_time": INTEGER},
     "gas_config": dict.fromkeys(["intrinsic", "nonzero_byte", "zero_byte", "exec_base"], INTEGER),
     "event": {"lectureId": INTEGER, "slideId": INTEGER, "slideHash": STRING, "uri": STRING,
-              "registrant": ACCOUNT, "timestamp": INTEGER},
+              "registrant": ACCOUNT, "timestamp": INTEGER, "fileDigest": STRING},
 }
 
 
@@ -498,13 +499,19 @@ class CorpusReader:
         nothing loaded and nothing was skipped, as for a layout without files.
         """
         for key in self.paths if keys is None else keys:
-            if item := self._load(key, load):
+            if item := self.load_file(key, load):
                 yield key, item[1]
         if keys is None:
             self.require_loaded()
 
-    def _load(self, key: SlideKey, load: Callable[[object, SlideKey], _T],
-              known: tuple[bytes, _T] | None = None) -> tuple[bytes, _T] | None:
+    def leave_out(self, keys: Iterable[SlideKey]) -> None:
+        """Count ``keys`` (keys of ``paths``) as skipped, as if given in ``skip``: no later pass opens their files."""
+        for key in keys:
+            del self.paths[key]
+            self.skipped += 1
+
+    def load_file(self, key: SlideKey, load: Callable[[object, SlideKey], _T],
+                  known: tuple[bytes, _T] | None = None) -> tuple[bytes, _T] | None:
         """``key``'s file's bytes and ``load(document, key)``, or None with the failure recorded.
 
         Bytes equal to ``known``'s are neither parsed nor loaded: their value is ``known``'s.
@@ -538,8 +545,8 @@ def read_runs(run_a: CorpusReader, run_b: CorpusReader, load: Callable[[object, 
     file fails to load.  Run B's file with the bytes of run A's is neither parsed nor loaded: ``b is a``.
     """
     for key in sorted(run_a.paths.keys() | run_b.paths.keys()) if keys is None else keys:
-        a = run_a._load(key, load) if key in run_a.paths else None
-        b = run_b._load(key, load, a) if key in run_b.paths else None
+        a = run_a.load_file(key, load) if key in run_a.paths else None
+        b = run_b.load_file(key, load, a) if key in run_b.paths else None
         if a or b:
             yield key, a and a[1], b and b[1]
 

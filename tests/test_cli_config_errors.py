@@ -389,7 +389,7 @@ def test_projection_out_of_float_range_exit_2(tmp_path, rate):
     # an exponent past the bound is not read
     code, err = run_main(["project", "--eth-usd", rate, "--out", str(tmp_path / "out")])
     assert_config_error(code, err)
-    assert err == f"error: eth_usd has an exponent past 4300: '{rate}'\n", err
+    assert err == f"error: eth_usd has an exponent past 4299: '{rate}'\n", err
     assert not (tmp_path / "out").exists()
 
 
@@ -428,16 +428,16 @@ def test_exponent_past_bound_is_rejected_before_fraction_reads_it(tmp_path, work
     corpus = str(workspace["corpus"])
     runs = [  # (argv, exit code, the one stderr line)
         (["register", "--corpus", corpus, "--ledger", "new.json", "--eth-usd", HUGE_EXPONENT],
-         2, f"error: eth_usd_rate has an exponent past 4300: '{HUGE_EXPONENT}'"),
+         2, f"error: eth_usd_rate has an exponent past 4299: '{HUGE_EXPONENT}'"),
         (["register", "--corpus", corpus, "--ledger", "new.json", "--tip-gwei", HUGE_EXPONENT],
-         2, f"error: priority_tip_gwei has an exponent past 4300: '{HUGE_EXPONENT}'"),
+         2, f"error: priority_tip_gwei has an exponent past 4299: '{HUGE_EXPONENT}'"),
         (["verify", "--corpus", corpus, "--ledger", "ledger.json"],
          3, f"error: ledger.json: ledger document rejected: fee_config: eth_usd_rate is not rational text"
             f" in lowest terms: '{HUGE_EXPONENT}'"),
         (["verify", "--corpus", corpus, "--ledger", "list.json"],
          3, "error: list.json: unrecognized ledger format"),
         (["project", "--eth-usd", HUGE_EXPONENT],
-         2, f"error: eth_usd has an exponent past 4300: '{HUGE_EXPONENT}'"),
+         2, f"error: eth_usd has an exponent past 4299: '{HUGE_EXPONENT}'"),
     ]
     for argv, code, line in runs:
         proc = run_process([*argv, "--out", "out"], tmp_path)

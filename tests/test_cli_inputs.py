@@ -162,7 +162,7 @@ def test_verify_reports_a_registered_slide_the_corpus_no_longer_yields(tmp_path,
     assert code == 1
     missing = [row for row in rows if row["verdict"] == "Missing"]
     assert missing == [{"lecture_id": "1", "slide_id": "2", "recomputed": "",
-                        "on_chain": stored[1, 2], "verdict": "Missing"}]
+                        "on_chain": stored[1, 2], "verdict": "Missing", "file": ""}]
     assert [row["verdict"] for row in rows].count("Match") == 5
     assert [(row["lecture_id"], row["slide_id"]) for row in rows] == [
         (str(lecture), str(slide)) for lecture in (1, 2) for slide in (1, 2, 3)]

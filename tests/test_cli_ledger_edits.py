@@ -3,12 +3,14 @@
 A ledger written by ``register`` gets one edit, and every command that
 reads a ledger must then exit 3 with a single ``error:`` line, print no
 traceback and leave the file's bytes as they were; so must a ledger file
-of the earlier v1 format.  A value of another JSON kind in any field,
+of the earlier v1 or v2 format.  A value of another JSON kind in any field,
 section or event, under a recomputed checksum, gets the line that names
 the file, the config or event, and the field.  The same fee and gas values out of
 range given as ``register`` flags exit 2 and write no ledger, or leave
 an existing one as it was.  Fee and gas values whose costs are past the
-float range are registered, and their costs written exactly.
+float range are registered, and their costs written exactly; a figure
+past the interpreter's 4,300-digit limit on integer text exits 2 with
+one line before anything is saved.
 """
 
 import contextlib
@@ -26,9 +28,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import run_cli, write_corpus
 from slideprov.cli import main
-from slideprov.ledger import FeeConfig, GasConfig, Ledger, account_hex, checksum, dev_accounts
+from slideprov.ledger import MAX_DIGITS, FeeConfig, GasConfig, Ledger, account_hex, checksum, dev_accounts
 
-EVENT_FIELDS = ["lectureId", "slideId", "slideHash", "uri", "timestamp", "registrant"]
+EVENT_FIELDS = ["lectureId", "slideId", "slideHash", "uri", "timestamp", "registrant", "fileDigest"]
 
 # a fee below 1 wei, zero and negative fees included; rationals are file text
 _BELOW_ONE_WEI = st.fractions(max_value=Fraction(1, 10**9)).filter(lambda f: f < Fraction(1, 10**9)).map(str)
@@ -162,6 +164,9 @@ def assert_rejected_by_every_reader(ws, data):
 @example(edit=_edit("fee_config", "target_gas", float("inf")))
 @example(edit=_edit("gas_config", "exec_base", -300000))
 @example(edit=("events[0].timestamp=inf", lambda d: d["events"][0].update(timestamp=float("inf"))))
+@example(edit=("events[2].fileDigest dropped", lambda d: d["events"][2].pop("fileDigest")))
+@example(edit=("events[2].fileDigest altered", lambda d: d["events"][2].update(fileDigest=_changed(
+    d["events"][2]["fileDigest"]))))
 def test_edited_ledger_rejected_by_every_reader(workspace, edit):
     _, apply = edit
     doc = json.loads(json.dumps(workspace["doc"]))
@@ -210,7 +215,7 @@ FIELD_KINDS = {
        for name in ("target_gas", "decay_denominator", "block_interval", "genesis_time")},
     **{("gas_config", name): "a JSON integer" for name in ("intrinsic", "nonzero_byte", "zero_byte", "exec_base")},
     **{("events", name): "a JSON integer" for name in ("lectureId", "slideId", "timestamp")},
-    **{("events", name): "a JSON string with a UTF-8 form" for name in ("slideHash", "uri")},
+    **{("events", name): "a JSON string with a UTF-8 form" for name in ("slideHash", "uri", "fileDigest")},
     ("events", "registrant"): "an account identifier",
 }
 
@@ -220,7 +225,7 @@ def other_kinds(draw):
     """(section, or None for the file itself; event index; field; a value of another JSON kind than the field's)."""
     section, name = draw(st.sampled_from([*FIELD_KINDS, (None, "format"), (None, "checksum")]))
     kind = FIELD_KINDS.get((section, name))
-    value = draw(OTHER_KIND[kind] if kind else _JSON.filter(lambda v: v != "slideprov-ledger/v2"))
+    value = draw(OTHER_KIND[kind] if kind else _JSON.filter(lambda v: v != "slideprov-ledger/v3"))
     return section, draw(st.integers(0, 5)), name, value
 
 
@@ -260,7 +265,7 @@ def test_every_field_of_another_json_kind_rejected_naming_it(workspace, case):
     value = holder[key]  # as the file holds it: NaN and -0.0 included
     path = workspace["tmp"] / "edited.json"
     if name == "format":
-        named = f" {value!r} (this version reads 'slideprov-ledger/v2')" if isinstance(value, str) else ""
+        named = f" {value!r} (this version reads 'slideprov-ledger/v3')" if isinstance(value, str) else ""
         expected = f"error: {path}: unrecognized ledger format{named}"
     elif name == "checksum":
         expected = f"error: {path}: ledger file does not match its checksum"
@@ -380,6 +385,33 @@ def test_cost_past_float_range_exit_0(workspace, flag, exponent, existing):
     assert abs(Fraction(dollars) - Fraction(usd)) <= Fraction(usd) / 10**27
 
 
+NINES = "9" * MAX_DIGITS  # the largest integer whose text the interpreter writes by default
+# register flag -> (the config and field it sets, the one error line); each figure passes the digit limit
+PAST_THE_DIGIT_LIMIT = {
+    f"--gas-exec-base={NINES}": (GasConfig, "exec_base", "total gas has more than 4300 digits"),
+    f"--block-interval={NINES}": (FeeConfig, "block_interval", "the last block's timestamp has more than 4300 digits"),
+    "--eth-usd=1e4300": (FeeConfig, None, "eth_usd_rate has an exponent past 4299: '1e4300'"),
+    "--eth-usd=99e4299": (FeeConfig, None, "eth_usd_rate has more than 4300 digits"),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-ledger", "existing-ledger"])
+@pytest.mark.parametrize("flag", PAST_THE_DIGIT_LIMIT, ids=lambda flag: flag.split("=")[0] + "-" + flag[-6:])
+def test_a_figure_past_the_digit_limit_exits_2_before_anything_is_saved(workspace, flag, existing):
+    config, name, line = PAST_THE_DIGIT_LIMIT[flag]
+    ledger, out = workspace["tmp"] / "digits.json", workspace["tmp"] / "digits-out"
+    ledger.unlink(missing_ok=True)
+    if existing:  # a file whose own configs hold the figure: they win over the flags, which are checked all the same
+        configs = {config: config(**{name: int(NINES)})} if name else {}
+        Ledger(configs.get(FeeConfig), configs.get(GasConfig)).save(ledger)
+        before = ledger.read_bytes()
+    code, stdout, err = run_cli(["register", "--corpus", str(workspace["corpus"]), "--ledger", str(ledger),
+                                 "--out", str(out), flag])
+    assert (code, stdout, err) == (2, "", f"error: {line}\n")
+    assert ledger.read_bytes() == before if existing else not ledger.exists()
+    assert not out.exists()
+
+
 def test_truncated_log_rejected(tmp_path, capsys):
     # 30 registered slides; keep 3 events under the checksum of all 30
     corpus = write_corpus(tmp_path / "corpus", n_lectures=5, slides_per_lecture=6)
@@ -406,4 +438,17 @@ def test_v1_ledger_rejected_naming_its_format(workspace):
     path = workspace["tmp"] / "edited.json"
     for line in assert_rejected_by_every_reader(workspace, json.dumps(doc).encode("utf-8")):
         assert line == (f"error: {path}: unrecognized ledger format 'slideprov-ledger/v1'"
-                        " (this version reads 'slideprov-ledger/v2')"), line
+                        " (this version reads 'slideprov-ledger/v3')"), line
+
+
+def test_v2_ledger_rejected_naming_its_format(workspace):
+    # the v2 layout: the same document, its events without a file digest, under its own checksum
+    doc = json.loads(json.dumps(workspace["doc"]))
+    for event in doc["events"]:
+        del event["fileDigest"]
+    doc["format"] = "slideprov-ledger/v2"
+    doc["checksum"] = checksum(doc)
+    path = workspace["tmp"] / "edited.json"
+    for line in assert_rejected_by_every_reader(workspace, json.dumps(doc).encode("utf-8")):
+        assert line == (f"error: {path}: unrecognized ledger format 'slideprov-ledger/v2'"
+                        " (this version reads 'slideprov-ledger/v3')"), line

@@ -27,6 +27,7 @@ from conftest import forced_split, run_cli, write_corpus
 from slideprov import cli, commitment, records
 from slideprov.commitment import commit, commit_corpus
 from slideprov.errors import EmptyCorpus, ProvenanceWarning
+from slideprov.ledger import file_digest
 from slideprov.records import CorpusReader, SlideKey, normalized_bytes
 from test_golden import GOLDEN, golden_digests
 
@@ -70,7 +71,9 @@ def test_split_pass_equals_the_serial_one(tmp_path, n):
     with forced_split(n) as forks:
         actual = _pass(root, commit_corpus)
     assert len(forks) == n - 1
-    assert list(actual[0].items()) == list(expected[0].items())
+    assert [(key, c) for key, (c, _) in actual[0].items()] == list(expected[0].items())
+    assert [digest for _, digest in actual[0].values()] == [
+        file_digest(c, records.record_path(root, key).read_bytes()) for key, c in expected[0].items()]
     assert actual[1] == expected[1]
     assert [f.key for f in actual[1]] == [SlideKey(2, 1), SlideKey(3, 3)]
     assert actual[2] == expected[2]
@@ -138,7 +141,9 @@ def test_golden_digests_hold_at_every_split(tmp_path, n):
     # per format, 2 analyze on the absent-model corpus
     assert len(steps) == 44
     assert {name: actual[name] for name in steps} == {name: expected[name] for name in steps}
-    assert len(forks) == (n - 1) * 44  # each of those steps split its pass
+    # each of those steps split its pass; verify's pass holds only the files their digests do not settle:
+    # one after register (the file that is not a record, into one range), two after the edit (into two)
+    assert len(forks) == (n - 1) * 36 + min(n - 1, 1) * 4
 
 
 @pytest.mark.parametrize("n", (2, 3))

@@ -151,7 +151,7 @@ def test_verify_corpus_gives_each_key_its_verdict(changes, added):
             path = root / "by_slide" / "Lecture 2" / f"Slide{slide}.json"
             path.write_text(json.dumps(synthetic_document(rng, 2, slide)), encoding="utf-8")
             expected[SlideKey(2, slide)] = UNREGISTERED
-        results = verify_corpus(commit_corpus(CorpusReader(root)), ledger)
+        results = verify_corpus({key: c for key, (c, _) in commit_corpus(CorpusReader(root)).items()}, ledger)
     assert [(r.key, r.verdict) for r in results] == sorted(expected.items())
     for r in results:
         assert (r.recomputed is None) == (r.verdict == MISSING)

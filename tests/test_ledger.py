@@ -15,7 +15,7 @@ from conftest import register_corpus
 from keccak_reference import reference_keccak256
 from slideprov import records
 from slideprov.commitment import storage_key
-from slideprov.ledger import LEDGER_FORMAT, MAX_EXPONENT, checksum
+from slideprov.ledger import LEDGER_FORMAT, MAX_DIGITS, MAX_EXPONENT, checksum, file_digest
 from slideprov import (
     AlreadyRegistered,
     CorruptLedgerFile,
@@ -166,8 +166,9 @@ class TestFees:
                 FeeConfig(**bad)
 
     @pytest.mark.parametrize("text,value", [
-        ("1e4300", Fraction(10**4300)), ("3e-4300", Fraction(3, 10**4300)),
-        ("1E+0004300", Fraction(10**4300)), ("2.5e4_300", Fraction(25 * 10**4299)),
+        ("1e4299", Fraction(10**4299)), ("3e-4299", Fraction(3, 10**4299)),
+        ("1E+0004299", Fraction(10**4299)), ("2.5e4_299", Fraction(25 * 10**4298)),
+        ("1e4300", None), ("1e-4300", None), ("1e-4_3_0_0", None),
         ("1e4301", None), ("1e-4301", None), ("1e-4_3_0_1", None), ("0.00001e99999 ", None),
     ])
     def test_decimal_exponent_bound(self, text, value):
@@ -177,6 +178,20 @@ class TestFees:
             return
         with pytest.raises(ValueError, match=f"^eth_usd_rate has an exponent past {MAX_EXPONENT}: "):
             FeeConfig(eth_usd_rate=text)
+
+    @pytest.mark.parametrize("config, name, value", [
+        (FeeConfig, "eth_usd_rate", "99e4299"),             # a numerator of 4,301 digits
+        (FeeConfig, "eth_usd_rate", "9" * 4300 + "e1"),
+        (FeeConfig, "initial_base_fee_gwei", "0.1e-4299"),  # a denominator of 4,301 digits
+        (FeeConfig, "genesis_time", 10**4300),
+        (GasConfig, "exec_base", 10**4300),
+    ], ids=["numerator", "numerator-digits", "denominator", "genesis_time", "exec_base"])
+    def test_a_figure_past_the_digit_limit_is_rejected(self, config, name, value):
+        # the ledger file writes each figure as integer text, whose digits the interpreter limits
+        with pytest.raises(ValueError, match=f"^{name} has more than {MAX_DIGITS} digits$"):
+            config(**{name: value})
+        largest = 10**MAX_DIGITS - 1
+        assert getattr(config(**{name: largest}), name) == largest
 
     def test_gas_config_coerces_and_validates(self):
         assert GasConfig(exec_base="0") == GasConfig(exec_base=0)
@@ -230,7 +245,7 @@ class TestExportImport:
     def test_empty_export(self):
         doc = json.loads(Ledger().export_bytes())
         assert sorted(doc) == ["checksum", "events", "fee_config", "format", "gas_config"]
-        assert doc["format"] == LEDGER_FORMAT == "slideprov-ledger/v2"
+        assert doc["format"] == LEDGER_FORMAT == "slideprov-ledger/v3"
         assert doc["events"] == []
         assert doc["checksum"] == checksum(doc)
 
@@ -345,9 +360,10 @@ def test_the_kind_table_names_every_field_the_ledger_reads():
     ledger = Ledger()
     ledger.register_slide(SlideKey(1, 1), HASH66, URI30)
     account = "0x" + dev_accounts()[0].hex()
-    assert ledger.events[0] == (1, 1, HASH66, URI30, account, 1)
+    assert ledger.events[0] == (1, 1, HASH66, URI30, account, 1, "")
     assert json.loads(ledger.export_bytes())["events"] == [
-        {"lectureId": 1, "slideId": 1, "slideHash": HASH66, "uri": URI30, "registrant": account, "timestamp": 1}]
+        {"lectureId": 1, "slideId": 1, "slideHash": HASH66, "uri": URI30, "registrant": account, "timestamp": 1,
+         "fileDigest": ""}]
 
 
 def test_dev_accounts_fixed_and_distinct():

@@ -51,10 +51,11 @@ def workspace(tmp_path_factory):
     return tmp, corpus, ledger
 
 
-# command -> modules it must not load; only the metrics of analyze and compare-runs need statistics
+# command -> modules it must not load; only the metrics of analyze and compare-runs need statistics;
+# verify settles every file of the unchanged workspace corpus by its file digest, so it commits to none
 NOT_LOADED = {
     "register": {"integrity", "metrics", "projection", "statistics"},
-    "verify": {"metrics", "projection", "statistics"},
+    "verify": {"commitment", "metrics", "projection", "statistics"},
     "analyze": {"commitment", "integrity", "projection"},
     "tamper": {"metrics", "projection", "statistics"},
     "compare-runs": {"projection"},

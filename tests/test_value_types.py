@@ -50,7 +50,7 @@ def test_every_route_coerces(route):
 
 
 def test_values_are_tuples_with_the_hash_of_their_fields():
-    record = SlideRecord(1, 2, "0x" + "ab" * 32, "Lecture 1/Slide2.json", 1, bytes(20))
-    assert record == tuple(record) and len(record) == 6 and hash(record) == hash(tuple(record))
+    record = SlideRecord(1, 2, "0x" + "ab" * 32, "Lecture 1/Slide2.json", 1, bytes(20), "")
+    assert record == tuple(record) and len(record) == 7 and hash(record) == hash(tuple(record))
     assert record._replace(slide_id=3).slide_id == 3 and record._fields[1] == "slide_id"
     assert GasConfig() == (21_000, 16, 4, 207_862)
